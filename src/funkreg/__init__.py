@@ -52,6 +52,7 @@ from .estimator import (
     BandwidthGrid,
     BiasVarianceReport,
     EstimateResult,
+    InsampleSmoother,
     confidence_interval,
     empirical_sdf,
     empirical_tau,

@@ -11,6 +11,13 @@ Randomness is counter-based: replication b of a run seeded with s draws its
 uniforms from a Philox stream keyed by (s, b), indexed by each point's key
 (its original sample index by default). Results are therefore bit-stable
 and independent of evaluation order.
+
+Cost: the in-sample refit at every (query, candidate k) radius reads sorted
+prefix sums (``InsampleSmoother``), so after one O(n^2 log n) sort it costs
+O(J K n (log n + deg)) for J queries and K candidates instead of J K n^2
+kernel evaluations; scoring adds one (B x n) by (n x J K) product. Work
+arrays are bounded by refitting queries in blocks of about
+``_BLOCK_ELEMENTS`` (point, radius) pairs.
 """
 
 import math
@@ -28,12 +35,13 @@ from .curves import (
     _transform_values,
 )
 from .errors import (
+    DegenerateGrid,
     DegeneratePilot,
     EmptyGrid,
     EmptyNeighborhood,
     ValidationError,
 )
-from .estimator import knn_bandwidths, nadaraya_watson
+from .estimator import InsampleSmoother, knn_bandwidths
 from .kernels import KernelSpec, eval_kernel_array
 
 _SQRT5 = math.sqrt(5.0)
@@ -42,6 +50,10 @@ MULTIPLIER_LOW = (1.0 - _SQRT5) / 2.0
 MULTIPLIER_HIGH = (1.0 + _SQRT5) / 2.0
 P_LOW = (5.0 + _SQRT5) / 10.0
 P_HIGH = (5.0 - _SQRT5) / 10.0
+#: Element budget of one refit block: queries are refit together, all
+#: candidate radii at once, in blocks of about this many (point, radius)
+#: pairs, which bounds the block's working arrays.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,11 @@ class WildBootstrapResult:
     ``per_bandwidth`` holds (k, h, mean_sq_boot_error) triples; in test_set
     mode h is the per-query kNN radius averaged over queries. The selected
     entry attains the minimal error, ties broken toward smaller h.
+
+    ``selected_k`` is the primary result. ``selected_h`` is the mean of the
+    per-query radii at ``selected_k``, which is not what the bootstrap
+    scored at any single query: with several queries, predict at each
+    query's own radius, ``knn_bandwidths(d, selected_k, selected_k)``.
     """
 
     per_bandwidth: tuple[tuple[int, float, float], ...]
@@ -169,30 +186,6 @@ def select_bandwidth(result: WildBootstrapResult) -> tuple[int, float]:
     return _argmin_entry(result.per_bandwidth)
 
 
-def _kth_smallest(distances: np.ndarray, k: int,
-                  exclude_self: bool = False) -> float:
-    d = np.sort(distances)
-    if exclude_self and d.size > 0 and d[0] == 0.0:
-        d = d[1:]
-    if k > d.size:
-        raise ValidationError(f"k = {k} exceeds {d.size} available distances")
-    return float(d[k - 1])
-
-
-def _insample_predictions(dist: np.ndarray, responses: np.ndarray,
-                          kernel: KernelSpec, h: float) -> np.ndarray:
-    """Full-sample kernel predictions at every sample point, radius h."""
-    weights = eval_kernel_array(kernel, dist / h)
-    denom = weights.sum(axis=1)
-    bad = np.flatnonzero(denom <= 0.0)
-    if bad.size:
-        raise EmptyNeighborhood(
-            f"in-sample prediction at point {bad[0]} has no positive weight "
-            f"at radius {h}"
-        )
-    return (weights @ responses) / denom
-
-
 def residuals(sample: FunctionalSample, kernel: KernelSpec,
               spec: SemiMetricSpec, h: float | None = None,
               k: int | None = None,
@@ -204,6 +197,7 @@ def residuals(sample: FunctionalSample, kernel: KernelSpec,
     from the ranking but included in the fit), or explicit per-point radii.
 
     Raises:
+        InvalidKernel: for a negative or increasing kernel.
         EmptyNeighborhood: naming the first point with no positive weight.
     """
     given = [v is not None for v in (h, k, h_per_point)]
@@ -212,26 +206,19 @@ def residuals(sample: FunctionalSample, kernel: KernelSpec,
     n = len(sample)
     trans = transformed_matrix(sample, spec)
     w_quad = sample.grid.trapezoid_weights()
-    dist = distance_matrix(trans, trans, w_quad)
+    smoother = InsampleSmoother(
+        distance_matrix(trans, trans, w_quad), sample.responses, kernel
+    )
     if h is not None:
         radii = np.full(n, float(h))
     elif k is not None:
-        radii = np.array([
-            _kth_smallest(dist[i], int(k), exclude_self=True) for i in range(n)
-        ])
+        radii = smoother.knn_radii(int(k))
     else:
         radii = np.asarray(h_per_point, dtype=float)
         if radii.shape != (n,):
             raise ValidationError(f"h_per_point must have length {n}")
-    preds = np.empty(n)
-    for i in range(n):
-        try:
-            preds[i] = nadaraya_watson(
-                dist[i], sample.responses, kernel, radii[i]
-            ).prediction
-        except EmptyNeighborhood as exc:
-            raise EmptyNeighborhood(f"at sample point {i}: {exc}") from exc
-    return sample.responses - preds
+    preds, _ = smoother.fit(radii[:, None])
+    return sample.responses - preds[:, 0]
 
 
 def _multiplier_matrix(seed: int, n_replications: int,
@@ -272,6 +259,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             indices to make results invariant to permuting the sample.
 
     Raises:
+        InvalidKernel: for a negative or increasing kernel.
         DegeneratePilot: when the pilot fit fails at some point or query.
         EmptyNeighborhood: when a candidate radius leaves a query without
             positively weighted neighbors (reported with its k, h, query).
@@ -298,7 +286,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
 
     trans = transformed_matrix(sample, spec)
     w_quad = sample.grid.trapezoid_weights()
-    dist_ss = distance_matrix(trans, trans, w_quad)
+    smoother = InsampleSmoother(distance_matrix(trans, trans, w_quad), y, kernel)
     trans_q = np.vstack([
         _transform_values(q.values, sample.grid, spec) for q in active
     ])
@@ -306,44 +294,52 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
 
     k_g = config.pilot_k(n)
     try:
-        pilot_radii = np.array([
-            _kth_smallest(dist_ss[i], k_g, exclude_self=True) for i in range(n)
-        ])
+        pilot_radii = smoother.knn_radii(k_g)
         if np.any(pilot_radii <= 0.0):
             raise DegeneratePilot("pilot kNN radius is zero at some point")
-        r_tilde = np.array([
-            nadaraya_watson(dist_ss[i], y, kernel, pilot_radii[i]).prediction
-            for i in range(n)
-        ])
-        r_tilde_q = np.array([
-            nadaraya_watson(
-                dist_qs[j], y, kernel, _kth_smallest(dist_qs[j], k_g)
-            ).prediction
-            for j in range(len(active))
-        ])
-    except EmptyNeighborhood as exc:
+        r_tilde = smoother.fit(pilot_radii[:, None])[0][:, 0]
+        pilot_radii_q = np.array(
+            [knn_bandwidths(row, k_g, k_g).hs[0] for row in dist_qs]
+        )
+        w_pilot = eval_kernel_array(kernel, dist_qs / pilot_radii_q[:, None])
+        totals = w_pilot.sum(axis=1)
+        bad = np.flatnonzero(totals <= 0.0)
+        if bad.size:
+            raise EmptyNeighborhood(
+                f"no positive kernel weight within radius "
+                f"{pilot_radii_q[bad[0]]} at query {bad[0]}"
+            )
+        r_tilde_q = (w_pilot @ y) / totals
+    except (EmptyNeighborhood, DegenerateGrid) as exc:
         raise DegeneratePilot(f"pilot fit failed: {exc}") from exc
 
     multipliers = _multiplier_matrix(config.seed, config.n_replications, keys)
 
     ks = range(config.k_min, config.k_max + 1)
     n_k = config.k_max - config.k_min + 1
+    radii = np.array([
+        knn_bandwidths(row, config.k_min, config.k_max).hs for row in dist_qs
+    ])
     errors = np.empty((len(active), n_k))
-    radii = np.empty((len(active), n_k))
-    for j in range(len(active)):
-        grid = knn_bandwidths(dist_qs[j], config.k_min, config.k_max)
-        for ki, (k, h) in enumerate(grid.entries):
-            resid = y - _insample_predictions(dist_ss, y, kernel, h)
-            w_q = eval_kernel_array(kernel, dist_qs[j] / h)
-            total = float(w_q.sum())
-            if total <= 0.0:
-                raise EmptyNeighborhood(
-                    f"no positive weight at query {j} for k = {k}, h = {h}"
-                )
-            base = float(np.dot(w_q, r_tilde)) / total
-            deviations = (multipliers @ (w_q * resid)) / total
-            errors[j, ki] = float(np.mean((base + deviations - r_tilde_q[j]) ** 2))
-            radii[j, ki] = h
+    step = max(1, _BLOCK_ELEMENTS // (n * n_k))
+    for start in range(0, len(active), step):
+        block = slice(start, start + step)
+        h = radii[block].ravel()  # query-major: (query, k) pairs
+        query = np.repeat(np.arange(len(active))[block], n_k)
+        resid = y[:, None] - smoother.fit(np.broadcast_to(h, (n, h.size)))[0]
+        w_q = eval_kernel_array(kernel, dist_qs[query] / h[:, None])
+        totals = w_q.sum(axis=1)
+        bad = np.flatnonzero(totals <= 0.0)
+        if bad.size:
+            j, ki = divmod(start * n_k + int(bad[0]), n_k)
+            raise EmptyNeighborhood(
+                f"no positive weight at query {j} for k = {ks[ki]}, "
+                f"h = {radii[j, ki]}"
+            )
+        base = (w_q @ r_tilde) / totals
+        deviations = (multipliers @ (w_q.T * resid)) / totals
+        sq = (base + deviations - r_tilde_q[query]) ** 2
+        errors[block] = sq.mean(axis=0).reshape(-1, n_k)
 
     per_bandwidth = tuple(
         (k, float(radii[:, ki].mean()), float(errors[:, ki].mean()))

@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import (
+    InsampleSmoother,
     confidence_interval,
     estimate_sigma2,
     nadaraya_watson,
@@ -306,26 +307,26 @@ def _cmd_fit(args) -> int:
     spec = _semi_metric(opts)
     weights = sample.grid.trapezoid_weights()
     trans = transformed_matrix(sample, spec)
-    dist = distance_matrix(trans, trans, weights)
+    n = len(sample)
     k = opts.get("k")
     h = opts.get("h")
     if (k is None) == (h is None):
         raise ValidationError("give exactly one of --k or --h")
-    rows = []
-    for i in range(len(sample)):
-        if h is not None:
-            radius = float(h)
-        else:
-            d = np.sort(dist[i])
-            d = d[1:] if d.size and d[0] == 0.0 else d
-            if not 1 <= k <= d.size:
-                raise ValidationError(f"--k must lie in [1, {d.size}]")
-            radius = float(d[k - 1])
-        result = nadaraya_watson(dist[i], sample.responses, kernel, radius)
-        rows.append([
-            i, result.prediction, sample.responses[i] - result.prediction,
-            result.f_hat_empirical, result.neighbor_count, result.bandwidth,
-        ])
+    smoother = InsampleSmoother(
+        distance_matrix(trans, trans, weights), sample.responses, kernel
+    )
+    if h is not None:
+        radii = np.full(n, float(h))
+    else:
+        if not 1 <= k <= n - 1:
+            raise ValidationError(f"--k must lie in [1, {n - 1}]")
+        radii = smoother.knn_radii(k)
+    preds, counts = smoother.fit(radii[:, None])
+    rows = [
+        [i, preds[i, 0], sample.responses[i] - preds[i, 0],
+         counts[i, 0] / n, int(counts[i, 0]), radii[i]]
+        for i in range(n)
+    ]
     _write_tsv(
         opts.get("out"),
         ["index", "prediction", "residual", "f_hat", "neighbors", "bandwidth"],

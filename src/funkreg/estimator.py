@@ -188,6 +188,138 @@ def nadaraya_watson(distances, responses, kernel: KernelSpec,
     )
 
 
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums with a leading zero column."""
+    out = np.zeros((values.shape[0], values.shape[1] + 1))
+    np.cumsum(values, axis=1, out=out[:, 1:])
+    return out
+
+
+class InsampleSmoother:
+    """Nadaraya-Watson fits at every sample point, at any radii.
+
+    Takes the square sample-by-sample distance matrix, whose diagonal is
+    the exact-zero self-distance. Every kernel is a polynomial on [0, 1],
+    so at radius h the kernel sums of row i are
+
+        sum_p c_p h^-p S_p(i, count),   count = #{d_i <= h},
+
+    where S_p(i, m) sums d^p y (numerator) or d^p (denominator) over the m
+    smallest distances of row i. Each row is sorted once and these prefix
+    sums are kept per nonzero coefficient, so any radius costs one exact
+    per-row search plus a lookup per coefficient (the updating formula for
+    polynomial kernels, Fan & Marron 1994; Seifert et al. 1994).
+
+    The self term bounds the denominator below by K(0), the kernel's
+    maximum, so the rounding error of a prediction stays near
+    eps * count * sum|c_p| / K(0) times max|y|. A query outside the sample
+    has no such bound, and is smoothed directly by ``nadaraya_watson``.
+
+    Raises:
+        InvalidKernel: unless the kernel is nonnegative and nonincreasing,
+            which makes K(0) its maximum.
+    """
+
+    def __init__(self, distances, responses, kernel: KernelSpec):
+        validate_kernel(kernel)
+        d = np.asarray(distances, dtype=float)
+        y = np.asarray(responses, dtype=float)
+        n = y.size
+        if y.shape != (n,) or d.shape != (n, n):
+            raise ValidationError(
+                "in-sample distances must be a square matrix, one row per response"
+            )
+        if np.any(np.diagonal(d) != 0.0) or np.any(d < 0.0):
+            raise ValidationError(
+                "in-sample distances must be nonnegative with an exact-zero diagonal"
+            )
+        order = np.argsort(d, axis=1, kind="stable")
+        self._sorted = np.take_along_axis(d, order, axis=1)
+        y_sorted = y[order]
+        # Powers are taken of distances scaled by a power of two (exact) that
+        # brings the largest below 1, so no d^p overflows.
+        self._unit = np.ldexp(1.0, -int(np.frexp(d.max(initial=0.0))[1]))
+        unit_sorted = self._sorted * self._unit
+        # (p, c_p, prefix sums of d^p y, prefix sums of d^p) per c_p != 0
+        self._terms = []
+        for p, c in enumerate(kernel.coefficients):
+            if c == 0.0:
+                continue
+            powers = unit_sorted ** p
+            self._terms.append(
+                (p, c, _prefix_sums(powers * y_sorted), _prefix_sums(powers))
+            )
+        # Below this radius h^deg, in scaled units, nears the subnormal range
+        # and the prefix sums lose their relative precision.
+        deg = self._terms[-1][0] if self._terms else 0
+        self.min_radius = (
+            (n * np.finfo(float).tiny) ** (1.0 / deg) / self._unit if deg else 0.0
+        )
+
+    def __len__(self) -> int:
+        return self._sorted.shape[0]
+
+    def knn_radii(self, k: int) -> np.ndarray:
+        """Each point's k-th smallest distance, itself excluded.
+
+        One leading exact zero (the self-distance) is dropped before
+        ranking, as in ``knn_bandwidths(..., exclude_self=True)``; every
+        sorted row starts with it.
+        """
+        available = len(self) - 1
+        if k < 1:
+            raise ValidationError(f"k must be positive, got {k}")
+        if k > available:
+            raise ValidationError(f"k = {k} exceeds {available} available distances")
+        return self._sorted[:, k].copy()
+
+    def fit(self, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions and neighbor counts at radii of shape (n, m).
+
+        Row i of ``radii`` holds the m radii at which point i is fitted;
+        both outputs have the shape of ``radii``. The neighbor count is
+        #{d <= h}, the support of the kernel.
+
+        Raises:
+            ValidationError: for a radius that is not positive, or is below
+                ``min_radius`` (about 1e-100 of the largest distance for a
+                cubic kernel, none for the uniform one).
+            EmptyNeighborhood: naming the first point with no positive weight.
+        """
+        radii = np.asarray(radii, dtype=float)
+        if radii.ndim != 2 or radii.shape[0] != len(self):
+            raise ValidationError(f"radii must have shape ({len(self)}, m)")
+        bad = np.flatnonzero(~(radii > 0.0))
+        if bad.size:
+            raise ValidationError(
+                f"bandwidth must be positive, got {radii.flat[bad[0]]}"
+            )
+        bad = np.flatnonzero(radii < self.min_radius)
+        if bad.size:
+            raise ValidationError(
+                f"bandwidth {radii.flat[bad[0]]} is below {self.min_radius}, "
+                "the smallest radius the in-sample smoother resolves"
+            )
+        counts = np.empty(radii.shape, dtype=np.intp)
+        for i, row in enumerate(self._sorted):
+            counts[i] = np.searchsorted(row, radii[i], side="right")
+        num = np.zeros(radii.shape)
+        den = np.zeros(radii.shape)
+        scaled = radii * self._unit
+        for p, c, prefix_y, prefix_1 in self._terms:
+            scale = c / scaled ** p
+            num += scale * np.take_along_axis(prefix_y, counts, axis=1)
+            den += scale * np.take_along_axis(prefix_1, counts, axis=1)
+        bad = np.argwhere(den <= 0.0)
+        if bad.size:
+            i, col = bad[0]
+            raise EmptyNeighborhood(
+                f"at sample point {i}: no positive kernel weight within "
+                f"radius {radii[i, col]}"
+            )
+        return num / den, counts
+
+
 def estimate_sigma2(distances, responses, kernel: KernelSpec,
                     h: float) -> float:
     """Plug-in conditional variance: E(Y^2 | ball) - E(Y | ball)^2.

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+import funkreg.bootstrap
 from funkreg import (
     BootstrapConfig,
+    Curve,
+    EmptyNeighborhood,
     FixedPilot,
     FunctionalSample,
+    InvalidKernel,
     KernelSpec,
     MultiplierPilot,
     SemiMetricSpec,
@@ -17,13 +21,73 @@ from funkreg import (
     bootstrap_error_curve,
     draw_wild_residual,
     generate_functional_sample,
+    knn_bandwidths,
+    nadaraya_watson,
     residuals,
     select_bandwidth,
 )
+from funkreg.bootstrap import _argmin_entry, _multiplier_matrix
+from funkreg.curves import distance_matrix, transformed_matrix, _transform_values
+from funkreg.kernels import eval_kernel_array
+from funkreg.simulation import default_grid
 
 QUADRATIC = KernelSpec.quadratic()
 DERIV1 = SemiMetricSpec(derivative_order=1)
 SQRT5 = np.sqrt(5.0)
+
+
+def reference_error_curve(sample, queries, kernel, spec, config, point_keys=None):
+    """The direct wild-bootstrap loop: per query and candidate k, a full
+    n x n kernel refit of the in-sample smoother and per-row pilot fits."""
+    n = len(sample)
+    y = sample.responses
+    if config.evaluation == "pointwise":
+        queries = [queries[config.query_index]]
+    keys = np.arange(n) if point_keys is None else np.asarray(point_keys)
+    trans = transformed_matrix(sample, spec)
+    w_quad = sample.grid.trapezoid_weights()
+    dist_ss = distance_matrix(trans, trans, w_quad)
+    trans_q = np.vstack([
+        _transform_values(q.values, sample.grid, spec) for q in queries
+    ])
+    dist_qs = distance_matrix(trans_q, trans, w_quad)
+
+    def kth_smallest(d, k, exclude_self=False):
+        d = np.sort(d)
+        if exclude_self and d[0] == 0.0:
+            d = d[1:]
+        return d[k - 1]
+
+    k_g = config.pilot_k(n)
+    r_tilde = np.array([
+        nadaraya_watson(dist_ss[i], y, kernel,
+                        kth_smallest(dist_ss[i], k_g, True)).prediction
+        for i in range(n)
+    ])
+    r_tilde_q = np.array([
+        nadaraya_watson(d, y, kernel, kth_smallest(d, k_g)).prediction
+        for d in dist_qs
+    ])
+    multipliers = _multiplier_matrix(config.seed, config.n_replications, keys)
+    n_k = config.k_max - config.k_min + 1
+    errors = np.empty((len(queries), n_k))
+    radii = np.empty((len(queries), n_k))
+    for j in range(len(queries)):
+        grid = knn_bandwidths(dist_qs[j], config.k_min, config.k_max)
+        for ki, (k, h) in enumerate(grid.entries):
+            weights = eval_kernel_array(kernel, dist_ss / h)
+            resid = y - (weights @ y) / weights.sum(axis=1)
+            w_q = eval_kernel_array(kernel, dist_qs[j] / h)
+            total = float(w_q.sum())
+            base = float(np.dot(w_q, r_tilde)) / total
+            deviations = (multipliers @ (w_q * resid)) / total
+            errors[j, ki] = np.mean((base + deviations - r_tilde_q[j]) ** 2)
+            radii[j, ki] = h
+    per_bandwidth = tuple(
+        (k, float(radii[:, ki].mean()), float(errors[:, ki].mean()))
+        for ki, k in enumerate(range(config.k_min, config.k_max + 1))
+    )
+    return per_bandwidth, _argmin_entry(per_bandwidth)[0]
 
 
 class TestWildResidualLaw:
@@ -225,6 +289,80 @@ class TestBootstrapErrorCurve:
         train, test = small_sample(seed=1, n=30)
         with pytest.raises(ValidationError):
             bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
+
+    @pytest.mark.parametrize("kernel", [QUADRATIC, KernelSpec.uniform()],
+                             ids=["quadratic", "uniform"])
+    @pytest.mark.parametrize("evaluation", ["test_set", "pointwise"])
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_matches_direct_reference(self, kernel, evaluation, permuted):
+        train, test = small_sample(seed=12, n=60)
+        keys = None
+        if permuted:
+            keys = np.random.default_rng(3).permutation(len(train))
+            train = FunctionalSample(
+                train.grid,
+                tuple(train.curves[i] for i in keys),
+                train.responses[keys],
+            )
+        config = BootstrapConfig(
+            n_replications=40, k_min=2, k_max=12, seed=21,
+            evaluation=evaluation, query_index=3,
+        )
+        result = bootstrap_error_curve(
+            train, test.curves, kernel, DERIV1, config, point_keys=keys
+        )
+        per_bandwidth, selected_k = reference_error_curve(
+            train, test.curves, kernel, DERIV1, config, point_keys=keys
+        )
+        assert [k for k, _, _ in result.per_bandwidth] == [
+            k for k, _, _ in per_bandwidth
+        ]
+        assert [h for _, h, _ in result.per_bandwidth] == [
+            h for _, h, _ in per_bandwidth
+        ]
+        for (_, _, e1), (_, _, e2) in zip(result.per_bandwidth, per_bandwidth):
+            assert e1 == pytest.approx(e2, rel=1e-12)
+        assert result.selected_k == selected_k
+
+    def test_query_blocks_agree(self, monkeypatch):
+        train, test = small_sample(seed=13)
+        config = BootstrapConfig(n_replications=20, k_min=2, k_max=8, seed=4)
+        whole = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
+        # blocks of two queries, the last one short
+        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", len(train) * 7 * 2)
+        blocked = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
+        for (k1, h1, e1), (k2, h2, e2) in zip(whole.per_bandwidth,
+                                              blocked.per_bandwidth):
+            assert (k1, h1) == (k2, h2)
+            assert e2 == pytest.approx(e1, rel=1e-12)
+        assert blocked.selected_k == whole.selected_k
+
+    def test_empty_query_neighborhood_names_k_h_and_query(self, monkeypatch):
+        # constant curves 1/2 apart: the last query sits halfway between two,
+        # so both its k = 2 neighbors lie on the quadratic kernel's zero edge
+        grid = default_grid(11)
+        levels = np.arange(12) / 2.0
+        sample = FunctionalSample(
+            grid, tuple(Curve(grid, np.full(11, v)) for v in levels), levels**2
+        )
+        queries = [Curve(grid, np.full(11, v)) for v in (0.1, 1.3, 2.25)]
+        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", 1)
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
+                                 pilot=FixedPilot(8))
+        with pytest.raises(EmptyNeighborhood, match="at query 2 for k = 2, h = "):
+            bootstrap_error_curve(sample, queries, QUADRATIC,
+                                  SemiMetricSpec(derivative_order=0), config)
+
+    @pytest.mark.parametrize("coefficients", [(0.0, 1.0), (1.0, -2.0)],
+                             ids=["increasing", "negative"])
+    def test_invalid_kernel_raises(self, coefficients):
+        train, test = small_sample(seed=2)
+        kernel = KernelSpec.polynomial(coefficients)
+        config = BootstrapConfig(n_replications=5, k_min=2, k_max=6)
+        with pytest.raises(InvalidKernel):
+            bootstrap_error_curve(train, test.curves, kernel, DERIV1, config)
+        with pytest.raises(InvalidKernel):
+            residuals(train, kernel, DERIV1, k=5)
 
     def test_empirical_atom_frequency(self):
         from funkreg.bootstrap import P_LOW, _multiplier_matrix, MULTIPLIER_LOW

@@ -4,18 +4,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from funkreg import (
     DegenerateBall,
     DegenerateConstants,
     DomainError,
     EmptyNeighborhood,
+    InsampleSmoother,
+    InvalidKernel,
     KernelConstants,
     KernelNotH2Strict,
     KernelSpec,
     MissingSigma2,
     Tau0Model,
     TooFewPoints,
+    ValidationError,
     confidence_interval,
     empirical_sdf,
     empirical_tau,
@@ -25,6 +29,7 @@ from funkreg import (
     nadaraya_watson,
     theoretical_bias_variance,
 )
+from funkreg.curves import distance_matrix
 from funkreg.simulation import _replication_rng
 
 UNIFORM = KernelSpec.uniform()
@@ -122,6 +127,118 @@ class TestNadarayaWatson:
         y_far = y.copy()
         y_far[2] = 1e6
         assert nadaraya_watson(d, y_far, QUADRATIC, h).prediction == base
+
+
+SMOOTHER_KERNELS = {
+    "uniform": UNIFORM,
+    "quadratic": QUADRATIC,
+    "triangle": KernelSpec.triangle(),
+    "cubic": KernelSpec.polynomial((1.0, -3.0, 3.0, -1.0)),  # (1 - u)^3
+}
+
+
+@st.composite
+def insample_distances(draw):
+    """Square distance matrices with exact-zero diagonals.
+
+    Entries on a 1/8 lattice tie often and can be exactly zero off the
+    diagonal (duplicate curves); the rest are arbitrary floats.
+    """
+    n = draw(st.integers(3, 16))
+    lattice = st.integers(0, 24).map(lambda i: i / 8.0)
+    anywhere = st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False)
+    entries = draw(st.lists(st.one_of(lattice, anywhere),
+                            min_size=n * n, max_size=n * n))
+    d = np.array(entries).reshape(n, n)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@st.composite
+def smoother_cases(draw):
+    d = draw(insample_distances())
+    n = d.shape[0]
+    y = np.array(draw(st.lists(
+        st.floats(-100.0, 100.0, allow_nan=False), min_size=n, max_size=n
+    )))
+    mode = draw(st.sampled_from(["global", "per_row", "knn"]))
+    # a radius is either one of the distances or an arbitrary value
+    radius = st.one_of(
+        st.sampled_from(sorted(set(d[d > 0.0].tolist())) or [1.0]),
+        st.floats(1e-3, 5.0),
+    )
+    if mode == "global":
+        radii = np.full((n, 1), draw(radius))
+    elif mode == "per_row":
+        radii = np.array(draw(st.lists(radius, min_size=2 * n, max_size=2 * n))
+                         ).reshape(n, 2)
+    else:
+        radii = None
+    return d, y, mode, radii, draw(st.integers(1, n - 1))
+
+
+class TestInsampleSmoother:
+    @settings(max_examples=150, deadline=None)
+    @given(smoother_cases(), st.sampled_from(sorted(SMOOTHER_KERNELS)))
+    def test_matches_per_row_nadaraya_watson(self, case, kernel_name):
+        d, y, mode, radii, k = case
+        kernel = SMOOTHER_KERNELS[kernel_name]
+        smoother = InsampleSmoother(d, y, kernel)
+        if mode == "knn":
+            radii = smoother.knn_radii(k)[:, None]
+            # the old rule: sort, drop one leading exact zero, take the k-th
+            expected = [np.sort(row)[1:][k - 1] for row in d]
+            np.testing.assert_array_equal(radii[:, 0], expected)
+            if np.any(radii <= 0.0):  # duplicate curves at k
+                with pytest.raises(ValidationError):
+                    smoother.fit(radii)
+                return
+        try:
+            preds, counts = smoother.fit(radii)
+        except ValidationError:
+            # radii far below the sample's scale are out of the smoother's range
+            assert np.any(radii < 1e-100 * d.max())
+            return
+        tol = 1e-12 * max(np.max(np.abs(y)), np.finfo(float).tiny)
+        for i in range(len(d)):
+            for col, h in enumerate(radii[i]):
+                ref = nadaraya_watson(d[i], y, kernel, h)
+                assert counts[i, col] == ref.neighbor_count
+                assert abs(preds[i, col] - ref.prediction) <= tol
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 30), st.data())
+    def test_distance_matrix_has_exact_zero_diagonal(self, n, p, data):
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+        t = np.array(data.draw(st.lists(values, min_size=n * p,
+                                        max_size=n * p))).reshape(n, p)
+        t[-1] = t[0]  # a duplicate curve
+        w = np.array(data.draw(st.lists(st.floats(0.0, 10.0),
+                                        min_size=p, max_size=p)))
+        d = distance_matrix(t, t, w)
+        assert np.all(np.diagonal(d) == 0.0)
+        assert d[0, -1] == 0.0 and d[-1, 0] == 0.0
+
+    def test_rejects_bad_inputs(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        y = np.array([1.0, 2.0])
+        with pytest.raises(ValidationError):
+            InsampleSmoother(d + 0.5, y, UNIFORM)  # nonzero diagonal
+        with pytest.raises(ValidationError):
+            InsampleSmoother(d, np.ones(3), UNIFORM)
+        with pytest.raises(InvalidKernel):
+            InsampleSmoother(d, y, KernelSpec.polynomial((0.0, 1.0)))
+        smoother = InsampleSmoother(d, y, UNIFORM)
+        with pytest.raises(ValidationError):
+            smoother.knn_radii(2)
+        with pytest.raises(ValidationError):
+            smoother.fit(np.zeros((2, 1)))
+
+    def test_zero_kernel_names_the_point(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        smoother = InsampleSmoother(d, [1.0, 2.0], KernelSpec.polynomial((0.0,)))
+        with pytest.raises(EmptyNeighborhood, match="sample point 0"):
+            smoother.fit(np.ones((2, 1)))
 
 
 class TestEmpiricalSdf:
