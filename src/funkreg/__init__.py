@@ -72,7 +72,6 @@ from .kernels import (
     check_m0_positive,
     compute_constants,
     constants_by_quadrature,
-    eval_kernel,
     tau0_eval,
     validate_kernel,
 )

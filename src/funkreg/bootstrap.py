@@ -30,9 +30,10 @@ from .curves import (
     Curve,
     FunctionalSample,
     SemiMetricSpec,
+    curve_matrix,
     distance_matrix,
+    transform,
     transformed_matrix,
-    _transform_values,
 )
 from .errors import (
     DegenerateGrid,
@@ -259,6 +260,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             indices to make results invariant to permuting the sample.
 
     Raises:
+        GridMismatch: if a query is not on the sample grid.
         InvalidKernel: for a negative or increasing kernel.
         DegeneratePilot: when the pilot fit fails at some point or query.
         EmptyNeighborhood: when a candidate radius leaves a query without
@@ -284,12 +286,10 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
         if keys.shape != (n,) or keys.min() < 0:
             raise ValidationError("point_keys must be nonnegative, one per point")
 
+    trans_q = transform(curve_matrix(active, sample.grid), sample.grid, spec)
     trans = transformed_matrix(sample, spec)
     w_quad = sample.grid.trapezoid_weights()
     smoother = InsampleSmoother(distance_matrix(trans, trans, w_quad), y, kernel)
-    trans_q = np.vstack([
-        _transform_values(q.values, sample.grid, spec) for q in active
-    ])
     dist_qs = distance_matrix(trans_q, trans, w_quad)
 
     k_g = config.pilot_k(n)

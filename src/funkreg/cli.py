@@ -29,6 +29,7 @@ from .bootstrap import (
 from .curves import FunctionalSample, SemiMetricSpec, distance_matrix, transformed_matrix
 from .errors import (
     FunkregError,
+    GridMismatch,
     NumericError,
     ParseError,
     ValidationError,
@@ -231,7 +232,10 @@ def _train_and_queries(opts: _Options) -> tuple[FunctionalSample, FunctionalSamp
     train_path = opts.get("train")
     test_path = opts.get("test")
     if train_path and test_path:
-        return load_sample(train_path), load_sample(test_path)
+        train, test = load_sample(train_path), load_sample(test_path)
+        if not test.grid.matches(train.grid):
+            raise GridMismatch(f"{test_path}: grid differs from {train_path}")
+        return train, test
     if train_path or test_path:
         raise ValidationError("give both --train and --test, or --data with --split")
     sample = _load_single(opts)

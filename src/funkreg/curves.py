@@ -5,13 +5,21 @@ between curves are computed as the square root of the trapezoid-quadrature
 integral of the squared difference of (optionally presmoothed) derivatives.
 Semi-metrics with derivative order >= 1 assign distance 0 to curves differing
 by a constant; that is intentional, not a defect.
+
+A sample is one (n, p) matrix; ``transform`` and ``distance_matrix`` work on
+whole matrices, the latter in row chunks so that its memory stays bounded.
 """
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import GridMismatch, GridTooShort, ValidationError
+
+#: Element budget of one ``distance_matrix`` chunk: rows are done a few at a
+#: time so that their (rows, cols, p) difference array holds this many floats.
+_CHUNK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +93,11 @@ class SemiMetricSpec:
     """
 
     derivative_order: int = 0
-    quadrature: str = "trapezoid"
     presmoothing_window: int | None = None
 
     def __post_init__(self):
         if self.derivative_order not in (0, 1, 2):
             raise ValidationError("derivative_order must be 0, 1, or 2")
-        if self.quadrature != "trapezoid":
-            raise ValidationError(f"unsupported quadrature: {self.quadrature!r}")
         w = self.presmoothing_window
         if w is not None and (w < 3 or w % 2 == 0):
             raise ValidationError("presmoothing window must be an odd integer >= 3")
@@ -103,52 +108,57 @@ class SemiMetricSpec:
 
 @dataclass(frozen=True, eq=False)
 class FunctionalSample:
-    """Paired (curve, response) observations on a common grid."""
+    """Paired (curve, response) observations on a common grid: one curve per
+    row of the (n, p) ``values`` matrix, kept as a read-only copy. Rows that
+    do not have one value per grid point raise GridMismatch."""
 
     grid: SamplingGrid
-    curves: tuple[Curve, ...]
+    values: np.ndarray
     responses: np.ndarray
 
     def __post_init__(self):
-        curves = tuple(self.curves)
-        resp = np.asarray(self.responses, dtype=float)
-        if len(curves) == 0:
-            raise ValidationError("sample must contain at least one curve")
-        if resp.ndim != 1 or resp.size != len(curves):
+        vals = np.array(self.values, dtype=float)
+        resp = np.array(self.responses, dtype=float)
+        if vals.ndim != 2 or vals.shape[0] == 0:
+            raise ValidationError("sample must be an (n, p) matrix of n >= 1 curves")
+        if vals.shape[1] != len(self.grid):
+            raise GridMismatch(
+                f"sample rows have {vals.shape[1]} values for a "
+                f"{len(self.grid)}-point grid"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise ValidationError("curve values must all be finite")
+        if resp.ndim != 1 or resp.size != vals.shape[0]:
             raise ValidationError(
-                f"{len(curves)} curves but {resp.size} responses"
+                f"{vals.shape[0]} curves but {resp.size} responses"
             )
         if not np.all(np.isfinite(resp)):
             raise ValidationError("responses must all be finite")
-        for i, c in enumerate(curves):
-            if not c.grid.matches(self.grid):
-                raise GridMismatch(f"curve {i} is not on the sample grid")
+        vals.setflags(write=False)
         resp.setflags(write=False)
-        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "responses", resp)
 
     def __len__(self) -> int:
-        return len(self.curves)
+        return self.values.shape[0]
 
-    @classmethod
-    def from_matrix(cls, grid: SamplingGrid, values: np.ndarray,
-                    responses: np.ndarray) -> "FunctionalSample":
-        values = np.asarray(values, dtype=float)
-        curves = tuple(Curve(grid, row) for row in values)
-        return cls(grid, curves, responses)
+    @property
+    def curves(self) -> tuple[Curve, ...]:
+        """The rows as ``Curve`` objects; each is a read-only row view."""
+        return tuple(Curve(self.grid, row) for row in self.values)
 
     def values_matrix(self) -> np.ndarray:
-        return np.vstack([c.values for c in self.curves])
+        return self.values
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average; windows shrink symmetrically at the edges."""
+    """Centered moving average along the last axis; edge windows shrink."""
     half = window // 2
-    n = values.size
+    p = values.shape[-1]
     out = np.empty_like(values)
-    for i in range(n):
-        j = min(i, half, n - 1 - i)
-        out[i] = values[i - j:i + j + 1].mean()
+    for i in range(p):
+        j = min(i, half, p - 1 - i)
+        out[..., i] = values[..., i - j:i + j + 1].mean(axis=-1)
     return out
 
 
@@ -164,42 +174,43 @@ def differentiate(curve: Curve, order: int) -> Curve:
     """
     if order not in (1, 2):
         raise ValidationError("derivative order must be 1 or 2")
-    needed = 2 * order + 1
-    if len(curve.grid) < needed:
-        raise GridTooShort(
-            f"order-{order} derivative needs >= {needed} grid points, "
-            f"got {len(curve.grid)}"
-        )
-    deriv = _differentiate_values(curve.values, curve.grid.points, order)
-    return Curve(curve.grid, deriv)
+    spec = SemiMetricSpec(derivative_order=order)
+    return Curve(curve.grid, transform(curve.values, curve.grid, spec))
 
 
-def _differentiate_values(values: np.ndarray, points: np.ndarray,
-                          order: int) -> np.ndarray:
-    deriv = np.gradient(values, points, edge_order=2)
-    if order == 2:
-        deriv = np.gradient(deriv, points, edge_order=2)
-    return deriv
+def transform(values: np.ndarray, grid: SamplingGrid,
+              spec: SemiMetricSpec) -> np.ndarray:
+    """Presmooth then differentiate along the last axis of one curve's (p,)
+    values or of an (m, p) matrix with one curve per row.
 
-
-def _transform_values(values: np.ndarray, grid: SamplingGrid,
-                      spec: SemiMetricSpec) -> np.ndarray:
-    """Presmooth then differentiate, per the semi-metric recipe."""
+    Raises:
+        GridTooShort: if the grid is too short for the derivative order.
+    """
     if len(grid) < spec.min_grid_length():
         raise GridTooShort(
-            f"semi-metric with derivative order {spec.derivative_order} needs "
-            f">= {spec.min_grid_length()} grid points, got {len(grid)}"
+            f"order-{spec.derivative_order} derivative needs >= "
+            f"{spec.min_grid_length()} grid points, got {len(grid)}"
         )
-    out = values
     if spec.presmoothing_window is not None:
-        out = _moving_average(out, spec.presmoothing_window)
-    if spec.derivative_order > 0:
-        out = _differentiate_values(out, grid.points, spec.derivative_order)
-    return out
+        values = _moving_average(values, spec.presmoothing_window)
+    for _ in range(spec.derivative_order):
+        values = np.gradient(values, grid.points, axis=-1, edge_order=2)
+    return values
 
 
-def _weighted_sq_norm(weights: np.ndarray, diff: np.ndarray) -> float:
-    return float(np.dot(weights, diff * diff))
+def transformed_matrix(sample: FunctionalSample,
+                       spec: SemiMetricSpec) -> np.ndarray:
+    """Transformed curve values of a sample; one row per sample curve."""
+    return transform(sample.values, sample.grid, spec)
+
+
+def curve_matrix(curves: Sequence[Curve], grid: SamplingGrid) -> np.ndarray:
+    """Values of the curves as an (m, p) matrix, one row per curve; raises
+    GridMismatch naming the first curve that is not on ``grid``."""
+    for i, curve in enumerate(curves):
+        if not curve.grid.matches(grid):
+            raise GridMismatch(f"curve {i} is on a different grid")
+    return np.array([curve.values for curve in curves])
 
 
 def semi_metric_distance(a: Curve, b: Curve, spec: SemiMetricSpec) -> float:
@@ -212,12 +223,8 @@ def semi_metric_distance(a: Curve, b: Curve, spec: SemiMetricSpec) -> float:
     Raises:
         GridMismatch: if the curves live on different grids.
     """
-    if not a.grid.matches(b.grid):
-        raise GridMismatch("curves are on different grids")
-    ta = _transform_values(a.values, a.grid, spec)
-    tb = _transform_values(b.values, b.grid, spec)
-    w = a.grid.trapezoid_weights()
-    return float(np.sqrt(_weighted_sq_norm(w, ta - tb)))
+    t = transform(curve_matrix((a, b), a.grid), a.grid, spec)
+    return float(distance_matrix(t[:1], t[1:], a.grid.trapezoid_weights())[0, 0])
 
 
 def pairwise_distances(sample: FunctionalSample, query: Curve,
@@ -225,24 +232,13 @@ def pairwise_distances(sample: FunctionalSample, query: Curve,
     """Distances from every sample curve to the query, in sample order.
 
     Element i equals ``semi_metric_distance(sample.curves[i], query, spec)``.
+
+    Raises:
+        GridMismatch: if the query is not on the sample grid.
     """
-    if not query.grid.matches(sample.grid):
-        raise GridMismatch("query is not on the sample grid")
-    tq = _transform_values(query.values, sample.grid, spec)
-    w = sample.grid.trapezoid_weights()
-    out = np.empty(len(sample))
-    for i, c in enumerate(sample.curves):
-        tc = _transform_values(c.values, sample.grid, spec)
-        out[i] = np.sqrt(_weighted_sq_norm(w, tc - tq))
-    return out
-
-
-def transformed_matrix(sample: FunctionalSample,
-                       spec: SemiMetricSpec) -> np.ndarray:
-    """Stack of transformed curve values; one row per sample curve."""
-    return np.vstack([
-        _transform_values(c.values, sample.grid, spec) for c in sample.curves
-    ])
+    query_values = curve_matrix((query,), sample.grid)
+    t = transform(np.vstack([query_values, sample.values]), sample.grid, spec)
+    return distance_matrix(t[:1], t[1:], sample.grid.trapezoid_weights())[0]
 
 
 def distance_matrix(rows: np.ndarray, cols: np.ndarray,
@@ -250,7 +246,15 @@ def distance_matrix(rows: np.ndarray, cols: np.ndarray,
     """Distances between two stacks of already-transformed curves.
 
     ``out[i, k]`` is the weighted L2 distance between ``rows[i]`` and
-    ``cols[k]``. Identical rows give exactly zero.
+    ``cols[k]``. Identical rows give exactly zero. Rows are done in chunks
+    whose difference array holds at most ``_CHUNK_ELEMENTS`` floats (or one
+    row); each entry is the same sum however the rows are chunked.
     """
-    diff = rows[:, None, :] - cols[None, :, :]
-    return np.sqrt(np.einsum("ikj,j->ik", diff * diff, weights))
+    out = np.empty((rows.shape[0], cols.shape[0]))
+    step = max(1, _CHUNK_ELEMENTS // cols.size)
+    for start in range(0, rows.shape[0], step):
+        diff = rows[start:start + step, None, :] - cols
+        np.square(diff, out=diff)
+        out[start:start + step] = np.sqrt(np.einsum("ikj,j->ik", diff, weights))
+        del diff  # free this chunk before the next one is allocated
+    return out

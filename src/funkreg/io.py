@@ -130,25 +130,23 @@ def load_sample(path, mode: str = "response_column",
                 f"{response_path}: {responses.size} responses for "
                 f"{values.shape[0]} curves"
             )
-    return FunctionalSample.from_matrix(grid, values, responses)
+    return FunctionalSample(grid, values, responses)
 
 
-def save_sample(sample: FunctionalSample, path,
-                mode: str = "response_column") -> None:
-    """Write a sample in the CSV layout that load_sample reads.
+def save_sample(sample: FunctionalSample, path) -> None:
+    """Write a sample in the CSV layout that load_sample reads, with the
+    responses in the final column.
 
     Values are rendered with 17 significant digits, so load_sample(path)
     reproduces the in-memory sample exactly.
     """
-    if mode != "response_column":
-        raise ValidationError("only response_column emission is supported")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([_fmt(p) for p in sample.grid.points] + [RESPONSE_LABEL])
-        for curve, resp in zip(sample.curves, sample.responses):
-            writer.writerow([_fmt(v) for v in curve.values] + [_fmt(resp)])
+        for row, resp in zip(sample.values, sample.responses):
+            writer.writerow([_fmt(v) for v in row] + [_fmt(resp)])
 
 
 def split_sample(sample: FunctionalSample, n_train: int, n_test: int,
@@ -161,8 +159,6 @@ def split_sample(sample: FunctionalSample, n_train: int, n_test: int,
         )
     order = np.random.default_rng(seed).permutation(n)
     take = lambda idx: FunctionalSample(
-        sample.grid,
-        tuple(sample.curves[i] for i in idx),
-        sample.responses[idx],
+        sample.grid, sample.values[idx], sample.responses[idx]
     )
     return take(order[:n_train]), take(order[n_train:n_train + n_test])

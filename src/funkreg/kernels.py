@@ -91,13 +91,6 @@ def _polyval(coefficients, u):
     return acc
 
 
-def eval_kernel(spec: KernelSpec, u: float) -> float:
-    """Kernel value at u; exactly 0 outside the support [0, 1]."""
-    if u < 0.0 or u > 1.0:
-        return 0.0
-    return float(_polyval(spec.coefficients, u))
-
-
 def eval_kernel_array(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation with hard support truncation."""
     u = np.asarray(u, dtype=float)

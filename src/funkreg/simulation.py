@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import kstest
 
-from .curves import Curve, FunctionalSample, SamplingGrid, differentiate
+from .curves import Curve, FunctionalSample, SamplingGrid
 from .errors import DegenerateBall, GridTooShort, ValidationError
 from .estimator import (
     BiasVarianceReport,
@@ -98,11 +98,19 @@ def default_grid(size: int = 101) -> SamplingGrid:
     return SamplingGrid(np.linspace(-1.0, 1.0, size))
 
 
+def _curve_values(omega, a, b, t: np.ndarray) -> np.ndarray:
+    return np.sin(omega * t) + (a + 2.0 * math.pi) * t + b
+
+
 def generate_curve(omega: float, a: float, b: float,
                    grid: SamplingGrid) -> Curve:
     """Simulated curve sin(omega t) + (a + 2 pi) t + b on the grid."""
-    t = grid.points
-    return Curve(grid, np.sin(omega * t) + (a + 2.0 * math.pi) * t + b)
+    return Curve(grid, _curve_values(omega, a, b, grid.points))
+
+
+def _regression_values(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    deriv = np.gradient(values, t, axis=-1, edge_order=2)
+    return np.trapezoid(np.abs(deriv) * (1.0 - np.cos(math.pi * t)), t, axis=-1)
 
 
 def true_regression(curve: Curve) -> float:
@@ -119,24 +127,18 @@ def true_regression(curve: Curve) -> float:
     lo, hi = curve.grid.span
     if abs(lo + 1.0) > 1e-9 or abs(hi - 1.0) > 1e-9:
         raise ValidationError("regression functional expects a grid spanning [-1, 1]")
-    t = curve.grid.points
-    deriv = differentiate(curve, 1)
-    integrand = np.abs(deriv.values) * (1.0 - np.cos(math.pi * t))
-    return float(np.trapezoid(integrand, t))
+    return float(_regression_values(curve.values, curve.grid.points))
 
 
 def _draw_functional(rng: np.random.Generator, n: int, grid: SamplingGrid,
                      noise_sd: float) -> FunctionalSample:
-    omegas = rng.uniform(0.0, 2.0 * math.pi, n)
-    slopes = rng.uniform(0.0, 1.0, n)
-    intercepts = rng.uniform(0.0, 1.0, n)
-    curves = tuple(
-        generate_curve(omegas[i], slopes[i], intercepts[i], grid)
-        for i in range(n)
-    )
-    signal = np.array([true_regression(c) for c in curves])
+    omegas = rng.uniform(0.0, 2.0 * math.pi, (n, 1))
+    slopes = rng.uniform(0.0, 1.0, (n, 1))
+    intercepts = rng.uniform(0.0, 1.0, (n, 1))
+    values = _curve_values(omegas, slopes, intercepts, grid.points)
+    signal = _regression_values(values, grid.points)
     noise = rng.normal(0.0, noise_sd, n) if noise_sd > 0 else np.zeros(n)
-    return FunctionalSample(grid, curves, signal + noise)
+    return FunctionalSample(grid, values, signal + noise)
 
 
 def generate_functional_sample(config: SimulationConfig

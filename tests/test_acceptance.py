@@ -191,7 +191,7 @@ def test_criterion_8_finite_dimensional_equivalence():
         chi = float(rng.random())
         h = float(rng.uniform(0.15, 0.9))
         kernel = UNIFORM if trial % 2 == 0 else QUADRATIC
-        sample = fk.FunctionalSample.from_matrix(grid, np.column_stack([x, x]), y)
+        sample = fk.FunctionalSample(grid, np.column_stack([x, x]), y)
         d = fk.pairwise_distances(sample, fk.Curve(grid, [chi, chi]), spec)
         functional = fk.nadaraya_watson(d, y, kernel, h).prediction
         # directly coded scalar smoother

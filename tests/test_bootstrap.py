@@ -10,9 +10,11 @@ from funkreg import (
     EmptyNeighborhood,
     FixedPilot,
     FunctionalSample,
+    GridMismatch,
     InvalidKernel,
     KernelSpec,
     MultiplierPilot,
+    SamplingGrid,
     SemiMetricSpec,
     SimulationConfig,
     ValidationError,
@@ -27,7 +29,7 @@ from funkreg import (
     select_bandwidth,
 )
 from funkreg.bootstrap import _argmin_entry, _multiplier_matrix
-from funkreg.curves import distance_matrix, transformed_matrix, _transform_values
+from funkreg.curves import distance_matrix, transform, transformed_matrix
 from funkreg.kernels import eval_kernel_array
 from funkreg.simulation import default_grid
 
@@ -47,9 +49,7 @@ def reference_error_curve(sample, queries, kernel, spec, config, point_keys=None
     trans = transformed_matrix(sample, spec)
     w_quad = sample.grid.trapezoid_weights()
     dist_ss = distance_matrix(trans, trans, w_quad)
-    trans_q = np.vstack([
-        _transform_values(q.values, sample.grid, spec) for q in queries
-    ])
+    trans_q = np.vstack([transform(q.values, sample.grid, spec) for q in queries])
     dist_qs = distance_matrix(trans_q, trans, w_quad)
 
     def kth_smallest(d, k, exclude_self=False):
@@ -130,7 +130,7 @@ def small_sample(seed=0, n=40):
 class TestResiduals:
     def test_constant_responses_give_zero_residuals(self):
         train, _ = small_sample()
-        flat = FunctionalSample(train.grid, train.curves, np.full(len(train), 3.0))
+        flat = FunctionalSample(train.grid, train.values, np.full(len(train), 3.0))
         r = residuals(flat, QUADRATIC, DERIV1, k=5)
         np.testing.assert_allclose(r, 0.0, atol=1e-12)
 
@@ -150,7 +150,7 @@ class TestResiduals:
                 curve = Curve(grid, proto.values + wiggle)
                 curves.append(curve)
                 responses.append(true_regression(curve))
-        sample = FunctionalSample(grid, tuple(curves), responses)
+        sample = FunctionalSample(grid, [c.values for c in curves], responses)
         r = residuals(sample, QUADRATIC, DERIV1, k=2)
         np.testing.assert_allclose(r, 0.0, atol=1e-6)
 
@@ -202,7 +202,7 @@ class TestSelectBandwidth:
 class TestBootstrapErrorCurve:
     def test_zero_residuals_give_zero_error_curve(self):
         train, test = small_sample(seed=3)
-        flat = FunctionalSample(train.grid, train.curves, np.full(len(train), 4.0))
+        flat = FunctionalSample(train.grid, train.values, np.full(len(train), 4.0))
         config = BootstrapConfig(n_replications=1, k_min=2, k_max=6, seed=0)
         result = bootstrap_error_curve(flat, test.curves[:3], QUADRATIC, DERIV1, config)
         for _, _, err in result.per_bandwidth:
@@ -229,9 +229,7 @@ class TestBootstrapErrorCurve:
         base = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
         perm = np.random.default_rng(0).permutation(len(train))
         shuffled = FunctionalSample(
-            train.grid,
-            tuple(train.curves[i] for i in perm),
-            train.responses[perm],
+            train.grid, train.values[perm], train.responses[perm]
         )
         moved = bootstrap_error_curve(
             shuffled, test.curves, QUADRATIC, DERIV1, config, point_keys=perm
@@ -248,7 +246,7 @@ class TestBootstrapErrorCurve:
         base = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
         c = 3.0
         scaled_sample = FunctionalSample(
-            train.grid, train.curves, c * train.responses
+            train.grid, train.values, c * train.responses
         )
         scaled = bootstrap_error_curve(
             scaled_sample, test.curves, QUADRATIC, DERIV1, config
@@ -300,9 +298,7 @@ class TestBootstrapErrorCurve:
         if permuted:
             keys = np.random.default_rng(3).permutation(len(train))
             train = FunctionalSample(
-                train.grid,
-                tuple(train.curves[i] for i in keys),
-                train.responses[keys],
+                train.grid, train.values[keys], train.responses[keys]
             )
         config = BootstrapConfig(
             n_replications=40, k_min=2, k_max=12, seed=21,
@@ -343,7 +339,7 @@ class TestBootstrapErrorCurve:
         grid = default_grid(11)
         levels = np.arange(12) / 2.0
         sample = FunctionalSample(
-            grid, tuple(Curve(grid, np.full(11, v)) for v in levels), levels**2
+            grid, np.repeat(levels[:, None], 11, axis=1), levels**2
         )
         queries = [Curve(grid, np.full(11, v)) for v in (0.1, 1.3, 2.25)]
         monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", 1)
@@ -352,6 +348,17 @@ class TestBootstrapErrorCurve:
         with pytest.raises(EmptyNeighborhood, match="at query 2 for k = 2, h = "):
             bootstrap_error_curve(sample, queries, QUADRATIC,
                                   SemiMetricSpec(derivative_order=0), config)
+
+    def test_query_off_the_sample_grid_raises(self):
+        train, test = small_sample(seed=2)
+        config = BootstrapConfig(n_replications=5, k_min=2, k_max=6)
+        points = train.grid.points
+        stretched = Curve(SamplingGrid(5.0 * points), test.curves[1].values)
+        shorter = Curve(SamplingGrid(points[:-2]), test.curves[1].values[:-2])
+        for query in (stretched, shorter):
+            queries = (test.curves[0], query)
+            with pytest.raises(GridMismatch, match="curve 1 "):
+                bootstrap_error_curve(train, queries, QUADRATIC, DERIV1, config)
 
     @pytest.mark.parametrize("coefficients", [(0.0, 1.0), (1.0, -2.0)],
                              ids=["increasing", "negative"])

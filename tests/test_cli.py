@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from funkreg.cli import main
@@ -210,6 +211,45 @@ class TestSelectCommand:
             "--config", str(config), "--k-max", "4", "--out", str(out),
         ]) == 0
         assert len(out.read_text().strip().splitlines()) == 4  # header + k=2..4
+
+
+class TestQueryGrid:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        """An 11-point training set on [0, 1], and query sets on [0, 5] with
+        11 points and on [0, 1] with 9 points."""
+        from funkreg import FunctionalSample, SamplingGrid, save_sample
+
+        rng = np.random.default_rng(0)
+
+        def write(name, points, n):
+            path = tmp_path / f"{name}.csv"
+            values = rng.normal(size=(n, len(points)))
+            save_sample(FunctionalSample(SamplingGrid(points), values,
+                                         rng.normal(size=n)), path)
+            return str(path)
+
+        return {
+            "train": write("train", np.linspace(0.0, 1.0, 11), 30),
+            "stretched": write("stretched", np.linspace(0.0, 5.0, 11), 6),
+            "shorter": write("shorter", np.linspace(0.0, 1.0, 9), 6),
+        }
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--k", "5"],
+        ["ci", "--k", "5"],
+        ["select", "--k-max", "6", "--n-boot", "5"],
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("query_set", ["stretched", "shorter"])
+    def test_query_grid_must_match_the_training_grid(
+            self, files, tmp_path, capsys, command, query_set):
+        assert run([
+            command[0], "--train", files["train"], "--test", files[query_set],
+            "--deriv-order", "1", *command[1:],
+            "--out", str(tmp_path / "out.tsv"),
+        ]) == 2
+        assert "grid differs from" in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
 
 
 class TestMonteCarloCommands:

@@ -1,7 +1,10 @@
 """Tests for sampled curves, derivatives, and semi-metric distances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from funkreg import (
     Curve,
@@ -15,12 +18,67 @@ from funkreg import (
     pairwise_distances,
     semi_metric_distance,
 )
+from funkreg import curves
+from funkreg.curves import (
+    curve_matrix,
+    distance_matrix,
+    transform,
+    transformed_matrix,
+)
+from funkreg.simulation import SimulationConfig, generate_functional_sample
 
 SQRT_THIRD = np.sqrt(1.0 / 3.0)
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
 
 
 def unit_grid(n):
     return SamplingGrid(np.linspace(0.0, 1.0, n))
+
+
+def reference_moving_average(values, window):
+    """Per-point moving average of one curve, the transform's reference."""
+    half = window // 2
+    n = values.size
+    out = np.empty_like(values)
+    for i in range(n):
+        j = min(i, half, n - 1 - i)
+        out[i] = values[i - j:i + j + 1].mean()
+    return out
+
+
+def reference_transform(values, points, spec):
+    """Curve-by-curve presmoothing and differentiation, stacked."""
+    rows = []
+    for row in values:
+        if spec.presmoothing_window is not None:
+            row = reference_moving_average(row, spec.presmoothing_window)
+        for _ in range(spec.derivative_order):
+            row = np.gradient(row, points, edge_order=2)
+        rows.append(row)
+    return np.vstack(rows)
+
+
+def reference_distances(rows, cols, weights):
+    """All distances from one unchunked (rows, cols, p) difference array."""
+    diff = rows[:, None, :] - cols[None, :, :]
+    return np.sqrt(np.einsum("ikj,j->ik", diff * diff, weights))
+
+
+@st.composite
+def curves_on_a_grid(draw, max_p=40, max_m=6):
+    """A non-uniform grid, an (m, p) value matrix and a semi-metric spec
+    with any derivative order and an odd window from 3 to p, or none."""
+    p = draw(st.integers(5, max_p))
+    m = draw(st.integers(1, max_m))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=p - 1,
+                          max_size=p - 1))
+    grid = SamplingGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    values = np.array(draw(st.lists(FINITE, min_size=m * p,
+                                    max_size=m * p))).reshape(m, p)
+    window = draw(st.none() | st.integers(1, (p - 1) // 2).map(
+        lambda k: 2 * k + 1))
+    spec = SemiMetricSpec(draw(st.sampled_from([0, 1, 2])), window)
+    return grid, values, spec
 
 
 class TestSamplingGrid:
@@ -46,6 +104,33 @@ class TestSamplingGrid:
         )
 
 
+class TestFunctionalSample:
+    def test_keeps_a_read_only_copy_and_gives_row_views(self):
+        values = np.arange(12.0).reshape(3, 4)
+        sample = FunctionalSample(unit_grid(4), values, np.zeros(3))
+        values[0, 0] = 99.0
+        assert sample.values_matrix() is sample.values
+        assert sample.values[0, 0] == 0.0
+        row = sample.curves[1]
+        assert np.shares_memory(row.values, sample.values)
+        np.testing.assert_array_equal(row.values, [4.0, 5.0, 6.0, 7.0])
+        with pytest.raises(ValueError):
+            row.values[0] = 1.0
+        with pytest.raises(ValueError):
+            sample.values[0, 0] = 1.0
+
+    def test_rejects_bad_matrices(self):
+        grid = unit_grid(3)
+        with pytest.raises(ValidationError):
+            FunctionalSample(grid, [[0.0, np.inf, 1.0]], [1.0])
+        with pytest.raises(ValidationError):
+            FunctionalSample(grid, np.zeros((0, 3)), [])
+        with pytest.raises(ValidationError):
+            FunctionalSample(grid, np.zeros(3), [1.0])
+        with pytest.raises(ValidationError):
+            FunctionalSample(grid, np.zeros((2, 3)), [1.0])
+
+
 class TestCurveValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -56,9 +141,9 @@ class TestCurveValidation:
             Curve(unit_grid(3), [1.0, np.nan, 2.0])
 
     def test_sample_requires_shared_grid(self):
-        g1, g2 = unit_grid(3), SamplingGrid([0.0, 0.6, 1.0])
+        # rows must have one value per point of the sample grid
         with pytest.raises(GridMismatch):
-            FunctionalSample(g1, (Curve(g2, [0.0, 0.0, 0.0]),), [1.0])
+            FunctionalSample(unit_grid(3), np.zeros((1, 4)), [1.0])
 
 
 class TestDifferentiate:
@@ -179,38 +264,130 @@ class TestPairwiseDistances:
     def test_query_in_sample_gives_exact_zero(self):
         rng = np.random.default_rng(8)
         grid = unit_grid(15)
-        curves = tuple(Curve(grid, rng.normal(size=15)) for _ in range(4))
-        sample = FunctionalSample(grid, curves, np.zeros(4))
-        d = pairwise_distances(sample, curves[2], SemiMetricSpec(1))
+        sample = FunctionalSample(grid, rng.normal(size=(4, 15)), np.zeros(4))
+        d = pairwise_distances(sample, sample.curves[2], SemiMetricSpec(1))
         assert d[2] == 0.0
 
     def test_single_curve_sample(self):
         grid = unit_grid(5)
-        sample = FunctionalSample(grid, (Curve(grid, np.ones(5)),), [1.0])
+        sample = FunctionalSample(grid, np.ones((1, 5)), [1.0])
         d = pairwise_distances(sample, Curve(grid, np.zeros(5)), SemiMetricSpec(0))
         assert d.shape == (1,)
 
     def test_constant_levels(self):
         grid = unit_grid(11)
-        curves = tuple(Curve(grid, np.full(11, level)) for level in (0.0, 1.0, 2.0))
-        sample = FunctionalSample(grid, curves, np.zeros(3))
+        levels = np.array([[0.0], [1.0], [2.0]])
+        sample = FunctionalSample(grid, np.repeat(levels, 11, axis=1), np.zeros(3))
         d = pairwise_distances(sample, Curve(grid, np.zeros(11)), SemiMetricSpec(0))
         np.testing.assert_allclose(d, [0.0, 1.0, 2.0], rtol=1e-12, atol=1e-15)
 
     def test_matches_elementwise_distance(self):
         rng = np.random.default_rng(9)
         grid = unit_grid(40)
-        curves = tuple(Curve(grid, rng.normal(size=40)) for _ in range(6))
-        sample = FunctionalSample(grid, curves, np.zeros(6))
+        sample = FunctionalSample(grid, rng.normal(size=(6, 40)), np.zeros(6))
         query = Curve(grid, rng.normal(size=40))
         spec = SemiMetricSpec(2)
         d = pairwise_distances(sample, query, spec)
-        for i, c in enumerate(curves):
+        for i, c in enumerate(sample.curves):
             assert d[i] == semi_metric_distance(c, query, spec)
 
     def test_grid_mismatch(self):
         grid = unit_grid(5)
-        sample = FunctionalSample(grid, (Curve(grid, np.zeros(5)),), [0.0])
+        sample = FunctionalSample(grid, np.zeros((1, 5)), [0.0])
         other = Curve(SamplingGrid([0.0, 0.2, 0.4, 0.6, 1.1]), np.zeros(5))
         with pytest.raises(GridMismatch):
             pairwise_distances(sample, other, SemiMetricSpec(0))
+
+
+class TestTransform:
+    @settings(max_examples=80, deadline=None)
+    @given(curves_on_a_grid(max_p=101, max_m=4))
+    def test_equals_per_curve_reference(self, case):
+        grid, values, spec = case
+        expected = reference_transform(values, grid.points, spec)
+        assert np.array_equal(transform(values, grid, spec), expected)
+        assert np.array_equal(transform(values[0], grid, spec), expected[0])
+
+    def test_grid_too_short(self):
+        with pytest.raises(GridTooShort):
+            transform(np.zeros((2, 4)), unit_grid(4), SemiMetricSpec(2))
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("budget", [1, 7 * 11 * 3 + 5, 7 * 11 * 4, 1 << 22])
+    def test_chunks_equal_the_unchunked_form(self, monkeypatch, budget):
+        # 10 rows against 7 columns on 11 points: chunks of 1, 3 and 4 rows
+        # (the last one short), then all 10 at once; fresh data per budget,
+        # so an unwritten row cannot match by reusing the last case's memory
+        rng = np.random.default_rng(budget)
+        rows, cols = rng.normal(size=(10, 11)), rng.normal(size=(7, 11))
+        weights = SamplingGrid(np.cumsum(rng.random(11))).trapezoid_weights()
+        monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", budget)
+        assert np.array_equal(distance_matrix(rows, cols, weights),
+                              reference_distances(rows, cols, weights))
+
+    def test_memory_is_bounded_by_the_chunk_budget(self):
+        rng = np.random.default_rng(13)
+        rows, cols = rng.normal(size=(100, 101)), rng.normal(size=(1000, 101))
+        weights = unit_grid(101).trapezoid_weights()
+        tracemalloc.start()
+        try:
+            out = distance_matrix(rows, cols, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output plus one chunk's difference buffer (and its small row
+        # sums), not a 100*1000*101-float temporary
+        assert peak < out.nbytes + 1.25 * 8 * curves._CHUNK_ELEMENTS
+
+    def test_pairwise_equals_the_query_rows_select_uses(self):
+        train, test = generate_functional_sample(
+            SimulationConfig(n_train=30, n_test=5, grid_size=41, seed=2))
+        weights = train.grid.trapezoid_weights()
+        for spec in (SemiMetricSpec(1), SemiMetricSpec(2, presmoothing_window=5)):
+            query_t = transform(curve_matrix(test.curves, train.grid),
+                                train.grid, spec)
+            rows = distance_matrix(query_t, transformed_matrix(train, spec),
+                                   weights)
+            for j, query in enumerate(test.curves):
+                assert np.array_equal(pairwise_distances(train, query, spec),
+                                      rows[j])
+
+
+class TestDistanceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(curves_on_a_grid(), st.randoms(use_true_random=False))
+    def test_exact_symmetry_and_permutation_equivariance(self, case, random):
+        grid, values, spec = case
+        weights = grid.trapezoid_weights()
+        sample = FunctionalSample(grid, values, np.zeros(len(values)))
+        t = transformed_matrix(sample, spec)
+        d = distance_matrix(t, t, weights)
+        assert np.array_equal(d, d.T)
+        a, b = sample.curves[0], sample.curves[-1]
+        assert semi_metric_distance(a, b, spec) == semi_metric_distance(b, a, spec)
+        perm = np.array(random.sample(range(len(values)), len(values)))
+        permuted = transformed_matrix(
+            FunctionalSample(grid, values[perm], np.zeros(len(values))), spec)
+        assert np.array_equal(distance_matrix(permuted, permuted, weights),
+                              d[np.ix_(perm, perm)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(curves_on_a_grid(), st.data())
+    def test_translation_invariance_for_derivatives(self, case, data):
+        grid, values, spec = case
+        if spec.derivative_order == 0:
+            spec = SemiMetricSpec(1, spec.presmoothing_window)
+        shifts = np.array(data.draw(st.lists(
+            FINITE, min_size=len(values), max_size=len(values))))
+        shifted = values + shifts[:, None]
+        weights = grid.trapezoid_weights()
+        t, ts = transform(values, grid, spec), transform(shifted, grid, spec)
+        # the curve scale in derivative units: the largest value, divided by
+        # the finest spacing once per derivative, over the grid's span
+        pts = grid.points
+        scale = (max(np.abs(shifted).max(), np.abs(values).max())
+                 * (2.0 / np.diff(pts).min()) ** spec.derivative_order
+                 * np.sqrt(pts[-1] - pts[0]))
+        diff = distance_matrix(ts, ts, weights) - distance_matrix(t, t, weights)
+        assert np.all(np.abs(diff) <= 1e-12 * scale)

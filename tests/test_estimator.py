@@ -436,9 +436,7 @@ class TestScalarEquivalence:
             y = rng.normal(size=30)
             chi = float(rng.random())
             h = float(rng.uniform(0.2, 0.8))
-            sample = FunctionalSample.from_matrix(
-                grid, np.column_stack([x, x]), y
-            )
+            sample = FunctionalSample(grid, np.column_stack([x, x]), y)
             d = pairwise_distances(sample, Curve(grid, [chi, chi]), SemiMetricSpec(0))
             got = nadaraya_watson(d, y, kernel, h).prediction
             want = self.scalar_oracle(x, y, chi, h, kernel_name)

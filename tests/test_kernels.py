@@ -11,10 +11,10 @@ from funkreg import (
     check_m0_positive,
     compute_constants,
     constants_by_quadrature,
-    eval_kernel,
     tau0_eval,
     validate_kernel,
 )
+from funkreg.kernels import eval_kernel_array
 
 GAMMAS = (0.5, 1.0, 2.0, 5.0)
 NAMED_KERNELS = {
@@ -34,15 +34,15 @@ ALL_TAU0 = [
 
 class TestEvalKernel:
     def test_quadratic_midpoint(self):
-        assert eval_kernel(KernelSpec.quadratic(), 0.5) == pytest.approx(0.75)
+        assert eval_kernel_array(KernelSpec.quadratic(), 0.5) == pytest.approx(0.75)
 
     def test_uniform_inside(self):
-        assert eval_kernel(KernelSpec.uniform(), 0.3) == 1.0
+        assert eval_kernel_array(KernelSpec.uniform(), 0.3) == 1.0
 
     @pytest.mark.parametrize("kernel", NAMED_KERNELS.values(), ids=NAMED_KERNELS)
     def test_outside_support(self, kernel):
-        assert eval_kernel(kernel, 1.5) == 0.0
-        assert eval_kernel(kernel, -0.1) == 0.0
+        assert eval_kernel_array(kernel, 1.5) == 0.0
+        assert eval_kernel_array(kernel, -0.1) == 0.0
 
 
 class TestValidateKernel:

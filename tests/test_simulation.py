@@ -94,6 +94,26 @@ class TestGenerateFunctionalSample:
             for curve, resp in zip(sample.curves, sample.responses):
                 assert resp == true_regression(curve)
 
+    @pytest.mark.parametrize("seed", [0, 5, 1234])
+    def test_equals_per_curve_reference(self, seed):
+        # the stream drawn curve by curve, as generate_curve and
+        # true_regression draw it, then the noise
+        config = SimulationConfig(n_train=30, n_test=12, seed=seed)
+        grid = default_grid(config.grid_size)
+        rng = np.random.default_rng(seed)
+        for sample in generate_functional_sample(config):
+            n = len(sample)
+            omegas = rng.uniform(0.0, 2.0 * math.pi, n)
+            slopes = rng.uniform(0.0, 1.0, n)
+            intercepts = rng.uniform(0.0, 1.0, n)
+            curves = [generate_curve(omegas[i], slopes[i], intercepts[i], grid)
+                      for i in range(n)]
+            signal = np.array([true_regression(c) for c in curves])
+            noise = rng.normal(0.0, math.sqrt(config.noise_variance), n)
+            assert np.array_equal(sample.values,
+                                  np.array([c.values for c in curves]))
+            assert np.array_equal(sample.responses, signal + noise)
+
     def test_same_seed_identical(self):
         config = SimulationConfig(n_train=8, n_test=4, seed=5)
         t1, s1 = generate_functional_sample(config)
