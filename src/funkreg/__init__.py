@@ -58,8 +58,12 @@ from .estimator import (
     empirical_tau,
     estimate_phi_prime,
     estimate_sigma2,
+    interval_half_widths,
     knn_bandwidths,
+    knn_radii,
     nadaraya_watson,
+    nadaraya_watson_batch,
+    plugin_variance,
     theoretical_bias_variance,
 )
 from .io import load_sample, save_sample, split_sample

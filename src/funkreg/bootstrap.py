@@ -40,9 +40,10 @@ from .errors import (
     DegeneratePilot,
     EmptyGrid,
     EmptyNeighborhood,
+    TooFewPoints,
     ValidationError,
 )
-from .estimator import InsampleSmoother, knn_bandwidths
+from .estimator import InsampleSmoother, knn_radii, nadaraya_watson_batch
 from .kernels import KernelSpec, eval_kernel_array
 
 _SQRT5 = math.sqrt(5.0)
@@ -293,33 +294,27 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     dist_qs = distance_matrix(trans_q, trans, w_quad)
 
     k_g = config.pilot_k(n)
+    pilot_radii = smoother.knn_radii(k_g)
+    pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]
+    if np.any(pilot_radii <= 0.0) or np.any(pilot_radii_q <= 0.0):
+        raise DegeneratePilot("pilot kNN radius is zero at some point or query")
     try:
-        pilot_radii = smoother.knn_radii(k_g)
-        if np.any(pilot_radii <= 0.0):
-            raise DegeneratePilot("pilot kNN radius is zero at some point")
         r_tilde = smoother.fit(pilot_radii[:, None])[0][:, 0]
-        pilot_radii_q = np.array(
-            [knn_bandwidths(row, k_g, k_g).hs[0] for row in dist_qs]
-        )
-        w_pilot = eval_kernel_array(kernel, dist_qs / pilot_radii_q[:, None])
-        totals = w_pilot.sum(axis=1)
-        bad = np.flatnonzero(totals <= 0.0)
-        if bad.size:
-            raise EmptyNeighborhood(
-                f"no positive kernel weight within radius "
-                f"{pilot_radii_q[bad[0]]} at query {bad[0]}"
-            )
-        r_tilde_q = (w_pilot @ y) / totals
-    except (EmptyNeighborhood, DegenerateGrid) as exc:
+        r_tilde_q = nadaraya_watson_batch(dist_qs, y, kernel, pilot_radii_q)[0]
+    except EmptyNeighborhood as exc:
         raise DegeneratePilot(f"pilot fit failed: {exc}") from exc
-
-    multipliers = _multiplier_matrix(config.seed, config.n_replications, keys)
 
     ks = range(config.k_min, config.k_max + 1)
     n_k = config.k_max - config.k_min + 1
-    radii = np.array([
-        knn_bandwidths(row, config.k_min, config.k_max).hs for row in dist_qs
-    ])
+    if config.k_max > n - 1:
+        raise TooFewPoints(
+            f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
+            f"got k_min = {config.k_min}, k_max = {config.k_max}"
+        )
+    radii = knn_radii(dist_qs, config.k_min, config.k_max)
+    if np.any(radii <= 0.0):
+        raise DegenerateGrid("bandwidths must be strictly positive")
+    multipliers = _multiplier_matrix(config.seed, config.n_replications, keys)
     errors = np.empty((len(active), n_k))
     step = max(1, _BLOCK_ELEMENTS // (n * n_k))
     for start in range(0, len(active), step):

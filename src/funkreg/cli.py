@@ -12,7 +12,6 @@ with 17 significant digits, so a seeded command rerun is byte-identical.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -36,9 +35,10 @@ from .errors import (
 )
 from .estimator import (
     InsampleSmoother,
-    confidence_interval,
-    estimate_sigma2,
-    nadaraya_watson,
+    interval_half_widths,
+    knn_radii,
+    nadaraya_watson_batch,
+    plugin_variance,
 )
 from .io import _fmt, load_sample, save_sample, split_sample
 from .kernels import KernelSpec, Tau0Model, compute_constants
@@ -244,19 +244,13 @@ def _train_and_queries(opts: _Options) -> tuple[FunctionalSample, FunctionalSamp
     return split_sample(sample, n_train, n_test, opts.get("split_seed", 0))
 
 
-def _query_radius(distances: np.ndarray, opts: _Options) -> float:
+def _bandwidth_rule(opts: _Options) -> tuple[int | None, float | None]:
+    """The (k, h) options, exactly one of them given."""
     k = opts.get("k")
     h = opts.get("h")
     if (k is None) == (h is None):
         raise ValidationError("give exactly one of --k or --h")
-    if h is not None:
-        if h <= 0:
-            raise ValidationError("--h must be positive")
-        return float(h)
-    d = np.sort(distances)
-    if not 1 <= k <= d.size:
-        raise ValidationError(f"--k must lie in [1, {d.size}]")
-    return float(d[k - 1])
+    return k, h
 
 
 def _cmd_constants(args) -> int:
@@ -287,21 +281,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _prediction_rows(train: FunctionalSample, queries: FunctionalSample,
-                     kernel: KernelSpec, spec: SemiMetricSpec,
-                     opts: _Options):
-    """Per-query estimates; shared by predict and ci."""
+def _predictions(train: FunctionalSample, queries: FunctionalSample,
+                 kernel: KernelSpec, spec: SemiMetricSpec, opts: _Options):
+    """Query-by-train distances, per-query radii, and the batched fit at
+    them (predictions, kernel totals, neighbor counts); shared by predict
+    and ci."""
     weights = train.grid.trapezoid_weights()
     train_t = transformed_matrix(train, spec)
     query_t = transformed_matrix(queries, spec)
     dist = distance_matrix(query_t, train_t, weights)
-    results = []
-    for j in range(len(queries)):
-        radius = _query_radius(dist[j], opts)
-        results.append((j, dist[j], nadaraya_watson(
-            dist[j], train.responses, kernel, radius
-        )))
-    return results
+    k, h = _bandwidth_rule(opts)
+    if h is not None:
+        if h <= 0:
+            raise ValidationError("--h must be positive")
+        radii = np.full(len(queries), float(h))
+    else:
+        if not 1 <= k <= len(train):
+            raise ValidationError(f"--k must lie in [1, {len(train)}]")
+        radii = knn_radii(dist, k, k)[:, 0]
+    return dist, radii, nadaraya_watson_batch(dist, train.responses, kernel, radii)
 
 
 def _cmd_fit(args) -> int:
@@ -312,10 +310,7 @@ def _cmd_fit(args) -> int:
     weights = sample.grid.trapezoid_weights()
     trans = transformed_matrix(sample, spec)
     n = len(sample)
-    k = opts.get("k")
-    h = opts.get("h")
-    if (k is None) == (h is None):
-        raise ValidationError("give exactly one of --k or --h")
+    k, h = _bandwidth_rule(opts)
     smoother = InsampleSmoother(
         distance_matrix(trans, trans, weights), sample.responses, kernel
     )
@@ -344,12 +339,12 @@ def _cmd_predict(args) -> int:
     train, queries = _train_and_queries(opts)
     kernel = _kernel(opts)
     spec = _semi_metric(opts)
-    rows = []
-    for j, _, result in _prediction_rows(train, queries, kernel, spec, opts):
-        rows.append([
-            j, result.prediction, result.f_hat_empirical,
-            result.neighbor_count, result.bandwidth, queries.responses[j],
-        ])
+    _, radii, (preds, _, counts) = _predictions(train, queries, kernel, spec, opts)
+    f_hat = counts / len(train)
+    rows = [
+        [j, preds[j], f_hat[j], counts[j], radii[j], queries.responses[j]]
+        for j in range(len(queries))
+    ]
     _write_tsv(
         opts.get("out"),
         ["index", "prediction", "f_hat", "neighbors", "bandwidth", "actual"],
@@ -365,16 +360,18 @@ def _cmd_ci(args) -> int:
     spec = _semi_metric(opts)
     tau0 = parse_tau0(opts.get("tau0", "fractal:1"))
     level = opts.get("level", 0.95)
-    rows = []
-    for j, dist_j, result in _prediction_rows(train, queries, kernel, spec, opts):
-        sigma2 = estimate_sigma2(dist_j, train.responses, kernel, result.bandwidth)
-        result = dataclasses.replace(result, sigma2_hat=sigma2)
-        lower, upper = confidence_interval(result, kernel, tau0, level)
-        rows.append([
-            j, result.prediction, result.f_hat_empirical, result.neighbor_count,
-            result.bandwidth, sigma2, lower, upper, level,
-            queries.responses[j],
-        ])
+    dist, radii, (preds, _, counts) = _predictions(train, queries, kernel, spec, opts)
+    y = train.responses
+    second = nadaraya_watson_batch(dist, y * y, kernel, radii)[0]
+    sigma2 = plugin_variance(preds, second)
+    half = interval_half_widths(sigma2, counts, kernel, tau0, level)
+    lower, upper = preds - half, preds + half
+    f_hat = counts / len(train)
+    rows = [
+        [j, preds[j], f_hat[j], counts[j], radii[j], sigma2[j], lower[j],
+         upper[j], level, queries.responses[j]]
+        for j in range(len(queries))
+    ]
     _write_tsv(
         opts.get("out"),
         ["index", "prediction", "f_hat", "neighbors", "bandwidth",

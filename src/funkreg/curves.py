@@ -19,7 +19,11 @@ from .errors import GridMismatch, GridTooShort, ValidationError
 
 #: Element budget of one ``distance_matrix`` chunk: rows are done a few at a
 #: time so that their (rows, cols, p) difference array holds this many floats.
-_CHUNK_ELEMENTS = 1 << 22
+#: Of 2^17, 2^21 and 2^22 floats, 2^21 (16 MB) gave the fastest ci op on a
+#: 200 x 2000 x 101 block and the fastest 165-curve bootstrap: 1 MB chunks
+#: left the bootstrap's 2 MB work arrays to be mapped afresh (about 8k page
+#: faults per select), and 32 MB chunks ran about 15% slower on the block.
+_CHUNK_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)

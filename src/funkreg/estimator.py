@@ -1,17 +1,17 @@
 """Functional Nadaraya-Watson estimation at a fixed query.
 
 All operations here work on the vector of semi-metric distances from the
-sample curves to the query, which decouples them from how curves are
-represented. The estimate decomposes as a ratio of a response-weighted and
-an unweighted kernel sum, both normalized by n * F_hat(h) where F_hat is
-the empirical small-ball fraction; the prediction itself is invariant to
-that normalizer.
+sample curves to a query, or on an (m, n) block of such rows for m queries
+at once, which decouples them from how curves are represented. The
+estimate decomposes as a ratio of a response-weighted and an unweighted
+kernel sum, both normalized by n * F_hat(h) where F_hat is the empirical
+small-ball fraction; the prediction itself is invariant to that
+normalizer.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     DegenerateBall,
@@ -102,6 +102,31 @@ class BiasVarianceReport:
     f_of_h: float
 
 
+def knn_radii(distances, k_min: int, k_max: int) -> np.ndarray:
+    """The k-th smallest distance of each row, for k = k_min .. k_max.
+
+    Takes distances of shape (..., n) and returns radii of shape
+    (..., k_max - k_min + 1): entry k - k_min of a row is the radius of the
+    smallest closed ball around that row's query holding k sample curves.
+    ``np.partition`` places the exact k_max-th value, and only the k_max
+    smallest are sorted.
+
+    Raises:
+        TooFewPoints: unless 1 <= k_min <= k_max <= n.
+    """
+    d = np.asarray(distances, dtype=float)
+    n = d.shape[-1]
+    if not 1 <= k_min <= k_max <= n:
+        raise TooFewPoints(
+            f"need 1 <= k_min <= k_max <= n with n = {n}, "
+            f"got k_min = {k_min}, k_max = {k_max}"
+        )
+    head = np.partition(d, k_max - 1, axis=-1)[..., :k_max]
+    if k_min < k_max:
+        head.sort(axis=-1)
+    return head[..., k_min - 1:].copy()
+
+
 def knn_bandwidths(distances, k_min: int, k_max: int,
                    exclude_self: bool = False) -> BandwidthGrid:
     """Bandwidth grid of k-nearest-neighbor radii, k = k_min .. k_max.
@@ -109,22 +134,22 @@ def knn_bandwidths(distances, k_min: int, k_max: int,
     ``h_k`` is the k-th smallest distance (1-indexed); ties produce equal
     consecutive radii. When ``exclude_self`` is set, one zero distance
     (the query's own entry, for in-sample queries) is dropped before
-    ranking.
+    ranking. This is the one-row case of ``knn_radii``.
 
     Raises:
         TooFewPoints: unless 2 <= k_min <= k_max <= n - 1.
     """
-    d = np.sort(np.asarray(distances, dtype=float))
+    d = np.asarray(distances, dtype=float).ravel()
     n = d.size
     if not (2 <= k_min <= k_max <= n - 1):
         raise TooFewPoints(
             f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
             f"got k_min = {k_min}, k_max = {k_max}"
         )
-    if exclude_self and n > 0 and d[0] == 0.0:
-        d = d[1:]
-    entries = tuple((k, float(d[k - 1])) for k in range(k_min, k_max + 1))
-    return BandwidthGrid(entries)
+    if exclude_self and d.min() == 0.0:
+        d = np.delete(d, np.argmin(d))
+    hs = knn_radii(d, k_min, k_max).tolist()
+    return BandwidthGrid(tuple(zip(range(k_min, k_max + 1), hs)))
 
 
 def empirical_sdf(distances, h: float) -> float:
@@ -153,9 +178,58 @@ def empirical_tau(distances, h: float, s: float) -> float:
     return empirical_sdf(distances, h * s) / denom
 
 
+def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
+                          radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel-weighted means of the responses at m queries at once.
+
+    Args:
+        distances: (m, n) block; row j holds the semi-metric distances from
+            the n sample curves to query j.
+        responses: (n,) responses shared by every query, or (m, n) with one
+            row of responses per query.
+        kernel: weighting kernel, evaluated at distance / radius.
+        radii: (m,) bandwidths, one per query, strictly positive.
+
+    Returns:
+        Per-query predictions, kernel totals sum_i K(d_ji / h_j), and
+        neighbor counts #{i : d_ji <= h_j}, each of shape (m,).
+
+    Raises:
+        ValidationError: for mismatched shapes or a radius that is not
+            positive.
+        EmptyNeighborhood: naming the first query with no positive weight.
+    """
+    d = np.asarray(distances, dtype=float)
+    y = np.asarray(responses, dtype=float)
+    h = np.asarray(radii, dtype=float)
+    if d.ndim != 2 or h.shape != d.shape[:1] or y.shape not in (d.shape[1:], d.shape):
+        raise ValidationError(
+            "need (m, n) distances, (n,) or (m, n) responses and (m,) radii"
+        )
+    if not (h > 0.0).all():
+        bad = np.flatnonzero(~(h > 0.0))[0]
+        raise ValidationError(f"bandwidth must be positive, got {h[bad]}")
+    column = h[:, None]
+    w = eval_kernel_array(kernel, d / column)
+    totals = w.sum(axis=1)
+    if (totals <= 0.0).any():
+        bad = np.flatnonzero(totals <= 0.0)[0]
+        raise EmptyNeighborhood(
+            f"no positive kernel weight within radius {h[bad]} at query {bad}"
+        )
+    if y.ndim == 1:
+        weighted = w @ y
+    else:  # one dot product per row, a stack of (1, n) @ (n, 1) products
+        weighted = np.matmul(w[:, None, :], y[:, :, None])[:, 0, 0]
+    counts = (d <= column).sum(axis=1)
+    return weighted / totals, totals, counts
+
+
 def nadaraya_watson(distances, responses, kernel: KernelSpec,
                     h: float) -> EstimateResult:
     """Kernel-weighted mean of the responses at bandwidth h.
+
+    The one-query case of ``nadaraya_watson_batch``.
 
     Args:
         distances: semi-metric distances from the sample curves to the query.
@@ -170,17 +244,15 @@ def nadaraya_watson(distances, responses, kernel: KernelSpec,
     y = np.asarray(responses, dtype=float)
     if d.shape != y.shape:
         raise ValidationError("distances and responses must have equal length")
-    if h <= 0.0:
-        raise ValidationError(f"bandwidth must be positive, got {h}")
-    w = eval_kernel_array(kernel, d / h)
-    total = float(np.sum(w))
-    if total <= 0.0:
-        raise EmptyNeighborhood(f"no positive kernel weight within radius {h}")
-    weighted_y = float(np.dot(w, y))
-    count = int(np.count_nonzero(d <= h))
+    predictions, totals, counts = nadaraya_watson_batch(
+        d.reshape(1, -1), y.reshape(-1), kernel, [h]
+    )
+    total = float(totals[0])
+    count = int(counts[0])
+    prediction = float(predictions[0])
     return EstimateResult(
-        prediction=weighted_y / total,
-        g_hat=weighted_y / count,
+        prediction=prediction,
+        g_hat=prediction * total / count,
         f_hat=total / count,
         f_hat_empirical=count / d.size,
         neighbor_count=count,
@@ -320,18 +392,66 @@ class InsampleSmoother:
         return num / den, counts
 
 
+def plugin_variance(first, second):
+    """E(Y^2 | ball) - E(Y | ball)^2 from the two kernel estimates, clamped
+    at zero since the difference can round negative in finite samples."""
+    diff = np.asarray(second) - np.asarray(first) * first
+    return np.where(diff > 0.0, diff, 0.0)
+
+
 def estimate_sigma2(distances, responses, kernel: KernelSpec,
                     h: float) -> float:
     """Plug-in conditional variance: E(Y^2 | ball) - E(Y | ball)^2.
 
-    Both conditional expectations use the same kernel estimate; the
-    difference is clamped at zero since it can round negative in finite
-    samples.
+    Both conditional expectations use the same kernel estimate, fitted as
+    two rows of one ``nadaraya_watson_batch`` call; the difference is
+    clamped at zero (``plugin_variance``).
     """
-    y = np.asarray(responses, dtype=float)
-    first = nadaraya_watson(distances, y, kernel, h).prediction
-    second = nadaraya_watson(distances, y * y, kernel, h).prediction
-    return max(0.0, second - first * first)
+    d = np.asarray(distances, dtype=float).reshape(1, -1)
+    y = np.asarray(responses, dtype=float).reshape(1, -1)
+    if d.shape != y.shape:
+        raise ValidationError("distances and responses must have equal length")
+    (first, second), _, _ = nadaraya_watson_batch(
+        np.broadcast_to(d, (2, d.size)), np.vstack([y, y * y]), kernel, [h, h]
+    )
+    return float(plugin_variance(first, second))
+
+
+def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
+                         tau0: Tau0Model, level: float) -> np.ndarray:
+    """Half-widths z * sqrt(m2 * sigma2_hat / (count * m1^2)) of the
+    asymptotic-normality intervals, elementwise over arrays of plug-in
+    variances and neighbor counts (count = n * F_hat(h)).
+
+    The constants and the normal quantile z are computed once per call.
+
+    Raises:
+        InvalidKernel: for a negative or increasing kernel.
+        KernelNotH2Strict: if K(1) = 0 (the limit constants degenerate).
+        DegenerateBall: for a neighbor count that is not positive.
+        DegenerateConstants: if m1 <= 0.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValidationError("confidence level must lie strictly in (0, 1)")
+    constants = compute_constants(kernel, tau0)
+    if not kernel.h2_strict:
+        raise KernelNotH2Strict(
+            f"kernel {kernel.family} has K(1) = 0; switch to a kernel with "
+            "K(1) > 0 (e.g. uniform) for confidence intervals"
+        )
+    counts = np.asarray(neighbor_counts)
+    if np.any(counts <= 0):
+        raise DegenerateBall("confidence interval needs F_hat(h) > 0")
+    if constants.m1 <= 0.0:
+        raise DegenerateConstants(f"m1 = {constants.m1} is not positive")
+    # scipy.stats costs most of a cold import; only intervals need it
+    from scipy.stats import norm
+
+    z = float(norm.ppf((1.0 + level) / 2.0))
+    return z * np.sqrt(
+        constants.m2 * np.asarray(sigma2_hat, dtype=float)
+        / (counts * constants.m1 ** 2)
+    )
 
 
 def confidence_interval(result: EstimateResult, kernel: KernelSpec,
@@ -339,35 +459,22 @@ def confidence_interval(result: EstimateResult, kernel: KernelSpec,
     """Asymptotic-normality confidence interval around the prediction.
 
     Half-width is z * sqrt(m2 * sigma2_hat / (count * m1^2)) with
-    count = n * F_hat(h); for the uniform kernel m1 = m2 = 1 and the
-    interval reduces to prediction +- z * sqrt(sigma2_hat / count). The
-    interval is bias-uncorrected, which is honest only in the
-    undersmoothing regime where h * sqrt(n F(h)) -> 0.
+    count = n * F_hat(h) (``interval_half_widths``); for the uniform kernel
+    m1 = m2 = 1 and the interval reduces to prediction +- z *
+    sqrt(sigma2_hat / count). The interval is bias-uncorrected, which is
+    honest only in the undersmoothing regime where h * sqrt(n F(h)) -> 0.
 
     Raises:
         KernelNotH2Strict: if K(1) = 0 (the limit constants degenerate).
         MissingSigma2: if the result carries no variance plug-in.
     """
-    if not 0.0 < level < 1.0:
-        raise ValidationError("confidence level must lie strictly in (0, 1)")
-    validate_kernel(kernel)
-    if not kernel.h2_strict:
-        raise KernelNotH2Strict(
-            f"kernel {kernel.family} has K(1) = 0; switch to a kernel with "
-            "K(1) > 0 (e.g. uniform) for confidence intervals"
-        )
     if result.sigma2_hat is None:
         raise MissingSigma2("estimate carries no sigma2_hat plug-in")
-    if result.neighbor_count <= 0 or result.f_hat_empirical <= 0.0:
+    if result.f_hat_empirical <= 0.0:
         raise DegenerateBall("confidence interval needs F_hat(h) > 0")
-    constants = compute_constants(kernel, tau0)
-    if constants.m1 <= 0.0:
-        raise DegenerateConstants(f"m1 = {constants.m1} is not positive")
-    z = float(norm.ppf((1.0 + level) / 2.0))
-    half = z * np.sqrt(
-        constants.m2 * result.sigma2_hat
-        / (result.neighbor_count * constants.m1 ** 2)
-    )
+    half = float(interval_half_widths(
+        result.sigma2_hat, result.neighbor_count, kernel, tau0, level
+    ))
     return (result.prediction - half, result.prediction + half)
 
 

@@ -8,6 +8,7 @@ significant digits so a written file reloads to the exact same sample.
 """
 
 import csv
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ def _read_rows(path) -> list[list[str]]:
     if not path.exists():
         raise ValidationError(f"dataset file not found: {path}")
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        rows = list(filter(None, csv.reader(fh)))  # blank lines dropped
     if len(rows) < 2:
         raise ValidationError(f"{path}: need a header row and at least one curve")
     return rows
@@ -109,21 +110,26 @@ def load_sample(path, mode: str = "response_column",
         grid = _grid_from_header(header, path)
         width = len(header)
 
-    values = np.empty((len(rows) - 1, len(grid)))
-    responses = np.empty(len(rows) - 1)
-    for i, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    for i, row in enumerate(body, start=2):
         if len(row) != width:
             raise RaggedRows(
                 f"{path}: row {i} has {len(row)} cells, expected {width}"
             )
-        parsed = [_parse_cell(c, i, j + 1, path) for j, c in enumerate(row)]
-        if mode == "response_column":
-            values[i - 2] = parsed[:-1]
-            responses[i - 2] = parsed[-1]
-        else:
-            values[i - 2] = parsed
-
-    if mode == "response_file":
+    try:
+        cells = np.fromiter(map(float, itertools.chain.from_iterable(body)),
+                            float, count=len(body) * width)
+    except ValueError:
+        # name the first bad cell in row-major order
+        for i, row in enumerate(body, start=2):
+            for j, cell in enumerate(row, start=1):
+                _parse_cell(cell, i, j, path)
+        raise
+    table = cells.reshape(len(body), width)
+    if mode == "response_column":
+        values, responses = table[:, :-1], table[:, -1]
+    else:
+        values = table
         responses = load_responses(response_path)
         if responses.size != values.shape[0]:
             raise ValidationError(
@@ -142,11 +148,13 @@ def save_sample(sample: FunctionalSample, path) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    table = np.column_stack([sample.values, sample.responses]).tolist()
+    # "%.17g" % x formats exactly as format(x, ".17g"); one pattern per row
+    row_format = ",".join(["%.17g"] * (len(sample.grid) + 1)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([_fmt(p) for p in sample.grid.points] + [RESPONSE_LABEL])
-        for row, resp in zip(sample.values, sample.responses):
-            writer.writerow([_fmt(v) for v in row] + [_fmt(resp)])
+        fh.write(",".join([_fmt(p) for p in sample.grid.points]
+                          + [RESPONSE_LABEL]) + "\n")
+        fh.writelines(row_format % tuple(row) for row in table)
 
 
 def split_sample(sample: FunctionalSample, n_train: int, n_test: int,

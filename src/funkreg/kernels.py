@@ -85,7 +85,7 @@ class KernelSpec:
 
 def _polyval(coefficients, u):
     """Horner evaluation; accepts scalars or arrays."""
-    acc = np.zeros_like(np.asarray(u, dtype=float))
+    acc = np.zeros(np.shape(u))
     for c in reversed(coefficients):
         acc = acc * u + c
     return acc
@@ -95,7 +95,7 @@ def eval_kernel_array(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation with hard support truncation."""
     u = np.asarray(u, dtype=float)
     inside = (u >= 0.0) & (u <= 1.0)
-    return np.where(inside, _polyval(spec.coefficients, np.clip(u, 0.0, 1.0)), 0.0)
+    return np.where(inside, _polyval(spec.coefficients, u.clip(0.0, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,18 @@
 """Tests for the command-line surface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from funkreg import KernelSpec, SemiMetricSpec, Tau0Model, compute_constants, load_sample
 from funkreg.cli import main
+from funkreg.curves import distance_matrix, transformed_matrix
+from funkreg.kernels import eval_kernel_array
 
 
 def run(argv):
@@ -283,3 +290,101 @@ class TestMonteCarloCommands:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def query_distances(train_path, test_path, spec):
+    train, test = load_sample(train_path), load_sample(test_path)
+    return distance_matrix(transformed_matrix(test, spec),
+                           transformed_matrix(train, spec),
+                           train.grid.trapezoid_weights()), train, test
+
+
+def reference_tsv_rows(dist, train, test, kernel, k=None, h=None,
+                       interval=None):
+    """predict (or, with interval=(tau0, level), ci) rows as the per-query
+    loop computed them before queries were batched."""
+    from scipy.stats import norm
+
+    y = train.responses
+    rows = []
+    for j, d in enumerate(dist):
+        radius = h if h is not None else float(np.sort(d)[k - 1])
+        w = eval_kernel_array(kernel, d / radius)
+        total = float(np.sum(w))
+        prediction = float(np.dot(w, y)) / total
+        count = int(np.count_nonzero(d <= radius))
+        row = [j, prediction, count / d.size, count, radius]
+        if interval is not None:
+            tau0, level = interval
+            second = float(np.dot(w, y * y)) / total
+            sigma2 = max(0.0, second - prediction * prediction)
+            c = compute_constants(kernel, tau0)
+            z = float(norm.ppf((1.0 + level) / 2.0))
+            half = z * np.sqrt(c.m2 * sigma2 / (count * c.m1 ** 2))
+            row += [sigma2, prediction - half, prediction + half, level]
+        rows.append(row + [test.responses[j]])
+    return np.array(rows, dtype=float)
+
+
+class TestBatchedPredictCi:
+    """Batched predict/ci against the per-query reference: bandwidth,
+    neighbors and f_hat exactly, the smoothed columns to 1e-13 relative."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("window", [None, 5])
+    @pytest.mark.parametrize("rule", ["k", "h"])
+    @pytest.mark.parametrize("command", ["predict", "ci"])
+    def test_matches_per_query_reference(self, simulated, tmp_path, order,
+                                         window, rule, command):
+        train, test = simulated
+        spec = SemiMetricSpec(order, window)
+        if command == "predict":
+            kernel_arg, kernel, interval = "quadratic", KernelSpec.quadratic(), None
+            extra = []
+        else:
+            kernel_arg = "poly:1,-0.5"
+            kernel = KernelSpec.polynomial((1.0, -0.5))
+            interval = (Tau0Model.fractal(2.0), 0.9)
+            extra = ["--tau0", "fractal:2", "--level", "0.9"]
+        dist, train_sample, test_sample = query_distances(train, test, spec)
+        if rule == "k":
+            bandwidth = {"k": 9}
+        else:
+            bandwidth = {"h": float(np.quantile(dist, 0.3))}
+        want = reference_tsv_rows(dist, train_sample, test_sample, kernel,
+                                  interval=interval, **bandwidth)
+        out = tmp_path / "out.tsv"
+        (name, value), = bandwidth.items()
+        assert run([
+            command, "--train", str(train), "--test", str(test),
+            "--deriv-order", str(order),
+            *(["--presmooth-window", str(window)] if window else []),
+            "--kernel", kernel_arg, f"--{name}", repr(value), *extra,
+            "--out", str(out),
+        ]) == 0
+        got = np.loadtxt(out, delimiter="\t", skiprows=1, ndmin=2)
+        assert got.shape == want.shape
+        exact = [0, 2, 3, 4, got.shape[1] - 1] + ([8] if interval else [])
+        np.testing.assert_array_equal(got[:, exact], want[:, exact])
+        smoothed = [1] + ([5, 6, 7] if interval else [])
+        np.testing.assert_allclose(got[:, smoothed], want[:, smoothed],
+                                   rtol=1e-13, atol=0)
+
+    def test_k_and_h_messages(self, simulated, capsys):
+        train, test = simulated
+        base = ["predict", "--train", str(train), "--test", str(test)]
+        assert run(base + ["--k", "41"]) == 2
+        assert "--k must lie in [1, 40]" in capsys.readouterr().err
+        assert run(base + ["--h", "0"]) == 2
+        assert "--h must be positive" in capsys.readouterr().err
+        assert run(base + ["--k", "3", "--h", "1"]) == 2
+        assert "give exactly one of --k or --h" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy_stats():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, funkreg; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"

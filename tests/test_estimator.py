@@ -30,6 +30,8 @@ from funkreg import (
     theoretical_bias_variance,
 )
 from funkreg.curves import distance_matrix
+from funkreg.estimator import interval_half_widths, knn_radii, nadaraya_watson_batch
+from funkreg.kernels import eval_kernel_array
 from funkreg.simulation import _replication_rng
 
 UNIFORM = KernelSpec.uniform()
@@ -441,3 +443,151 @@ class TestScalarEquivalence:
             got = nadaraya_watson(d, y, kernel, h).prediction
             want = self.scalar_oracle(x, y, chi, h, kernel_name)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def reference_nadaraya_watson(distances, responses, kernel, h):
+    """The direct one-query smoother that ``nadaraya_watson_batch``
+    replaced: (prediction, kernel total, neighbor count)."""
+    d = np.asarray(distances, dtype=float)
+    y = np.asarray(responses, dtype=float)
+    w = eval_kernel_array(kernel, d / h)
+    total = float(np.sum(w))
+    if total <= 0.0:
+        raise EmptyNeighborhood(f"no positive kernel weight within radius {h}")
+    return float(np.dot(w, y)) / total, total, int(np.count_nonzero(d <= h))
+
+
+@st.composite
+def query_blocks(draw):
+    """(m, n) distance blocks with radii and (n,) or (m, n) responses.
+
+    Distances on a 1/8 lattice tie often and can be zero; a radius is
+    either one of its row's distances or an arbitrary positive value.
+    """
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    lattice = st.integers(0, 24).map(lambda i: i / 8.0)
+    anywhere = st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False)
+    d = np.array(draw(st.lists(st.one_of(lattice, anywhere),
+                               min_size=m * n, max_size=m * n))).reshape(m, n)
+    radii = np.array([
+        draw(st.one_of(st.sampled_from(sorted(set(row[row > 0.0].tolist())) or [1.0]),
+                       st.floats(1e-3, 5.0)))
+        for row in d
+    ])
+    shape = draw(st.sampled_from([(n,), (m, n)]))
+    size = int(np.prod(shape))
+    y = np.array(draw(st.lists(st.floats(-100.0, 100.0, allow_nan=False),
+                               min_size=size, max_size=size))).reshape(shape)
+    return d, y, radii
+
+
+class TestNadarayaWatsonBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(query_blocks(), st.sampled_from(sorted(SMOOTHER_KERNELS)))
+    def test_matches_per_row_reference(self, case, kernel_name):
+        d, y, radii = case
+        kernel = SMOOTHER_KERNELS[kernel_name]
+        rows = np.broadcast_to(y, d.shape)
+        expected, empty = [], None
+        for j in range(len(d)):
+            try:
+                expected.append(reference_nadaraya_watson(d[j], rows[j], kernel, radii[j]))
+            except EmptyNeighborhood:
+                empty = j
+                break
+        if empty is not None:
+            with pytest.raises(EmptyNeighborhood, match=f"at query {empty}$"):
+                nadaraya_watson_batch(d, y, kernel, radii)
+            return
+        preds, totals, counts = nadaraya_watson_batch(d, y, kernel, radii)
+        tol = 1e-12 * max(np.max(np.abs(y)), np.finfo(float).tiny)
+        for j, (prediction, total, count) in enumerate(expected):
+            assert counts[j] == count
+            assert totals[j] == pytest.approx(total, rel=1e-15)
+            assert abs(preds[j] - prediction) <= tol
+
+    def test_one_row_case_is_nadaraya_watson(self):
+        rng = np.random.default_rng(3)
+        d = rng.random(40)
+        y = rng.normal(size=40)
+        result = nadaraya_watson(d, y, QUADRATIC, 0.5)
+        preds, totals, counts = nadaraya_watson_batch(d[None], y, QUADRATIC, [0.5])
+        assert result.prediction == preds[0]
+        assert result.neighbor_count == counts[0]
+        assert result.f_hat == totals[0] / counts[0]
+
+    def test_rejects_bad_radii_and_shapes(self):
+        d = np.array([[0.1, 0.2], [0.3, 0.4]])
+        y = np.array([1.0, 2.0])
+        for radii in ([0.5, 0.0], [0.5, -1.0], [np.nan, 0.5]):
+            with pytest.raises(ValidationError, match="bandwidth must be positive"):
+                nadaraya_watson_batch(d, y, UNIFORM, radii)
+        with pytest.raises(ValidationError):
+            nadaraya_watson_batch(d, y, UNIFORM, [0.5])
+        with pytest.raises(ValidationError):
+            nadaraya_watson_batch(d, np.ones(3), UNIFORM, [0.5, 0.5])
+        with pytest.raises(ValidationError):
+            nadaraya_watson_batch(d, np.ones((3, 2)), UNIFORM, [0.5, 0.5])
+
+    def test_empty_row_names_the_query(self):
+        d = np.array([[0.1, 0.2], [0.3, 0.4], [0.9, 0.8]])
+        with pytest.raises(EmptyNeighborhood, match="radius 0.25 at query 1"):
+            nadaraya_watson_batch(d, [1.0, 2.0], UNIFORM, [0.5, 0.25, 0.25])
+
+
+class TestKnnRadii:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 30), st.data())
+    def test_matches_sorted_rows(self, m, n, data):
+        lattice = st.integers(0, 6).map(lambda i: i / 4.0)  # many ties
+        values = st.one_of(lattice, st.floats(0.0, 10.0))
+        d = np.array(data.draw(st.lists(values, min_size=m * n,
+                                        max_size=m * n))).reshape(m, n)
+        k_min = data.draw(st.integers(1, n))
+        k_max = data.draw(st.integers(k_min, n))
+        radii = knn_radii(d, k_min, k_max)
+        expected = np.sort(d, axis=1)[:, k_min - 1:k_max]
+        np.testing.assert_array_equal(radii, expected)
+        np.testing.assert_array_equal(knn_radii(d[0], k_min, k_max), expected[0])
+
+    def test_knn_bandwidths_is_its_one_row_case(self):
+        rng = np.random.default_rng(5)
+        d = rng.random(50)
+        d[7] = 0.0
+        for exclude_self in (False, True):
+            grid = knn_bandwidths(d, 2, 20, exclude_self=exclude_self)
+            ordered = np.sort(d)[1:] if exclude_self else np.sort(d)
+            assert grid.hs == tuple(ordered[1:20])
+
+    def test_rejects_k_outside_the_row(self):
+        d = np.zeros((2, 4))
+        for k_min, k_max in ((0, 2), (3, 2), (1, 5)):
+            with pytest.raises(TooFewPoints):
+                knn_radii(d, k_min, k_max)
+
+
+class TestIntervalHalfWidths:
+    def test_matches_per_query_intervals(self):
+        rng = np.random.default_rng(9)
+        sigma2 = rng.random(7) * 3.0
+        counts = rng.integers(1, 300, 7)
+        tau0 = Tau0Model.fractal(2.0)
+        kernel = KernelSpec.polynomial((1.0, -0.5))
+        half = interval_half_widths(sigma2, counts, kernel, tau0, 0.9)
+        for j in range(7):
+            result = dataclasses.replace(
+                nadaraya_watson(np.full(counts[j], 0.01), np.zeros(counts[j]),
+                                kernel, 0.1),
+                sigma2_hat=sigma2[j],
+            )
+            lower, upper = confidence_interval(result, kernel, tau0, 0.9)
+            assert (lower, upper) == (-half[j], half[j])
+
+    def test_rejects_empty_balls_and_bad_levels(self):
+        with pytest.raises(DegenerateBall):
+            interval_half_widths([1.0, 1.0], [3, 0], UNIFORM, Tau0Model.fractal(1.0), 0.95)
+        with pytest.raises(ValidationError):
+            interval_half_widths([1.0], [3], UNIFORM, Tau0Model.fractal(1.0), 1.0)
+        with pytest.raises(KernelNotH2Strict):
+            interval_half_widths([1.0], [3], QUADRATIC, Tau0Model.fractal(1.0), 0.95)

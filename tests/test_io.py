@@ -1,7 +1,11 @@
 """Tests for dataset ingestion, emission, and splitting."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from funkreg import (
     NonMonotoneGrid,
@@ -14,6 +18,8 @@ from funkreg import (
     save_sample,
     split_sample,
 )
+from funkreg.curves import FunctionalSample, SamplingGrid
+from funkreg.io import _fmt, _grid_from_header, _parse_cell, _read_rows
 
 
 def write(path, text):
@@ -122,3 +128,118 @@ class TestSplitSample:
         sample, _ = generate_functional_sample(config)
         with pytest.raises(ValidationError):
             split_sample(sample, 8, 5, seed=0)
+
+
+def reference_load_sample(path):
+    """The per-cell response_column loader that the one-pass parse replaced."""
+    rows = _read_rows(path)
+    header = rows[0]
+    grid = _grid_from_header(header[:-1], path)
+    width = len(header)
+    values = np.empty((len(rows) - 1, len(grid)))
+    responses = np.empty(len(rows) - 1)
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise RaggedRows(f"{path}: row {i} has {len(row)} cells, expected {width}")
+        parsed = [_parse_cell(c, i, j + 1, path) for j, c in enumerate(row)]
+        values[i - 2] = parsed[:-1]
+        responses[i - 2] = parsed[-1]
+    return FunctionalSample(grid, values, responses)
+
+
+def outcome(load, path):
+    """The loaded (values, responses), or the exception type and text."""
+    try:
+        sample = load(path)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return sample.values.tolist(), sample.responses.tolist()
+
+
+#: Cell spellings: plain and exotic numbers float() accepts, quoted cells
+#: (some holding the delimiter), surrounding whitespace, non-finite values
+#: and cells float() rejects.
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([
+        " 1.5", "2.5 ", "\t-3e2 ", "1_000", "+.5", "-0", "1E-310", "0x10",
+        '"7.25"', '" 8 "', '"1,5"', "nan", "inf", "-Infinity", "",
+        "oops", "1..2", "--1",
+    ]),
+)
+
+
+class TestOnePassParse:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 5), st.data())
+    def test_matches_the_per_cell_parser(self, tmp_path_factory, n, p, data):
+        rows = [",".join(str(j) for j in range(p)) + ",response"]
+        for _ in range(n):
+            rows.append(",".join(data.draw(st.lists(CELLS, min_size=p + 1,
+                                                    max_size=p + 1))))
+            if data.draw(st.booleans()):
+                rows.append("")  # blank lines are skipped
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert outcome(load_sample, path) == outcome(reference_load_sample, path)
+
+    def test_bad_cell_text_is_unchanged(self, tmp_path):
+        path = write(tmp_path / "d.csv",
+                     "0,1,2,response\n"
+                     "1,2,3,10\n"
+                     '1," 2",x3,20\n'
+                     "1,2,bad,30\n")
+        expected = outcome(reference_load_sample, path)
+        assert expected[0] is ParseError
+        assert outcome(load_sample, path) == expected
+        assert "row 3, column 3" in expected[1] and "'x3'" in expected[1]
+
+    def test_ragged_rows_are_found_before_cells_are_parsed(self, tmp_path):
+        path = write(tmp_path / "d.csv",
+                     "0,1,2,response\n"
+                     "1,oops,3,10\n"
+                     "1,2,10\n")
+        with pytest.raises(RaggedRows, match="row 3 has 3 cells, expected 4"):
+            load_sample(path)
+
+
+def reference_save_sample(sample, path):
+    """The per-cell writer that the per-row format replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([_fmt(p) for p in sample.grid.points] + ["response"])
+        for row, resp in zip(sample.values, sample.responses):
+            writer.writerow([_fmt(v) for v in row] + [_fmt(resp)])
+
+
+#: Finite floats with the awkward cases named: signed zeros, subnormals,
+#: extreme exponents and integral values.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300,
+                     -1e300, 1e-300, -1e-300, 3.0, -1e16, 2.0**53 + 1.0]),
+    st.integers(-2**53, 2**53).map(float),
+)
+
+
+class TestRowFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 6), st.data())
+    def test_bytes_match_the_per_cell_writer(self, tmp_path_factory, n, p, data):
+        grid = SamplingGrid(np.cumsum(data.draw(st.lists(
+            st.floats(0.25, 1e3), min_size=p, max_size=p))))
+        values = np.array(data.draw(st.lists(FINITE, min_size=n * p,
+                                             max_size=n * p))).reshape(n, p)
+        responses = data.draw(st.lists(FINITE, min_size=n, max_size=n))
+        sample = FunctionalSample(grid, values, responses)
+        out = tmp_path_factory.mktemp("csv")
+        save_sample(sample, out / "rows.csv")
+        reference_save_sample(sample, out / "cells.csv")
+        assert (out / "rows.csv").read_bytes() == (out / "cells.csv").read_bytes()
+
+    @given(st.one_of(FINITE, st.sampled_from([math.inf, -math.inf, math.nan])))
+    def test_printf_format_is_format_17g(self, x):
+        # a sample holds only finite values; the writer's format must still
+        # agree with format(x, ".17g") on every double
+        assert "%.17g" % x == format(x, ".17g") == _fmt(x)

@@ -8,6 +8,7 @@ import pytest
 from funkreg import (
     Curve,
     DegenerateBall,
+    EmptyNeighborhood,
     FractalFamily,
     GridTooShort,
     KernelSpec,
@@ -24,6 +25,9 @@ from funkreg import (
     mc_tau_convergence,
     true_regression,
 )
+from funkreg import simulation
+from funkreg.kernels import eval_kernel_array
+from funkreg.simulation import _replication_rng, _scalar_fits
 
 UNIFORM = KernelSpec.uniform()
 
@@ -236,3 +240,65 @@ class TestMcTauConvergence:
             want = family._unnormalized(np.array([s]))[0] / norm
             got = float(np.mean(draws <= s))
             assert got == pytest.approx(want, abs=0.02)
+
+
+def reference_scalar_fits(config, kernel):
+    """One direct fit per replication, as before replications were blocked."""
+    preds, counts = [], []
+    for rep in range(config.reps):
+        rng = _replication_rng(config.seed, rep)
+        x = rng.random(config.n)
+        y = config.slope * x
+        if config.noise_sd > 0:
+            y = y + config.noise_sd * rng.standard_normal(config.n)
+        d = np.abs(x - config.chi)
+        w = eval_kernel_array(kernel, d / config.h)
+        total = float(np.sum(w))
+        if total <= 0.0:
+            raise EmptyNeighborhood(f"replication {rep}")
+        preds.append(float(np.dot(w, y)) / total)
+        counts.append(int(np.count_nonzero(d <= config.h)))
+    return np.array(preds), np.array(counts)
+
+
+class TestBlockedReplications:
+    @pytest.mark.parametrize("budget", [1, 60, 150, 1 << 16])
+    @pytest.mark.parametrize("kernel", [UNIFORM, KernelSpec.quadratic()])
+    def test_blocks_match_per_replication_fits(self, monkeypatch, budget, kernel):
+        # n = 50: blocks of 1, 1, 3 and all 7 replications (short last block)
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", budget)
+        config = ScalarDesignConfig(n=50, h=0.3, chi=0.2, noise_sd=0.5,
+                                    reps=7, seed=21)
+        preds, counts = _scalar_fits(config, kernel)
+        want_preds, want_counts = reference_scalar_fits(config, kernel)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_allclose(preds, want_preds, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want_preds)))
+
+    def test_experiments_use_the_blocked_fits(self, monkeypatch):
+        config = ScalarDesignConfig(n=40, h=0.2, noise_sd=0.5, reps=9, seed=4)
+        want, counts = reference_scalar_fits(config, UNIFORM)
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 100)
+        report = mc_bias_variance(config, UNIFORM)
+        np.testing.assert_allclose(report.predictions, want, rtol=1e-13)
+        normal = mc_normality(config, UNIFORM)
+        # uniform kernel, tau0(s) = s: m1 = m2 = 1 and b_n = h / 2 at chi = 0
+        standardized = np.sqrt(counts) * (want - config.h / 2) / config.noise_sd
+        np.testing.assert_allclose(normal.standardized, standardized, rtol=1e-12)
+
+    def test_first_empty_replication_raises(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 6)  # 3 per block
+        # a seed whose first empty replication lies past the first block
+        for seed in range(100):
+            config = ScalarDesignConfig(n=2, h=0.2, chi=0.5, reps=12, seed=seed)
+            with pytest.raises(EmptyNeighborhood) as info:
+                reference_scalar_fits(config, UNIFORM)
+            first = int(str(info.value).split()[-1])
+            if first >= 3:
+                break
+        assert first >= 3
+        block = first // 3 * 3
+        with pytest.raises(EmptyNeighborhood,
+                           match=f"replications {block}-{block + 2}: .* "
+                                 f"at query {first - block}$"):
+            _scalar_fits(config, UNIFORM)
