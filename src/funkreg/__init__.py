@@ -70,14 +70,12 @@ from .io import load_sample, save_sample, split_sample
 from .kernels import (
     KernelConstants,
     KernelSpec,
-    KernelValidationReport,
     M0PositivityReport,
     Tau0Model,
     check_m0_positive,
     compute_constants,
     constants_by_quadrature,
     tau0_eval,
-    validate_kernel,
 )
 from .simulation import (
     BiasVarianceExperiment,

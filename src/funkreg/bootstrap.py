@@ -199,7 +199,6 @@ def residuals(sample: FunctionalSample, kernel: KernelSpec,
     from the ranking but included in the fit), or explicit per-point radii.
 
     Raises:
-        InvalidKernel: for a negative or increasing kernel.
         EmptyNeighborhood: naming the first point with no positive weight.
     """
     given = [v is not None for v in (h, k, h_per_point)]
@@ -262,7 +261,6 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
 
     Raises:
         GridMismatch: if a query is not on the sample grid.
-        InvalidKernel: for a negative or increasing kernel.
         DegeneratePilot: when the pilot fit fails at some point or query.
         EmptyNeighborhood: when a candidate radius leaves a query without
             positively weighted neighbors (reported with its k, h, query).

@@ -221,10 +221,7 @@ def _write_tsv(path, header: list[str], rows: list[list]) -> None:
 
 def _load_single(opts: _Options) -> FunctionalSample:
     data = opts.require("data", "--data")
-    response_file = opts.get("response_file")
-    if response_file:
-        return load_sample(data, mode="response_file", response_path=response_file)
-    return load_sample(data)
+    return load_sample(data, response_path=opts.get("response_file") or None)
 
 
 def _train_and_queries(opts: _Options) -> tuple[FunctionalSample, FunctionalSample]:
@@ -481,21 +478,17 @@ def _cmd_mc_normality(args) -> int:
     return 0
 
 
-def _add_common(parser, *, data=False, pair=False, bandwidth=False,
-                config=True, out=True):
-    if config:
-        parser.add_argument("--config", help="JSON config file; flags override it")
-    if out:
-        parser.add_argument("--out", help="output file (default: stdout)")
+def _add_common(parser, *, pair=False, bandwidth=False):
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--kernel", help="uniform|quadratic|triangle|poly:c0,c1,...")
     parser.add_argument("--deriv-order", dest="deriv_order", type=int,
                         choices=[0, 1, 2], help="semi-metric derivative order")
     parser.add_argument("--presmooth-window", dest="presmooth_window", type=int,
                         help="odd moving-average window (default: none)")
-    if data:
-        parser.add_argument("--data", help="curve CSV (response in final column)")
-        parser.add_argument("--response-file", dest="response_file",
-                            help="companion response file (one value per line)")
+    parser.add_argument("--data", help="curve CSV (response in final column)")
+    parser.add_argument("--response-file", dest="response_file",
+                        help="companion response file (one value per line)")
     if pair:
         parser.add_argument("--train", help="training curve CSV")
         parser.add_argument("--test", help="query curve CSV")
@@ -531,21 +524,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="in-sample predictions on a dataset")
-    _add_common(p, data=True, bandwidth=True)
+    _add_common(p, bandwidth=True)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predictions at query curves")
-    _add_common(p, data=True, pair=True, bandwidth=True)
+    _add_common(p, pair=True, bandwidth=True)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("ci", help="predictions with confidence intervals")
-    _add_common(p, data=True, pair=True, bandwidth=True)
+    _add_common(p, pair=True, bandwidth=True)
     p.add_argument("--tau0", help="tau0 model (default fractal:1)")
     p.add_argument("--level", type=float, help="confidence level (default 0.95)")
     p.set_defaults(func=_cmd_ci)
 
     p = sub.add_parser("select", help="wild-bootstrap bandwidth selection")
-    _add_common(p, data=True, pair=True)
+    _add_common(p, pair=True)
     p.add_argument("--k-min", dest="k_min", type=int)
     p.add_argument("--k-max", dest="k_max", type=int)
     p.add_argument("--n-boot", dest="n_boot", type=int)
@@ -581,9 +574,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FunkregError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ from .kernels import (
     Tau0Model,
     compute_constants,
     eval_kernel_array,
-    validate_kernel,
 )
 
 
@@ -127,14 +126,11 @@ def knn_radii(distances, k_min: int, k_max: int) -> np.ndarray:
     return head[..., k_min - 1:].copy()
 
 
-def knn_bandwidths(distances, k_min: int, k_max: int,
-                   exclude_self: bool = False) -> BandwidthGrid:
+def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
     """Bandwidth grid of k-nearest-neighbor radii, k = k_min .. k_max.
 
     ``h_k`` is the k-th smallest distance (1-indexed); ties produce equal
-    consecutive radii. When ``exclude_self`` is set, one zero distance
-    (the query's own entry, for in-sample queries) is dropped before
-    ranking. This is the one-row case of ``knn_radii``.
+    consecutive radii. This is the one-row case of ``knn_radii``.
 
     Raises:
         TooFewPoints: unless 2 <= k_min <= k_max <= n - 1.
@@ -146,8 +142,6 @@ def knn_bandwidths(distances, k_min: int, k_max: int,
             f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
             f"got k_min = {k_min}, k_max = {k_max}"
         )
-    if exclude_self and d.min() == 0.0:
-        d = np.delete(d, np.argmin(d))
     hs = knn_radii(d, k_min, k_max).tolist()
     return BandwidthGrid(tuple(zip(range(k_min, k_max + 1), hs)))
 
@@ -217,10 +211,10 @@ def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
         raise EmptyNeighborhood(
             f"no positive kernel weight within radius {h[bad]} at query {bad}"
         )
-    if y.ndim == 1:
-        weighted = w @ y
-    else:  # one dot product per row, a stack of (1, n) @ (n, 1) products
-        weighted = np.matmul(w[:, None, :], y[:, :, None])[:, 0, 0]
+    # One dot product per row, a stack of (1, n) @ (n, 1) products that
+    # broadcasts shared (n,) responses: each row rounds as np.dot does,
+    # whatever the batch (a gemv's rounding depends on the block height).
+    weighted = np.matmul(w[:, None, :], y[..., None])[:, 0, 0]
     counts = (d <= column).sum(axis=1)
     return weighted / totals, totals, counts
 
@@ -286,14 +280,9 @@ class InsampleSmoother:
     maximum, so the rounding error of a prediction stays near
     eps * count * sum|c_p| / K(0) times max|y|. A query outside the sample
     has no such bound, and is smoothed directly by ``nadaraya_watson``.
-
-    Raises:
-        InvalidKernel: unless the kernel is nonnegative and nonincreasing,
-            which makes K(0) its maximum.
     """
 
     def __init__(self, distances, responses, kernel: KernelSpec):
-        validate_kernel(kernel)
         d = np.asarray(distances, dtype=float)
         y = np.asarray(responses, dtype=float)
         n = y.size
@@ -334,9 +323,9 @@ class InsampleSmoother:
     def knn_radii(self, k: int) -> np.ndarray:
         """Each point's k-th smallest distance, itself excluded.
 
-        One leading exact zero (the self-distance) is dropped before
-        ranking, as in ``knn_bandwidths(..., exclude_self=True)``; every
-        sorted row starts with it.
+        Each row's smallest entry is its exact-zero self-distance, so
+        entry k of the sorted row is the k-th smallest distance to the
+        other points, also when other points tie with it at zero.
         """
         available = len(self) - 1
         if k < 1:
@@ -426,7 +415,6 @@ def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
     The constants and the normal quantile z are computed once per call.
 
     Raises:
-        InvalidKernel: for a negative or increasing kernel.
         KernelNotH2Strict: if K(1) = 0 (the limit constants degenerate).
         DegenerateBall: for a neighbor count that is not positive.
         DegenerateConstants: if m1 <= 0.

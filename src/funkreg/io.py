@@ -76,39 +76,32 @@ def load_responses(path) -> np.ndarray:
     return np.asarray(values)
 
 
-def load_sample(path, mode: str = "response_column",
-                response_path=None) -> FunctionalSample:
+def load_sample(path, response_path=None) -> FunctionalSample:
     """Load a curve dataset into a validated FunctionalSample.
 
     Args:
         path: CSV file as described in the module docstring.
-        mode: "response_column" (final column holds the responses; the
-            final header cell is a label) or "response_file" (all header
-            cells are grid abscissae; responses come from response_path).
-        response_path: companion file, required in response_file mode.
+        response_path: companion response file. Without it the final
+            column holds the responses and the final header cell is a
+            label; with it every header cell is a grid abscissa.
 
     Raises:
         ParseError: naming the offending cell.
         RaggedRows: when a row's length disagrees with the header.
         NonMonotoneGrid: when the header abscissae are not increasing.
     """
-    if mode not in ("response_column", "response_file"):
-        raise ValidationError(f"unknown load mode: {mode!r}")
     rows = _read_rows(path)
     header = rows[0]
-    if mode == "response_column":
-        if len(header) < 3:
+    width = len(header)
+    if response_path is None:
+        if width < 3:
             raise ValidationError(
                 f"{path}: response_column layout needs >= 2 grid columns "
                 "plus the response column"
             )
         grid = _grid_from_header(header[:-1], path)
-        width = len(header)
     else:
-        if response_path is None:
-            raise ValidationError("response_file mode needs a response path")
         grid = _grid_from_header(header, path)
-        width = len(header)
 
     body = rows[1:]
     for i, row in enumerate(body, start=2):
@@ -126,7 +119,7 @@ def load_sample(path, mode: str = "response_column",
                 _parse_cell(cell, i, j, path)
         raise
     table = cells.reshape(len(body), width)
-    if mode == "response_column":
+    if response_path is None:
         values, responses = table[:, :-1], table[:, -1]
     else:
         values = table

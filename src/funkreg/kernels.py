@@ -33,7 +33,11 @@ class KernelSpec:
 
     ``coefficients`` are ascending powers: K(u) = sum_j c_j u^j on [0, 1],
     and K(u) = 0 outside. Use the factory classmethods for the named
-    families.
+    families. Construction checks the shape on a 1024-point grid and raises
+    InvalidKernel for a negative or increasing kernel, so every KernelSpec
+    has its maximum at K(0). The boundary clause K(1) > 0 is not enforced
+    (``h2_strict``): the quadratic kernel fails it yet remains usable
+    everywhere except confidence intervals.
     """
 
     family: str
@@ -45,6 +49,12 @@ class KernelSpec:
         object.__setattr__(
             self, "coefficients", tuple(float(c) for c in self.coefficients)
         )
+        u = np.linspace(0.0, 1.0, _CHECK_GRID_SIZE)
+        if not np.all(_polyval(self.coefficients, u) >= -_NEGATIVITY_TOL):
+            raise InvalidKernel(f"kernel {self.family} is negative on [0, 1]")
+        deriv = _polyval(self.derivative_coefficients(), u[:-1])
+        if not np.all(deriv <= _NEGATIVITY_TOL):
+            raise InvalidKernel(f"kernel {self.family} is increasing on [0, 1)")
 
     @classmethod
     def uniform(cls) -> "KernelSpec":
@@ -96,46 +106,6 @@ def eval_kernel_array(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     inside = (u >= 0.0) & (u <= 1.0)
     return np.where(inside, _polyval(spec.coefficients, u.clip(0.0, 1.0)), 0.0)
-
-
-@dataclass(frozen=True)
-class KernelValidationReport:
-    """Per-clause verdicts for the kernel shape requirements."""
-
-    nonnegative: bool
-    nonincreasing: bool
-    k_at_one: float
-    k1_positive: bool
-
-    @property
-    def all_clauses_pass(self) -> bool:
-        return self.nonnegative and self.nonincreasing and self.k1_positive
-
-
-def validate_kernel(spec: KernelSpec) -> KernelValidationReport:
-    """Check the kernel shape clauses on a 1024-point grid.
-
-    Nonnegativity and monotonicity are hard requirements and raise
-    InvalidKernel when violated. The boundary clause K(1) > 0 is reported
-    but not enforced: the quadratic kernel fails it yet remains usable
-    everywhere except confidence intervals.
-    """
-    u = np.linspace(0.0, 1.0, _CHECK_GRID_SIZE)
-    values = _polyval(spec.coefficients, u)
-    nonnegative = bool(np.all(values >= -_NEGATIVITY_TOL))
-    deriv = _polyval(spec.derivative_coefficients(), u[:-1])
-    nonincreasing = bool(np.all(deriv <= _NEGATIVITY_TOL))
-    if not nonnegative:
-        raise InvalidKernel(f"kernel {spec.family} is negative on [0, 1]")
-    if not nonincreasing:
-        raise InvalidKernel(f"kernel {spec.family} is increasing on [0, 1)")
-    k1 = spec.k_at_one
-    return KernelValidationReport(
-        nonnegative=nonnegative,
-        nonincreasing=nonincreasing,
-        k_at_one=k1,
-        k1_positive=k1 > 0.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -326,11 +296,7 @@ def compute_constants(spec: KernelSpec, tau0: Tau0Model) -> KernelConstants:
     dirac-at-one limit kills every integral (the integrand is multiplied
     by an a.e.-zero function), leaving m0 = m1 = K(1) and m2 = K(1)^2.
     Indicator and empirical models fall back to adaptive quadrature.
-
-    Raises:
-        InvalidKernel: propagated from kernel validation.
     """
-    validate_kernel(spec)
     if tau0.family == "fractal":
         return _closed_form_fractal(spec, tau0.gamma)
     if tau0.family == "dirac_at_one":

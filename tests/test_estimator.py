@@ -64,10 +64,6 @@ class TestKnnBandwidths:
         with pytest.raises(TooFewPoints):
             knn_bandwidths([0.1, 0.2, 0.3], 1, 2)
 
-    def test_exclude_self(self):
-        grid = knn_bandwidths([0.0, 0.2, 0.1, 0.4], 2, 2, exclude_self=True)
-        assert grid.entries == ((2, 0.2),)
-
 
 class TestNadarayaWatson:
     def test_single_point_in_ball(self):
@@ -536,6 +532,46 @@ class TestNadarayaWatsonBatch:
             nadaraya_watson_batch(d, [1.0, 2.0], UNIFORM, [0.5, 0.25, 0.25])
 
 
+@st.composite
+def batches(draw):
+    """A block of up to 40 queries over up to 400 sample curves with kNN
+    radii, and a batch of its rows: any subset, in any order, repeats
+    allowed. Distances on a 1/8 lattice tie often."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 400))
+    d = rng.random((m, n)) * 4.0
+    if draw(st.booleans()):
+        d = np.round(d * 8.0) / 8.0
+    k = draw(st.integers(1, n))
+    # above the k-th smallest distance, so every row has positive weight
+    radii = 1.5 * np.sort(d, axis=1)[:, k - 1] + 1e-3
+    y = rng.normal(size=draw(st.sampled_from([(n,), (m, n)]))) * 100.0
+    batch = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m))
+    return d, y, radii, np.array(batch)
+
+
+class TestBatchInvariance:
+    @settings(max_examples=150, deadline=None)
+    @given(batches(), st.sampled_from(sorted(SMOOTHER_KERNELS)))
+    def test_a_query_gets_the_same_bits_in_any_batch(self, case, kernel_name):
+        d, y, radii, batch = case
+        kernel = SMOOTHER_KERNELS[kernel_name]
+        full = nadaraya_watson_batch(d, y, kernel, radii)
+        part = nadaraya_watson_batch(
+            d[batch], y if y.ndim == 1 else y[batch], kernel, radii[batch]
+        )
+        for got, want in zip(part, full):
+            np.testing.assert_array_equal(got, want[batch])
+        rows = np.broadcast_to(y, d.shape)
+        for j in range(len(d)):
+            alone = nadaraya_watson(d[j], rows[j], kernel, radii[j])
+            assert alone.prediction == full[0][j]
+            # bit for bit the per-query np.dot the batched smoother replaced
+            w = eval_kernel_array(kernel, d[j] / radii[j])
+            assert full[1][j] == np.sum(w)
+            assert full[0][j] == np.dot(w, rows[j]) / np.sum(w)
+
+
 class TestKnnRadii:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 30), st.data())
@@ -555,10 +591,8 @@ class TestKnnRadii:
         rng = np.random.default_rng(5)
         d = rng.random(50)
         d[7] = 0.0
-        for exclude_self in (False, True):
-            grid = knn_bandwidths(d, 2, 20, exclude_self=exclude_self)
-            ordered = np.sort(d)[1:] if exclude_self else np.sort(d)
-            assert grid.hs == tuple(ordered[1:20])
+        grid = knn_bandwidths(d, 2, 20)
+        assert grid.hs == tuple(np.sort(d)[1:20])
 
     def test_rejects_k_outside_the_row(self):
         d = np.zeros((2, 4))

@@ -69,7 +69,7 @@ class TestLoadSample:
                      "1,2,3\n"
                      "4,5,6\n")
         resp = write(tmp_path / "r.txt", "10\n20\n")
-        sample = load_sample(data, mode="response_file", response_path=resp)
+        sample = load_sample(data, response_path=resp)
         assert len(sample) == 2
         np.testing.assert_array_equal(sample.responses, [10.0, 20.0])
 
@@ -77,7 +77,7 @@ class TestLoadSample:
         data = write(tmp_path / "d.csv", "0,1\n1,2\n3,4\n")
         resp = write(tmp_path / "r.txt", "10\n")
         with pytest.raises(ValidationError):
-            load_sample(data, mode="response_file", response_path=resp)
+            load_sample(data, response_path=resp)
 
     def test_spectral_shape(self, tmp_path):
         # the 215-curve, 100-channel layout of a spectrometric file

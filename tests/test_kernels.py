@@ -1,5 +1,7 @@
 """Tests for kernels, tau0 models, and the asymptotic constants engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from funkreg import (
     compute_constants,
     constants_by_quadrature,
     tau0_eval,
-    validate_kernel,
 )
 from funkreg.kernels import eval_kernel_array
 
@@ -46,23 +47,43 @@ class TestEvalKernel:
 
 
 class TestValidateKernel:
+    """The shape clauses are checked once, when a KernelSpec is built."""
+
     def test_uniform_passes_all_clauses(self):
-        report = validate_kernel(KernelSpec.uniform())
-        assert report.all_clauses_pass
+        kernel = KernelSpec.uniform()
+        assert kernel.k_at_one == 1.0
+        assert kernel.h2_strict
 
     def test_quadratic_fails_boundary_clause_only(self):
-        report = validate_kernel(KernelSpec.quadratic())
-        assert report.nonnegative and report.nonincreasing
-        assert report.k_at_one == 0.0
-        assert not report.k1_positive
+        kernel = KernelSpec.quadratic()  # built, so nonnegative and nonincreasing
+        assert kernel.k_at_one == 0.0
+        assert not kernel.h2_strict
 
     def test_negative_kernel_rejected(self):
-        with pytest.raises(InvalidKernel):
-            validate_kernel(KernelSpec.polynomial((-1.0,)))
+        with pytest.raises(InvalidKernel,
+                           match=r"^kernel polynomial is negative on \[0, 1\]$"):
+            KernelSpec.polynomial((-1.0,))
 
     def test_increasing_kernel_rejected(self):
-        with pytest.raises(InvalidKernel):
-            validate_kernel(KernelSpec.polynomial((0.5, 1.0)))
+        with pytest.raises(InvalidKernel,
+                           match=r"^kernel polynomial is increasing on \[0, 1\)$"):
+            KernelSpec.polynomial((0.5, 1.0))
+
+    def test_shape_tolerance_is_1e_12(self):
+        KernelSpec.polynomial((1.0, -1.0 - 1e-13))  # K(1) = -1e-13
+        KernelSpec.polynomial((1.0, 1e-13))  # K' = 1e-13
+        with pytest.raises(InvalidKernel, match="negative"):
+            KernelSpec.polynomial((1.0, -1.0 - 1e-11))
+        with pytest.raises(InvalidKernel, match="increasing"):
+            KernelSpec.polynomial((1.0, 1e-11))
+
+    def test_negativity_is_reported_before_increase(self):
+        with pytest.raises(InvalidKernel, match="negative"):
+            KernelSpec("bent", (-1.0, 2.0))
+
+    def test_replace_rechecks_the_shape(self):
+        with pytest.raises(InvalidKernel, match="kernel uniform is increasing"):
+            dataclasses.replace(KernelSpec.uniform(), coefficients=(0.0, 1.0))
 
 
 class TestTau0Eval:
