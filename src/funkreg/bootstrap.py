@@ -12,12 +12,16 @@ uniforms from a Philox stream keyed by (s, b), indexed by each point's key
 (its original sample index by default). Results are therefore bit-stable
 and independent of evaluation order.
 
-Cost: the in-sample refit at every (query, candidate k) radius reads sorted
-prefix sums (``InsampleSmoother``), so after one O(n^2 log n) sort it costs
-O(J K n (log n + deg)) for J queries and K candidates instead of J K n^2
-kernel evaluations; scoring adds one (B x n) by (n x J K) product. Work
-arrays are bounded by refitting queries in blocks of about
-``_BLOCK_ELEMENTS`` (point, radius) pairs.
+Cost: at query j only the points of its k_max-ball
+S_j = {i : d(query j, X_i) <= h_{j, k_max}} get a positive weight at any
+candidate radius, so only their residuals can move its score. Each query
+refits and scores its s = |S_j| points alone (s = k_max without ties,
+against n points in all): the refit reads sorted prefix sums
+(``InsampleSmoother``), so after one O(n^2 log n) sort it costs
+O(J K s (log n + deg)) for J queries and K candidates, and scoring is one
+(K x s) by (s x B) product per query. Queries are processed in blocks
+padded to the block's largest s, with work arrays of about
+``_BLOCK_ELEMENTS`` floats.
 """
 
 import math
@@ -52,9 +56,10 @@ MULTIPLIER_LOW = (1.0 - _SQRT5) / 2.0
 MULTIPLIER_HIGH = (1.0 + _SQRT5) / 2.0
 P_LOW = (5.0 + _SQRT5) / 10.0
 P_HIGH = (5.0 - _SQRT5) / 10.0
-#: Element budget of one refit block: queries are refit together, all
-#: candidate radii at once, in blocks of about this many (point, radius)
-#: pairs, which bounds the block's working arrays.
+#: Element budget of one refit block: queries are refit and scored
+#: together, all candidate radii at once, in blocks whose work arrays hold
+#: about this many floats, (B + s) K + B s per query with a k_max-ball of
+#: s points, K candidates and B replications.
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -228,17 +233,48 @@ def _multiplier_matrix(seed: int, n_replications: int,
 
     Row b comes from the Philox stream keyed by (seed, b); each point reads
     the draw at the position of its key, so a permuted sample with matching
-    keys receives the same multipliers.
+    keys receives the same multipliers. One bit generator is reset to each
+    stream's start (zero counter, empty buffer), which gives the bits of a
+    fresh ``Generator(Philox(key=[seed, b]))`` without seeding one per row.
     """
     n_keys = int(keys.max()) + 1
+    bit_generator = np.random.Philox(0)
+    gen = np.random.Generator(bit_generator)
+    state = bit_generator.state
     out = np.empty((n_replications, keys.size))
     for b in range(n_replications):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, b], dtype=np.uint64))
-        )
+        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+        state["state"]["key"] = np.array([seed, b], dtype=np.uint64)
+        state.update(buffer=np.zeros(4, dtype=np.uint64), buffer_pos=4,
+                     has_uint32=0, uinteger=0)
+        bit_generator.state = state
         u = gen.random(n_keys)[keys]
         out[b] = np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH)
     return out
+
+
+def _point_keys(point_keys, n: int) -> np.ndarray:
+    """Validated RNG keys: n distinct nonnegative integers.
+
+    Two points sharing a key would share their multipliers, so the wild
+    draws would be correlated; a fractional key would be truncated.
+    """
+    if point_keys is None:
+        return np.arange(n)
+    keys = np.asarray(point_keys)
+    if keys.shape != (n,) or keys.dtype.kind not in "iuf":
+        raise ValidationError(
+            f"point_keys must hold {n} integer keys, one per point"
+        )
+    if keys.dtype.kind == "f":
+        if not np.all((np.abs(keys) < 2.0**63) & (keys == np.floor(keys))):
+            raise ValidationError("point_keys must be integers")
+        keys = keys.astype(np.int64)
+    if keys.min() < 0:
+        raise ValidationError("point_keys must be nonnegative")
+    if np.unique(keys).size != n:
+        raise ValidationError("point_keys must be distinct")
+    return keys
 
 
 def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
@@ -256,8 +292,9 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     ``config.query_index``.
 
     Args:
-        point_keys: per-point RNG keys (defaults to 0..n-1); pass original
-            indices to make results invariant to permuting the sample.
+        point_keys: per-point RNG keys, distinct nonnegative integers
+            (defaults to 0..n-1); pass original indices to make results
+            invariant to permuting the sample.
 
     Raises:
         GridMismatch: if a query is not on the sample grid.
@@ -278,12 +315,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     if not active:
         raise ValidationError("query set must be nonempty")
 
-    if point_keys is None:
-        keys = np.arange(n)
-    else:
-        keys = np.asarray(point_keys, dtype=int)
-        if keys.shape != (n,) or keys.min() < 0:
-            raise ValidationError("point_keys must be nonnegative, one per point")
+    keys = _point_keys(point_keys, n)
 
     trans_q = transform(curve_matrix(active, sample.grid), sample.grid, spec)
     trans = transformed_matrix(sample, spec)
@@ -312,27 +344,49 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     radii = knn_radii(dist_qs, config.k_min, config.k_max)
     if np.any(radii <= 0.0):
         raise DegenerateGrid("bandwidths must be strictly positive")
-    multipliers = _multiplier_matrix(config.seed, config.n_replications, keys)
+    # Row i holds point i's multipliers, so a support gathers whole rows.
+    multipliers = np.ascontiguousarray(
+        _multiplier_matrix(config.seed, config.n_replications, keys).T
+    )
+    # S_j = {i : d(query j, X_i) <= h_{j, k_max}} holds every point with a
+    # positive query weight at any candidate radius, ties included.
+    in_support = dist_qs <= radii[:, -1:]
+    support_sizes = in_support.sum(axis=1)
+    n_boot, s_max = config.n_replications, int(support_sizes.max())
+    step = max(1, _BLOCK_ELEMENTS // ((n_boot + s_max) * n_k + n_boot * s_max))
     errors = np.empty((len(active), n_k))
-    step = max(1, _BLOCK_ELEMENTS // (n * n_k))
     for start in range(0, len(active), step):
         block = slice(start, start + step)
-        h = radii[block].ravel()  # query-major: (query, k) pairs
-        query = np.repeat(np.arange(len(active))[block], n_k)
-        resid = y[:, None] - smoother.fit(np.broadcast_to(h, (n, h.size)))[0]
-        w_q = eval_kernel_array(kernel, dist_qs[query] / h[:, None])
+        h = radii[block]  # (queries, k)
+        s = int(support_sizes[block].max())
+        # Each query's support in index order, padded up to the block's
+        # largest with copies of its first point at weight 0.
+        support = np.argsort(~in_support[block], axis=1, kind="stable")[:, :s]
+        padded = np.arange(s) >= support_sizes[block, None]
+        support = np.where(padded, support[:, :1], support)
+        fits = smoother.fit(np.repeat(h, s, axis=0), support.ravel())[0]
+        resid = y[support][..., None] - fits.reshape(*support.shape, n_k)
+        d = np.take_along_axis(dist_qs[block], support, axis=1)
+        # A distance far above a tiny radius overflows to inf: weight 0.
+        with np.errstate(over="ignore"):
+            u = d[..., None] / h[:, None, :]
+        w_q = eval_kernel_array(kernel, u)  # (queries, s, k)
+        w_q[padded] = 0.0
         totals = w_q.sum(axis=1)
-        bad = np.flatnonzero(totals <= 0.0)
+        bad = np.argwhere(totals <= 0.0)
         if bad.size:
-            j, ki = divmod(start * n_k + int(bad[0]), n_k)
+            j, ki = bad[0]
             raise EmptyNeighborhood(
-                f"no positive weight at query {j} for k = {ks[ki]}, "
-                f"h = {radii[j, ki]}"
+                f"no positive weight at query {start + j} for k = {ks[ki]}, "
+                f"h = {radii[start + j, ki]}"
             )
-        base = (w_q @ r_tilde) / totals
-        deviations = (multipliers @ (w_q.T * resid)) / totals
-        sq = (base + deviations - r_tilde_q[query]) ** 2
-        errors[block] = sq.mean(axis=0).reshape(-1, n_k)
+        base = np.matmul(r_tilde[support][:, None, :], w_q)[:, 0, :] / totals
+        # (queries, k, s) @ (queries, s, B): every replication's re-estimate
+        deviations = np.matmul(
+            (w_q * resid).transpose(0, 2, 1), multipliers[support]
+        ) / totals[..., None]
+        sq = (base[..., None] + deviations - r_tilde_q[block, None, None]) ** 2
+        errors[block] = sq.mean(axis=2)
 
     per_bandwidth = tuple(
         (k, float(radii[:, ki].mean()), float(errors[:, ki].mean()))

@@ -204,7 +204,11 @@ def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
         bad = np.flatnonzero(~(h > 0.0))[0]
         raise ValidationError(f"bandwidth must be positive, got {h[bad]}")
     column = h[:, None]
-    w = eval_kernel_array(kernel, d / column)
+    # A distance far above a tiny radius overflows to inf, which the kernel
+    # maps to weight 0, as it does any ratio beyond 1.
+    with np.errstate(over="ignore"):
+        u = d / column
+    w = eval_kernel_array(kernel, u)
     totals = w.sum(axis=1)
     if (totals <= 0.0).any():
         bad = np.flatnonzero(totals <= 0.0)[0]
@@ -334,12 +338,15 @@ class InsampleSmoother:
             raise ValidationError(f"k = {k} exceeds {available} available distances")
         return self._sorted[:, k].copy()
 
-    def fit(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions and neighbor counts at radii of shape (n, m).
+    def fit(self, radii, points=None) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions and neighbor counts at radii of shape (len(points), m).
 
-        Row i of ``radii`` holds the m radii at which point i is fitted;
-        both outputs have the shape of ``radii``. The neighbor count is
-        #{d <= h}, the support of the kernel.
+        Row r of ``radii`` holds the m radii at which sample point
+        ``points[r]`` is fitted; ``points`` defaults to every point in
+        order, and may repeat a point. Both outputs have the shape of
+        ``radii``. The neighbor count is #{d <= h}, the support of the
+        kernel. A fit depends only on its point and radius, so it has the
+        same bits whichever rows are fitted together.
 
         Raises:
             ValidationError: for a radius that is not positive, or is below
@@ -348,8 +355,12 @@ class InsampleSmoother:
             EmptyNeighborhood: naming the first point with no positive weight.
         """
         radii = np.asarray(radii, dtype=float)
-        if radii.ndim != 2 or radii.shape[0] != len(self):
-            raise ValidationError(f"radii must have shape ({len(self)}, m)")
+        points = (np.arange(len(self)) if points is None
+                  else np.asarray(points, dtype=np.intp))
+        if points.ndim != 1 or radii.ndim != 2 or radii.shape[0] != points.size:
+            raise ValidationError("radii must have shape (len(points), m)")
+        if points.size and not (0 <= points.min() and points.max() < len(self)):
+            raise ValidationError(f"points must lie in [0, {len(self)})")
         bad = np.flatnonzero(~(radii > 0.0))
         if bad.size:
             raise ValidationError(
@@ -362,21 +373,22 @@ class InsampleSmoother:
                 "the smallest radius the in-sample smoother resolves"
             )
         counts = np.empty(radii.shape, dtype=np.intp)
-        for i, row in enumerate(self._sorted):
-            counts[i] = np.searchsorted(row, radii[i], side="right")
+        for r, i in enumerate(points):
+            counts[r] = self._sorted[i].searchsorted(radii[r], side="right")
+        rows = points[:, None]
         num = np.zeros(radii.shape)
         den = np.zeros(radii.shape)
         scaled = radii * self._unit
         for p, c, prefix_y, prefix_1 in self._terms:
             scale = c / scaled ** p
-            num += scale * np.take_along_axis(prefix_y, counts, axis=1)
-            den += scale * np.take_along_axis(prefix_1, counts, axis=1)
+            num += scale * prefix_y[rows, counts]
+            den += scale * prefix_1[rows, counts]
         bad = np.argwhere(den <= 0.0)
         if bad.size:
-            i, col = bad[0]
+            r, col = bad[0]
             raise EmptyNeighborhood(
-                f"at sample point {i}: no positive kernel weight within "
-                f"radius {radii[i, col]}"
+                f"at sample point {points[r]}: no positive kernel weight "
+                f"within radius {radii[r, col]}"
             )
         return num / den, counts
 

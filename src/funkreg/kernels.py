@@ -33,11 +33,12 @@ class KernelSpec:
 
     ``coefficients`` are ascending powers: K(u) = sum_j c_j u^j on [0, 1],
     and K(u) = 0 outside. Use the factory classmethods for the named
-    families. Construction checks the shape on a 1024-point grid and raises
-    InvalidKernel for a negative or increasing kernel, so every KernelSpec
-    has its maximum at K(0). The boundary clause K(1) > 0 is not enforced
-    (``h2_strict``): the quadratic kernel fails it yet remains usable
-    everywhere except confidence intervals.
+    families. Construction checks the shape on a 1024-point grid, with
+    tolerances relative to max|K| there, and raises InvalidKernel for a
+    negative, increasing or vanishing (K(0) <= 0) kernel, so every
+    KernelSpec has its positive maximum at K(0). The boundary clause
+    K(1) > 0 is not enforced (``h2_strict``): the quadratic kernel fails it
+    yet remains usable everywhere except confidence intervals.
     """
 
     family: str
@@ -50,11 +51,16 @@ class KernelSpec:
             self, "coefficients", tuple(float(c) for c in self.coefficients)
         )
         u = np.linspace(0.0, 1.0, _CHECK_GRID_SIZE)
-        if not np.all(_polyval(self.coefficients, u) >= -_NEGATIVITY_TOL):
+        values = _polyval(self.coefficients, u)
+        # Kernel weights are scale-free, so the tolerance scales with K.
+        tol = _NEGATIVITY_TOL * np.max(np.abs(values))
+        if not np.all(values >= -tol):
             raise InvalidKernel(f"kernel {self.family} is negative on [0, 1]")
         deriv = _polyval(self.derivative_coefficients(), u[:-1])
-        if not np.all(deriv <= _NEGATIVITY_TOL):
+        if not np.all(deriv <= tol):
             raise InvalidKernel(f"kernel {self.family} is increasing on [0, 1)")
+        if self.k_at_zero <= 0.0:
+            raise InvalidKernel(f"kernel {self.family} is zero on [0, 1]")
 
     @classmethod
     def uniform(cls) -> "KernelSpec":

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import funkreg.bootstrap
 from funkreg import (
@@ -28,8 +29,19 @@ from funkreg import (
     residuals,
     select_bandwidth,
 )
-from funkreg.bootstrap import _argmin_entry, _multiplier_matrix
-from funkreg.curves import distance_matrix, transform, transformed_matrix
+from funkreg.bootstrap import (
+    MULTIPLIER_HIGH,
+    MULTIPLIER_LOW,
+    P_LOW,
+    _argmin_entry,
+    _multiplier_matrix,
+)
+from funkreg.curves import (
+    curve_matrix,
+    distance_matrix,
+    transform,
+    transformed_matrix,
+)
 from funkreg.kernels import eval_kernel_array
 from funkreg.simulation import default_grid
 
@@ -79,6 +91,8 @@ def reference_error_curve(sample, queries, kernel, spec, config, point_keys=None
             resid = y - (weights @ y) / weights.sum(axis=1)
             w_q = eval_kernel_array(kernel, dist_qs[j] / h)
             total = float(w_q.sum())
+            if total <= 0.0:
+                raise EmptyNeighborhood(f"query {j}, k = {k}")
             base = float(np.dot(w_q, r_tilde)) / total
             deviations = (multipliers @ (w_q * resid)) / total
             errors[j, ki] = np.mean((base + deviations - r_tilde_q[j]) ** 2)
@@ -88,6 +102,33 @@ def reference_error_curve(sample, queries, kernel, spec, config, point_keys=None
         for ki, k in enumerate(range(config.k_min, config.k_max + 1))
     )
     return per_bandwidth, _argmin_entry(per_bandwidth)[0]
+
+
+def duplicated_sample(seed, n, n_duplicates):
+    """A simulated sample plus exact copies of some of its curves, with
+    fresh responses, in shuffled order; and its test sample."""
+    train, test = small_sample(seed=seed, n=n)
+    rng = np.random.default_rng(seed)
+    copies = rng.choice(n, size=n_duplicates, replace=False)
+    values = np.vstack([train.values, train.values[copies]])
+    responses = np.concatenate([
+        train.responses, train.responses[copies] + rng.normal(size=n_duplicates)
+    ])
+    order = rng.permutation(len(values))
+    return FunctionalSample(train.grid, values[order], responses[order]), test
+
+
+def assert_same_error_curve(result, per_bandwidth, selected_k):
+    """Equal k and h, errors to 1e-12 relative, and the same selection
+    unless the two smallest errors are within 1e-10 relative."""
+    assert [(k, h) for k, h, _ in result.per_bandwidth] == [
+        (k, h) for k, h, _ in per_bandwidth
+    ]
+    for (_, _, e1), (_, _, e2) in zip(result.per_bandwidth, per_bandwidth):
+        assert e1 == pytest.approx(e2, rel=1e-12)
+    if result.selected_k != selected_k:
+        first, second = sorted(e for _, _, e in per_bandwidth)[:2]
+        assert second - first <= 1e-10 * second
 
 
 class TestWildResidualLaw:
@@ -324,14 +365,85 @@ class TestBootstrapErrorCurve:
         train, test = small_sample(seed=13)
         config = BootstrapConfig(n_replications=20, k_min=2, k_max=8, seed=4)
         whole = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
-        # blocks of two queries, the last one short
-        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", len(train) * 7 * 2)
+        # blocks of two queries, the last one short: a query costs about
+        # (B + s) K + B s elements, s its largest k_max-ball
+        d = distance_matrix(
+            transform(curve_matrix(test.curves, train.grid), train.grid, DERIV1),
+            transformed_matrix(train, DERIV1), train.grid.trapezoid_weights(),
+        )
+        s = int((d <= np.sort(d, axis=1)[:, 7:8]).sum(axis=1).max())
+        assert len(test) == 5
+        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS",
+                            2 * ((20 + s) * 7 + 20 * s))
         blocked = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
         for (k1, h1, e1), (k2, h2, e2) in zip(whole.per_bandwidth,
                                               blocked.per_bandwidth):
             assert (k1, h1) == (k2, h2)
             assert e2 == pytest.approx(e1, rel=1e-12)
         assert blocked.selected_k == whole.selected_k
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(0, 12), st.sampled_from([2, 3]),
+           st.sampled_from(["quadratic", "uniform"]),
+           st.sampled_from(["test_set", "pointwise"]))
+    def test_matches_reference_with_duplicated_curves(
+            self, seed, n_duplicates, k_min, kernel_name, evaluation):
+        # copies tie exactly, inside the k_max-ball and at candidate radii
+        train, test = duplicated_sample(seed, 24, n_duplicates)
+        kernel = {"quadratic": QUADRATIC, "uniform": KernelSpec.uniform()}[kernel_name]
+        config = BootstrapConfig(
+            n_replications=20, k_min=k_min, k_max=9, seed=seed,
+            evaluation=evaluation, query_index=seed % 5,
+        )
+        try:
+            per_bandwidth, selected_k = reference_error_curve(
+                train, test.curves, kernel, DERIV1, config
+            )
+        except EmptyNeighborhood:  # all k_min nearest tie at the zero edge
+            with pytest.raises(EmptyNeighborhood):
+                bootstrap_error_curve(train, test.curves, kernel, DERIV1, config)
+            return
+        result = bootstrap_error_curve(train, test.curves, kernel, DERIV1, config)
+        assert_same_error_curve(result, per_bandwidth, selected_k)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(0, 12),
+           st.sampled_from(["quadratic", "uniform"]))
+    def test_permutation_invariance_with_duplicated_curves(
+            self, seed, n_duplicates, kernel_name):
+        train, test = duplicated_sample(seed, 30, n_duplicates)
+        kernel = {"quadratic": QUADRATIC, "uniform": KernelSpec.uniform()}[kernel_name]
+        config = BootstrapConfig(n_replications=25, k_min=3, k_max=10, seed=seed)
+        base = bootstrap_error_curve(train, test.curves, kernel, DERIV1, config)
+        perm = np.random.default_rng(seed + 1).permutation(len(train))
+        shuffled = FunctionalSample(
+            train.grid, train.values[perm], train.responses[perm]
+        )
+        moved = bootstrap_error_curve(
+            shuffled, test.curves, kernel, DERIV1, config, point_keys=perm
+        )
+        assert_same_error_curve(moved, base.per_bandwidth, base.selected_k)
+
+    def test_point_keys_must_be_distinct_integers(self):
+        train, test = small_sample(seed=3, n=20)
+        config = BootstrapConfig(n_replications=5, k_min=2, k_max=5, seed=1)
+        keys = np.arange(20.0) * 2.0
+        integral = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                         config, point_keys=keys)
+        assert integral == bootstrap_error_curve(
+            train, test.curves, QUADRATIC, DERIV1, config,
+            point_keys=keys.astype(int),
+        )
+        bad = {
+            "integers": keys + 0.5,
+            "distinct": np.r_[keys[:-1], keys[0]],
+            "nonnegative": keys - 1.0,
+            "one per point": keys[:-1],
+        }
+        for message, point_keys in bad.items():
+            with pytest.raises(ValidationError, match=message):
+                bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                      config, point_keys=point_keys)
 
     def test_empty_query_neighborhood_names_k_h_and_query(self, monkeypatch):
         # constant curves 1/2 apart: the last query sits halfway between two,
@@ -367,9 +479,22 @@ class TestBootstrapErrorCurve:
         with pytest.raises(InvalidKernel):
             KernelSpec.polynomial(coefficients)
 
-    def test_empirical_atom_frequency(self):
-        from funkreg.bootstrap import P_LOW, _multiplier_matrix, MULTIPLIER_LOW
+    @pytest.mark.parametrize("seed", [5, 2**63 + 5])
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_multipliers_are_per_replication_philox_draws(self, seed, permuted):
+        keys = np.arange(165)
+        if permuted:
+            keys = np.random.default_rng(1).permutation(165)
+        expected = np.empty((100, 165))
+        for b in range(100):
+            gen = np.random.Generator(
+                np.random.Philox(key=np.array([seed, b], dtype=np.uint64))
+            )
+            u = gen.random(165)[keys]
+            expected[b] = np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH)
+        np.testing.assert_array_equal(_multiplier_matrix(seed, 100, keys), expected)
 
+    def test_empirical_atom_frequency(self):
         m = _multiplier_matrix(2024, 100, np.arange(10000))
         freq = float(np.mean(m == MULTIPLIER_LOW))
         assert freq == pytest.approx(P_LOW, abs=0.002)

@@ -260,14 +260,18 @@ class TestQueryGrid:
 
 
 class TestInvalidKernel:
-    """A negative or increasing kernel is a validation failure (exit 2) in
-    every command that takes --kernel, before any output is written."""
+    """A negative, increasing or zero kernel is a validation failure (exit 2)
+    in every command that takes --kernel, before any output is written."""
 
     MC = ["--n", "200", "--h", "0.1", "--reps", "20", "--seed", "1"]
 
     @pytest.mark.parametrize(("kernel", "shape"), [
         ("poly:0.5,1", "increasing"),
         ("poly:-1", "negative"),
+        # the shape check is scale-free: a tiny multiple of a bad kernel
+        ("poly:1e-13,1e-13", "increasing"),
+        ("poly:-1e-13", "negative"),
+        ("poly:0", "zero"),
     ])
     @pytest.mark.parametrize("command", [
         "predict", "ci", "fit", "select", "mc-bias-var", "mc-normality",

@@ -204,6 +204,30 @@ class TestInsampleSmoother:
                 assert counts[i, col] == ref.neighbor_count
                 assert abs(preds[i, col] - ref.prediction) <= tol
 
+    @settings(max_examples=100, deadline=None)
+    @given(insample_distances(), st.sampled_from(sorted(SMOOTHER_KERNELS)),
+           st.data())
+    def test_fit_at_points_equals_full_row_fit(self, d, kernel_name, data):
+        n = len(d)
+        y = np.array(data.draw(st.lists(
+            st.floats(-100.0, 100.0, allow_nan=False), min_size=n, max_size=n
+        )))
+        smoother = InsampleSmoother(d, y, SMOOTHER_KERNELS[kernel_name])
+        # radii equal to distances (ties at the kernel's edge) or arbitrary
+        usable = d[(d > 0.0) & (d >= smoother.min_radius)]
+        radius = st.one_of(
+            st.sampled_from(sorted(set(usable.tolist())) or [1.0]),
+            st.floats(1e-3, 5.0),
+        )
+        radii = np.array(data.draw(st.lists(
+            radius, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+        points = np.array(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+        preds, counts = smoother.fit(radii)
+        at_points, counts_at_points = smoother.fit(radii[points], points)
+        np.testing.assert_array_equal(at_points, preds[points])
+        np.testing.assert_array_equal(counts_at_points, counts[points])
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 30), st.data())
     def test_distance_matrix_has_exact_zero_diagonal(self, n, p, data):
@@ -231,12 +255,23 @@ class TestInsampleSmoother:
             smoother.knn_radii(2)
         with pytest.raises(ValidationError):
             smoother.fit(np.zeros((2, 1)))
+        with pytest.raises(ValidationError):
+            smoother.fit(np.ones((1, 1)), points=[2])
+        with pytest.raises(ValidationError):
+            smoother.fit(np.ones((2, 1)), points=[1])
 
     def test_zero_kernel_names_the_point(self):
+        # KernelSpec rejects K(0) <= 0, so a zero kernel is built past its
+        # check to reach the smoother's own guard
+        zero = object.__new__(KernelSpec)
+        object.__setattr__(zero, "family", "polynomial")
+        object.__setattr__(zero, "coefficients", (0.0,))
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        smoother = InsampleSmoother(d, [1.0, 2.0], KernelSpec.polynomial((0.0,)))
+        smoother = InsampleSmoother(d, [1.0, 2.0], zero)
         with pytest.raises(EmptyNeighborhood, match="sample point 0"):
             smoother.fit(np.ones((2, 1)))
+        with pytest.raises(EmptyNeighborhood, match="sample point 1"):
+            smoother.fit(np.ones((1, 1)), points=[1])
 
 
 class TestEmpiricalSdf:
@@ -446,7 +481,8 @@ def reference_nadaraya_watson(distances, responses, kernel, h):
     replaced: (prediction, kernel total, neighbor count)."""
     d = np.asarray(distances, dtype=float)
     y = np.asarray(responses, dtype=float)
-    w = eval_kernel_array(kernel, d / h)
+    with np.errstate(over="ignore"):
+        w = eval_kernel_array(kernel, d / h)
     total = float(np.sum(w))
     if total <= 0.0:
         raise EmptyNeighborhood(f"no positive kernel weight within radius {h}")
