@@ -25,6 +25,7 @@ from .curves import (
     SemiMetricSpec,
     differentiate,
     pairwise_distances,
+    sample_distances,
     semi_metric_distance,
 )
 from .errors import (

@@ -7,10 +7,10 @@ oversmoothed pilot fit, re-estimate at h, and score the squared discrepancy
 against the pilot value at the query. The bandwidth minimizing the average
 over replications (and, optionally, over a test set of queries) is selected.
 
-Randomness is counter-based: replication b of a run seeded with s draws its
-uniforms from a Philox stream keyed by (s, b), indexed by each point's key
-(its original sample index by default). Results are therefore bit-stable
-and independent of evaluation order.
+Randomness follows the stream policy of ``simulation``: replication b of a
+run seeded with s draws its uniforms from the stream (s, b), indexed by each
+point's key (its original sample index by default). Results are therefore
+bit-stable and independent of evaluation order.
 
 Cost: at query j only the points of its k_max-ball
 S_j = {i : d(query j, X_i) <= h_{j, k_max}} get a positive weight at any
@@ -35,9 +35,7 @@ from .curves import (
     FunctionalSample,
     SemiMetricSpec,
     curve_matrix,
-    distance_matrix,
-    transform,
-    transformed_matrix,
+    sample_distances,
 )
 from .errors import (
     DegenerateGrid,
@@ -49,6 +47,7 @@ from .errors import (
 )
 from .estimator import InsampleSmoother, knn_radii, nadaraya_watson_batch
 from .kernels import KernelSpec, eval_kernel_array
+from .simulation import check_seed, replication_streams
 
 _SQRT5 = math.sqrt(5.0)
 #: Multipliers of the two-point golden-section law and their probabilities.
@@ -134,8 +133,7 @@ class BootstrapConfig:
             raise ValidationError("n_replications must be >= 1")
         if not (2 <= self.k_min <= self.k_max):
             raise ValidationError("need 2 <= k_min <= k_max")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must be a nonnegative 64-bit integer")
+        check_seed(self.seed)
         if self.evaluation not in ("test_set", "pointwise"):
             raise ValidationError("evaluation must be 'test_set' or 'pointwise'")
         if isinstance(self.pilot, FixedPilot):
@@ -193,61 +191,53 @@ def select_bandwidth(result: WildBootstrapResult) -> tuple[int, float]:
     return _argmin_entry(result.per_bandwidth)
 
 
-def residuals(sample: FunctionalSample, kernel: KernelSpec,
-              spec: SemiMetricSpec, h: float | None = None,
-              k: int | None = None,
-              h_per_point: Sequence[float] | None = None) -> np.ndarray:
-    """In-sample residuals y_i - r_hat(X_i) on the full sample.
+def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
+                 spec: SemiMetricSpec, h: float | None = None,
+                 k: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-sample fit r_hat(X_i) at every sample point.
 
-    Exactly one bandwidth rule must be given: a global radius ``h``, a
-    neighbor count ``k`` (per-point kNN radius, the point itself excluded
-    from the ranking but included in the fit), or explicit per-point radii.
+    Exactly one bandwidth rule must be given: a global radius ``h``, or a
+    neighbor count ``k`` (each point's kNN radius, the point itself
+    excluded from the ranking but included in the fit).
+
+    Returns:
+        (predictions, neighbor counts, radii), one entry per point.
 
     Raises:
         EmptyNeighborhood: naming the first point with no positive weight.
     """
-    given = [v is not None for v in (h, k, h_per_point)]
-    if sum(given) != 1:
-        raise ValidationError("give exactly one of h, k, or h_per_point")
-    n = len(sample)
-    trans = transformed_matrix(sample, spec)
-    w_quad = sample.grid.trapezoid_weights()
-    smoother = InsampleSmoother(
-        distance_matrix(trans, trans, w_quad), sample.responses, kernel
-    )
+    if (h is None) == (k is None):
+        raise ValidationError("give exactly one of h or k")
+    smoother = InsampleSmoother(sample_distances(sample, spec),
+                                sample.responses, kernel)
     if h is not None:
-        radii = np.full(n, float(h))
-    elif k is not None:
-        radii = smoother.knn_radii(int(k))
+        radii = np.full(len(sample), float(h))
     else:
-        radii = np.asarray(h_per_point, dtype=float)
-        if radii.shape != (n,):
-            raise ValidationError(f"h_per_point must have length {n}")
-    preds, _ = smoother.fit(radii[:, None])
-    return sample.responses - preds[:, 0]
+        radii = smoother.knn_radii(int(k))
+    preds, counts = smoother.fit(radii[:, None])
+    return preds[:, 0], counts[:, 0], radii
+
+
+def residuals(sample: FunctionalSample, kernel: KernelSpec,
+              spec: SemiMetricSpec, h: float | None = None,
+              k: int | None = None) -> np.ndarray:
+    """In-sample residuals y_i - r_hat(X_i) on the full sample, at the
+    bandwidth rule of ``insample_fit``."""
+    return sample.responses - insample_fit(sample, kernel, spec, h=h, k=k)[0]
 
 
 def _multiplier_matrix(seed: int, n_replications: int,
                        keys: np.ndarray) -> np.ndarray:
     """Wild multipliers, shape (n_replications, n_points).
 
-    Row b comes from the Philox stream keyed by (seed, b); each point reads
-    the draw at the position of its key, so a permuted sample with matching
-    keys receives the same multipliers. One bit generator is reset to each
-    stream's start (zero counter, empty buffer), which gives the bits of a
-    fresh ``Generator(Philox(key=[seed, b]))`` without seeding one per row.
+    Row b comes from replication b's stream; each point reads the draw at
+    the position of its key, so a permuted sample with matching keys
+    receives the same multipliers.
     """
     n_keys = int(keys.max()) + 1
-    bit_generator = np.random.Philox(0)
-    gen = np.random.Generator(bit_generator)
-    state = bit_generator.state
     out = np.empty((n_replications, keys.size))
-    for b in range(n_replications):
-        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        state["state"]["key"] = np.array([seed, b], dtype=np.uint64)
-        state.update(buffer=np.zeros(4, dtype=np.uint64), buffer_pos=4,
-                     has_uint32=0, uinteger=0)
-        bit_generator.state = state
+    for b, gen in enumerate(replication_streams(seed, n_replications)):
         u = gen.random(n_keys)[keys]
         out[b] = np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH)
     return out
@@ -317,11 +307,8 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
 
     keys = _point_keys(point_keys, n)
 
-    trans_q = transform(curve_matrix(active, sample.grid), sample.grid, spec)
-    trans = transformed_matrix(sample, spec)
-    w_quad = sample.grid.trapezoid_weights()
-    smoother = InsampleSmoother(distance_matrix(trans, trans, w_quad), y, kernel)
-    dist_qs = distance_matrix(trans_q, trans, w_quad)
+    dist_qs = sample_distances(sample, spec, curve_matrix(active, sample.grid))
+    smoother = InsampleSmoother(sample_distances(sample, spec), y, kernel)
 
     k_g = config.pilot_k(n)
     pilot_radii = smoother.knn_radii(k_g)

@@ -24,8 +24,9 @@ from .bootstrap import (
     FixedPilot,
     MultiplierPilot,
     bootstrap_error_curve,
+    insample_fit,
 )
-from .curves import FunctionalSample, SemiMetricSpec, distance_matrix, transformed_matrix
+from .curves import FunctionalSample, SemiMetricSpec, sample_distances
 from .errors import (
     FunkregError,
     GridMismatch,
@@ -34,7 +35,6 @@ from .errors import (
     ValidationError,
 )
 from .estimator import (
-    InsampleSmoother,
     interval_half_widths,
     knn_radii,
     nadaraya_watson_batch,
@@ -154,8 +154,15 @@ def _load_config(path) -> dict:
             raise ValidationError(f"config {path}: unknown key {key!r}")
         if value is None:
             continue
+        kind = _KNOWN_CONFIG_KEYS[key]
         try:
-            typed[key] = _KNOWN_CONFIG_KEYS[key](value)
+            # a number must be one as its flag would parse it: no booleans,
+            # and no fraction for an integer key
+            if kind is not str and isinstance(value, bool):
+                raise TypeError
+            if kind is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError
+            typed[key] = kind(value)
         except (TypeError, ValueError):
             raise ValidationError(
                 f"config {path}: key {key!r} has invalid value {value!r}"
@@ -283,10 +290,7 @@ def _predictions(train: FunctionalSample, queries: FunctionalSample,
     """Query-by-train distances, per-query radii, and the batched fit at
     them (predictions, kernel totals, neighbor counts); shared by predict
     and ci."""
-    weights = train.grid.trapezoid_weights()
-    train_t = transformed_matrix(train, spec)
-    query_t = transformed_matrix(queries, spec)
-    dist = distance_matrix(query_t, train_t, weights)
+    dist = sample_distances(train, spec, queries.values)
     k, h = _bandwidth_rule(opts)
     if h is not None:
         if h <= 0:
@@ -304,23 +308,14 @@ def _cmd_fit(args) -> int:
     sample = _load_single(opts)
     kernel = _kernel(opts)
     spec = _semi_metric(opts)
-    weights = sample.grid.trapezoid_weights()
-    trans = transformed_matrix(sample, spec)
     n = len(sample)
     k, h = _bandwidth_rule(opts)
-    smoother = InsampleSmoother(
-        distance_matrix(trans, trans, weights), sample.responses, kernel
-    )
-    if h is not None:
-        radii = np.full(n, float(h))
-    else:
-        if not 1 <= k <= n - 1:
-            raise ValidationError(f"--k must lie in [1, {n - 1}]")
-        radii = smoother.knn_radii(k)
-    preds, counts = smoother.fit(radii[:, None])
+    if k is not None and not 1 <= k <= n - 1:
+        raise ValidationError(f"--k must lie in [1, {n - 1}]")
+    preds, counts, radii = insample_fit(sample, kernel, spec, h=h, k=k)
     rows = [
-        [i, preds[i, 0], sample.responses[i] - preds[i, 0],
-         counts[i, 0] / n, int(counts[i, 0]), radii[i]]
+        [i, preds[i], sample.responses[i] - preds[i], counts[i] / n,
+         int(counts[i]), radii[i]]
         for i in range(n)
     ]
     _write_tsv(

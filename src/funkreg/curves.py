@@ -8,6 +8,8 @@ by a constant; that is intentional, not a defect.
 
 A sample is one (n, p) matrix; ``transform`` and ``distance_matrix`` work on
 whole matrices, the latter in row chunks so that its memory stays bounded.
+``sample_distances`` is the one place the semi-metric recipe (transform,
+trapezoid weights, distance_matrix) runs for the rest of the package.
 """
 
 from dataclasses import dataclass
@@ -202,12 +204,6 @@ def transform(values: np.ndarray, grid: SamplingGrid,
     return values
 
 
-def transformed_matrix(sample: FunctionalSample,
-                       spec: SemiMetricSpec) -> np.ndarray:
-    """Transformed curve values of a sample; one row per sample curve."""
-    return transform(sample.values, sample.grid, spec)
-
-
 def curve_matrix(curves: Sequence[Curve], grid: SamplingGrid) -> np.ndarray:
     """Values of the curves as an (m, p) matrix, one row per curve; raises
     GridMismatch naming the first curve that is not on ``grid``."""
@@ -240,9 +236,34 @@ def pairwise_distances(sample: FunctionalSample, query: Curve,
     Raises:
         GridMismatch: if the query is not on the sample grid.
     """
-    query_values = curve_matrix((query,), sample.grid)
-    t = transform(np.vstack([query_values, sample.values]), sample.grid, spec)
-    return distance_matrix(t[:1], t[1:], sample.grid.trapezoid_weights())[0]
+    return sample_distances(sample, spec, curve_matrix((query,), sample.grid))[0]
+
+
+def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
+                     queries: np.ndarray | None = None) -> np.ndarray:
+    """Semi-metric distances to the n sample curves.
+
+    With an (m, p) ``queries`` matrix, one curve per row on the sample grid,
+    returns the (m, n) distances from each query to each sample curve. The
+    queries are stacked on the sample and transformed in one call. With
+    ``queries=None``, returns the (n, n) sample-by-sample distances, whose
+    diagonal is exactly zero.
+
+    Raises:
+        GridMismatch: if the query rows do not have one value per grid point.
+    """
+    weights = sample.grid.trapezoid_weights()
+    if queries is None:
+        t = transform(sample.values, sample.grid, spec)
+        return distance_matrix(t, t, weights)
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != len(sample.grid):
+        raise GridMismatch(
+            f"queries of shape {queries.shape} for a {len(sample.grid)}-point grid"
+        )
+    m = queries.shape[0]
+    t = transform(np.vstack([queries, sample.values]), sample.grid, spec)
+    return distance_matrix(t[:m], t[m:], weights)
 
 
 def distance_matrix(rows: np.ndarray, cols: np.ndarray,

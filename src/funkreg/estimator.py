@@ -85,7 +85,6 @@ class EstimateResult:
     neighbor_count: int
     bandwidth: float
     sigma2_hat: float | None = None
-    ci: tuple[float, float, float] | None = None  # (lower, upper, level)
 
 
 @dataclass(frozen=True)

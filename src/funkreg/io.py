@@ -20,6 +20,7 @@ from .errors import (
     RaggedRows,
     ValidationError,
 )
+from .simulation import check_seed
 
 RESPONSE_LABEL = "response"
 
@@ -152,7 +153,13 @@ def save_sample(sample: FunctionalSample, path) -> None:
 
 def split_sample(sample: FunctionalSample, n_train: int, n_test: int,
                  seed: int) -> tuple[FunctionalSample, FunctionalSample]:
-    """Seed-deterministic train/test split by permuting sample indices."""
+    """Seed-deterministic train/test split by permuting sample indices.
+
+    Raises:
+        ValidationError: on a seed ``check_seed`` rejects, or an impossible
+            split.
+    """
+    seed = check_seed(seed)
     n = len(sample)
     if n_train < 1 or n_test < 1 or n_train + n_test > n:
         raise ValidationError(

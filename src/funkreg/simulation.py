@@ -7,13 +7,20 @@ case of the theory, where every constant is known in closed form) used to
 verify the leading bias/variance terms, asymptotic normality, and interval
 coverage at desk scale.
 
-Every experiment is deterministic given its config: replication b of a run
-seeded with s draws from a Philox stream keyed by (s, b), and aggregation
-runs in replication order.
+Every experiment is deterministic given its config, and aggregation runs in
+replication order.
+
+Stream policy (this module owns it; the wild bootstrap follows it too): a
+seed is an integer in [0, 2^64), checked by ``check_seed`` where it comes
+in, and replication b of a run seeded with s draws from the start of the
+Philox stream keyed by (s, b). ``replication_streams`` is the one place
+those streams are built.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -46,7 +53,6 @@ class SimulationConfig:
     grid_size: int = 101
     noise_variance: float = 2.0
     seed: int = 0
-    monte_carlo_reps: int = 100
 
     def __post_init__(self):
         if self.n_train < 1 or self.n_test < 0:
@@ -55,8 +61,7 @@ class SimulationConfig:
             raise ValidationError("grid_size must be at least 5")
         if self.noise_variance < 0:
             raise ValidationError("noise_variance must be nonnegative")
-        if self.seed < 0 or self.monte_carlo_reps < 1:
-            raise ValidationError("seed must be >= 0 and monte_carlo_reps >= 1")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,9 @@ class ScalarDesignConfig:
             raise ValidationError("chi must lie in the design support [0, 1]")
         if self.n < 1 or self.reps < 1 or self.h <= 0.0:
             raise ValidationError("need n >= 1, reps >= 1, h > 0")
-        if self.noise_sd < 0.0 or not 0 <= self.seed < 2**64:
-            raise ValidationError(
-                "noise_sd must be >= 0 and seed a nonnegative 64-bit integer"
-            )
+        if self.noise_sd < 0.0:
+            raise ValidationError("noise_sd must be >= 0")
+        check_seed(self.seed)
 
     def design_sdf(self) -> float:
         """Exact small-ball probability F(h) = P(|X - chi| <= h)."""
@@ -162,18 +166,43 @@ def generate_functional_sample(config: SimulationConfig
     return train, test
 
 
-def _replication_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
-    )
+def check_seed(seed) -> int:
+    """The seed as a Python int; raises ValidationError unless it is an
+    integer (not a bool) in [0, 2^64), the key range of a Philox stream."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= int(seed) < 2**64):
+        raise ValidationError(
+            f"seed must be an integer in [0, 2^64), got {seed!r}"
+        )
+    return int(seed)
+
+
+def replication_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """For b = 0 .. count - 1, a Generator at the start of the Philox stream
+    keyed by (seed, b).
+
+    The same Generator is yielded each time, reset in place to a fresh
+    state with the key (seed, b): the bits of a new
+    ``Generator(Philox(key=[seed, b]))`` without building and seeding one
+    per replication. Draw from it before taking the next stream.
+    """
+    seed = check_seed(seed)
+    bit_generator = np.random.Philox(0)
+    gen = np.random.Generator(bit_generator)
+    state = bit_generator.state  # zero counter, empty buffers
+    for b in range(count):
+        state["state"]["key"] = np.array([seed, b], dtype=np.uint64)
+        bit_generator.state = state
+        yield gen
 
 
 def _scalar_fits(config: ScalarDesignConfig,
                  kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and neighbor counts of every replication, in order.
 
-    Replication b draws its design and noise from its own Philox stream;
-    blocks of replications are stacked as rows and fitted together.
+    Replication b draws its design and noise from its own stream (see the
+    module's stream policy); blocks of replications are stacked as rows and
+    fitted together.
 
     Raises:
         EmptyNeighborhood: naming the block of the first replication with
@@ -183,12 +212,12 @@ def _scalar_fits(config: ScalarDesignConfig,
     step = max(1, _BLOCK_ELEMENTS // n)
     predictions = np.empty(config.reps)
     counts = np.empty(config.reps, dtype=np.intp)
+    streams = replication_streams(config.seed, config.reps)
     for start in range(0, config.reps, step):
         stop = min(start + step, config.reps)
         x = np.empty((stop - start, n))
         y = np.empty_like(x)
-        for row, rep in enumerate(range(start, stop)):
-            rng = _replication_rng(config.seed, rep)
+        for row, rng in enumerate(islice(streams, stop - start)):
             x[row] = rng.random(n)
             y[row] = config.slope * x[row]
             if config.noise_sd > 0:
@@ -387,6 +416,7 @@ def mc_tau_convergence(family: FractalFamily | NonsmoothFamily, n: int,
     s = 0.5) are the meaningful convergence diagnostic there.
 
     Raises:
+        ValidationError: on a seed ``check_seed`` rejects.
         DegenerateBall: if no draw falls within h.
     """
     if n < _MIN_TAU_SAMPLE:
@@ -394,7 +424,7 @@ def mc_tau_convergence(family: FractalFamily | NonsmoothFamily, n: int,
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size == 0 or np.any((s_grid < 0) | (s_grid > 1)):
         raise ValidationError("s_grid must be nonempty within [0, 1]")
-    rng = _replication_rng(seed, 0)
+    rng = next(replication_streams(seed, 1))
     if isinstance(family, FractalFamily):
         distances = rng.random(n) ** (1.0 / family.gamma)
         tau0_values = s_grid ** family.gamma

@@ -11,7 +11,6 @@ import numpy as np
 
 import funkreg as fk
 from funkreg.bootstrap import MULTIPLIER_LOW, P_LOW, _multiplier_matrix
-from funkreg.simulation import _replication_rng
 
 UNIFORM = fk.KernelSpec.uniform()
 QUADRATIC = fk.KernelSpec.quadratic()
@@ -109,7 +108,8 @@ def test_criterion_5_interval_coverage():
     tau0 = fk.Tau0Model.fractal(1.0)
     hits = 0
     for rep in range(reps):
-        rng = _replication_rng(seed, rep)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
         x = rng.random(n)
         y = x + noise_sd * rng.standard_normal(n)
         d = np.abs(x)

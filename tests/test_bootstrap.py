@@ -40,7 +40,6 @@ from funkreg.curves import (
     curve_matrix,
     distance_matrix,
     transform,
-    transformed_matrix,
 )
 from funkreg.kernels import eval_kernel_array
 from funkreg.simulation import default_grid
@@ -58,7 +57,7 @@ def reference_error_curve(sample, queries, kernel, spec, config, point_keys=None
     if config.evaluation == "pointwise":
         queries = [queries[config.query_index]]
     keys = np.arange(n) if point_keys is None else np.asarray(point_keys)
-    trans = transformed_matrix(sample, spec)
+    trans = transform(sample.values, sample.grid, spec)
     w_quad = sample.grid.trapezoid_weights()
     dist_ss = distance_matrix(trans, trans, w_quad)
     trans_q = np.vstack([transform(q.values, sample.grid, spec) for q in queries])
@@ -209,12 +208,6 @@ class TestResiduals:
         with pytest.raises(ValidationError):
             residuals(train, QUADRATIC, DERIV1, h=0.5, k=3)
 
-    def test_global_and_per_point_rules_agree(self):
-        train, _ = small_sample(seed=2)
-        by_h = residuals(train, QUADRATIC, DERIV1, h=5.0)
-        by_vec = residuals(train, QUADRATIC, DERIV1, h_per_point=np.full(len(train), 5.0))
-        np.testing.assert_array_equal(by_h, by_vec)
-
 
 class TestSelectBandwidth:
     def test_single_candidate(self):
@@ -319,6 +312,12 @@ class TestBootstrapErrorCurve:
         sel = [e for k, _, e in result.per_bandwidth if k == result.selected_k]
         assert sel[0] == min(errs)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, True])
+    def test_seed_must_be_a_philox_key(self, seed):
+        # 1.5 used to run silently as seed 1
+        with pytest.raises(ValidationError, match="seed"):
+            BootstrapConfig(seed=seed)
+
     def test_pilot_validation(self):
         with pytest.raises(ValidationError):
             BootstrapConfig(pilot=MultiplierPilot(0.5))
@@ -369,7 +368,8 @@ class TestBootstrapErrorCurve:
         # (B + s) K + B s elements, s its largest k_max-ball
         d = distance_matrix(
             transform(curve_matrix(test.curves, train.grid), train.grid, DERIV1),
-            transformed_matrix(train, DERIV1), train.grid.trapezoid_weights(),
+            transform(train.values, train.grid, DERIV1),
+            train.grid.trapezoid_weights(),
         )
         s = int((d <= np.sort(d, axis=1)[:, 7:8]).sum(axis=1).max())
         assert len(test) == 5

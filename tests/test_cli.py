@@ -11,7 +11,7 @@ import pytest
 
 from funkreg import KernelSpec, SemiMetricSpec, Tau0Model, compute_constants, load_sample
 from funkreg.cli import main
-from funkreg.curves import distance_matrix, transformed_matrix
+from funkreg.curves import distance_matrix, transform
 from funkreg.kernels import eval_kernel_array
 
 
@@ -220,6 +220,57 @@ class TestSelectCommand:
         assert len(out.read_text().strip().splitlines()) == 4  # header + k=2..4
 
 
+class TestConfigValues:
+    """A config value must parse as its flag would."""
+
+    def predict(self, simulated, tmp_path, values=None, flags=()):
+        train, test = simulated
+        argv = ["predict", "--train", str(train), "--test", str(test),
+                "--deriv-order", "1", *flags]
+        if values is not None:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(values))
+            argv += ["--config", str(config)]
+        out = tmp_path / "pred.tsv"
+        return run(argv + ["--out", str(out)]), out
+
+    @pytest.mark.parametrize("values", [{"k": 2.7}, {"k": True}, {"h": True},
+                                        {"k": "2.7"}],
+                             ids=["fractional-k", "bool-k", "bool-h", "text-k"])
+    def test_rejected_with_the_key_named(self, simulated, tmp_path, capsys,
+                                         values):
+        # {"k": 2.7} ran with k = 2 and the booleans as 1, exiting 0
+        code, _ = self.predict(simulated, tmp_path, values)
+        assert code == 2
+        assert repr(next(iter(values))) in capsys.readouterr().err
+
+    def test_bool_rejected_for_an_int_key_of_select(self, simulated, tmp_path):
+        train, test = simulated
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": False}))
+        assert run(["select", "--train", str(train), "--test", str(test),
+                    "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("values, flags", [
+        ({"k": 3}, ["--k", "3"]), ({"k": 3.0}, ["--k", "3"]),
+        ({"h": 1}, ["--h", "1"]),
+    ])
+    def test_numbers_still_parse(self, simulated, tmp_path, values, flags):
+        code, out = self.predict(simulated, tmp_path, values)
+        assert code == 0
+        by_config = out.read_bytes()
+        code, out = self.predict(simulated, tmp_path, flags=flags)
+        assert code == 0
+        assert out.read_bytes() == by_config
+
+    def test_negative_split_seed_exits_2(self, simulated, capsys):
+        # this was a NumPy traceback and exit 1
+        train, _ = simulated
+        assert run(["predict", "--data", str(train), "--split", "30:10",
+                    "--split-seed", "-1", "--k", "5"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+
 class TestQueryGrid:
     @pytest.fixture()
     def files(self, tmp_path):
@@ -334,8 +385,8 @@ class TestMonteCarloCommands:
 
 def query_distances(train_path, test_path, spec):
     train, test = load_sample(train_path), load_sample(test_path)
-    return distance_matrix(transformed_matrix(test, spec),
-                           transformed_matrix(train, spec),
+    return distance_matrix(transform(test.values, test.grid, spec),
+                           transform(train.values, train.grid, spec),
                            train.grid.trapezoid_weights()), train, test
 
 

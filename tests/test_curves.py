@@ -16,6 +16,7 @@ from funkreg import (
     ValidationError,
     differentiate,
     pairwise_distances,
+    sample_distances,
     semi_metric_distance,
 )
 from funkreg import curves
@@ -23,7 +24,6 @@ from funkreg.curves import (
     curve_matrix,
     distance_matrix,
     transform,
-    transformed_matrix,
 )
 from funkreg.simulation import SimulationConfig, generate_functional_sample
 
@@ -299,6 +299,42 @@ class TestPairwiseDistances:
             pairwise_distances(sample, other, SemiMetricSpec(0))
 
 
+@st.composite
+def samples_and_queries(draw):
+    """A sample on a non-uniform grid, an optional (m, p) query block, and a
+    spec with any derivative order and a window of None, 3 or 5."""
+    grid, values, _ = draw(curves_on_a_grid(max_p=30, max_m=5))
+    p = len(grid)
+    m = draw(st.integers(1, 4))
+    queries = draw(st.none() | st.lists(FINITE, min_size=m * p,
+                                        max_size=m * p).map(
+        lambda v: np.array(v).reshape(m, p)))
+    spec = SemiMetricSpec(draw(st.sampled_from([0, 1, 2])),
+                          draw(st.sampled_from([None, 3, 5])))
+    return FunctionalSample(grid, values, np.zeros(len(values))), queries, spec
+
+
+class TestSampleDistances:
+    @settings(max_examples=120, deadline=None)
+    @given(samples_and_queries())
+    def test_equals_the_recipe_written_out(self, case):
+        sample, queries, spec = case
+        cols = transform(sample.values, sample.grid, spec)
+        rows = cols if queries is None else transform(queries, sample.grid, spec)
+        want = distance_matrix(rows, cols, sample.grid.trapezoid_weights())
+        got = sample_distances(sample, spec, queries)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        if queries is None:
+            assert np.all(np.diagonal(got) == 0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 10), (2, 12), (11,)])
+    def test_query_width_must_match_the_grid(self, shape):
+        sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
+        with pytest.raises(GridMismatch):
+            sample_distances(sample, SemiMetricSpec(1), np.zeros(shape))
+
+
 class TestTransform:
     @settings(max_examples=80, deadline=None)
     @given(curves_on_a_grid(max_p=101, max_m=4))
@@ -347,7 +383,8 @@ class TestDistanceMatrix:
         for spec in (SemiMetricSpec(1), SemiMetricSpec(2, presmoothing_window=5)):
             query_t = transform(curve_matrix(test.curves, train.grid),
                                 train.grid, spec)
-            rows = distance_matrix(query_t, transformed_matrix(train, spec),
+            rows = distance_matrix(query_t,
+                                   transform(train.values, train.grid, spec),
                                    weights)
             for j, query in enumerate(test.curves):
                 assert np.array_equal(pairwise_distances(train, query, spec),
@@ -361,14 +398,13 @@ class TestDistanceProperties:
         grid, values, spec = case
         weights = grid.trapezoid_weights()
         sample = FunctionalSample(grid, values, np.zeros(len(values)))
-        t = transformed_matrix(sample, spec)
+        t = transform(sample.values, grid, spec)
         d = distance_matrix(t, t, weights)
         assert np.array_equal(d, d.T)
         a, b = sample.curves[0], sample.curves[-1]
         assert semi_metric_distance(a, b, spec) == semi_metric_distance(b, a, spec)
         perm = np.array(random.sample(range(len(values)), len(values)))
-        permuted = transformed_matrix(
-            FunctionalSample(grid, values[perm], np.zeros(len(values))), spec)
+        permuted = transform(values[perm], grid, spec)
         assert np.array_equal(distance_matrix(permuted, permuted, weights),
                               d[np.ix_(perm, perm)])
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from funkreg import (
     DegenerateBall,
@@ -32,7 +32,6 @@ from funkreg import (
 from funkreg.curves import distance_matrix
 from funkreg.estimator import interval_half_widths, knn_radii, nadaraya_watson_batch
 from funkreg.kernels import eval_kernel_array
-from funkreg.simulation import _replication_rng
 
 UNIFORM = KernelSpec.uniform()
 QUADRATIC = KernelSpec.quadratic()
@@ -294,6 +293,15 @@ class TestEmpiricalSdf:
         values = [empirical_sdf(d, h) for h in np.linspace(0, 1.2, 200)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e6) | st.sampled_from([0.0, 0.5, 1.0]),
+                    min_size=1, max_size=30),
+           st.floats(0.0, 2e6), st.floats(0.0, 2e6))
+    def test_monotone_in_h_property(self, d, h1, h2):
+        lo, hi = sorted((h1, h2))
+        assert empirical_sdf(d, lo) <= empirical_sdf(d, hi)
+        assert empirical_sdf(d, hi) * len(d) == sum(x <= hi for x in d)
+
 
 class TestEmpiricalTau:
     def test_one_at_s_one(self):
@@ -303,7 +311,8 @@ class TestEmpiricalTau:
         assert empirical_tau([0.1, 0.2], 0.3, 0.0) == 0.0
 
     def test_uniform_distance_process(self):
-        rng = _replication_rng(17, 0)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([17, 0], dtype=np.uint64)))
         d = rng.random(5000)
         assert empirical_tau(d, 0.2, 0.5) == pytest.approx(0.5, abs=0.05)
 
@@ -428,7 +437,8 @@ class TestEstimatePhiPrime:
         assert estimate_phi_prime(d, np.full(40, 7.0), UNIFORM, 0.3) == 0.0
 
     def test_monte_carlo_identity_regression(self):
-        rng = _replication_rng(7, 0)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
         x = rng.random(5000)
         y = x + 0.2 * rng.standard_normal(5000)
         estimate = estimate_phi_prime(np.abs(x), y, UNIFORM, 0.2)
@@ -474,6 +484,32 @@ class TestScalarEquivalence:
             got = nadaraya_watson(d, y, kernel, h).prediction
             want = self.scalar_oracle(x, y, chi, h, kernel_name)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-100.0, 100.0)),
+                    min_size=1, max_size=30),
+           st.floats(0.0, 1.0), st.floats(0.05, 1.0),
+           st.sampled_from(["uniform", "quadratic"]))
+    def test_functional_estimator_is_the_scalar_smoother(self, pairs, chi, h,
+                                                         kernel_name):
+        from funkreg import FunctionalSample, SamplingGrid, SemiMetricSpec
+        from funkreg import sample_distances
+
+        x, y = (np.array(v) for v in zip(*pairs))
+        gap = np.abs(x - chi)
+        # below about 1e-154 the squared gap underflows in the quadrature
+        assume(np.all((gap == 0.0) | (gap > 1e-150)))
+        assume(np.any(gap <= h / 2))  # a well-conditioned kernel total
+        kernel = UNIFORM if kernel_name == "uniform" else QUADRATIC
+        # x_i encoded as the constant curve x_i on [0, 1], plain L2 distance
+        sample = FunctionalSample(SamplingGrid([0.0, 1.0]),
+                                  np.column_stack([x, x]), y)
+        d = sample_distances(sample, SemiMetricSpec(0), [[chi, chi]])[0]
+        assert np.array_equal(d, gap)
+        got = nadaraya_watson(d, y, kernel, h).prediction
+        assert got == nadaraya_watson(gap, y, kernel, h).prediction
+        want = self.scalar_oracle(x, y, chi, h, kernel_name)
+        assert got == pytest.approx(want, abs=1e-12 * max(1.0, np.abs(y).max()))
 
 
 def reference_nadaraya_watson(distances, responses, kernel, h):

@@ -123,6 +123,12 @@ class TestSplitSample:
         )
         assert combined == sorted(sample.responses)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_an_invalid_seed(self, seed):
+        sample, _ = generate_functional_sample(SimulationConfig(n_train=10, n_test=1))
+        with pytest.raises(ValidationError, match="seed"):
+            split_sample(sample, 5, 5, seed=seed)
+
     def test_rejects_oversized_split(self):
         config = SimulationConfig(n_train=10, n_test=1, seed=2)
         sample, _ = generate_functional_sample(config)

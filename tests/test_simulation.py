@@ -27,7 +27,7 @@ from funkreg import (
 )
 from funkreg import simulation
 from funkreg.kernels import eval_kernel_array
-from funkreg.simulation import _replication_rng, _scalar_fits
+from funkreg.simulation import _scalar_fits, check_seed, replication_streams
 
 UNIFORM = KernelSpec.uniform()
 
@@ -246,7 +246,8 @@ def reference_scalar_fits(config, kernel):
     """One direct fit per replication, as before replications were blocked."""
     preds, counts = [], []
     for rep in range(config.reps):
-        rng = _replication_rng(config.seed, rep)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([config.seed, rep], dtype=np.uint64)))
         x = rng.random(config.n)
         y = config.slope * x
         if config.noise_sd > 0:
@@ -302,3 +303,43 @@ class TestBlockedReplications:
                            match=f"replications {block}-{block + 2}: .* "
                                  f"at query {first - block}$"):
             _scalar_fits(config, UNIFORM)
+
+
+class TestReplicationStreams:
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 5, 2**64 - 1])
+    def test_each_stream_is_a_fresh_philox_generator(self, seed):
+        for b, gen in enumerate(replication_streams(seed, 4)):
+            fresh = np.random.Generator(
+                np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+            np.testing.assert_array_equal(gen.random(3), fresh.random(3))
+            np.testing.assert_array_equal(gen.standard_normal(5),
+                                          fresh.standard_normal(5))
+            # the counter moved and a word and a half-word are left
+            # buffered: the next reset must drop them
+            np.testing.assert_array_equal(
+                gen.integers(0, 7, 3, dtype=np.uint32),
+                fresh.integers(0, 7, 3, dtype=np.uint32))
+
+    def test_count_bounds_the_streams(self):
+        assert len(list(replication_streams(3, 0))) == 0
+        assert len(list(replication_streams(3, 7))) == 7
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
+    def test_check_seed_rejects(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            check_seed(seed)
+
+    def test_check_seed_accepts_numpy_integers(self):
+        assert check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+        assert check_seed(np.int8(0)) == 0
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_entry_points_reject_bad_seeds(self, seed):
+        # mc_tau_convergence raised a bare OverflowError on -1 and 2^64,
+        # and ran 1.5 as seed 1
+        with pytest.raises(ValidationError, match="seed"):
+            mc_tau_convergence(FractalFamily(1.0), 1000, 0.1, [0.5], seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            ScalarDesignConfig(n=10, h=0.1, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            SimulationConfig(seed=seed)
