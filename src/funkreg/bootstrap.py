@@ -44,10 +44,11 @@ from .errors import (
     EmptyNeighborhood,
     TooFewPoints,
     ValidationError,
+    require_integers,
 )
 from .estimator import InsampleSmoother, knn_radii, nadaraya_watson_batch
 from .kernels import KernelSpec, eval_kernel_array
-from .simulation import check_seed, replication_streams
+from .simulation import check_seed, replication_uniforms
 
 _SQRT5 = math.sqrt(5.0)
 #: Multipliers of the two-point golden-section law and their probabilities.
@@ -129,6 +130,8 @@ class BootstrapConfig:
     query_index: int = 0
 
     def __post_init__(self):
+        require_integers(n_replications=self.n_replications, k_min=self.k_min,
+                         k_max=self.k_max, query_index=self.query_index)
         if self.n_replications < 1:
             raise ValidationError("n_replications must be >= 1")
         if not (2 <= self.k_min <= self.k_max):
@@ -137,11 +140,13 @@ class BootstrapConfig:
         if self.evaluation not in ("test_set", "pointwise"):
             raise ValidationError("evaluation must be 'test_set' or 'pointwise'")
         if isinstance(self.pilot, FixedPilot):
+            require_integers(k_g=self.pilot.k_g)
             if self.pilot.k_g < 2:
                 raise ValidationError("fixed pilot needs k_g >= 2")
         elif isinstance(self.pilot, MultiplierPilot):
-            if self.pilot.c <= 1.0:
-                raise ValidationError("pilot multiplier must exceed 1")
+            # written so that NaN fails: it compares false with everything
+            if not 1.0 < self.pilot.c < math.inf:
+                raise ValidationError("pilot multiplier must be finite and exceed 1")
         else:
             raise ValidationError("pilot must be FixedPilot or MultiplierPilot")
 
@@ -149,7 +154,8 @@ class BootstrapConfig:
         if isinstance(self.pilot, FixedPilot):
             k_g = self.pilot.k_g
         else:
-            k_g = min(int(round(self.pilot.c * self.k_max)), n - 1)
+            # capped before rounding, so a huge finite c cannot overflow
+            k_g = int(round(min(self.pilot.c * self.k_max, n - 1)))
         if not (2 <= k_g <= n - 1):
             raise ValidationError(
                 f"pilot neighbor count {k_g} outside [2, {n - 1}]"
@@ -235,12 +241,8 @@ def _multiplier_matrix(seed: int, n_replications: int,
     the position of its key, so a permuted sample with matching keys
     receives the same multipliers.
     """
-    n_keys = int(keys.max()) + 1
-    out = np.empty((n_replications, keys.size))
-    for b, gen in enumerate(replication_streams(seed, n_replications)):
-        u = gen.random(n_keys)[keys]
-        out[b] = np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH)
-    return out
+    u = replication_uniforms(seed, n_replications, keys)
+    return np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH)
 
 
 def _point_keys(point_keys, n: int) -> np.ndarray:

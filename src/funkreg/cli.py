@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -170,113 +171,84 @@ def _load_config(path) -> dict:
     return typed
 
 
-class _Options:
-    """Flag values merged over config-file values merged over defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._config = {}
-        config_path = getattr(args, "config", None)
-        if config_path:
-            self._config = _load_config(config_path)
-
-    def get(self, name: str, default=None):
-        value = getattr(self._args, name, None)
-        if value is None:
-            value = self._config.get(name, default)
-        return value
-
-    def require(self, name: str, flag: str):
-        value = self.get(name)
-        if value is None:
-            raise ValidationError(f"missing required option {flag}")
-        return value
+def _required(value, flag: str):
+    """A value that a flag or the config file must supply."""
+    if value is None:
+        raise ValidationError(f"missing required option {flag}")
+    return value
 
 
-def _out_dir(opts: _Options) -> Path:
-    out = opts.get("out_dir") or os.environ.get("FUNKREG_OUT_DIR", ".")
-    return Path(out)
+def _from_flags(config_class, args):
+    """A config dataclass built from the flags named after its fields."""
+    return config_class(**{field.name: getattr(args, field.name)
+                           for field in fields(config_class)})
 
 
-def _semi_metric(opts: _Options) -> SemiMetricSpec:
+def _semi_metric(args) -> SemiMetricSpec:
     return SemiMetricSpec(
-        derivative_order=opts.get("deriv_order", 0),
-        presmoothing_window=opts.get("presmooth_window"),
+        derivative_order=args.deriv_order,
+        presmoothing_window=args.presmooth_window,
     )
 
 
-def _kernel(opts: _Options, default: str = "quadratic") -> KernelSpec:
-    return parse_kernel(opts.get("kernel", default))
-
-
-def _write_tsv(path, header: list[str], rows: list[list]) -> None:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(
-            cell if isinstance(cell, str) else
-            str(cell) if isinstance(cell, (int, np.integer)) else _fmt(cell)
-            for cell in row
-        ))
-    text = "\n".join(lines) + "\n"
-    if path is None:
+def _write(out, text: str) -> None:
+    """Write text to the file `out`, or to stdout when `out` is None."""
+    if out is None:
         sys.stdout.write(text)
     else:
-        path = Path(path)
+        path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
 
 
-def _load_single(opts: _Options) -> FunctionalSample:
-    data = opts.require("data", "--data")
-    return load_sample(data, response_path=opts.get("response_file") or None)
+def _write_tsv(out, columns: dict) -> None:
+    """Write equal-length named columns as a TSV table: integers as
+    integers, everything else with 17 significant digits."""
+    lines = ["\t".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append("\t".join(
+            str(cell) if isinstance(cell, (int, np.integer)) else _fmt(cell)
+            for cell in row
+        ))
+    _write(out, "\n".join(lines) + "\n")
 
 
-def _train_and_queries(opts: _Options) -> tuple[FunctionalSample, FunctionalSample]:
+def _load_single(args) -> FunctionalSample:
+    return load_sample(_required(args.data, "--data"),
+                       response_path=args.response_file or None)
+
+
+def _train_and_queries(args) -> tuple[FunctionalSample, FunctionalSample]:
     """Resolve (train, test) from --train/--test or --data plus --split."""
-    train_path = opts.get("train")
-    test_path = opts.get("test")
-    if train_path and test_path:
-        train, test = load_sample(train_path), load_sample(test_path)
+    if args.train and args.test:
+        train, test = load_sample(args.train), load_sample(args.test)
         if not test.grid.matches(train.grid):
-            raise GridMismatch(f"{test_path}: grid differs from {train_path}")
+            raise GridMismatch(f"{args.test}: grid differs from {args.train}")
         return train, test
-    if train_path or test_path:
+    if args.train or args.test:
         raise ValidationError("give both --train and --test, or --data with --split")
-    sample = _load_single(opts)
-    split = opts.get("split", "165:50")
-    n_train, n_test = parse_split(split)
-    return split_sample(sample, n_train, n_test, opts.get("split_seed", 0))
+    return split_sample(_load_single(args), *parse_split(args.split),
+                        args.split_seed)
 
 
-def _bandwidth_rule(opts: _Options) -> tuple[int | None, float | None]:
+def _bandwidth_rule(args) -> tuple[int | None, float | None]:
     """The (k, h) options, exactly one of them given."""
-    k = opts.get("k")
-    h = opts.get("h")
-    if (k is None) == (h is None):
+    if (args.k is None) == (args.h is None):
         raise ValidationError("give exactly one of --k or --h")
-    return k, h
+    return args.k, args.h
 
 
 def _cmd_constants(args) -> int:
-    opts = _Options(args)
-    kernel = parse_kernel(opts.require("kernel", "--kernel"))
-    tau0 = parse_tau0(opts.require("tau0", "--tau0"))
+    kernel = parse_kernel(_required(args.kernel, "--kernel"))
+    tau0 = parse_tau0(_required(args.tau0, "--tau0"))
     c = compute_constants(kernel, tau0)
     print(f"{c.m0:g} {c.m1:g} {c.m2:g}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    opts = _Options(args)
-    config = SimulationConfig(
-        n_train=args.n_train,
-        n_test=args.n_test,
-        grid_size=args.grid_size,
-        noise_variance=args.noise_variance,
-        seed=opts.get("seed", 0),
-    )
-    train, test = generate_functional_sample(config)
-    out = _out_dir(opts)
+    train, test = generate_functional_sample(_from_flags(SimulationConfig, args))
+    out = Path(args.out_dir or os.environ.get("FUNKREG_OUT_DIR", "."))
     train_path = out / "train.csv"
     test_path = out / "test.csv"
     save_sample(train, train_path)
@@ -285,13 +257,32 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _predictions(train: FunctionalSample, queries: FunctionalSample,
-                 kernel: KernelSpec, spec: SemiMetricSpec, opts: _Options):
-    """Query-by-train distances, per-query radii, and the batched fit at
-    them (predictions, kernel totals, neighbor counts); shared by predict
-    and ci."""
+def _cmd_fit(args) -> int:
+    sample = _load_single(args)
+    kernel = parse_kernel(args.kernel)
+    spec = _semi_metric(args)
+    n = len(sample)
+    k, h = _bandwidth_rule(args)
+    if k is not None and not 1 <= k <= n - 1:
+        raise ValidationError(f"--k must lie in [1, {n - 1}]")
+    preds, counts, radii = insample_fit(sample, kernel, spec, h=h, k=k)
+    _write_tsv(args.out, {
+        "index": range(n),
+        "prediction": preds,
+        "residual": sample.responses - preds,
+        "f_hat": counts / n,
+        "neighbors": counts,
+        "bandwidth": radii,
+    })
+    return 0
+
+
+def _query_fit(args, train: FunctionalSample, queries: FunctionalSample,
+               kernel: KernelSpec, spec: SemiMetricSpec):
+    """Query-by-train distances and the leading columns of predict and ci:
+    the batched fit at each query's radius."""
     dist = sample_distances(train, spec, queries.values)
-    k, h = _bandwidth_rule(opts)
+    k, h = _bandwidth_rule(args)
     if h is not None:
         if h <= 0:
             raise ValidationError("--h must be positive")
@@ -300,136 +291,90 @@ def _predictions(train: FunctionalSample, queries: FunctionalSample,
         if not 1 <= k <= len(train):
             raise ValidationError(f"--k must lie in [1, {len(train)}]")
         radii = knn_radii(dist, k, k)[:, 0]
-    return dist, radii, nadaraya_watson_batch(dist, train.responses, kernel, radii)
-
-
-def _cmd_fit(args) -> int:
-    opts = _Options(args)
-    sample = _load_single(opts)
-    kernel = _kernel(opts)
-    spec = _semi_metric(opts)
-    n = len(sample)
-    k, h = _bandwidth_rule(opts)
-    if k is not None and not 1 <= k <= n - 1:
-        raise ValidationError(f"--k must lie in [1, {n - 1}]")
-    preds, counts, radii = insample_fit(sample, kernel, spec, h=h, k=k)
-    rows = [
-        [i, preds[i], sample.responses[i] - preds[i], counts[i] / n,
-         int(counts[i]), radii[i]]
-        for i in range(n)
-    ]
-    _write_tsv(
-        opts.get("out"),
-        ["index", "prediction", "residual", "f_hat", "neighbors", "bandwidth"],
-        rows,
-    )
-    return 0
+    preds, _, counts = nadaraya_watson_batch(dist, train.responses, kernel, radii)
+    return dist, {
+        "index": range(len(queries)),
+        "prediction": preds,
+        "f_hat": counts / len(train),
+        "neighbors": counts,
+        "bandwidth": radii,
+    }
 
 
 def _cmd_predict(args) -> int:
-    opts = _Options(args)
-    train, queries = _train_and_queries(opts)
-    kernel = _kernel(opts)
-    spec = _semi_metric(opts)
-    _, radii, (preds, _, counts) = _predictions(train, queries, kernel, spec, opts)
-    f_hat = counts / len(train)
-    rows = [
-        [j, preds[j], f_hat[j], counts[j], radii[j], queries.responses[j]]
-        for j in range(len(queries))
-    ]
-    _write_tsv(
-        opts.get("out"),
-        ["index", "prediction", "f_hat", "neighbors", "bandwidth", "actual"],
-        rows,
-    )
+    train, queries = _train_and_queries(args)
+    _, columns = _query_fit(args, train, queries, parse_kernel(args.kernel),
+                            _semi_metric(args))
+    _write_tsv(args.out, {**columns, "actual": queries.responses})
     return 0
 
 
 def _cmd_ci(args) -> int:
-    opts = _Options(args)
-    train, queries = _train_and_queries(opts)
-    kernel = _kernel(opts, default="uniform")
-    spec = _semi_metric(opts)
-    tau0 = parse_tau0(opts.get("tau0", "fractal:1"))
-    level = opts.get("level", 0.95)
-    dist, radii, (preds, _, counts) = _predictions(train, queries, kernel, spec, opts)
+    train, queries = _train_and_queries(args)
+    kernel = parse_kernel(args.kernel)
+    spec = _semi_metric(args)
+    tau0 = parse_tau0(args.tau0)
+    dist, columns = _query_fit(args, train, queries, kernel, spec)
+    preds, counts = columns["prediction"], columns["neighbors"]
     y = train.responses
-    second = nadaraya_watson_batch(dist, y * y, kernel, radii)[0]
+    second = nadaraya_watson_batch(dist, y * y, kernel, columns["bandwidth"])[0]
     sigma2 = plugin_variance(preds, second)
-    half = interval_half_widths(sigma2, counts, kernel, tau0, level)
-    lower, upper = preds - half, preds + half
-    f_hat = counts / len(train)
-    rows = [
-        [j, preds[j], f_hat[j], counts[j], radii[j], sigma2[j], lower[j],
-         upper[j], level, queries.responses[j]]
-        for j in range(len(queries))
-    ]
-    _write_tsv(
-        opts.get("out"),
-        ["index", "prediction", "f_hat", "neighbors", "bandwidth",
-         "sigma2_hat", "lower", "upper", "level", "actual"],
-        rows,
-    )
+    half = interval_half_widths(sigma2, counts, kernel, tau0, args.level)
+    _write_tsv(args.out, {
+        **columns,
+        "sigma2_hat": sigma2,
+        "lower": preds - half,
+        "upper": preds + half,
+        "level": np.full(len(queries), args.level),
+        "actual": queries.responses,
+    })
     return 0
 
 
 def _cmd_select(args) -> int:
-    opts = _Options(args)
-    train, queries = _train_and_queries(opts)
-    kernel = _kernel(opts)
-    spec = _semi_metric(opts)
-    pointwise = opts.get("pointwise")
+    train, queries = _train_and_queries(args)
+    kernel = parse_kernel(args.kernel)
+    spec = _semi_metric(args)
     config = BootstrapConfig(
-        n_replications=opts.get("n_boot", 100),
-        k_min=opts.get("k_min", 2),
-        k_max=opts.get("k_max", 32),
-        seed=opts.get("seed", 0),
-        pilot=parse_pilot(opts.get("pilot", "mult:2")),
-        evaluation="pointwise" if pointwise is not None else "test_set",
-        query_index=pointwise if pointwise is not None else 0,
+        n_replications=args.n_boot,
+        k_min=args.k_min,
+        k_max=args.k_max,
+        seed=args.seed,
+        pilot=parse_pilot(args.pilot),
+        evaluation="test_set" if args.pointwise is None else "pointwise",
+        query_index=args.pointwise or 0,
     )
     result = bootstrap_error_curve(train, queries.curves, kernel, spec, config)
-    rows = [
-        [k, h, err, 1 if k == result.selected_k else 0]
-        for k, h, err in result.per_bandwidth
-    ]
-    _write_tsv(
-        opts.get("out"),
-        ["k", "h", "mean_sq_boot_error", "selected"],
-        rows,
-    )
+    ks, hs, errors = zip(*result.per_bandwidth)
+    _write_tsv(args.out, {
+        "k": ks,
+        "h": hs,
+        "mean_sq_boot_error": errors,
+        "selected": [int(k == result.selected_k) for k in ks],
+    })
     print(f"selected k={result.selected_k} h={_fmt(result.selected_h)}")
     return 0
 
 
-def _scalar_config(args, opts: _Options) -> ScalarDesignConfig:
-    return ScalarDesignConfig(
-        n=args.n,
-        h=args.h,
-        chi=args.chi,
-        slope=args.slope,
-        noise_sd=args.noise_sd,
-        reps=args.reps,
-        seed=opts.get("seed", 0),
-    )
+def _scalar_experiment(args, experiment):
+    """The scalar design of the flags and the report of `experiment` on it."""
+    kernel = parse_kernel(args.kernel)
+    config = _from_flags(ScalarDesignConfig, args)
+    return config, experiment(config, kernel)
 
 
-def _emit_json(payload: dict, out) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text)
+def _write_mc(out, config: ScalarDesignConfig, stats: dict) -> None:
+    """Write Monte Carlo statistics as JSON, with the scalar design that
+    produced them."""
+    design = {name: getattr(config, name)
+              for name in ("n", "h", "chi", "noise_sd", "reps", "seed")}
+    _write(out, json.dumps({**stats, **design}, sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_mc_bias_var(args) -> int:
-    opts = _Options(args)
-    kernel = _kernel(opts, default="uniform")
-    config = _scalar_config(args, opts)
-    report = mc_bias_variance(config, kernel)
+    config, report = _scalar_experiment(args, mc_bias_variance)
     theo = report.theoretical
-    _emit_json({
+    _write_mc(args.out, config, {
         "empirical_bias": report.empirical_bias,
         "empirical_variance": report.empirical_variance,
         "theoretical_bias": theo.b_n,
@@ -439,22 +384,13 @@ def _cmd_mc_bias_var(args) -> int:
         "m2": theo.constants.m2,
         "phi_prime": theo.phi_prime,
         "f_of_h": theo.f_of_h,
-        "n": config.n,
-        "h": config.h,
-        "chi": config.chi,
-        "noise_sd": config.noise_sd,
-        "reps": config.reps,
-        "seed": config.seed,
-    }, opts.get("out"))
+    })
     return 0
 
 
 def _cmd_mc_normality(args) -> int:
-    opts = _Options(args)
-    kernel = _kernel(opts, default="uniform")
-    config = _scalar_config(args, opts)
-    report = mc_normality(config, kernel)
-    _emit_json({
+    config, report = _scalar_experiment(args, mc_normality)
+    _write_mc(args.out, config, {
         "ks_statistic": None if not report.ks_applicable else report.ks_statistic,
         "ks_applicable": report.ks_applicable,
         "insufficient_replications": report.insufficient_replications,
@@ -463,21 +399,15 @@ def _cmd_mc_normality(args) -> int:
         "standardized_sd": (
             float(np.std(report.standardized, ddof=1)) if config.reps > 1 else None
         ),
-        "n": config.n,
-        "h": config.h,
-        "chi": config.chi,
-        "noise_sd": config.noise_sd,
-        "reps": config.reps,
-        "seed": config.seed,
-    }, opts.get("out"))
+    })
     return 0
 
 
-def _add_common(parser, *, pair=False, bandwidth=False):
-    parser.add_argument("--config", help="JSON config file; flags override it")
+def _add_common(parser, kernel: str, *, pair=False, bandwidth=False):
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--kernel", help="uniform|quadratic|triangle|poly:c0,c1,...")
-    parser.add_argument("--deriv-order", dest="deriv_order", type=int,
+    parser.add_argument("--kernel", default=kernel,
+                        help="uniform|quadratic|triangle|poly:c0,c1,...")
+    parser.add_argument("--deriv-order", dest="deriv_order", type=int, default=0,
                         choices=[0, 1, 2], help="semi-metric derivative order")
     parser.add_argument("--presmooth-window", dest="presmooth_window", type=int,
                         help="odd moving-average window (default: none)")
@@ -487,15 +417,21 @@ def _add_common(parser, *, pair=False, bandwidth=False):
     if pair:
         parser.add_argument("--train", help="training curve CSV")
         parser.add_argument("--test", help="query curve CSV")
-        parser.add_argument("--split", help="n_train:n_test split of --data")
-        parser.add_argument("--split-seed", dest="split_seed", type=int,
-                            help="seed of the deterministic split (default 0)")
+        parser.add_argument("--split", default="165:50",
+                            help="n_train:n_test split of --data")
+        parser.add_argument(
+            "--split-seed", dest="split_seed", type=int, default=0,
+            help="seed of the deterministic split (default %(default)s)")
     if bandwidth:
         parser.add_argument("--k", type=int, help="neighbor count (kNN bandwidth)")
         parser.add_argument("--h", type=float, help="fixed bandwidth radius")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The funkreg parser; values of a loaded config file become the
+    defaults of every subcommand, so a flag overrides the file and the file
+    overrides a flag's declared default. A key that a subcommand has no
+    flag for is ignored there."""
     parser = argparse.ArgumentParser(
         prog="funkreg",
         description="Kernel regression for curve-valued predictors",
@@ -503,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="print the (m0, m1, m2) constants")
-    p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--kernel")
     p.add_argument("--tau0", help="fractal:G|dirac|indicator|empirical:path")
     p.set_defaults(func=_cmd_constants)
@@ -513,32 +448,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-test", type=int, default=50)
     p.add_argument("--grid-size", type=int, default=101)
     p.add_argument("--noise-variance", type=float, default=2.0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", dest="out_dir",
+                   help="output directory (default: $FUNKREG_OUT_DIR or .)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="in-sample predictions on a dataset")
-    _add_common(p, bandwidth=True)
+    _add_common(p, "quadratic", bandwidth=True)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predictions at query curves")
-    _add_common(p, pair=True, bandwidth=True)
+    _add_common(p, "quadratic", pair=True, bandwidth=True)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("ci", help="predictions with confidence intervals")
-    _add_common(p, pair=True, bandwidth=True)
-    p.add_argument("--tau0", help="tau0 model (default fractal:1)")
-    p.add_argument("--level", type=float, help="confidence level (default 0.95)")
+    _add_common(p, "uniform", pair=True, bandwidth=True)
+    p.add_argument("--tau0", default="fractal:1",
+                   help="tau0 model (default %(default)s)")
+    p.add_argument("--level", type=float, default=0.95,
+                   help="confidence level (default %(default)s)")
     p.set_defaults(func=_cmd_ci)
 
     p = sub.add_parser("select", help="wild-bootstrap bandwidth selection")
-    _add_common(p, pair=True)
-    p.add_argument("--k-min", dest="k_min", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--n-boot", dest="n_boot", type=int)
-    p.add_argument("--pilot", help="mult:C or fixed:K (default mult:2)")
-    p.add_argument("--seed", type=int)
+    _add_common(p, "quadratic", pair=True)
+    p.add_argument("--k-min", dest="k_min", type=int, default=2)
+    p.add_argument("--k-max", dest="k_max", type=int, default=32)
+    p.add_argument("--n-boot", dest="n_boot", type=int, default=100)
+    p.add_argument("--pilot", default="mult:2",
+                   help="mult:C or fixed:K (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pointwise", type=int,
                    help="select at a single query index instead of averaging")
     p.set_defaults(func=_cmd_select)
@@ -552,27 +490,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slope", type=float, default=1.0)
         p.add_argument("--noise-sd", dest="noise_sd", type=float, default=0.5)
         p.add_argument("--reps", type=int, default=1000)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--kernel")
-        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--kernel", default="uniform")
         p.add_argument("--out", help="output file (default: stdout)")
         p.set_defaults(func=func)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.set_defaults(**(config or {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(_load_config(args.config)).parse_args(argv)
         return args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except FunkregError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FunkregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooShort, ValidationError
+from .errors import GridMismatch, GridTooShort, ValidationError, require_integers
 
 #: Element budget of one ``distance_matrix`` chunk: rows are done a few at a
 #: time so that their (rows, cols, p) difference array holds this many floats.
@@ -102,6 +102,9 @@ class SemiMetricSpec:
     presmoothing_window: int | None = None
 
     def __post_init__(self):
+        require_integers(derivative_order=self.derivative_order)
+        if self.presmoothing_window is not None:
+            require_integers(presmoothing_window=self.presmoothing_window)
         if self.derivative_order not in (0, 1, 2):
             raise ValidationError("derivative_order must be 0, 1, or 2")
         w = self.presmoothing_window

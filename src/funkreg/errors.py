@@ -5,6 +5,8 @@ Two branches: ValidationError for malformed inputs or violated contracts
 inputs (CLI exit code 3).
 """
 
+import numpy as np
+
 
 class FunkregError(Exception):
     """Base class for all package errors."""
@@ -12,6 +14,19 @@ class FunkregError(Exception):
 
 class ValidationError(FunkregError):
     """Invalid input, specification, or configuration."""
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer: an int or a NumPy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_integers(**values) -> None:
+    """Raise ValidationError naming the first of the keyword values that
+    is not an integer (``is_integer``)."""
+    for name, value in values.items():
+        if not is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 class NumericError(FunkregError):

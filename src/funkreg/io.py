@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     RaggedRows,
     ValidationError,
+    require_integers,
 )
 from .simulation import check_seed
 
@@ -160,6 +161,7 @@ def split_sample(sample: FunctionalSample, n_train: int, n_test: int,
             split.
     """
     seed = check_seed(seed)
+    require_integers(n_train=n_train, n_test=n_test)
     n = len(sample)
     if n_train < 1 or n_test < 1 or n_train + n_test > n:
         raise ValidationError(

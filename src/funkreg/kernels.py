@@ -134,8 +134,8 @@ class Tau0Model:
 
     def __post_init__(self):
         if self.family == "fractal":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValidationError("fractal tau0 needs gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < np.inf:
+                raise ValidationError("fractal tau0 needs a finite gamma > 0")
         elif self.family in ("dirac_at_one", "indicator_unit"):
             pass
         elif self.family == "empirical":
@@ -154,11 +154,12 @@ class Tau0Model:
             ) from None
         s_vals = [s for s, _ in table]
         v_vals = [v for _, v in table]
-        if any(s < 0 or s > 1 for s in s_vals):
+        # written so that NaN fails: it compares false with everything
+        if not all(0 <= s <= 1 for s in s_vals):
             raise ValidationError("empirical table abscissae must lie in [0, 1]")
         if any(s2 <= s1 for s1, s2 in zip(s_vals, s_vals[1:])):
             raise ValidationError("empirical table abscissae must be strictly increasing")
-        if any(v < 0 or v > 1 for v in v_vals):
+        if not all(0 <= v <= 1 for v in v_vals):
             raise ValidationError("empirical table values must lie in [0, 1]")
         if any(v2 < v1 for v1, v2 in zip(v_vals, v_vals[1:])):
             raise ValidationError("empirical table values must be nondecreasing")

@@ -25,7 +25,14 @@ from typing import Iterator
 import numpy as np
 
 from .curves import Curve, FunctionalSample, SamplingGrid
-from .errors import DegenerateBall, EmptyNeighborhood, GridTooShort, ValidationError
+from .errors import (
+    DegenerateBall,
+    EmptyNeighborhood,
+    GridTooShort,
+    ValidationError,
+    is_integer,
+    require_integers,
+)
 from .estimator import (
     BiasVarianceReport,
     empirical_tau,
@@ -42,6 +49,10 @@ _MIN_NORMALITY_REPS = 30
 #: At 128 KB per array the block's temporaries stay in cache; 2^16-element
 #: blocks ran no faster than one fit per replication at n = 2000.
 _BLOCK_ELEMENTS = 1 << 14
+#: Widest gap between two sorted positions that ``replication_uniforms``
+#: draws through; a wider one starts a new run, whose stream reset and
+#: advance cost about as much as drawing a few thousand values.
+_RUN_GAP = 256
 
 
 @dataclass(frozen=True)
@@ -55,12 +66,15 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(n_train=self.n_train, n_test=self.n_test,
+                         grid_size=self.grid_size)
         if self.n_train < 1 or self.n_test < 0:
             raise ValidationError("sample sizes must be positive")
         if self.grid_size < 5:
             raise ValidationError("grid_size must be at least 5")
-        if self.noise_variance < 0:
-            raise ValidationError("noise_variance must be nonnegative")
+        # written so that NaN fails: it compares false with everything
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValidationError("noise_variance must be finite and nonnegative")
         check_seed(self.seed)
 
 
@@ -77,12 +91,15 @@ class ScalarDesignConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(n=self.n, reps=self.reps)
         if not 0.0 <= self.chi <= 1.0:
             raise ValidationError("chi must lie in the design support [0, 1]")
-        if self.n < 1 or self.reps < 1 or self.h <= 0.0:
-            raise ValidationError("need n >= 1, reps >= 1, h > 0")
-        if self.noise_sd < 0.0:
-            raise ValidationError("noise_sd must be >= 0")
+        if self.n < 1 or self.reps < 1 or not 0.0 < self.h < math.inf:
+            raise ValidationError("need n >= 1, reps >= 1, finite h > 0")
+        if not math.isfinite(self.slope):
+            raise ValidationError("slope must be finite")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ValidationError("noise_sd must be finite and >= 0")
         check_seed(self.seed)
 
     def design_sdf(self) -> float:
@@ -169,8 +186,7 @@ def generate_functional_sample(config: SimulationConfig
 def check_seed(seed) -> int:
     """The seed as a Python int; raises ValidationError unless it is an
     integer (not a bool) in [0, 2^64), the key range of a Philox stream."""
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= int(seed) < 2**64):
+    if not is_integer(seed) or not 0 <= int(seed) < 2**64:
         raise ValidationError(
             f"seed must be an integer in [0, 2^64), got {seed!r}"
         )
@@ -194,6 +210,37 @@ def replication_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
         state["state"]["key"] = np.array([seed, b], dtype=np.uint64)
         bit_generator.state = state
         yield gen
+
+
+def replication_uniforms(seed: int, count: int, positions) -> np.ndarray:
+    """Uniform draws at nonnegative integer stream positions, shape (count, m).
+
+    Entry (b, i) is draw ``positions[i]`` of stream (seed, b): the bits of
+    ``Generator(Philox(key=[seed, b])).random(p)[positions[i]]`` for any p
+    beyond it. Only the positions are drawn, not every draw before them:
+    the sorted positions are cut into runs at gaps wider than
+    ``_RUN_GAP``, and each run resets the stream, skips whole Philox
+    blocks of four draws (``advance``) and draws through to its last
+    position, so memory is bounded whatever the positions.
+    """
+    positions = np.asarray(positions)
+    order = np.argsort(positions, kind="stable")
+    ordered = positions[order]
+    cuts = (np.flatnonzero(np.diff(ordered) > _RUN_GAP) + 1).tolist()
+    runs = [(int(ordered[lo]), order[lo:hi], ordered[lo:hi] - ordered[lo])
+            for lo, hi in zip([0, *cuts], [*cuts, ordered.size])]
+    out = np.empty((count, positions.size))
+    for b, gen in enumerate(replication_streams(seed, count)):
+        bit_generator = gen.bit_generator
+        stream_start = bit_generator.state if len(runs) > 1 else None
+        for i, (first, columns, offsets) in enumerate(runs):
+            if i:
+                bit_generator.state = stream_start
+            if first >= 4:
+                bit_generator.advance(first // 4)
+            skip = first % 4
+            out[b, columns] = gen.random(skip + int(offsets[-1]) + 1)[skip + offsets]
+    return out
 
 
 def _scalar_fits(config: ScalarDesignConfig,

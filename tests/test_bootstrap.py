@@ -8,6 +8,8 @@ import funkreg.bootstrap
 from funkreg import (
     BootstrapConfig,
     Curve,
+    DegenerateGrid,
+    DegeneratePilot,
     EmptyNeighborhood,
     FixedPilot,
     FunctionalSample,
@@ -18,6 +20,7 @@ from funkreg import (
     SamplingGrid,
     SemiMetricSpec,
     SimulationConfig,
+    TooFewPoints,
     ValidationError,
     WildBootstrapResult,
     WildResidualLaw,
@@ -45,6 +48,7 @@ from funkreg.kernels import eval_kernel_array
 from funkreg.simulation import default_grid
 
 QUADRATIC = KernelSpec.quadratic()
+DERIV0 = SemiMetricSpec(derivative_order=0)
 DERIV1 = SemiMetricSpec(derivative_order=1)
 SQRT5 = np.sqrt(5.0)
 
@@ -461,6 +465,50 @@ class TestBootstrapErrorCurve:
             bootstrap_error_curve(sample, queries, QUADRATIC,
                                   SemiMetricSpec(derivative_order=0), config)
 
+    @staticmethod
+    def constant_curves(levels, n_points=11):
+        grid = default_grid(n_points)
+        levels = np.asarray(levels, dtype=float)
+        return grid, FunctionalSample(
+            grid, np.repeat(levels[:, None], n_points, axis=1), levels**2)
+
+    def test_zero_pilot_radius_is_degenerate(self):
+        # four copies of one curve: each copy's 3rd neighbour is at 0
+        grid, sample = self.constant_curves([0, 0, 0, 0, 1, 2, 3, 4, 5, 6])
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
+                                 pilot=FixedPilot(3))
+        with pytest.raises(DegeneratePilot, match="radius is zero"):
+            bootstrap_error_curve(sample, [Curve(grid, np.full(11, 2.5))],
+                                  QUADRATIC, DERIV0, config)
+
+    def test_empty_query_pilot_is_degenerate(self):
+        # the query's two nearest curves, at +-1, both sit on the quadratic
+        # kernel's zero edge of its k_g = 2 pilot radius
+        grid, sample = self.constant_curves(
+            [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6])
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
+                                 pilot=FixedPilot(2))
+        with pytest.raises(DegeneratePilot, match="pilot fit failed"):
+            bootstrap_error_curve(sample, [Curve(grid, np.zeros(11))],
+                                  QUADRATIC, DERIV0, config)
+
+    def test_k_max_beyond_the_sample(self):
+        grid, sample = self.constant_curves(np.arange(10))
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=10,
+                                 pilot=FixedPilot(3))
+        with pytest.raises(TooFewPoints, match="k_max <= n - 1 with n = 10"):
+            bootstrap_error_curve(sample, [Curve(grid, np.full(11, 4.5))],
+                                  QUADRATIC, DERIV0, config)
+
+    def test_zero_candidate_radius_is_degenerate(self):
+        # the query equals two sample curves, so its k = 2 radius is 0
+        grid, sample = self.constant_curves([0, 0, 1, 2, 3, 4, 5, 6, 7, 8])
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
+                                 pilot=FixedPilot(4))
+        with pytest.raises(DegenerateGrid, match="strictly positive"):
+            bootstrap_error_curve(sample, [Curve(grid, np.zeros(11))],
+                                  QUADRATIC, DERIV0, config)
+
     def test_query_off_the_sample_grid_raises(self):
         train, test = small_sample(seed=2)
         config = BootstrapConfig(n_replications=5, k_min=2, k_max=6)
@@ -493,6 +541,32 @@ class TestBootstrapErrorCurve:
             u = gen.random(165)[keys]
             expected[b] = np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH)
         np.testing.assert_array_equal(_multiplier_matrix(seed, 100, keys), expected)
+
+    def test_multipliers_at_sparse_keys_are_the_full_draw(self):
+        # the uniforms were drawn up to the largest key: 8 MB a replication
+        # for a key of 10^6
+        keys = np.array([13, 0, 10**6, 5, 4, 3, 1, 8, 700, 10**6 - 1])
+        expected = np.empty((6, keys.size))
+        for b in range(6):
+            gen = np.random.Generator(
+                np.random.Philox(key=np.array([11, b], dtype=np.uint64))
+            )
+            u = gen.random(10**6 + 1)[keys]
+            expected[b] = np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH)
+        np.testing.assert_array_equal(_multiplier_matrix(11, 6, keys), expected)
+
+    def test_huge_point_keys(self):
+        train, test = small_sample(seed=3, n=20)
+        config = BootstrapConfig(n_replications=5, k_min=2, k_max=5, seed=1)
+        keys = np.arange(20) * 10**11
+        result = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                       config, point_keys=keys)
+        perm = np.random.default_rng(2).permutation(20)
+        shuffled = FunctionalSample(train.grid, train.values[perm],
+                                    train.responses[perm])
+        moved = bootstrap_error_curve(shuffled, test.curves, QUADRATIC, DERIV1,
+                                      config, point_keys=keys[perm])
+        assert_same_error_curve(moved, result.per_bandwidth, result.selected_k)
 
     def test_empirical_atom_frequency(self):
         m = _multiplier_matrix(2024, 100, np.arange(10000))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from funkreg import KernelSpec, SemiMetricSpec, Tau0Model, compute_constants, load_sample
-from funkreg.cli import main
+from funkreg.cli import _KNOWN_CONFIG_KEYS, main
 from funkreg.curves import distance_matrix, transform
 from funkreg.kernels import eval_kernel_array
 
@@ -43,6 +43,32 @@ class TestConstantsCommand:
 
     def test_unknown_kernel_exits_2(self, capsys):
         assert run(["constants", "--kernel", "gauss", "--tau0", "dirac"]) == 2
+
+    @pytest.mark.parametrize("text, model", [
+        ("dirac", Tau0Model.dirac_at_one()),
+        ("indicator", Tau0Model.indicator_unit()),
+        ("empirical:TABLE", Tau0Model.empirical([[0.25, 0.1], [0.5, 0.4], [1, 1]])),
+    ], ids=["dirac", "indicator", "empirical"])
+    def test_tau0_models(self, tmp_path, capsys, text, model):
+        table = tmp_path / "tau0.json"
+        table.write_text("[[0.25, 0.1], [0.5, 0.4], [1, 1]]")
+        text = text.replace("TABLE", str(table))
+        assert run(["constants", "--kernel", "triangle", "--tau0", text]) == 0
+        c = compute_constants(KernelSpec.triangle(), model)
+        assert capsys.readouterr().out == f"{c.m0:g} {c.m1:g} {c.m2:g}\n"
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read tau0 table"),
+        ("[[0.5, 0.2], [1, 1]", "tau0 table"),
+    ], ids=["missing", "invalid-json"])
+    def test_unreadable_tau0_table_exits_2(self, tmp_path, capsys, content,
+                                           message):
+        table = tmp_path / "tau0.json"
+        if content is not None:
+            table.write_text(content)
+        assert run(["constants", "--kernel", "triangle",
+                    "--tau0", f"empirical:{table}"]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -117,6 +143,31 @@ class TestFitPredictCi:
         upper = float(row[header.index("upper")])
         pred = float(row[header.index("prediction")])
         assert lower <= pred <= upper
+
+    def test_fit_k_must_leave_a_neighbour(self, simulated, capsys):
+        # in-sample radii exclude the point itself, so k = n is one too many
+        train, _ = simulated
+        assert run(["fit", "--data", str(train), "--k", "40"]) == 2
+        assert "--k must lie in [1, 39]" in capsys.readouterr().err
+
+    def test_ci_with_an_empirical_tau0(self, simulated, tmp_path):
+        train, test = simulated
+        table = tmp_path / "tau0.json"
+        table.write_text("[[0.25, 0.1], [0.5, 0.4], [1, 1]]")
+        out = tmp_path / "ci.tsv"
+        assert run([
+            "ci", "--train", str(train), "--test", str(test), "--k", "8",
+            "--deriv-order", "1", "--tau0", f"empirical:{table}",
+            "--out", str(out),
+        ]) == 0
+        dist, train_sample, test_sample = query_distances(
+            train, test, SemiMetricSpec(1))
+        tau0 = Tau0Model.empirical([[0.25, 0.1], [0.5, 0.4], [1, 1]])
+        want = reference_tsv_rows(dist, train_sample, test_sample,
+                                  KernelSpec.uniform(), k=8,
+                                  interval=(tau0, 0.95))
+        got = np.loadtxt(out, delimiter="\t", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(got, want)
 
     def test_ci_rejects_quadratic_kernel(self, simulated, tmp_path):
         train, test = simulated
@@ -218,6 +269,101 @@ class TestSelectCommand:
             "--config", str(config), "--k-max", "4", "--out", str(out),
         ]) == 0
         assert len(out.read_text().strip().splitlines()) == 4  # header + k=2..4
+
+
+    def test_one_config_serves_select_and_predict(self, simulated, tmp_path):
+        # each command ignores the keys only the other one has a flag for
+        train, test = simulated
+        pair = ["--train", str(train), "--test", str(test)]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "kernel": "uniform", "deriv_order": 1, "k": 7, "k_min": 2,
+            "k_max": 9, "n_boot": 12, "seed": 3, "pilot": "mult:1.5",
+        }))
+        for command, flags in [
+            ("select", ["--kernel", "uniform", "--deriv-order", "1",
+                        "--k-min", "2", "--k-max", "9", "--n-boot", "12",
+                        "--seed", "3", "--pilot", "mult:1.5"]),
+            ("predict", ["--kernel", "uniform", "--deriv-order", "1",
+                         "--k", "7"]),
+        ]:
+            by_config, by_flags = tmp_path / "config.tsv", tmp_path / "flags.tsv"
+            assert run([command, *pair, "--config", str(config),
+                        "--out", str(by_config)]) == 0
+            assert run([command, *pair, *flags, "--out", str(by_flags)]) == 0
+            assert by_config.read_bytes() == by_flags.read_bytes()
+
+
+class TestConfigTable:
+    """The config keys and the flags must not drift apart."""
+
+    def flags(self):
+        from funkreg.cli import build_parser
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+        return [(name, action) for name, parser in commands.items()
+                for action in parser._actions]
+
+    @pytest.mark.parametrize("key", sorted(_KNOWN_CONFIG_KEYS))
+    def test_every_key_is_a_flag_of_its_type(self, key):
+        kind = _KNOWN_CONFIG_KEYS[key]
+        actions = [(name, action) for name, action in self.flags()
+                   if action.dest == key and action.option_strings]
+        assert actions, f"config key {key!r} is no command's flag"
+        for name, action in actions:
+            value = (action.type or str)("3")
+            assert type(value) is kind, f"{name} {action.option_strings[0]}"
+
+
+class TestNonFiniteValues:
+    """NaN and infinity fail where they come in (exit 2); they used to run,
+    hang or end in a traceback."""
+
+    BASE = {
+        "constants": ["--kernel", "uniform"],
+        "simulate": [],
+        "mc-bias-var": ["--n", "100", "--h", "0.1", "--reps", "5"],
+        "mc-normality": ["--n", "100", "--h", "0.1", "--reps", "5"],
+    }
+
+    @pytest.mark.parametrize("command, flags", [
+        ("constants", ["--tau0", "fractal:nan"]),
+        ("constants", ["--tau0", "fractal:inf"]),
+        ("simulate", ["--noise-variance", "nan"]),
+        ("simulate", ["--noise-variance", "inf"]),
+        ("mc-bias-var", ["--noise-sd", "nan"]),
+        ("mc-bias-var", ["--noise-sd", "inf"]),
+        ("mc-bias-var", ["--slope", "nan"]),
+        ("mc-bias-var", ["--slope=-inf"]),
+        ("mc-normality", ["--h", "nan"]),
+        ("mc-normality", ["--h", "inf"]),
+    ], ids=lambda case: " ".join(case) if isinstance(case, list) else case)
+    def test_exits_2(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        argv = [command, *self.BASE[command], *flags]
+        if command != "constants":
+            argv += ["--out-dir" if command == "simulate" else "--out", str(out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pilot", ["mult:nan", "mult:inf"])
+    def test_pilot_multiplier(self, simulated, capsys, pilot):
+        train, test = simulated
+        assert run(["select", "--train", str(train), "--test", str(test),
+                    "--pilot", pilot]) == 2
+        assert "pilot multiplier must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", ["[[0.5, NaN], [1, 1]]",
+                                       "[[NaN, 0.5], [1, 1]]"])
+    def test_empirical_tau0_table(self, tmp_path, capsys, table):
+        # a NaN value sent the adaptive quadrature to its depth limit
+        path = tmp_path / "tau0.json"
+        path.write_text(table)
+        assert run(["constants", "--kernel", "triangle",
+                    "--tau0", f"empirical:{path}"]) == 2
+        assert "must lie in [0, 1]" in capsys.readouterr().err
 
 
 class TestConfigValues:

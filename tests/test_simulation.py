@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from funkreg import (
     Curve,
@@ -25,9 +26,15 @@ from funkreg import (
     mc_tau_convergence,
     true_regression,
 )
+import funkreg as fk
 from funkreg import simulation
 from funkreg.kernels import eval_kernel_array
-from funkreg.simulation import _scalar_fits, check_seed, replication_streams
+from funkreg.simulation import (
+    _scalar_fits,
+    check_seed,
+    replication_streams,
+    replication_uniforms,
+)
 
 UNIFORM = KernelSpec.uniform()
 
@@ -343,3 +350,78 @@ class TestReplicationStreams:
             ScalarDesignConfig(n=10, h=0.1, seed=seed)
         with pytest.raises(ValidationError, match="seed"):
             SimulationConfig(seed=seed)
+
+
+def philox_draw(seed, b, position):
+    """Draw `position` of stream (seed, b) read straight off the Philox
+    counter: block position // 4, 64-bit word position % 4, top 53 bits."""
+    block = np.random.Philox(key=np.array([seed, b], dtype=np.uint64),
+                             counter=[position // 4, 0, 0, 0])
+    return float(block.random_raw(4)[position % 4] >> np.uint64(11)) * 2.0**-53
+
+
+class TestReplicationUniforms:
+    """Draws at stream positions, drawn run by run instead of in full."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(positions=st.lists(st.integers(0, 3000), min_size=1, max_size=40),
+           seed=st.sampled_from([0, 7, 2**64 - 1]))
+    def test_equals_the_full_draw(self, positions, seed):
+        # gaps on both sides of the run cut, repeated and unsorted positions
+        positions = np.array(positions)
+        want = [np.random.Generator(np.random.Philox(
+                    key=np.array([seed, b], dtype=np.uint64)))
+                .random(positions.max() + 1)[positions] for b in range(3)]
+        np.testing.assert_array_equal(
+            replication_uniforms(seed, 3, positions), want)
+
+    @pytest.mark.parametrize("gap", [simulation._RUN_GAP, simulation._RUN_GAP + 1])
+    def test_runs_cut_at_the_gap(self, gap):
+        positions = np.array([5, 5 + gap, 6 + 2 * gap])
+        want = [philox_draw(4, 1, int(k)) for k in positions]
+        np.testing.assert_array_equal(
+            replication_uniforms(4, 2, positions)[1], want)
+
+    def test_huge_positions_in_bounded_memory(self):
+        # drawing every value before 10^12 would take 8 TB
+        import tracemalloc
+
+        positions = np.array([10**12, 0, 10**9 + 3])
+        tracemalloc.start()
+        try:
+            got = replication_uniforms(9, 5, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        want = [[philox_draw(9, b, int(k)) for k in positions] for b in range(5)]
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fk.BootstrapConfig(k_min=2.5),
+    lambda: fk.BootstrapConfig(k_max=8.0),
+    lambda: fk.BootstrapConfig(n_replications=1.5),
+    lambda: fk.BootstrapConfig(pilot=fk.FixedPilot(6.5)),
+    lambda: fk.BootstrapConfig(query_index=True),
+    lambda: SimulationConfig(n_train=10.5),
+    lambda: SimulationConfig(grid_size=50.5),
+    lambda: ScalarDesignConfig(n=100.5, h=0.1),
+    lambda: ScalarDesignConfig(n=100, h=0.1, reps=2.5),
+    lambda: fk.split_sample(generate_functional_sample(
+        SimulationConfig(n_train=20, n_test=1))[0], 10.5, 5, 0),
+    lambda: fk.SemiMetricSpec(presmoothing_window=3.5),
+    lambda: fk.SemiMetricSpec(derivative_order=1.0),
+], ids=["k_min", "k_max", "n_replications", "k_g", "query_index", "n_train",
+        "grid_size", "n", "reps", "split", "presmoothing_window",
+        "derivative_order"])
+def test_counts_must_be_integers(build):
+    # each was accepted and failed later with a TypeError or IndexError
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build()
+
+
+def test_counts_accept_numpy_integers():
+    assert fk.BootstrapConfig(k_max=np.int64(8)).k_max == 8
+    assert ScalarDesignConfig(n=np.int32(10), h=0.1, reps=np.uint8(3)).reps == 3
+    assert fk.SemiMetricSpec(np.int64(1), np.int64(3)).presmoothing_window == 3
