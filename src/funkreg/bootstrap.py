@@ -21,7 +21,9 @@ against n points in all): the refit reads sorted prefix sums
 O(J K s (log n + deg)) for J queries and K candidates, and scoring is one
 (K x s) by (s x B) product per query. Queries are processed in blocks
 padded to the block's largest s, with work arrays of about
-``_BLOCK_ELEMENTS`` floats.
+``_BLOCK_ELEMENTS`` floats. The query block's distances are screened at
+max(k_g, k_max) neighbours (``curves.sample_distances``): only entries
+that can fall inside a query's pilot or k_max-ball are computed exactly.
 """
 
 import math
@@ -309,10 +311,24 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
 
     keys = _point_keys(point_keys, n)
 
-    dist_qs = sample_distances(sample, spec, curve_matrix(active, sample.grid))
-    smoother = InsampleSmoother(sample_distances(sample, spec), y, kernel)
-
+    query_values = curve_matrix(active, sample.grid)
+    spec.check_grid(sample.grid)
     k_g = config.pilot_k(n)
+    ks = range(config.k_min, config.k_max + 1)
+    n_k = config.k_max - config.k_min + 1
+    if config.k_max > n - 1:
+        raise TooFewPoints(
+            f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
+            f"got k_min = {config.k_min}, k_max = {config.k_max}"
+        )
+    # The (n, n) block first: its 16 MB distance chunks then sit on a heap
+    # that does not yet hold the screen's freed work arrays (1.7 MB less
+    # peak RSS at paper scale).
+    smoother = InsampleSmoother(sample_distances(sample, spec), y, kernel)
+    # exact up to each query's largest radius in use, inf beyond it
+    dist_qs = sample_distances(sample, spec, query_values,
+                               k=max(k_g, config.k_max))
+
     pilot_radii = smoother.knn_radii(k_g)
     pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]
     if np.any(pilot_radii <= 0.0) or np.any(pilot_radii_q <= 0.0):
@@ -323,13 +339,6 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     except EmptyNeighborhood as exc:
         raise DegeneratePilot(f"pilot fit failed: {exc}") from exc
 
-    ks = range(config.k_min, config.k_max + 1)
-    n_k = config.k_max - config.k_min + 1
-    if config.k_max > n - 1:
-        raise TooFewPoints(
-            f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
-            f"got k_min = {config.k_min}, k_max = {config.k_max}"
-        )
     radii = knn_radii(dist_qs, config.k_min, config.k_max)
     if np.any(radii <= 0.0):
         raise DegenerateGrid("bandwidths must be strictly positive")

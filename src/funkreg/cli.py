@@ -280,16 +280,18 @@ def _cmd_fit(args) -> int:
 def _query_fit(args, train: FunctionalSample, queries: FunctionalSample,
                kernel: KernelSpec, spec: SemiMetricSpec):
     """Query-by-train distances and the leading columns of predict and ci:
-    the batched fit at each query's radius."""
-    dist = sample_distances(train, spec, queries.values)
+    the batched fit at each query's radius. The distances are screened at
+    the bandwidth rule, so entries beyond each query's radius read inf."""
+    spec.check_grid(train.grid)
     k, h = _bandwidth_rule(args)
+    if h is not None and h <= 0:
+        raise ValidationError("--h must be positive")
+    if h is None and not 1 <= k <= len(train):
+        raise ValidationError(f"--k must lie in [1, {len(train)}]")
+    dist = sample_distances(train, spec, queries.values, k=k, h=h)
     if h is not None:
-        if h <= 0:
-            raise ValidationError("--h must be positive")
         radii = np.full(len(queries), float(h))
     else:
-        if not 1 <= k <= len(train):
-            raise ValidationError(f"--k must lie in [1, {len(train)}]")
         radii = knn_radii(dist, k, k)[:, 0]
     preds, _, counts = nadaraya_watson_batch(dist, train.responses, kernel, radii)
     return dist, {

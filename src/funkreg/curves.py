@@ -10,21 +10,33 @@ A sample is one (n, p) matrix; ``transform`` and ``distance_matrix`` work on
 whole matrices, the latter in row chunks so that its memory stays bounded.
 ``sample_distances`` is the one place the semi-metric recipe (transform,
 trapezoid weights, distance_matrix) runs for the rest of the package.
+
+A kernel estimate at a query reads only the curves inside its ball. Given
+the neighbour count k or the radius h that decides those balls,
+``sample_distances`` screens a query block with one matrix product per row
+chunk and computes exactly, with ``distance_matrix``'s own reduction, only
+the entries that the screen cannot place beyond every radius in use. The
+others read ``inf``: every kNN radius up to k, every kernel weight and
+every ``d <= h`` count keeps the bits of the full block.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatch, GridTooShort, ValidationError, require_integers
 
-#: Element budget of one ``distance_matrix`` chunk: rows are done a few at a
-#: time so that their (rows, cols, p) difference array holds this many floats.
-#: Of 2^17, 2^21 and 2^22 floats, 2^21 (16 MB) gave the fastest ci op on a
-#: 200 x 2000 x 101 block and the fastest 165-curve bootstrap: 1 MB chunks
-#: left the bootstrap's 2 MB work arrays to be mapped afresh (about 8k page
-#: faults per select), and 32 MB chunks ran about 15% slower on the block.
+#: Element budget of one distance chunk: ``distance_matrix`` does rows a few
+#: at a time so that their (rows, cols, p) difference array holds this many
+#: floats, and the screen of ``sample_distances`` sizes its row chunks and
+#: its gathered differences by it. Of 2^17, 2^21 and 2^22 floats, 2^21
+#: (16 MB) gave the fastest 165-curve bootstrap, whose (n, n) block runs
+#: through ``distance_matrix``: 1 MB chunks left its 2 MB work arrays to be
+#: mapped afresh (about 8k page faults per select). Query blocks with a k or
+#: h take the screen.
 _CHUNK_ELEMENTS = 1 << 21
 
 
@@ -114,6 +126,14 @@ class SemiMetricSpec:
     def min_grid_length(self) -> int:
         return max(2, 2 * self.derivative_order + 1)
 
+    def check_grid(self, grid: "SamplingGrid") -> None:
+        """Raise GridTooShort if ``grid`` is too short for the derivative."""
+        if len(grid) < self.min_grid_length():
+            raise GridTooShort(
+                f"order-{self.derivative_order} derivative needs >= "
+                f"{self.min_grid_length()} grid points, got {len(grid)}"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class FunctionalSample:
@@ -161,11 +181,17 @@ class FunctionalSample:
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average along the last axis; edge windows shrink."""
+    """Centered moving average along the last axis; edge windows shrink.
+
+    The interior columns, whose windows are whole, come from one sliding
+    window view; only the ``window // 2`` columns at each edge loop."""
     half = window // 2
     p = values.shape[-1]
     out = np.empty_like(values)
-    for i in range(p):
+    if p >= window:
+        out[..., half:p - half] = sliding_window_view(
+            values, window, axis=-1).mean(axis=-1)
+    for i in chain(range(min(half, p)), range(max(half, p - half), p)):
         j = min(i, half, p - 1 - i)
         out[..., i] = values[..., i - j:i + j + 1].mean(axis=-1)
     return out
@@ -195,11 +221,7 @@ def transform(values: np.ndarray, grid: SamplingGrid,
     Raises:
         GridTooShort: if the grid is too short for the derivative order.
     """
-    if len(grid) < spec.min_grid_length():
-        raise GridTooShort(
-            f"order-{spec.derivative_order} derivative needs >= "
-            f"{spec.min_grid_length()} grid points, got {len(grid)}"
-        )
+    spec.check_grid(grid)
     if spec.presmoothing_window is not None:
         values = _moving_average(values, spec.presmoothing_window)
     for _ in range(spec.derivative_order):
@@ -243,7 +265,9 @@ def pairwise_distances(sample: FunctionalSample, query: Curve,
 
 
 def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
-                     queries: np.ndarray | None = None) -> np.ndarray:
+                     queries: np.ndarray | None = None, *,
+                     k: int | None = None,
+                     h: float | None = None) -> np.ndarray:
     """Semi-metric distances to the n sample curves.
 
     With an (m, p) ``queries`` matrix, one curve per row on the sample grid,
@@ -252,11 +276,27 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
     ``queries=None``, returns the (n, n) sample-by-sample distances, whose
     diagonal is exactly zero.
 
+    A query block may name the bandwidth rule its fit uses, as
+    ``bootstrap.insample_fit`` does: a neighbour count ``k`` or a global
+    radius ``h``. The block is then screened (``_screened_distances``):
+    every entry at most the row's k-th smallest distance, or at most ``h``,
+    equals the full block's bit for bit, and every other entry is ``inf``,
+    strictly above that radius. So every kNN radius up to k, every kernel
+    weight at such a radius and every ``d <= h`` count is unchanged.
+
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
+        ValidationError: for both ``k`` and ``h``, either one without a
+            query block, a ``k`` outside [1, n] or an ``h`` that is not
+            positive (NaN included).
     """
     weights = sample.grid.trapezoid_weights()
+    n = len(sample)
+    if k is not None and h is not None:
+        raise ValidationError("give at most one of h or k")
     if queries is None:
+        if k is not None or h is not None:
+            raise ValidationError("k and h screen a query block")
         t = transform(sample.values, sample.grid, spec)
         return distance_matrix(t, t, weights)
     queries = np.asarray(queries, dtype=float)
@@ -264,9 +304,27 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
         raise GridMismatch(
             f"queries of shape {queries.shape} for a {len(sample.grid)}-point grid"
         )
+    if k is not None:
+        require_integers(k=k)
+        if not 1 <= k <= n:
+            raise ValidationError(f"k must lie in [1, {n}], got {k}")
+    if h is not None and not h > 0:
+        raise ValidationError(f"bandwidth must be positive, got {h}")
     m = queries.shape[0]
     t = transform(np.vstack([queries, sample.values]), sample.grid, spec)
-    return distance_matrix(t[:m], t[m:], weights)
+    if k is None and h is None:
+        return distance_matrix(t[:m], t[m:], weights)
+    return _screened_distances(t[:m], t[m:], weights, k=k, h=h)
+
+
+def _root_weighted_squares(diff: np.ndarray,
+                           weights: np.ndarray) -> np.ndarray:
+    """sqrt(sum_j weights_j diff_j^2) along the last axis, squaring ``diff``
+    in place: the one exact reduction. ``distance_matrix`` applies it to an
+    outer (rows, cols, p) block and the screen to gathered (pairs, p)
+    differences; an entry gets the same bits either way."""
+    np.square(diff, out=diff)
+    return np.sqrt(np.einsum("...j,j->...", diff, weights))
 
 
 def distance_matrix(rows: np.ndarray, cols: np.ndarray,
@@ -281,8 +339,99 @@ def distance_matrix(rows: np.ndarray, cols: np.ndarray,
     out = np.empty((rows.shape[0], cols.shape[0]))
     step = max(1, _CHUNK_ELEMENTS // cols.size)
     for start in range(0, rows.shape[0], step):
-        diff = rows[start:start + step, None, :] - cols
-        np.square(diff, out=diff)
-        out[start:start + step] = np.sqrt(np.einsum("ikj,j->ik", diff, weights))
-        del diff  # free this chunk before the next one is allocated
+        out[start:start + step] = _root_weighted_squares(
+            rows[start:start + step, None, :] - cols, weights)
+    return out
+
+
+def _screened_distances(rows: np.ndarray, cols: np.ndarray,
+                        weights: np.ndarray, k: int | None = None,
+                        h: float | None = None) -> np.ndarray:
+    """``distance_matrix(rows, cols, weights)`` exact where it decides a fit
+    at k neighbours or at radius h, ``inf`` elsewhere.
+
+    Screen. With c the column mean of ``cols`` and s = sqrt(weights), the
+    rows a = (rows - c) s and b = (cols - c) s give G = |a|^2 + |b|^2 - 2 a.b,
+    one matrix product per chunk of rows. Let D be the value the exact
+    reduction squares its way to (the square of its result before the root)
+    and S = sum_j w_j (rows_j - cols_j)^2 in exact arithmetic, u the unit
+    roundoff, T = |a|^2 + |b|^2 and gamma_q = q u / (1 - q u).
+
+    - Centring and scaling: a_j = x_j (1 + alpha_j) with x = (rows - c) sqrt(w)
+      and |alpha_j| <= gamma_3 (a subtraction, sqrt(w_j), a product); so
+      |sqrt(sum (a - b)^2) - sqrt(S)| <= gamma_3 (|x| + |y|), and
+      |sum (a - b)^2 - S| <= (4 gamma_3 + 2 gamma_3^2) T' with T' the T of x
+      and y, itself within a factor (1 +- gamma_3)^2 of T.
+    - Gram rounding: |a|^2 and |b|^2 are sums of p nonnegative terms and a.b
+      a p-term dot product, each within gamma_p of the sum of its terms'
+      magnitudes in any summation order, with or without FMA; as
+      2 |a.b| <= T, G is within 2 gamma_p T of exact before its two
+      additions, which (each of a value at most 2 T) add at most 4 u T.
+    - Direct reduction: D sums p nonnegative terms w_j fl(fl(d_j)^2), each
+      term within gamma_4 and the sum within gamma_(p+3) of S <= 2 T'.
+
+    Together |G - D| <= (4 p + 22) u T, to first order. The interval
+    [lo, hi] = G -+ gamma T, with gamma = (4 p + 32) eps = (8 p + 64) u,
+    covers D with a factor 2 to spare, which absorbs the second-order terms,
+    the rounding of lo and hi and of T itself. Subnormal results add at
+    most one subnormal ulp per operation, which the absolute term
+    4 p (1 + max w) tiny covers.
+
+    Refine. The cutoff of a row is its k-th smallest hi (at least k entries
+    have D at or below it, so the k-th smallest D is too), or h^2, times
+    1 + 4 eps: an entry with lo above the cutoff has D more than 4 eps
+    above the k-th smallest D (or above h^2), so its root is strictly above
+    the k-th radius (or above h) after rounding. Every other entry is
+    recomputed with ``_root_weighted_squares`` from the unscaled rows, the
+    reduction ``distance_matrix`` uses, so it has the full block's bits. A
+    row whose screen is not finite (overflow) is recomputed whole.
+
+    Fill. Every entry not recomputed reads ``inf``, strictly above the row's
+    k-th radius and above h.
+    """
+    m, n, p = rows.shape[0], cols.shape[0], cols.shape[1]
+    eps = float(np.finfo(float).eps)
+    gamma = (4 * p + 32) * eps
+    slack = 4 * p * (1.0 + weights.max()) * np.finfo(float).tiny
+    root_w = np.sqrt(weights)
+    centre = cols.mean(axis=0)
+    a = (rows - centre) * root_w
+    b = (cols - centre) * root_w
+    with np.errstate(over="ignore"):
+        norms_a = np.einsum("ij,ij->i", a, a)
+        norms_b = np.einsum("ij,ij->i", b, b)
+    out = np.full((m, n), np.inf)
+    margin = 1.0 + 4 * eps
+    if h is not None:
+        cutoff = float(h) * float(h) * margin
+    # g, half and hi are a chunk's (rows, n) work arrays, and the gathered
+    # rows and columns of its refined pairs are (pairs, p) each
+    step = max(1, _CHUNK_ELEMENTS // (3 * n))
+    pair_step = max(1, _CHUNK_ELEMENTS // (2 * p))
+    for start in range(0, m, step):
+        chunk = slice(start, start + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = a[chunk] @ b.T
+            g *= -2.0
+            g += norms_a[chunk, None]
+            g += norms_b
+            half = norms_a[chunk, None] + norms_b
+            half *= gamma
+            half += slack
+            if h is None:
+                hi = g + half
+                hi.partition(k - 1, axis=1)
+                cutoff = hi[:, k - 1:k] * margin
+                del hi
+            g -= half  # now the lower bound of each entry
+            refine = g <= cutoff
+            refine[~np.isfinite(g).all(axis=1)] = True
+        del g, half
+        i, j = np.nonzero(refine)
+        i += start
+        for s in range(0, i.size, pair_step):
+            ri, cj = i[s:s + pair_step], j[s:s + pair_step]
+            diff = rows[ri]
+            diff -= cols[cj]
+            out[ri, cj] = _root_weighted_squares(diff, weights)
     return out

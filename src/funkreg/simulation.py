@@ -384,8 +384,8 @@ class FractalFamily:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValidationError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValidationError("gamma must be finite and positive")
 
     def tau0(self) -> Tau0Model:
         return Tau0Model.fractal(self.gamma)
@@ -405,8 +405,8 @@ class NonsmoothFamily:
     c: float
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.c) <= 0:
-            raise ValidationError("alpha, beta, c must be positive")
+        if not all(0 < x < np.inf for x in (self.alpha, self.beta, self.c)):
+            raise ValidationError("alpha, beta, c must be finite and positive")
         if self.c * self.beta < self.alpha:
             raise ValidationError(
                 "need c * beta >= alpha for a monotone law on (0, 1]"

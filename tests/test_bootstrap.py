@@ -500,6 +500,21 @@ class TestBootstrapErrorCurve:
             bootstrap_error_curve(sample, [Curve(grid, np.full(11, 4.5))],
                                   QUADRATIC, DERIV0, config)
 
+    def test_k_max_is_checked_before_any_distance(self, monkeypatch):
+        # a degenerate pilot (all curves equal) would fail later; the k_max
+        # check comes first and no distance is computed
+        grid, sample = self.constant_curves(np.zeros(10))
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=10,
+                                 pilot=FixedPilot(3))
+
+        def no_distances(*args, **kwargs):
+            raise AssertionError("distances computed before the k_max check")
+
+        monkeypatch.setattr(funkreg.bootstrap, "sample_distances", no_distances)
+        with pytest.raises(TooFewPoints, match="k_max <= n - 1 with n = 10"):
+            bootstrap_error_curve(sample, [Curve(grid, np.zeros(11))],
+                                  QUADRATIC, DERIV0, config)
+
     def test_zero_candidate_radius_is_degenerate(self):
         # the query equals two sample curves, so its k = 2 radius is 0
         grid, sample = self.constant_curves([0, 0, 1, 2, 3, 4, 5, 6, 7, 8])

@@ -9,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from funkreg import KernelSpec, SemiMetricSpec, Tau0Model, compute_constants, load_sample
+import funkreg.cli
+from funkreg import (
+    FunctionalSample,
+    KernelSpec,
+    SamplingGrid,
+    SemiMetricSpec,
+    Tau0Model,
+    compute_constants,
+    load_sample,
+    save_sample,
+)
 from funkreg.cli import _KNOWN_CONFIG_KEYS, main
 from funkreg.curves import distance_matrix, transform
 from funkreg.kernels import eval_kernel_array
@@ -612,6 +622,33 @@ class TestBatchedPredictCi:
         assert "--h must be positive" in capsys.readouterr().err
         assert run(base + ["--k", "3", "--h", "1"]) == 2
         assert "give exactly one of --k or --h" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "ci"])
+    def test_bandwidth_is_checked_before_any_distance(
+            self, simulated, tmp_path, capsys, monkeypatch, command):
+        train, test = simulated
+
+        def no_distances(*args, **kwargs):
+            raise AssertionError("distances computed before the checks")
+
+        monkeypatch.setattr(funkreg.cli, "sample_distances", no_distances)
+        base = [command, "--train", str(train), "--test", str(test)]
+        for flags, message in [
+            (["--k", "41"], "--k must lie in [1, 40]"),
+            (["--k", "0"], "--k must lie in [1, 40]"),
+            (["--h", "0"], "--h must be positive"),
+            (["--h", "-1"], "--h must be positive"),
+            (["--k", "3", "--h", "1"], "give exactly one of --k or --h"),
+        ]:
+            assert run(base + flags) == 2
+            assert message in capsys.readouterr().err
+        # a grid too short for the derivative is still reported first
+        short = tmp_path / "short.csv"
+        save_sample(FunctionalSample(SamplingGrid(np.linspace(0, 1, 4)),
+                                     np.zeros((3, 4)), np.zeros(3)), short)
+        assert run([command, "--train", str(short), "--test", str(short),
+                    "--deriv-order", "2", "--k", "0"]) == 2
+        assert "order-2 derivative needs >= 5 grid points" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy_stats():

@@ -25,6 +25,9 @@ from funkreg.curves import (
     distance_matrix,
     transform,
 )
+from funkreg.errors import FunkregError
+from funkreg.estimator import knn_radii, nadaraya_watson_batch
+from funkreg.kernels import KernelSpec
 from funkreg.simulation import SimulationConfig, generate_functional_sample
 
 SQRT_THIRD = np.sqrt(1.0 / 3.0)
@@ -333,6 +336,161 @@ class TestSampleDistances:
         sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
         with pytest.raises(GridMismatch):
             sample_distances(sample, SemiMetricSpec(1), np.zeros(shape))
+
+
+@st.composite
+def screened_cases(draw):
+    """A sample and a query block built to stress the screen: curves of
+    norm about 1e3 (times the scale) or about 1, near-duplicates about 1e-9
+    apart, exact duplicates, twins shifted by a constant, queries that
+    repeat or nearly repeat a sample curve, scales 1e-8 to 1e8, orders 0-2
+    and windows None, 3 or 5."""
+    p = draw(st.integers(5, 30))
+    n = draw(st.integers(2, 16))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.uniform(0.01, 1.0, p - 1)
+    grid = SamplingGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    curves_ = offset * rng.normal(size=p) + rng.normal(size=(n + m, p))
+    for row in range(1, n + m):
+        kind = draw(st.sampled_from(["fresh", "near", "duplicate", "shifted"]))
+        source = curves_[draw(st.integers(0, row - 1))]
+        if kind == "near":
+            curves_[row] = source + 1e-9 * rng.normal(size=p)
+        elif kind == "duplicate":
+            curves_[row] = source
+        elif kind == "shifted":
+            curves_[row] = source + rng.normal()
+    curves_ *= scale
+    spec = SemiMetricSpec(draw(st.sampled_from([0, 1, 2])),
+                          draw(st.sampled_from([None, 3, 5])))
+    sample = FunctionalSample(grid, curves_[:n], rng.normal(size=n))
+    return sample, curves_[n:], spec
+
+
+def fit_outcome(distances, responses, kernel, radii):
+    """The batched fit's outputs, or the error it raises."""
+    try:
+        return nadaraya_watson_batch(distances, responses, kernel, radii)
+    except FunkregError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_fit(full, screened, responses, radii):
+    for kernel in (KernelSpec.uniform(), KernelSpec.quadratic()):
+        want = fit_outcome(full, responses, kernel, radii)
+        got = fit_outcome(screened, responses, kernel, radii)
+        assert len(want) == len(got)
+        for a, b in zip(want, got):
+            assert (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                    else a == b)
+
+
+def assert_screened(full, screened, cutoff):
+    """Bit-equal at or below each row's cutoff, strictly above it elsewhere."""
+    inside = full <= cutoff
+    assert np.array_equal(screened[inside], full[inside])
+    assert np.all((screened > cutoff)[~inside])
+
+
+class TestScreenedDistances:
+    @settings(max_examples=150, deadline=None)
+    @given(screened_cases())
+    def test_every_radius_count_and_fit_keeps_its_bits(self, case):
+        sample, queries, spec = case
+        n, y = len(sample), sample.responses
+        full = sample_distances(sample, spec, queries)
+        for k in range(1, n + 1):
+            screened = sample_distances(sample, spec, queries, k=k)
+            radii = knn_radii(full, 1, k)
+            assert np.array_equal(knn_radii(screened, 1, k), radii)
+            assert_screened(full, screened, radii[:, -1:])
+            for r in radii.T:
+                assert np.array_equal((screened <= r[:, None]).sum(axis=1),
+                                      (full <= r[:, None]).sum(axis=1))
+            assert_same_fit(full, screened, y, radii[:, -1])
+        # every existing distance, a float either side of it, and beyond
+        values = np.unique(full[full > 0.0])
+        hs = np.concatenate([values, np.nextafter(values, 0.0),
+                             np.nextafter(values, np.inf), [1e300]])
+        for h in hs:
+            screened = sample_distances(sample, spec, queries, h=float(h))
+            assert_screened(full, screened, h)
+            assert np.array_equal((screened <= h).sum(axis=1),
+                                  (full <= h).sum(axis=1))
+            assert_same_fit(full, screened, y, np.full(len(queries), h))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 60),
+           st.integers(-8, 8), st.integers(0, 2**32 - 1))
+    def test_pair_reduction_equals_the_outer_block(self, r, c, p, exponent, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(r, p)) * 10.0**exponent
+        cols = rng.normal(size=(c, p)) * 10.0**exponent
+        weights = rng.uniform(0.01, 1.0, p)
+        i, j = np.nonzero(rng.random((r, c)) < 0.5)
+        pairs = curves._root_weighted_squares(rows[i] - cols[j], weights)
+        assert np.array_equal(pairs, distance_matrix(rows, cols, weights)[i, j])
+
+    def test_rows_that_overflow_the_screen_are_computed_whole(self):
+        # nine zero curves and one at 1.2e154: every squared distance is
+        # finite, but the query's centred norm plus that curve's overflows
+        grid = unit_grid(11)
+        far = 1.2e154 * (1.0 + 1e-12 * np.arange(11.0))
+        values = np.vstack([np.zeros((9, 11)), far, far[::-1]])
+        sample = FunctionalSample(grid, values[:10], np.zeros(10))
+        spec = SemiMetricSpec(0)
+        full = sample_distances(sample, spec, values[10:])
+        assert np.all(np.isfinite(full))
+        for k in (1, 10):
+            assert np.array_equal(
+                sample_distances(sample, spec, values[10:], k=k), full)
+
+    def test_bad_rules(self):
+        sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
+        spec, queries = SemiMetricSpec(1), np.zeros((2, 11))
+        for kwargs in ({"k": 0}, {"k": 4}, {"h": 0.0}, {"h": float("nan")},
+                       {"k": 1, "h": 1.0}):
+            with pytest.raises(ValidationError):
+                sample_distances(sample, spec, queries, **kwargs)
+        with pytest.raises(ValidationError):
+            sample_distances(sample, spec, k=1)
+
+    def test_memory_is_bounded_by_the_chunk_budget(self, monkeypatch):
+        budget = 1 << 15
+        monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", budget)
+        rng = np.random.default_rng(17)
+        rows, cols = rng.normal(size=(100, 101)), rng.normal(size=(1000, 101))
+        weights = unit_grid(101).trapezoid_weights()
+        # k = 20 refines about 20 pairs a row, h = 1e3 every pair
+        for kwargs in ({"k": 20}, {"h": 1e3}):
+            tracemalloc.start()
+            try:
+                out = curves._screened_distances(rows, cols, weights, **kwargs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the output, the centred and scaled copies of rows and cols,
+            # a chunk's work arrays and its pair indices
+            copies = (rows.nbytes + cols.nbytes)
+            assert peak < out.nbytes + 1.25 * copies + 16 * 8 * budget
+
+
+class TestMovingAverage:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 10),
+           st.integers(-8, 8), st.integers(0, 2**32 - 1))
+    def test_equals_the_per_column_loop(self, m, p, half, exponent, seed):
+        values = (np.random.default_rng(seed).normal(size=(m, p))
+                  * 10.0**exponent)
+        window = 2 * half + 1
+        want = np.vstack([reference_moving_average(row, window)
+                          for row in values])
+        assert np.array_equal(curves._moving_average(values, window), want)
+        assert np.array_equal(curves._moving_average(values[0], window),
+                              want[0])
 
 
 class TestTransform:

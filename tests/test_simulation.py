@@ -237,6 +237,19 @@ class TestMcTauConvergence:
         with pytest.raises(ValidationError):
             NonsmoothFamily(alpha=3.0, beta=1.0, c=1.0)  # c * beta < alpha
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_fractal_family_needs_a_finite_positive_gamma(self, gamma):
+        # NaN passed a `<= 0` check and ended in DegenerateBall
+        with pytest.raises(ValidationError, match="finite and positive"):
+            FractalFamily(gamma)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "c"])
+    def test_nonsmooth_family_needs_finite_positive_parameters(self, name, bad):
+        params = {"alpha": 1.0, "beta": 2.0, "c": 1.0, name: bad}
+        with pytest.raises(ValidationError, match="finite and positive"):
+            NonsmoothFamily(**params)
+
     def test_nonsmooth_sampler_matches_law(self):
         # the inverse-CDF draws must reproduce the target CDF itself
         family = NonsmoothFamily(alpha=1.0, beta=2.0, c=1.0)
