@@ -325,7 +325,8 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     # that does not yet hold the screen's freed work arrays (1.7 MB less
     # peak RSS at paper scale).
     smoother = InsampleSmoother(sample_distances(sample, spec), y, kernel)
-    # exact up to each query's largest radius in use, inf beyond it
+    # exact up to each query's largest radius in use; beyond it inf, or
+    # exact where the screen computed a chunk whole
     dist_qs = sample_distances(sample, spec, query_values,
                                k=max(k_g, config.k_max))
 

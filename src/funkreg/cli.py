@@ -281,7 +281,7 @@ def _query_fit(args, train: FunctionalSample, queries: FunctionalSample,
                kernel: KernelSpec, spec: SemiMetricSpec):
     """Query-by-train distances and the leading columns of predict and ci:
     the batched fit at each query's radius. The distances are screened at
-    the bandwidth rule, so entries beyond each query's radius read inf."""
+    the bandwidth rule: entries beyond each query's radius may read inf."""
     spec.check_grid(train.grid)
     k, h = _bandwidth_rule(args)
     if h is not None and h <= 0:

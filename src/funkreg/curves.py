@@ -16,8 +16,9 @@ the neighbour count k or the radius h that decides those balls,
 ``sample_distances`` screens a query block with one matrix product per row
 chunk and computes exactly, with ``distance_matrix``'s own reduction, only
 the entries that the screen cannot place beyond every radius in use. The
-others read ``inf``: every kNN radius up to k, every kernel weight and
-every ``d <= h`` count keeps the bits of the full block.
+others read ``inf`` (or their exact value, where most of a block is needed
+and it is computed whole): every kNN radius up to k, every kernel weight
+and every ``d <= h`` count keeps the bits of the full block.
 """
 
 from dataclasses import dataclass
@@ -38,6 +39,12 @@ from .errors import GridMismatch, GridTooShort, ValidationError, require_integer
 #: mapped afresh (about 8k page faults per select). Query blocks with a k or
 #: h take the screen.
 _CHUNK_ELEMENTS = 1 << 21
+
+#: Share of a screened block's entries past which the exact outer block is
+#: cheaper than gathering those entries' (pairs, p) differences: on p = 101
+#: (2-core Xeon) the gathered pairs cost as much as the broadcast block at
+#: a share near 0.65, and 1.55 times as much at 1.
+_DENSE_SHARE = 0.6
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,9 +287,12 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
     ``bootstrap.insample_fit`` does: a neighbour count ``k`` or a global
     radius ``h``. The block is then screened (``_screened_distances``):
     every entry at most the row's k-th smallest distance, or at most ``h``,
-    equals the full block's bit for bit, and every other entry is ``inf``,
-    strictly above that radius. So every kNN radius up to k, every kernel
-    weight at such a radius and every ``d <= h`` count is unchanged.
+    equals the full block's bit for bit, and every other entry is strictly
+    above that radius: ``inf``, or its exact value where the screen computes
+    a row or chunk whole. So every kNN radius up to k, every kernel weight
+    at such a radius and every ``d <= h`` count is unchanged. A k above
+    ``_DENSE_SHARE`` of n takes the full block: the screen would compute at
+    least k of each row's n entries anyway.
 
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
@@ -312,7 +322,7 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
         raise ValidationError(f"bandwidth must be positive, got {h}")
     m = queries.shape[0]
     t = transform(np.vstack([queries, sample.values]), sample.grid, spec)
-    if k is None and h is None:
+    if (k is None and h is None) or (k is not None and k > _DENSE_SHARE * n):
         return distance_matrix(t[:m], t[m:], weights)
     return _screened_distances(t[:m], t[m:], weights, k=k, h=h)
 
@@ -348,7 +358,7 @@ def _screened_distances(rows: np.ndarray, cols: np.ndarray,
                         weights: np.ndarray, k: int | None = None,
                         h: float | None = None) -> np.ndarray:
     """``distance_matrix(rows, cols, weights)`` exact where it decides a fit
-    at k neighbours or at radius h, ``inf`` elsewhere.
+    at k neighbours or at radius h, strictly above that radius elsewhere.
 
     Screen. With c the column mean of ``cols`` and s = sqrt(weights), the
     rows a = (rows - c) s and b = (cols - c) s give G = |a|^2 + |b|^2 - 2 a.b,
@@ -384,7 +394,12 @@ def _screened_distances(rows: np.ndarray, cols: np.ndarray,
     the k-th radius (or above h) after rounding. Every other entry is
     recomputed with ``_root_weighted_squares`` from the unscaled rows, the
     reduction ``distance_matrix`` uses, so it has the full block's bits. A
-    row whose screen is not finite (overflow) is recomputed whole.
+    row whose screen is not finite (overflow) is recomputed whole. A chunk
+    that refines more than ``_DENSE_SHARE`` of its entries (a radius near
+    the data's spread) is computed whole by ``distance_matrix``, which
+    gives every entry the same bits at less cost there. With h, a chunk
+    whose pairs mostly have |a| + |b| <= h is known to be such a chunk
+    before its matrix product, which is then skipped.
 
     Fill. Every entry not recomputed reads ``inf``, strictly above the row's
     k-th radius and above h.
@@ -404,12 +419,22 @@ def _screened_distances(rows: np.ndarray, cols: np.ndarray,
     margin = 1.0 + 4 * eps
     if h is not None:
         cutoff = float(h) * float(h) * margin
+        # |a_i| + |b_j| <= h puts pair (i, j) inside the ball up to rounding
+        # (triangle inequality about c); counted on the sorted |b_j|, such
+        # pairs find most dense chunks without a matrix product. Only the
+        # cost depends on this count: a dense chunk is exact everywhere.
+        certain = np.searchsorted(np.sort(np.sqrt(norms_b)),
+                                  h - np.sqrt(norms_a), side="right")
     # g, half and hi are a chunk's (rows, n) work arrays, and the gathered
     # rows and columns of its refined pairs are (pairs, p) each
     step = max(1, _CHUNK_ELEMENTS // (3 * n))
     pair_step = max(1, _CHUNK_ELEMENTS // (2 * p))
     for start in range(0, m, step):
         chunk = slice(start, start + step)
+        if h is not None and (certain[chunk].sum()
+                              > _DENSE_SHARE * n * certain[chunk].size):
+            out[chunk] = distance_matrix(rows[chunk], cols, weights)
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
             g = a[chunk] @ b.T
             g *= -2.0
@@ -427,6 +452,9 @@ def _screened_distances(rows: np.ndarray, cols: np.ndarray,
             refine = g <= cutoff
             refine[~np.isfinite(g).all(axis=1)] = True
         del g, half
+        if np.count_nonzero(refine) > _DENSE_SHARE * refine.size:
+            out[chunk] = distance_matrix(rows[chunk], cols, weights)
+            continue
         i, j = np.nonzero(refine)
         i += start
         for s in range(0, i.size, pair_step):

@@ -448,6 +448,43 @@ class TestScreenedDistances:
             assert np.array_equal(
                 sample_distances(sample, spec, values[10:], k=k), full)
 
+    def test_chunks_that_need_most_entries_are_computed_whole(self, monkeypatch):
+        # one row a chunk. At h = 1.4 the query at the centre has
+        # |a| + |b| <= h for 94% of the curves (known before the product),
+        # the half-scale one for 28% but 96% inside the ball (known from
+        # the screen), and the far one has none inside.
+        monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", 1 << 7)
+        rng = np.random.default_rng(3)
+        sample = FunctionalSample(unit_grid(21), rng.normal(size=(50, 21)),
+                                  np.zeros(50))
+        queries = np.vstack([np.zeros(21), 0.5 * rng.normal(size=21),
+                             np.full(21, 100.0)])
+        spec = SemiMetricSpec(0)
+        full = sample_distances(sample, spec, queries)
+        blocks = []
+
+        def outer_block(rows, cols, weights):
+            blocks.append((rows.shape[0], cols.shape[0]))
+            return distance_matrix(rows, cols, weights)
+
+        monkeypatch.setattr(curves, "distance_matrix", outer_block)
+        screened = sample_distances(sample, spec, queries, h=1.4)
+        assert blocks == [(1, 50), (1, 50)]
+        assert np.array_equal(screened[:2], full[:2])
+        assert np.all(screened[2] == np.inf)
+
+    def test_k_past_the_dense_share_takes_the_full_block(self):
+        rng = np.random.default_rng(4)
+        sample = FunctionalSample(unit_grid(21), rng.normal(size=(20, 21)),
+                                  np.zeros(20))
+        queries = rng.normal(size=(3, 21))
+        spec = SemiMetricSpec(1)
+        full = sample_distances(sample, spec, queries)
+        for k in (13, 20):
+            assert np.array_equal(
+                sample_distances(sample, spec, queries, k=k), full)
+        assert np.isinf(sample_distances(sample, spec, queries, k=2)).any()
+
     def test_bad_rules(self):
         sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
         spec, queries = SemiMetricSpec(1), np.zeros((2, 11))
