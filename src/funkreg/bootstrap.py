@@ -20,8 +20,9 @@ against n points in all): the refit reads sorted prefix sums
 (``InsampleSmoother``), so after one O(n^2 log n) sort it costs
 O(J K s (log n + deg)) for J queries and K candidates, and scoring is one
 (K x s) by (s x B) product per query. Queries are processed in blocks
-padded to the block's largest s, with work arrays of about
-``_BLOCK_ELEMENTS`` floats. The query block's distances are screened at
+with work arrays of about ``_BLOCK_ELEMENTS`` floats, each query on the
+block's largest s points: a smaller ball is followed by points past it,
+which weigh 0. The query block's distances are screened at
 max(k_g, k_max) neighbours (``curves.sample_distances``): only entries
 that can fall inside a query's pilot or k_max-ball are computed exactly.
 """
@@ -358,11 +359,9 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
         block = slice(start, start + step)
         h = radii[block]  # (queries, k)
         s = int(support_sizes[block].max())
-        # Each query's support in index order, padded up to the block's
-        # largest with copies of its first point at weight 0.
+        # Each query's support in index order, then points past its
+        # k_max-ball, where d > h makes the kernel weight exactly 0.
         support = np.argsort(~in_support[block], axis=1, kind="stable")[:, :s]
-        padded = np.arange(s) >= support_sizes[block, None]
-        support = np.where(padded, support[:, :1], support)
         fits = smoother.fit(np.repeat(h, s, axis=0), support.ravel())[0]
         resid = y[support][..., None] - fits.reshape(*support.shape, n_k)
         d = np.take_along_axis(dist_qs[block], support, axis=1)
@@ -370,7 +369,6 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
         with np.errstate(over="ignore"):
             u = d[..., None] / h[:, None, :]
         w_q = eval_kernel_array(kernel, u)  # (queries, s, k)
-        w_q[padded] = 0.0
         totals = w_q.sum(axis=1)
         bad = np.argwhere(totals <= 0.0)
         if bad.size:

@@ -263,6 +263,8 @@ def _cmd_fit(args) -> int:
     spec = _semi_metric(args)
     n = len(sample)
     k, h = _bandwidth_rule(args)
+    if h is not None and not h > 0:
+        raise ValidationError("--h must be positive")
     if k is not None and not 1 <= k <= n - 1:
         raise ValidationError(f"--k must lie in [1, {n - 1}]")
     preds, counts, radii = insample_fit(sample, kernel, spec, h=h, k=k)
@@ -284,7 +286,7 @@ def _query_fit(args, train: FunctionalSample, queries: FunctionalSample,
     the bandwidth rule: entries beyond each query's radius may read inf."""
     spec.check_grid(train.grid)
     k, h = _bandwidth_rule(args)
-    if h is not None and h <= 0:
+    if h is not None and not h > 0:
         raise ValidationError("--h must be positive")
     if h is None and not 1 <= k <= len(train):
         raise ValidationError(f"--k must lie in [1, {len(train)}]")

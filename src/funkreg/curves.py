@@ -18,7 +18,9 @@ chunk and computes exactly, with ``distance_matrix``'s own reduction, only
 the entries that the screen cannot place beyond every radius in use. The
 others read ``inf`` (or their exact value, where most of a block is needed
 and it is computed whole): every kNN radius up to k, every kernel weight
-and every ``d <= h`` count keeps the bits of the full block.
+and every ``d <= h`` count keeps the bits of the full block. Both rules
+that compute a block whole, for a chunk that needs most of its entries and
+for a k above ``_DENSE_SHARE`` of n, live in ``_screened_distances``.
 """
 
 from dataclasses import dataclass
@@ -289,10 +291,9 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
     every entry at most the row's k-th smallest distance, or at most ``h``,
     equals the full block's bit for bit, and every other entry is strictly
     above that radius: ``inf``, or its exact value where the screen computes
-    a row or chunk whole. So every kNN radius up to k, every kernel weight
-    at such a radius and every ``d <= h`` count is unchanged. A k above
-    ``_DENSE_SHARE`` of n takes the full block: the screen would compute at
-    least k of each row's n entries anyway.
+    a row, a chunk or, for a k above ``_DENSE_SHARE`` of n, the whole block
+    at once. So every kNN radius up to k, every kernel weight at such a
+    radius and every ``d <= h`` count is unchanged.
 
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
@@ -322,7 +323,7 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
         raise ValidationError(f"bandwidth must be positive, got {h}")
     m = queries.shape[0]
     t = transform(np.vstack([queries, sample.values]), sample.grid, spec)
-    if (k is None and h is None) or (k is not None and k > _DENSE_SHARE * n):
+    if k is None and h is None:
         return distance_matrix(t[:m], t[m:], weights)
     return _screened_distances(t[:m], t[m:], weights, k=k, h=h)
 
@@ -394,17 +395,21 @@ def _screened_distances(rows: np.ndarray, cols: np.ndarray,
     the k-th radius (or above h) after rounding. Every other entry is
     recomputed with ``_root_weighted_squares`` from the unscaled rows, the
     reduction ``distance_matrix`` uses, so it has the full block's bits. A
-    row whose screen is not finite (overflow) is recomputed whole. A chunk
-    that refines more than ``_DENSE_SHARE`` of its entries (a radius near
-    the data's spread) is computed whole by ``distance_matrix``, which
-    gives every entry the same bits at less cost there. With h, a chunk
-    whose pairs mostly have |a| + |b| <= h is known to be such a chunk
-    before its matrix product, which is then skipped.
+    row whose screen is not finite (overflow) is recomputed whole.
+
+    Whole. The refine count is the one rule for a chunk: one that refines
+    more than ``_DENSE_SHARE`` of its entries (a radius near the data's
+    spread) is computed whole by ``distance_matrix``, which gives every
+    entry the same bits at less cost there. A k above ``_DENSE_SHARE`` of
+    n refines at least that share of every row, so the whole block is
+    computed at once, without a screen.
 
     Fill. Every entry not recomputed reads ``inf``, strictly above the row's
     k-th radius and above h.
     """
     m, n, p = rows.shape[0], cols.shape[0], cols.shape[1]
+    if k is not None and k > _DENSE_SHARE * n:
+        return distance_matrix(rows, cols, weights)
     eps = float(np.finfo(float).eps)
     gamma = (4 * p + 32) * eps
     slack = 4 * p * (1.0 + weights.max()) * np.finfo(float).tiny
@@ -419,22 +424,12 @@ def _screened_distances(rows: np.ndarray, cols: np.ndarray,
     margin = 1.0 + 4 * eps
     if h is not None:
         cutoff = float(h) * float(h) * margin
-        # |a_i| + |b_j| <= h puts pair (i, j) inside the ball up to rounding
-        # (triangle inequality about c); counted on the sorted |b_j|, such
-        # pairs find most dense chunks without a matrix product. Only the
-        # cost depends on this count: a dense chunk is exact everywhere.
-        certain = np.searchsorted(np.sort(np.sqrt(norms_b)),
-                                  h - np.sqrt(norms_a), side="right")
     # g, half and hi are a chunk's (rows, n) work arrays, and the gathered
     # rows and columns of its refined pairs are (pairs, p) each
     step = max(1, _CHUNK_ELEMENTS // (3 * n))
     pair_step = max(1, _CHUNK_ELEMENTS // (2 * p))
     for start in range(0, m, step):
         chunk = slice(start, start + step)
-        if h is not None and (certain[chunk].sum()
-                              > _DENSE_SHARE * n * certain[chunk].size):
-            out[chunk] = distance_matrix(rows[chunk], cols, weights)
-            continue
         with np.errstate(over="ignore", invalid="ignore"):
             g = a[chunk] @ b.T
             g *= -2.0

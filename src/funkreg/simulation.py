@@ -291,6 +291,19 @@ class BiasVarianceExperiment:
     config: ScalarDesignConfig
 
 
+def _scalar_theory(config: ScalarDesignConfig,
+                   kernel: KernelSpec) -> BiasVarianceReport:
+    """Leading bias and variance terms on the scalar design, tau0(s) = s."""
+    return theoretical_bias_variance(
+        phi_prime=config.phi_prime(),
+        sigma2=config.noise_sd ** 2,
+        h=config.h,
+        n=config.n,
+        f_of_h=config.design_sdf(),
+        constants=compute_constants(kernel, Tau0Model.fractal(1.0)),
+    )
+
+
 def mc_bias_variance(config: ScalarDesignConfig,
                      kernel: KernelSpec) -> BiasVarianceExperiment:
     """Monte Carlo check of the leading bias and variance terms.
@@ -302,14 +315,7 @@ def mc_bias_variance(config: ScalarDesignConfig,
     next to the theoretical leading terms.
     """
     preds, _ = _scalar_fits(config, kernel)
-    theoretical = theoretical_bias_variance(
-        phi_prime=config.phi_prime(),
-        sigma2=config.noise_sd ** 2,
-        h=config.h,
-        n=config.n,
-        f_of_h=config.design_sdf(),
-        constants=compute_constants(kernel, Tau0Model.fractal(1.0)),
-    )
+    theoretical = _scalar_theory(config, kernel)
     emp_var = float(np.var(preds, ddof=1)) if config.reps > 1 else float("nan")
     return BiasVarianceExperiment(
         empirical_bias=float(np.mean(preds)) - config.slope * config.chi,
@@ -343,15 +349,8 @@ def mc_normality(config: ScalarDesignConfig,
     undefined; the raw centered deviations are returned instead and the
     KS statistic is flagged not applicable.
     """
-    constants = compute_constants(kernel, Tau0Model.fractal(1.0))
-    theoretical = theoretical_bias_variance(
-        phi_prime=config.phi_prime(),
-        sigma2=max(config.noise_sd ** 2, 0.0),
-        h=config.h,
-        n=config.n,
-        f_of_h=config.design_sdf(),
-        constants=constants,
-    )
+    theoretical = _scalar_theory(config, kernel)
+    constants = theoretical.constants
     r_chi = config.slope * config.chi
     sigma2 = config.noise_sd ** 2
     predictions, counts = _scalar_fits(config, kernel)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import funkreg.bootstrap
 import funkreg.cli
 from funkreg import (
     FunctionalSample,
@@ -159,6 +160,23 @@ class TestFitPredictCi:
         train, _ = simulated
         assert run(["fit", "--data", str(train), "--k", "40"]) == 2
         assert "--k must lie in [1, 39]" in capsys.readouterr().err
+
+    def test_fit_bandwidth_is_checked_before_any_distance(
+            self, simulated, capsys, monkeypatch):
+        train, _ = simulated
+
+        def no_distances(*args, **kwargs):
+            raise AssertionError("distances computed before the checks")
+
+        monkeypatch.setattr(funkreg.bootstrap, "sample_distances", no_distances)
+        for flags, message in [
+            (["--h", "0"], "--h must be positive"),
+            (["--h", "-1"], "--h must be positive"),
+            (["--h", "nan"], "--h must be positive"),
+            (["--k", "0"], "--k must lie in [1, 39]"),
+        ]:
+            assert run(["fit", "--data", str(train)] + flags) == 2
+            assert message in capsys.readouterr().err
 
     def test_ci_with_an_empirical_tau0(self, simulated, tmp_path):
         train, test = simulated
@@ -638,6 +656,7 @@ class TestBatchedPredictCi:
             (["--k", "0"], "--k must lie in [1, 40]"),
             (["--h", "0"], "--h must be positive"),
             (["--h", "-1"], "--h must be positive"),
+            (["--h", "nan"], "--h must be positive"),
             (["--k", "3", "--h", "1"], "give exactly one of --k or --h"),
         ]:
             assert run(base + flags) == 2

@@ -449,10 +449,10 @@ class TestScreenedDistances:
                 sample_distances(sample, spec, values[10:], k=k), full)
 
     def test_chunks_that_need_most_entries_are_computed_whole(self, monkeypatch):
-        # one row a chunk. At h = 1.4 the query at the centre has
-        # |a| + |b| <= h for 94% of the curves (known before the product),
-        # the half-scale one for 28% but 96% inside the ball (known from
-        # the screen), and the far one has none inside.
+        # one row a chunk. At h = 1.4 the query at the centre has all the
+        # curves inside its ball and the half-scale one 96%, so the screen
+        # refines most of both chunks, which are then computed whole; the
+        # far one has none inside.
         monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", 1 << 7)
         rng = np.random.default_rng(3)
         sample = FunctionalSample(unit_grid(21), rng.normal(size=(50, 21)),

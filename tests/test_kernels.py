@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from funkreg import (
     DomainError,
@@ -44,6 +45,18 @@ class TestEvalKernel:
     def test_outside_support(self, kernel):
         assert eval_kernel_array(kernel, 1.5) == 0.0
         assert eval_kernel_array(kernel, -0.1) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(NAMED_KERNELS)),
+           st.floats(min_value=5e-324, allow_infinity=False), st.data())
+    def test_every_distance_past_the_radius_weighs_zero(self, name, h, data):
+        # d > h rounds to d / h > 1 at any positive h, subnormal to the
+        # largest float, so a point past a ball gets weight exactly 0
+        with np.errstate(over="ignore"):
+            above = float(np.nextafter(h, np.inf))
+            d = np.array([above, data.draw(st.floats(min_value=above)), np.inf])
+            u = d / h
+        assert np.all(eval_kernel_array(NAMED_KERNELS[name], u) == 0.0)
 
 
 class TestValidateKernel:
