@@ -37,9 +37,10 @@ from .errors import (
 )
 from .estimator import (
     interval_half_widths,
+    kernel_weights,
     knn_radii,
-    nadaraya_watson_batch,
     plugin_variance,
+    weighted_means,
 )
 from .io import _fmt, load_sample, save_sample, split_sample
 from .kernels import KernelSpec, Tau0Model, compute_constants
@@ -281,9 +282,10 @@ def _cmd_fit(args) -> int:
 
 def _query_fit(args, train: FunctionalSample, queries: FunctionalSample,
                kernel: KernelSpec, spec: SemiMetricSpec):
-    """Query-by-train distances and the leading columns of predict and ci:
-    the batched fit at each query's radius. The distances are screened at
-    the bandwidth rule: entries beyond each query's radius may read inf."""
+    """The kernel weights and totals of each query at its radius, and the
+    leading columns of predict and ci: the batched fit. The distances are
+    screened at the bandwidth rule: entries beyond each query's radius may
+    read inf."""
     spec.check_grid(train.grid)
     k, h = _bandwidth_rule(args)
     if h is not None and not h > 0:
@@ -295,8 +297,9 @@ def _query_fit(args, train: FunctionalSample, queries: FunctionalSample,
         radii = np.full(len(queries), float(h))
     else:
         radii = knn_radii(dist, k, k)[:, 0]
-    preds, _, counts = nadaraya_watson_batch(dist, train.responses, kernel, radii)
-    return dist, {
+    weights, totals, counts = kernel_weights(dist, kernel, radii)
+    preds = weighted_means(weights, totals, train.responses)
+    return (weights, totals), {
         "index": range(len(queries)),
         "prediction": preds,
         "f_hat": counts / len(train),
@@ -318,10 +321,10 @@ def _cmd_ci(args) -> int:
     kernel = parse_kernel(args.kernel)
     spec = _semi_metric(args)
     tau0 = parse_tau0(args.tau0)
-    dist, columns = _query_fit(args, train, queries, kernel, spec)
+    (weights, totals), columns = _query_fit(args, train, queries, kernel, spec)
     preds, counts = columns["prediction"], columns["neighbors"]
     y = train.responses
-    second = nadaraya_watson_batch(dist, y * y, kernel, columns["bandwidth"])[0]
+    second = weighted_means(weights, totals, y * y)
     sigma2 = plugin_variance(preds, second)
     half = interval_half_widths(sigma2, counts, kernel, tau0, args.level)
     _write_tsv(args.out, {

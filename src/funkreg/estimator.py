@@ -171,6 +171,62 @@ def empirical_tau(distances, h: float, s: float) -> float:
     return empirical_sdf(distances, h * s) / denom
 
 
+def kernel_weights(distances, kernel: KernelSpec,
+                   radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel weights of m queries at once, for any number of responses.
+
+    Args:
+        distances: (m, n) block; row j holds the semi-metric distances from
+            the n sample curves to query j.
+        kernel: weighting kernel, evaluated at distance / radius.
+        radii: (m,) bandwidths, one per query, strictly positive.
+
+    Returns:
+        The (m, n) weights K(d_ji / h_j), the per-query kernel totals
+        sum_i K(d_ji / h_j) and neighbor counts #{i : d_ji <= h_j}.
+
+    Raises:
+        ValidationError: for mismatched shapes or a radius that is not
+            positive.
+        EmptyNeighborhood: naming the first query with no positive weight.
+    """
+    d = np.asarray(distances, dtype=float)
+    h = np.asarray(radii, dtype=float)
+    if d.ndim != 2 or h.shape != d.shape[:1]:
+        raise ValidationError("need (m, n) distances and (m,) radii")
+    if not (h > 0.0).all():
+        bad = np.flatnonzero(~(h > 0.0))[0]
+        raise ValidationError(f"bandwidth must be positive, got {h[bad]}")
+    column = h[:, None]
+    # A distance far above a tiny radius overflows to inf, which the kernel
+    # maps to weight 0, as it does any ratio beyond 1.
+    with np.errstate(over="ignore"):
+        u = d / column
+    w = eval_kernel_array(kernel, u)
+    totals = w.sum(axis=1)
+    if (totals <= 0.0).any():
+        bad = np.flatnonzero(totals <= 0.0)[0]
+        raise EmptyNeighborhood(
+            f"no positive kernel weight within radius {h[bad]} at query {bad}"
+        )
+    return w, totals, (d <= column).sum(axis=1)
+
+
+def weighted_means(weights, totals, responses) -> np.ndarray:
+    """Per-query kernel-weighted means of (n,) responses shared by every
+    query, or (m, n) with one row per query, from ``kernel_weights``.
+
+    One dot product per row, a stack of (1, n) @ (n, 1) products: each row
+    rounds as np.dot does, whatever the batch (a gemv's rounding depends on
+    the block height), so moments fitted from one set of weights keep the
+    bits of separate fits.
+    """
+    y = np.asarray(responses, dtype=float)
+    if y.shape not in (weights.shape[1:], weights.shape):
+        raise ValidationError("need (n,) or (m, n) responses for (m, n) weights")
+    return np.matmul(weights[:, None, :], y[..., None])[:, 0, 0] / totals
+
+
 def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
                           radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel-weighted means of the responses at m queries at once.
@@ -192,34 +248,8 @@ def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
             positive.
         EmptyNeighborhood: naming the first query with no positive weight.
     """
-    d = np.asarray(distances, dtype=float)
-    y = np.asarray(responses, dtype=float)
-    h = np.asarray(radii, dtype=float)
-    if d.ndim != 2 or h.shape != d.shape[:1] or y.shape not in (d.shape[1:], d.shape):
-        raise ValidationError(
-            "need (m, n) distances, (n,) or (m, n) responses and (m,) radii"
-        )
-    if not (h > 0.0).all():
-        bad = np.flatnonzero(~(h > 0.0))[0]
-        raise ValidationError(f"bandwidth must be positive, got {h[bad]}")
-    column = h[:, None]
-    # A distance far above a tiny radius overflows to inf, which the kernel
-    # maps to weight 0, as it does any ratio beyond 1.
-    with np.errstate(over="ignore"):
-        u = d / column
-    w = eval_kernel_array(kernel, u)
-    totals = w.sum(axis=1)
-    if (totals <= 0.0).any():
-        bad = np.flatnonzero(totals <= 0.0)[0]
-        raise EmptyNeighborhood(
-            f"no positive kernel weight within radius {h[bad]} at query {bad}"
-        )
-    # One dot product per row, a stack of (1, n) @ (n, 1) products that
-    # broadcasts shared (n,) responses: each row rounds as np.dot does,
-    # whatever the batch (a gemv's rounding depends on the block height).
-    weighted = np.matmul(w[:, None, :], y[..., None])[:, 0, 0]
-    counts = (d <= column).sum(axis=1)
-    return weighted / totals, totals, counts
+    w, totals, counts = kernel_weights(distances, kernel, radii)
+    return weighted_means(w, totals, responses), totals, counts
 
 
 def nadaraya_watson(distances, responses, kernel: KernelSpec,
@@ -403,18 +433,17 @@ def estimate_sigma2(distances, responses, kernel: KernelSpec,
                     h: float) -> float:
     """Plug-in conditional variance: E(Y^2 | ball) - E(Y | ball)^2.
 
-    Both conditional expectations use the same kernel estimate, fitted as
-    two rows of one ``nadaraya_watson_batch`` call; the difference is
-    clamped at zero (``plugin_variance``).
+    Both conditional expectations are weighted means over one set of
+    ``kernel_weights``; the difference is clamped at zero
+    (``plugin_variance``).
     """
     d = np.asarray(distances, dtype=float).reshape(1, -1)
-    y = np.asarray(responses, dtype=float).reshape(1, -1)
-    if d.shape != y.shape:
+    y = np.asarray(responses, dtype=float).reshape(-1)
+    if d.shape[1:] != y.shape:
         raise ValidationError("distances and responses must have equal length")
-    (first, second), _, _ = nadaraya_watson_batch(
-        np.broadcast_to(d, (2, d.size)), np.vstack([y, y * y]), kernel, [h, h]
-    )
-    return float(plugin_variance(first, second))
+    w, totals, _ = kernel_weights(d, kernel, [h])
+    first = weighted_means(w, totals, y)
+    return float(plugin_variance(first, weighted_means(w, totals, y * y))[0])
 
 
 def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,

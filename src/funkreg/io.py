@@ -5,10 +5,22 @@ one curve's values. Responses either ride along as a final column (the
 header's last cell is then a label, conventionally "response") or live in a
 companion file with one number per line. Floats are written with 17
 significant digits so a written file reloads to the exact same sample.
+
+Reading runs numpy's C parser (``np.loadtxt``) first: after the header row,
+which ``csv`` reads, it streams the file into one float table. It accepts
+decimals with whitespace around them, quoted too in a dataset file, and
+rounds each exactly as ``float()`` does; its table is used only when it
+holds at least one row of the header's width (for a response file: one
+value per non-blank line). Everything else goes to the ``csv`` +
+``float()`` parser, which alone raises: a cell numpy rejects (among them
+``1_0`` and Unicode digits, which ``float()`` reads), a line holding
+U+001C..U+001F, a ragged row, a header-only or missing file. It names the
+failing row or cell.
 """
 
 import csv
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +73,43 @@ def _grid_from_header(cells: list[str], path) -> SamplingGrid:
     return SamplingGrid(np.asarray(points))
 
 
-def load_responses(path) -> np.ndarray:
-    """Companion response file: one numeric response per line."""
+def _loadtxt(fh, quotechar=None) -> np.ndarray:
+    """The rest of ``fh`` as numpy's C parser reads it: comma-separated
+    floats, one row per line, as a 2-D table (no rows: shape (0, 1))."""
+    with warnings.catch_warnings():
+        # a file with no rows left warns that it "contained no data"
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, delimiter=",", comments=None,
+                          quotechar=quotechar, ndmin=2)
+
+
+def _checked_lines(fh):
+    """The lines of ``fh``, stopping with ValueError at one that holds a
+    C0 separator (U+001C..U+001F): numpy strips those around a number as
+    whitespace, where ``float()`` rejects the cell."""
+    for line in fh:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("a line holds a C0 separator")
+        yield line
+
+
+def _loadtxt_sample(path) -> tuple[list[str], np.ndarray] | None:
+    """A dataset file's header cells and its body as one float table, when
+    numpy's parser reads the body whole at the header's width; else None."""
+    try:
+        with open(path, newline="") as fh:
+            header = next(filter(None, csv.reader(fh)), [])
+            table = _loadtxt(_checked_lines(fh), quotechar='"')
+    except (OSError, ValueError, csv.Error):
+        return None  # the csv parser reads the file again and raises
+    if table.shape[0] == 0 or table.shape[1] != len(header):
+        return None
+    return header, table
+
+
+def _read_responses(path) -> np.ndarray:
+    """The response file through ``float()``, one stripped non-blank line
+    at a time."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"response file not found: {path}")
@@ -78,34 +125,28 @@ def load_responses(path) -> np.ndarray:
     return np.asarray(values)
 
 
-def load_sample(path, response_path=None) -> FunctionalSample:
-    """Load a curve dataset into a validated FunctionalSample.
+def load_responses(path) -> np.ndarray:
+    """Companion response file: one numeric response per line.
 
-    Args:
-        path: CSV file as described in the module docstring.
-        response_path: companion response file. Without it the final
-            column holds the responses and the final header cell is a
-            label; with it every header cell is a grid abscissa.
-
-    Raises:
-        ParseError: naming the offending cell.
-        RaggedRows: when a row's length disagrees with the header.
-        NonMonotoneGrid: when the header abscissae are not increasing.
+    numpy's parser reads the file first; its table is used only when it
+    has one value on each non-blank line. Otherwise (whitespace-only lines,
+    ``1 2``, ``1,2``, a cell only ``float()`` accepts, an empty or missing
+    file) the file is read again one stripped line at a time through
+    ``float()``, which alone raises.
     """
-    rows = _read_rows(path)
-    header = rows[0]
-    width = len(header)
-    if response_path is None:
-        if width < 3:
-            raise ValidationError(
-                f"{path}: response_column layout needs >= 2 grid columns "
-                "plus the response column"
-            )
-        grid = _grid_from_header(header[:-1], path)
-    else:
-        grid = _grid_from_header(header, path)
+    try:
+        with open(path) as fh:
+            table = _loadtxt(fh)
+    except (OSError, ValueError):
+        return _read_responses(path)
+    if table.shape[0] == 0 or table.shape[1] != 1:
+        return _read_responses(path)
+    return table[:, 0]
 
-    body = rows[1:]
+
+def _table_from_rows(body: list[list[str]], width: int, path) -> np.ndarray:
+    """The csv parser's body: every row's width is checked before any cell
+    is parsed, then all cells go through ``float()`` in one pass."""
     for i, row in enumerate(body, start=2):
         if len(row) != width:
             raise RaggedRows(
@@ -120,7 +161,51 @@ def load_sample(path, response_path=None) -> FunctionalSample:
             for j, cell in enumerate(row, start=1):
                 _parse_cell(cell, i, j, path)
         raise
-    table = cells.reshape(len(body), width)
+    return cells.reshape(len(body), width)
+
+
+def _layout_grid(header: list[str], path, response_path) -> SamplingGrid:
+    """The grid from the header cells: all of them with a response file,
+    all but the final label without one."""
+    if response_path is not None:
+        return _grid_from_header(header, path)
+    if len(header) < 3:
+        raise ValidationError(
+            f"{path}: response_column layout needs >= 2 grid columns "
+            "plus the response column"
+        )
+    return _grid_from_header(header[:-1], path)
+
+
+def load_sample(path, response_path=None) -> FunctionalSample:
+    """Load a curve dataset into a validated FunctionalSample.
+
+    numpy's C parser reads the file first, streaming it into one float
+    table, so the memory held beyond the sample is about one copy of it.
+    When numpy rejects a cell or a row, or reads no table of the header's
+    width, the ``csv`` + ``float()`` parser reads the file again: it is the
+    one that raises, and a cell parses exactly when ``float()`` accepts it.
+
+    Args:
+        path: CSV file as described in the module docstring.
+        response_path: companion response file. Without it the final
+            column holds the responses and the final header cell is a
+            label; with it every header cell is a grid abscissa.
+
+    Raises:
+        ParseError: naming the offending cell.
+        RaggedRows: when a row's length disagrees with the header, found
+            before any cell is parsed.
+        NonMonotoneGrid: when the header abscissae are not increasing.
+    """
+    fast = _loadtxt_sample(path)
+    if fast is not None:
+        header, table = fast
+        grid = _layout_grid(header, path, response_path)
+    else:
+        rows = _read_rows(path)
+        grid = _layout_grid(rows[0], path, response_path)
+        table = _table_from_rows(rows[1:], len(rows[0]), path)
     if response_path is None:
         values, responses = table[:, :-1], table[:, -1]
     else:

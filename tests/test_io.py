@@ -2,11 +2,13 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import funkreg.io
 from funkreg import (
     NonMonotoneGrid,
     ParseError,
@@ -136,59 +138,112 @@ class TestSplitSample:
             split_sample(sample, 8, 5, seed=0)
 
 
-def reference_load_sample(path):
-    """The per-cell response_column loader that the one-pass parse replaced."""
+def reference_load_sample(path, response_path=None):
+    """The per-cell loader that the one-pass parse replaced: every row's
+    width is checked first, then each cell goes through float() alone."""
     rows = _read_rows(path)
     header = rows[0]
-    grid = _grid_from_header(header[:-1], path)
     width = len(header)
-    values = np.empty((len(rows) - 1, len(grid)))
-    responses = np.empty(len(rows) - 1)
+    grid = _grid_from_header(header if response_path else header[:-1], path)
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise RaggedRows(f"{path}: row {i} has {len(row)} cells, expected {width}")
-        parsed = [_parse_cell(c, i, j + 1, path) for j, c in enumerate(row)]
-        values[i - 2] = parsed[:-1]
-        responses[i - 2] = parsed[-1]
-    return FunctionalSample(grid, values, responses)
+    table = np.array([[_parse_cell(c, i, j + 1, path) for j, c in enumerate(row)]
+                      for i, row in enumerate(rows[1:], start=2)])
+    if response_path is None:
+        return FunctionalSample(grid, table[:, :-1], table[:, -1])
+    with open(response_path) as fh:
+        responses = [_parse_cell(line.strip(), lineno, 1, response_path)
+                     for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if not responses:
+        raise ValidationError(f"{response_path}: response file is empty")
+    if len(responses) != len(table):
+        raise ValidationError(
+            f"{response_path}: {len(responses)} responses for {len(table)} curves"
+        )
+    return FunctionalSample(grid, table, responses)
 
 
-def outcome(load, path):
-    """The loaded (values, responses), or the exception type and text."""
+def outcome(load, *paths):
+    """The loaded values and responses, bit for bit, or the exception type
+    and text."""
     try:
-        sample = load(path)
+        sample = load(*paths)
     except ValidationError as exc:
         return type(exc), str(exc)
-    return sample.values.tolist(), sample.responses.tolist()
+    return (sample.values.shape, sample.values.tobytes(),
+            sample.responses.tobytes())
 
 
-#: Cell spellings: plain and exotic numbers float() accepts, quoted cells
-#: (some holding the delimiter), surrounding whitespace, non-finite values
-#: and cells float() rejects.
-CELLS = st.one_of(
+#: Cell spellings float() accepts, written as a writer would.
+NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**6, 10**6).map(str),
-    st.sampled_from([
-        " 1.5", "2.5 ", "\t-3e2 ", "1_000", "+.5", "-0", "1E-310", "0x10",
-        '"7.25"', '" 8 "', '"1,5"', "nan", "inf", "-Infinity", "",
-        "oops", "1..2", "--1",
-    ]),
 )
+
+#: Exotic numbers float() accepts, quoted cells (some holding the
+#: delimiter, a line end or a doubled quote), surrounding whitespace of
+#: every kind, non-finite values and cells float() rejects.
+ODD_CELLS = st.sampled_from([
+    " 1.5", "2.5 ", "\t-3e2 ", "1_000", "+.5", "-0", "1E-310", "0x10",
+    '"7.25"', '" 8 "', '"1,5"', "nan", "inf", "-Infinity", "",
+    "oops", "1..2", "--1",
+    '"2.5\n"', '"1\r\n2"', '"3,"', '"1""5"', ' "1.5"', '"4"5', '"6" ',
+    "#", "#1", "1\x0b", "\x0c2", "1\x0b2", "\x1c1", "1\x1f", "\x1e",
+    "\u0661\u0662", "\xa01", "1\u3000", "\u20283", "1\x85",
+])
+
+CELLS = st.one_of(NUMBERS, ODD_CELLS)
+
+#: Lines of a response file: numbers, blank and whitespace-only lines, and
+#: lines that are not one number.
+RESPONSE_LINES = st.one_of(NUMBERS, st.sampled_from([
+    "", "  ", "\t", "\x0c", " 2 ", "1_0", "\u0661", "\x1c1", "1\x1c",
+    "\xa03", "1 2", "1,2", '"1"', "#1", "nan", "oops",
+]))
+
+
+@st.composite
+def dataset_files(draw):
+    """(CSV text, response-file text or None): blank lines before the
+    header, blank or whitespace-only lines between rows, \\n, \\r\\n or
+    lone \\r line ends, one curve or none (a header-only file), and the
+    responses in the final column or in a companion file."""
+    n, p = draw(st.integers(0, 4)), draw(st.integers(2, 5))
+    response_file = draw(st.booleans())
+    header = ",".join(str(j) for j in range(p))
+    if not response_file:
+        header += ",response"
+    width = p if response_file else p + 1
+    lines = [""] * draw(st.integers(0, 2)) + [header]
+    for _ in range(n):
+        cells = CELLS if draw(st.booleans()) else NUMBERS
+        lines.append(",".join(draw(st.lists(cells, min_size=width,
+                                            max_size=width))))
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "\x0c"]),
+                               max_size=1))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + end
+    if not response_file:
+        return text, None
+    count = draw(st.sampled_from([n, n, n + 1]))
+    kind = RESPONSE_LINES if draw(st.booleans()) else NUMBERS
+    values = draw(st.lists(kind, min_size=count, max_size=count))
+    return text, draw(st.sampled_from(["\n", "\r\n", "\r"])).join(values)
 
 
 class TestOnePassParse:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 4), st.integers(2, 5), st.data())
-    def test_matches_the_per_cell_parser(self, tmp_path_factory, n, p, data):
-        rows = [",".join(str(j) for j in range(p)) + ",response"]
-        for _ in range(n):
-            rows.append(",".join(data.draw(st.lists(CELLS, min_size=p + 1,
-                                                    max_size=p + 1))))
-            if data.draw(st.booleans()):
-                rows.append("")  # blank lines are skipped
-        path = tmp_path_factory.mktemp("csv") / "d.csv"
-        path.write_text("\n".join(rows) + "\n")
-        assert outcome(load_sample, path) == outcome(reference_load_sample, path)
+    @settings(max_examples=400, deadline=None)
+    @given(dataset_files())
+    def test_matches_the_per_cell_parser(self, tmp_path_factory, files):
+        text, responses = files
+        out = tmp_path_factory.mktemp("csv")
+        paths = [out / "d.csv"]
+        paths[0].write_text(text, newline="")
+        if responses is not None:
+            paths.append(out / "r.txt")
+            paths[1].write_text(responses, newline="")
+        assert outcome(load_sample, *paths) == outcome(reference_load_sample, *paths)
 
     def test_bad_cell_text_is_unchanged(self, tmp_path):
         path = write(tmp_path / "d.csv",
@@ -208,6 +263,51 @@ class TestOnePassParse:
                      "1,2,10\n")
         with pytest.raises(RaggedRows, match="row 3 has 3 cells, expected 4"):
             load_sample(path)
+
+
+class TestNumpyPath:
+    """A written file is read by numpy's parser alone, into one table."""
+
+    @pytest.fixture
+    def no_fallback(self, monkeypatch):
+        def fail(path):
+            raise AssertionError(f"the float() parser read {path}")
+
+        monkeypatch.setattr(funkreg.io, "_read_rows", fail)
+        monkeypatch.setattr(funkreg.io, "_read_responses", fail)
+
+    def test_saved_file_takes_the_numpy_path(self, tmp_path, no_fallback):
+        config = SimulationConfig(n_train=40, n_test=1, grid_size=21, seed=4)
+        train, _ = generate_functional_sample(config)
+        save_sample(train, tmp_path / "train.csv")
+        loaded = load_sample(tmp_path / "train.csv")
+        assert loaded.values.tobytes() == train.values.tobytes()
+        assert loaded.responses.tobytes() == train.responses.tobytes()
+        assert loaded.grid.points.tobytes() == train.grid.points.tobytes()
+
+    def test_response_file_takes_the_numpy_path(self, tmp_path, no_fallback):
+        data = write(tmp_path / "d.csv", "0,0.5,1\n1,2,3\n4,5,6\n")
+        resp = write(tmp_path / "r.txt", "0.1\n\n-2e-3\n")
+        sample = load_sample(data, response_path=resp)
+        np.testing.assert_array_equal(sample.responses, [0.1, -2e-3])
+
+    def test_peak_memory_is_about_one_table(self, tmp_path):
+        config = SimulationConfig(n_train=2000, n_test=1, grid_size=101, seed=1)
+        train, _ = generate_functional_sample(config)
+        save_sample(train, tmp_path / "train.csv")
+        table_bytes = 2000 * 102 * 8
+        tracemalloc.start()
+        try:
+            loaded = load_sample(tmp_path / "train.csv")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the sample is one table's bytes and is copied from the parsed
+        # table, so the peak is at least twice the table; what the parse
+        # holds beyond the returned sample stays under two tables (csv's
+        # lists of strings held about eleven)
+        assert loaded.values.nbytes + loaded.responses.nbytes == table_bytes
+        assert peak - kept < 2 * table_bytes
 
 
 def reference_save_sample(sample, path):
