@@ -6,21 +6,20 @@ header's last cell is then a label, conventionally "response") or live in a
 companion file with one number per line. Floats are written with 17
 significant digits so a written file reloads to the exact same sample.
 
-Reading runs numpy's C parser (``np.loadtxt``) first: after the header row,
-which ``csv`` reads, it streams the file into one float table. It accepts
-decimals with whitespace around them, quoted too in a dataset file, and
+A dataset file is read by numpy's C parser (``np.loadtxt``) first: after
+the header row, which ``csv`` reads, it streams the file into one float
+table. It accepts decimals with whitespace around them, quoted or not, and
 rounds each exactly as ``float()`` does; its table is used only when it
-holds at least one row of the header's width (for a response file: one
-value per non-blank line). Everything else goes to the ``csv`` +
-``float()`` parser, which alone raises: a cell numpy rejects (among them
-``1_0`` and Unicode digits, which ``float()`` reads), a line holding
-U+001C..U+001F, a ragged row, a header-only or missing file. It names the
-failing row or cell.
+holds at least one row of the header's width. Everything else goes to the
+``csv`` + ``float()`` parser, which reads the file again and alone raises:
+a cell numpy rejects (among them ``1_0`` and Unicode digits, which
+``float()`` reads), a line holding U+001C..U+001F, a ragged row, a
+header-only or missing file. It names the failing row or cell. A response
+file holds one value per curve and is read by ``float()`` alone.
 """
 
 import csv
 import itertools
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,16 +72,6 @@ def _grid_from_header(cells: list[str], path) -> SamplingGrid:
     return SamplingGrid(np.asarray(points))
 
 
-def _loadtxt(fh, quotechar=None) -> np.ndarray:
-    """The rest of ``fh`` as numpy's C parser reads it: comma-separated
-    floats, one row per line, as a 2-D table (no rows: shape (0, 1))."""
-    with warnings.catch_warnings():
-        # a file with no rows left warns that it "contained no data"
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(fh, delimiter=",", comments=None,
-                          quotechar=quotechar, ndmin=2)
-
-
 def _checked_lines(fh):
     """The lines of ``fh``, stopping with ValueError at one that holds a
     C0 separator (U+001C..U+001F): numpy strips those around a number as
@@ -99,17 +88,22 @@ def _loadtxt_sample(path) -> tuple[list[str], np.ndarray] | None:
     try:
         with open(path, newline="") as fh:
             header = next(filter(None, csv.reader(fh)), [])
-            table = _loadtxt(_checked_lines(fh), quotechar='"')
+            lines = _checked_lines(fh)
+            # numpy skips empty lines, as csv does, and reads any other
+            first = next((line for line in lines if line.strip("\r\n")), None)
+            if first is None:
+                return None  # header-only: the csv parser raises
+            table = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                               comments=None, quotechar='"', ndmin=2)
     except (OSError, ValueError, csv.Error):
         return None  # the csv parser reads the file again and raises
-    if table.shape[0] == 0 or table.shape[1] != len(header):
+    if table.shape[1] != len(header):
         return None
     return header, table
 
 
-def _read_responses(path) -> np.ndarray:
-    """The response file through ``float()``, one stripped non-blank line
-    at a time."""
+def load_responses(path) -> np.ndarray:
+    """Companion response file: one numeric response per line."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"response file not found: {path}")
@@ -123,25 +117,6 @@ def _read_responses(path) -> np.ndarray:
     if not values:
         raise ValidationError(f"{path}: response file is empty")
     return np.asarray(values)
-
-
-def load_responses(path) -> np.ndarray:
-    """Companion response file: one numeric response per line.
-
-    numpy's parser reads the file first; its table is used only when it
-    has one value on each non-blank line. Otherwise (whitespace-only lines,
-    ``1 2``, ``1,2``, a cell only ``float()`` accepts, an empty or missing
-    file) the file is read again one stripped line at a time through
-    ``float()``, which alone raises.
-    """
-    try:
-        with open(path) as fh:
-            table = _loadtxt(fh)
-    except (OSError, ValueError):
-        return _read_responses(path)
-    if table.shape[0] == 0 or table.shape[1] != 1:
-        return _read_responses(path)
-    return table[:, 0]
 
 
 def _table_from_rows(body: list[list[str]], width: int, path) -> np.ndarray:
@@ -185,6 +160,9 @@ def load_sample(path, response_path=None) -> FunctionalSample:
     When numpy rejects a cell or a row, or reads no table of the header's
     width, the ``csv`` + ``float()`` parser reads the file again: it is the
     one that raises, and a cell parses exactly when ``float()`` accepts it.
+    Such a file is parsed twice, so a malformed file costs up to one numpy
+    parse more to raise than the ``csv`` parser alone, and so does a file
+    whose cells only ``float()`` reads.
 
     Args:
         path: CSV file as described in the module docstring.
