@@ -14,17 +14,23 @@ bit-stable and independent of evaluation order.
 
 Cost: at query j only the points of its k_max-ball
 S_j = {i : d(query j, X_i) <= h_{j, k_max}} get a positive weight at any
-candidate radius, so only their residuals can move its score. Each query
-refits and scores its s = |S_j| points alone (s = k_max without ties,
-against n points in all): the refit reads sorted prefix sums
-(``InsampleSmoother``), so after one O(n^2 log n) sort it costs
-O(J K s (log n + deg)) for J queries and K candidates, and scoring is one
-(K x s) by (s x B) product per query. Queries are processed in blocks
-with work arrays of about ``_BLOCK_ELEMENTS`` floats, each query on the
-block's largest s points: a smaller ball is followed by points past it,
-which weigh 0. The query block's distances are screened at
-max(k_g, k_max) neighbours (``curves.sample_distances``): only entries
-that can fall inside a query's pilot or k_max-ball are computed exactly.
+candidate radius, so only their residuals can move its score. The query
+block comes first: its distances are screened at max(k_g, k_max)
+neighbours (``curves.query_distances``), and its radii define U, the
+union of S_1 .. S_J, at most J k_max points whatever n is, and the reach
+of each point of U: the largest h_{j, k_max} of a ball that holds it, or
+its own pilot radius. Only the rows of U are read, each up to its reach,
+from one screen of those rows against the sample
+(``curves.neighbour_rows``), and the in-sample smoother
+(``InsampleSmoother``) prefix-sums them: no (n, n) array is formed, and
+the rows cost O(|U| n p) for the screen plus the sort of the few entries
+each keeps. A query then refits and scores its s = |S_j| points alone
+(s = k_max without ties): O(J K s (log s + deg)) for J queries and K
+candidates, and one (K x s) by (s x B) product per query. Queries are
+scored in blocks (``_BLOCK_ELEMENTS``), each query on its block's largest
+s points: a smaller ball is followed by points past it, which weigh 0
+and are not refit. The pilot radius is checked only at the points of U
+and at the queries, the only ones a fit reads.
 """
 
 import math
@@ -38,7 +44,9 @@ from .curves import (
     FunctionalSample,
     SemiMetricSpec,
     curve_matrix,
-    sample_distances,
+    neighbour_rows,
+    query_distances,
+    transformed_matrix,
 )
 from .errors import (
     DegenerateGrid,
@@ -59,11 +67,18 @@ MULTIPLIER_LOW = (1.0 - _SQRT5) / 2.0
 MULTIPLIER_HIGH = (1.0 + _SQRT5) / 2.0
 P_LOW = (5.0 + _SQRT5) / 10.0
 P_HIGH = (5.0 - _SQRT5) / 10.0
-#: Element budget of one refit block: queries are refit and scored
-#: together, all candidate radii at once, in blocks whose work arrays hold
-#: about this many floats, (B + s) K + B s per query with a k_max-ball of
-#: s points, K candidates and B replications.
+#: Queries are scored in blocks, each query on its block's largest
+#: k_max-ball of s points: blocks of as many queries as make (B + s_max) K
+#: + B s_max floats each (s_max the largest ball of all) come to this
+#: budget. The width s decides the bits of a query's products, whose sums
+#: BLAS orders by their length, so the blocks are kept as they are.
 _BLOCK_ELEMENTS = 1 << 20
+#: Element budget of the work arrays of the queries a block refits and
+#: scores at once, (B + s) K + B s per query: small enough that a select's
+#: temporaries come and go within the heap glibc keeps. At paper scale
+#: (2-core Xeon) 2^16 took about 0 minor page faults per select after
+#: warm-up and 2^18 to 2^20 took 1.0k to 1.6k, with ops 15 to 20% slower.
+_WORK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -208,7 +223,9 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
 
     Exactly one bandwidth rule must be given: a global radius ``h``, or a
     neighbor count ``k`` (each point's kNN radius, the point itself
-    excluded from the ranking but included in the fit).
+    excluded from the ranking but included in the fit). Each point's
+    distances are read only up to that radius (``curves.neighbour_rows``),
+    so a small h or k touches a few entries a row, not the (n, n) matrix.
 
     Returns:
         (predictions, neighbor counts, radii), one entry per point.
@@ -218,12 +235,24 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
     """
     if (h is None) == (k is None):
         raise ValidationError("give exactly one of h or k")
-    smoother = InsampleSmoother(sample_distances(sample, spec),
-                                sample.responses, kernel)
+    n = len(sample)
+    t = transformed_matrix(sample, spec)
     if h is not None:
-        radii = np.full(len(sample), float(h))
+        radii = np.full(n, float(h))
+        if not radii[0] > 0.0:
+            raise ValidationError(f"bandwidth must be positive, got {radii[0]}")
+        rows = neighbour_rows(t, reach=radii)
     else:
-        radii = smoother.knn_radii(int(k))
+        k = int(k)
+        if k < 1:
+            raise ValidationError(f"k must be positive, got {k}")
+        if k > n - 1:
+            raise ValidationError(f"k = {k} exceeds {n - 1} available distances")
+        # each row up to its point's k-th neighbour, itself counted first
+        rows = neighbour_rows(t, k=k + 1)
+    smoother = InsampleSmoother(rows, sample.responses, kernel)
+    if k is not None:
+        radii = smoother.knn_radii(k)
     preds, counts = smoother.fit(radii[:, None])
     return preds[:, 0], counts[:, 0], radii
 
@@ -322,17 +351,23 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
             f"got k_min = {config.k_min}, k_max = {config.k_max}"
         )
-    # The (n, n) block first: its 16 MB distance chunks then sit on a heap
-    # that does not yet hold the screen's freed work arrays (1.7 MB less
-    # peak RSS at paper scale).
-    smoother = InsampleSmoother(sample_distances(sample, spec), y, kernel)
+    t = transformed_matrix(sample, spec, query_values)
     # exact up to each query's largest radius in use; beyond it inf, or
     # exact where the screen computed a chunk whole
-    dist_qs = sample_distances(sample, spec, query_values,
-                               k=max(k_g, config.k_max))
+    dist_qs = query_distances(t, k=max(k_g, config.k_max))
+    pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]
+    radii = knn_radii(dist_qs, config.k_min, config.k_max)
+    # S_j = {i : d(query j, X_i) <= h_{j, k_max}} holds every point with a
+    # positive query weight at any candidate radius, ties included. Only
+    # the points of their union U are refit, each up to its reach: the
+    # largest h_{j, k_max} of a ball holding it, or its pilot radius.
+    in_support = dist_qs <= radii[:, -1:]
+    points = np.flatnonzero(in_support.any(axis=0))
+    reach = np.where(in_support, radii[:, -1:], 0.0).max(axis=0)[points]
+    smoother = InsampleSmoother(
+        neighbour_rows(t, points, k=k_g + 1, reach=reach), y, kernel)
 
     pilot_radii = smoother.knn_radii(k_g)
-    pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]
     if np.any(pilot_radii <= 0.0) or np.any(pilot_radii_q <= 0.0):
         raise DegeneratePilot("pilot kNN radius is zero at some point or query")
     try:
@@ -341,49 +376,60 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     except EmptyNeighborhood as exc:
         raise DegeneratePilot(f"pilot fit failed: {exc}") from exc
 
-    radii = knn_radii(dist_qs, config.k_min, config.k_max)
     if np.any(radii <= 0.0):
         raise DegenerateGrid("bandwidths must be strictly positive")
-    # Row i holds point i's multipliers, so a support gathers whole rows.
+    # Row r holds the multipliers of point points[r], so a support gathers
+    # whole rows; a point outside U reads row 0, at weight 0.
     multipliers = np.ascontiguousarray(
-        _multiplier_matrix(config.seed, config.n_replications, keys).T
+        _multiplier_matrix(config.seed, config.n_replications, keys[points]).T
     )
-    # S_j = {i : d(query j, X_i) <= h_{j, k_max}} holds every point with a
-    # positive query weight at any candidate radius, ties included.
-    in_support = dist_qs <= radii[:, -1:]
+    row_of = np.zeros(n, dtype=np.intp)
+    row_of[points] = np.arange(points.size)
     support_sizes = in_support.sum(axis=1)
     n_boot, s_max = config.n_replications, int(support_sizes.max())
-    step = max(1, _BLOCK_ELEMENTS // ((n_boot + s_max) * n_k + n_boot * s_max))
     errors = np.empty((len(active), n_k))
-    for start in range(0, len(active), step):
-        block = slice(start, start + step)
-        h = radii[block]  # (queries, k)
-        s = int(support_sizes[block].max())
-        # Each query's support in index order, then points past its
-        # k_max-ball, where d > h makes the kernel weight exactly 0.
-        support = np.argsort(~in_support[block], axis=1, kind="stable")[:, :s]
-        fits = smoother.fit(np.repeat(h, s, axis=0), support.ravel())[0]
-        resid = y[support][..., None] - fits.reshape(*support.shape, n_k)
-        d = np.take_along_axis(dist_qs[block], support, axis=1)
-        # A distance far above a tiny radius overflows to inf: weight 0.
-        with np.errstate(over="ignore"):
-            u = d[..., None] / h[:, None, :]
-        w_q = eval_kernel_array(kernel, u)  # (queries, s, k)
-        totals = w_q.sum(axis=1)
-        bad = np.argwhere(totals <= 0.0)
-        if bad.size:
-            j, ki = bad[0]
-            raise EmptyNeighborhood(
-                f"no positive weight at query {start + j} for k = {ks[ki]}, "
-                f"h = {radii[start + j, ki]}"
-            )
-        base = np.matmul(r_tilde[support][:, None, :], w_q)[:, 0, :] / totals
-        # (queries, k, s) @ (queries, s, B): every replication's re-estimate
-        deviations = np.matmul(
-            (w_q * resid).transpose(0, 2, 1), multipliers[support]
-        ) / totals[..., None]
-        sq = (base[..., None] + deviations - r_tilde_q[block, None, None]) ** 2
-        errors[block] = sq.mean(axis=2)
+    n_block = max(1, _BLOCK_ELEMENTS // ((n_boot + s_max) * n_k + n_boot * s_max))
+    for first in range(0, len(active), n_block):
+        last = min(first + n_block, len(active))
+        s = int(support_sizes[first:last].max())
+        step = max(1, _WORK_ELEMENTS // ((n_boot + s) * n_k + n_boot * s))
+        for start in range(first, last, step):
+            block = slice(start, min(start + step, last))
+            h = radii[block]  # (queries, k)
+            sizes = support_sizes[block]
+            # Each query's support in index order, then points past its
+            # k_max-ball, where d > h makes the kernel weight exactly 0:
+            # their residuals are left at 0 and only the support is refit.
+            support = np.argsort(~in_support[block], axis=1,
+                                 kind="stable")[:, :s]
+            rows = row_of[support]
+            inside = np.arange(s) < sizes[:, None]
+            fits = smoother.fit(np.repeat(h, sizes, axis=0), rows[inside])[0]
+            resid = np.zeros((*support.shape, n_k))
+            resid[inside] = y[support[inside], None] - fits
+            d = np.take_along_axis(dist_qs[block], support, axis=1)
+            # A distance far above a tiny radius overflows to inf: weight 0.
+            with np.errstate(over="ignore"):
+                u = d[..., None] / h[:, None, :]
+            w_q = eval_kernel_array(kernel, u)  # (queries, s, k)
+            totals = w_q.sum(axis=1)
+            bad = np.argwhere(totals <= 0.0)
+            if bad.size:
+                j, ki = bad[0]
+                raise EmptyNeighborhood(
+                    f"no positive weight at query {start + j} for k = {ks[ki]}, "
+                    f"h = {radii[start + j, ki]}"
+                )
+            base = np.matmul(r_tilde[rows][:, None, :], w_q)[:, 0, :] / totals
+            # (queries, k, s) @ (queries, s, B): every replication's
+            # re-estimate, then its squared error against the pilot value
+            sq = np.matmul((w_q * resid).transpose(0, 2, 1),
+                           multipliers[rows])
+            sq /= totals[..., None]
+            sq += base[..., None]
+            sq -= r_tilde_q[block, None, None]
+            np.square(sq, out=sq)
+            errors[block] = sq.mean(axis=2)
 
     per_bandwidth = tuple(
         (k, float(radii[:, ki].mean()), float(errors[:, ki].mean()))

@@ -221,6 +221,11 @@ def _load_single(args) -> FunctionalSample:
 
 def _train_and_queries(args) -> tuple[FunctionalSample, FunctionalSample]:
     """Resolve (train, test) from --train/--test or --data plus --split."""
+    if (args.train or args.test) and args.response_file:
+        raise ValidationError(
+            "--response-file goes with --data: --train and --test files "
+            "hold their responses in the last column"
+        )
     if args.train and args.test:
         train, test = load_sample(args.train), load_sample(args.test)
         if not test.grid.matches(train.grid):

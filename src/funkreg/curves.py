@@ -8,19 +8,24 @@ by a constant; that is intentional, not a defect.
 
 A sample is one (n, p) matrix; ``transform`` and ``distance_matrix`` work on
 whole matrices, the latter in row chunks so that its memory stays bounded.
-``sample_distances`` is the one place the semi-metric recipe (transform,
-trapezoid weights, distance_matrix) runs for the rest of the package.
+``transformed_matrix`` is the one place the semi-metric recipe (transform,
+trapezoid weights) runs for the rest of the package: it transforms a query
+block stacked on the sample in one call, and ``query_distances``,
+``neighbour_rows`` and ``sample_distances`` compute every distance from it.
 
-A kernel estimate at a query reads only the curves inside its ball. Given
-the neighbour count k or the radius h that decides those balls,
-``sample_distances`` screens a query block with one matrix product per row
-chunk and computes exactly, with ``distance_matrix``'s own reduction, only
-the entries that the screen cannot place beyond every radius in use. The
-others read ``inf`` (or their exact value, where most of a block is needed
-and it is computed whole): every kNN radius up to k, every kernel weight
-and every ``d <= h`` count keeps the bits of the full block. Both rules
-that compute a block whole, for a chunk that needs most of its entries and
-for a k above ``_DENSE_SHARE`` of n, live in ``_screened_distances``.
+A kernel estimate reads only the curves inside its ball. Given the
+neighbour count k or the radius h that decides those balls, a query block
+is screened with one matrix product per row chunk, and only the entries
+that the screen cannot place beyond every radius in use are computed
+exactly, with ``distance_matrix``'s own reduction. The others read ``inf``
+(or their exact value, where most of a chunk is needed and it is computed
+whole): every kNN radius up to k, every kernel weight and every ``d <= h``
+count keeps the bits of the full block. The same screen, with a cutoff per
+row, gives the in-sample smoother its rows: ``neighbour_rows`` keeps each
+sample point's sorted distances up to its own radius in a ragged layout
+(``NeighbourRows``), so no (n, n) array is formed. Both rules that compute
+a chunk whole, for a chunk that needs most of its entries and for a k above
+``_DENSE_SHARE`` of n, live in ``_screen``.
 """
 
 from dataclasses import dataclass
@@ -34,13 +39,15 @@ from .errors import GridMismatch, GridTooShort, ValidationError, require_integer
 
 #: Element budget of one distance chunk: ``distance_matrix`` does rows a few
 #: at a time so that their (rows, cols, p) difference array holds this many
-#: floats, and the screen of ``sample_distances`` sizes its row chunks and
-#: its gathered differences by it. Of 2^17, 2^21 and 2^22 floats, 2^21
-#: (16 MB) gave the fastest 165-curve bootstrap, whose (n, n) block runs
-#: through ``distance_matrix``: 1 MB chunks left its 2 MB work arrays to be
-#: mapped afresh (about 8k page faults per select). Query blocks with a k or
-#: h take the screen.
+#: floats (16 MB), and the screen sizes its row chunks by it, three (rows, n)
+#: work arrays a chunk.
 _CHUNK_ELEMENTS = 1 << 21
+
+#: Element budget of one batch of gathered (pairs, p) differences in the
+#: screen's exact pass. Small enough that a batch stays in cache: on p = 101
+#: (2-core Xeon) 8000 pairs took 5.0 ms in batches of 10^4 and 1.8-2.0 ms
+#: in batches of 256 to 1024.
+_PAIR_ELEMENTS = 1 << 16
 
 #: Share of a screened block's entries past which the exact outer block is
 #: cheaper than gathering those entries' (pairs, p) differences: on p = 101
@@ -273,6 +280,80 @@ def pairwise_distances(sample: FunctionalSample, query: Curve,
     return sample_distances(sample, spec, curve_matrix((query,), sample.grid))[0]
 
 
+@dataclass(frozen=True, eq=False)
+class TransformedSample:
+    """The query and sample rows after one ``transform`` call of the
+    queries stacked on the sample, with the grid's trapezoid weights: every
+    distance of a run is computed from it (``query_distances``,
+    ``neighbour_rows``)."""
+
+    queries: np.ndarray
+    sample: np.ndarray
+    weights: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class NeighbourRows:
+    """Sorted distances from some sample points to the whole sample, each
+    row cut at its own radius, laid end to end (compressed sparse rows).
+
+    Row r belongs to sample point ``points[r]`` of a sample of ``n``
+    curves. It holds, ascending with ties in sample order, every distance
+    from that point that is at most ``radii[r]``:
+    ``distances[offsets[r]:offsets[r + 1]]``, with their sample indices in
+    ``columns``. So a row is exactly the leading part of
+    the stable sort of the point's full row of distances, and it starts
+    with the point's exact-zero self-distance (or a tie with it).
+    """
+
+    n: int
+    points: np.ndarray
+    offsets: np.ndarray
+    distances: np.ndarray
+    columns: np.ndarray
+    radii: np.ndarray
+
+    def __len__(self) -> int:
+        return self.points.size
+
+
+def transformed_matrix(sample: FunctionalSample, spec: SemiMetricSpec,
+                       queries: np.ndarray | None = None) -> TransformedSample:
+    """The (m, p) ``queries``, one curve per row on the sample grid, stacked
+    on the sample and transformed in one call; without queries, the sample
+    alone.
+
+    Raises:
+        GridMismatch: if the query rows do not have one value per grid point.
+        GridTooShort: if the grid is too short for the derivative order.
+    """
+    if queries is None:
+        values, m = sample.values, 0
+    else:
+        queries = _query_matrix(sample, queries)
+        values, m = np.vstack([queries, sample.values]), queries.shape[0]
+    rows = transform(values, sample.grid, spec)
+    return TransformedSample(rows[:m], rows[m:], sample.grid.trapezoid_weights())
+
+
+def _query_matrix(sample: FunctionalSample, queries) -> np.ndarray:
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != len(sample.grid):
+        raise GridMismatch(
+            f"queries of shape {queries.shape} for a {len(sample.grid)}-point grid"
+        )
+    return queries
+
+
+def _check_rule(n: int, k: int | None, h: float | None) -> None:
+    if k is not None:
+        require_integers(k=k)
+        if not 1 <= k <= n:
+            raise ValidationError(f"k must lie in [1, {n}], got {k}")
+    if h is not None and not h > 0:
+        raise ValidationError(f"bandwidth must be positive, got {h}")
+
+
 def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
                      queries: np.ndarray | None = None, *,
                      k: int | None = None,
@@ -280,20 +361,15 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
     """Semi-metric distances to the n sample curves.
 
     With an (m, p) ``queries`` matrix, one curve per row on the sample grid,
-    returns the (m, n) distances from each query to each sample curve. The
-    queries are stacked on the sample and transformed in one call. With
-    ``queries=None``, returns the (n, n) sample-by-sample distances, whose
-    diagonal is exactly zero.
+    returns the (m, n) distances from each query to each sample curve: the
+    ``query_distances`` of ``transformed_matrix(sample, spec, queries)``.
+    With ``queries=None``, returns the (n, n) sample-by-sample distances,
+    whose diagonal is exactly zero.
 
-    A query block may name the bandwidth rule its fit uses, as
-    ``bootstrap.insample_fit`` does: a neighbour count ``k`` or a global
-    radius ``h``. The block is then screened (``_screened_distances``):
-    every entry at most the row's k-th smallest distance, or at most ``h``,
-    equals the full block's bit for bit, and every other entry is strictly
-    above that radius: ``inf``, or its exact value where the screen computes
-    a row, a chunk or, for a k above ``_DENSE_SHARE`` of n, the whole block
-    at once. So every kNN radius up to k, every kernel weight at such a
-    radius and every ``d <= h`` count is unchanged.
+    A query block may name the bandwidth rule its fit uses: a neighbour
+    count ``k`` or a global radius ``h``. The block is then screened, and
+    every kNN radius up to k, every kernel weight at such a radius and
+    every ``d <= h`` count keeps the full block's bits (``query_distances``).
 
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
@@ -301,31 +377,68 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
             query block, a ``k`` outside [1, n] or an ``h`` that is not
             positive (NaN included).
     """
-    weights = sample.grid.trapezoid_weights()
-    n = len(sample)
     if k is not None and h is not None:
         raise ValidationError("give at most one of h or k")
     if queries is None:
         if k is not None or h is not None:
             raise ValidationError("k and h screen a query block")
-        t = transform(sample.values, sample.grid, spec)
-        return distance_matrix(t, t, weights)
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != len(sample.grid):
-        raise GridMismatch(
-            f"queries of shape {queries.shape} for a {len(sample.grid)}-point grid"
-        )
-    if k is not None:
-        require_integers(k=k)
-        if not 1 <= k <= n:
-            raise ValidationError(f"k must lie in [1, {n}], got {k}")
-    if h is not None and not h > 0:
-        raise ValidationError(f"bandwidth must be positive, got {h}")
-    m = queries.shape[0]
-    t = transform(np.vstack([queries, sample.values]), sample.grid, spec)
+        t = transformed_matrix(sample, spec)
+        return distance_matrix(t.sample, t.sample, t.weights)
+    queries = _query_matrix(sample, queries)
+    _check_rule(len(sample), k, h)
+    return query_distances(transformed_matrix(sample, spec, queries), k=k, h=h)
+
+
+def query_distances(t: TransformedSample, *, k: int | None = None,
+                    h: float | None = None) -> np.ndarray:
+    """The (m, n) distances from the queries of ``t`` to its sample.
+
+    With a neighbour count ``k`` in [1, n] or a global radius ``h > 0``, at
+    most one of them (``sample_distances`` checks them), the block is
+    screened (``_screened_distances``): every entry at most the row's k-th
+    smallest distance, or at most ``h``, equals the full block's bit for
+    bit, and every other entry is strictly above that radius: ``inf``, or
+    its exact value where the screen computes a chunk whole.
+    """
     if k is None and h is None:
-        return distance_matrix(t[:m], t[m:], weights)
-    return _screened_distances(t[:m], t[m:], weights, k=k, h=h)
+        return distance_matrix(t.queries, t.sample, t.weights)
+    return _screened_distances(t.queries, t.sample, t.weights, k=k, h=h)
+
+
+def neighbour_rows(t: TransformedSample, points=None, *, k: int | None = None,
+                   reach=None) -> NeighbourRows:
+    """The sample points' sorted distances to the whole sample, each row
+    cut at its radius: the larger of the point's ``reach`` and its k-th
+    smallest distance (the self-distance counts).
+
+    Only the entries the screen cannot place beyond a row's radius are
+    computed, with the exact reduction of ``distance_matrix``
+    (``_screened_rows``), so every kept entry has the full matrix's bits
+    and no (n, n) array is formed.
+
+    Args:
+        points: sample indices of the rows, all n in order by default.
+        k: neighbour count in [1, n] that every row reaches.
+        reach: a radius, or one per row, that every row reaches.
+
+    Raises:
+        ValidationError: without k and reach, for a k outside [1, n], a
+            negative or NaN reach or a point outside the sample.
+    """
+    n = t.sample.shape[0]
+    points = (np.arange(n) if points is None
+              else np.asarray(points, dtype=np.intp))
+    if points.ndim != 1 or (points.size and not (
+            0 <= points.min() and points.max() < n)):
+        raise ValidationError(f"points must be indices in [0, {n})")
+    if k is None and reach is None:
+        raise ValidationError("give k, reach or both")
+    _check_rule(n, k, None)
+    if reach is not None:
+        reach = np.broadcast_to(np.asarray(reach, dtype=float), points.shape)
+        if not (reach >= 0.0).all():
+            raise ValidationError("reach must be nonnegative")
+    return _screened_rows(points, t.sample, t.weights, k=k, reach=reach)
 
 
 def _root_weighted_squares(diff: np.ndarray,
@@ -355,11 +468,28 @@ def distance_matrix(rows: np.ndarray, cols: np.ndarray,
     return out
 
 
-def _screened_distances(rows: np.ndarray, cols: np.ndarray,
-                        weights: np.ndarray, k: int | None = None,
-                        h: float | None = None) -> np.ndarray:
-    """``distance_matrix(rows, cols, weights)`` exact where it decides a fit
-    at k neighbours or at radius h, strictly above that radius elsewhere.
+def _exact_pairs(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                 i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The distances between ``rows[i]`` and ``cols[j]``, pair by pair, by
+    the exact reduction, in batches of gathered (pairs, p) differences of
+    ``_PAIR_ELEMENTS`` floats each."""
+    out = np.empty(i.size)
+    step = max(1, _PAIR_ELEMENTS // cols.shape[1])
+    for s in range(0, i.size, step):
+        diff = rows[i[s:s + step]]
+        diff -= cols[j[s:s + step]]
+        out[s:s + step] = _root_weighted_squares(diff, weights)
+    return out
+
+
+def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+            k: int | None, reach: np.ndarray | None):
+    """An iterator over row chunks of ``distance_matrix(rows, cols,
+    weights)`` and, for each, the (chunk, n) mask of the entries that may
+    lie within the row's radius (the larger of ``reach`` and the k-th
+    smallest distance), or None where the chunk is to be computed whole.
+    The centred and scaled copies of rows and cols are made before it is
+    returned, ahead of the caller's output.
 
     Screen. With c the column mean of ``cols`` and s = sqrt(weights), the
     rows a = (rows - c) s and b = (cols - c) s give G = |a|^2 + |b|^2 - 2 a.b,
@@ -388,28 +518,27 @@ def _screened_distances(rows: np.ndarray, cols: np.ndarray,
     most one subnormal ulp per operation, which the absolute term
     4 p (1 + max w) tiny covers.
 
-    Refine. The cutoff of a row is its k-th smallest hi (at least k entries
-    have D at or below it, so the k-th smallest D is too), or h^2, times
-    1 + 4 eps: an entry with lo above the cutoff has D more than 4 eps
-    above the k-th smallest D (or above h^2), so its root is strictly above
-    the k-th radius (or above h) after rounding. Every other entry is
-    recomputed with ``_root_weighted_squares`` from the unscaled rows, the
-    reduction ``distance_matrix`` uses, so it has the full block's bits. A
-    row whose screen is not finite (overflow) is recomputed whole.
+    Refine. The cutoff of a row is the larger of its reach squared and its
+    k-th smallest hi (at least k entries have D at or below it, so the k-th
+    smallest D is too), times 1 + 4 eps: an entry with lo above the cutoff
+    has D more than 4 eps above the k-th smallest D and above reach^2, so
+    its root is strictly above the row's radius after rounding. Every other
+    entry is marked. A row whose screen is not finite (overflow) is marked
+    whole.
 
-    Whole. The refine count is the one rule for a chunk: one that refines
-    more than ``_DENSE_SHARE`` of its entries (a radius near the data's
-    spread) is computed whole by ``distance_matrix``, which gives every
-    entry the same bits at less cost there. A k above ``_DENSE_SHARE`` of
-    n refines at least that share of every row, so the whole block is
-    computed at once, without a screen.
-
-    Fill. Every entry not recomputed reads ``inf``, strictly above the row's
-    k-th radius and above h.
+    Whole. The mark count is the one rule for a chunk: one that marks more
+    than ``_DENSE_SHARE`` of its entries (a radius near the data's spread)
+    is computed whole by ``distance_matrix``, which gives every entry the
+    same bits at less cost there. A k above ``_DENSE_SHARE`` of n marks at
+    least that share of every row, so every chunk is whole, without a
+    screen.
     """
     m, n, p = rows.shape[0], cols.shape[0], cols.shape[1]
+    # g, half and hi are a chunk's (rows, n) work arrays
+    step = max(1, _CHUNK_ELEMENTS // (3 * n))
     if k is not None and k > _DENSE_SHARE * n:
-        return distance_matrix(rows, cols, weights)
+        return ((slice(start, start + step), None)
+                for start in range(0, m, step))
     eps = float(np.finfo(float).eps)
     gamma = (4 * p + 32) * eps
     slack = 4 * p * (1.0 + weights.max()) * np.finfo(float).tiny
@@ -420,41 +549,115 @@ def _screened_distances(rows: np.ndarray, cols: np.ndarray,
     with np.errstate(over="ignore"):
         norms_a = np.einsum("ij,ij->i", a, a)
         norms_b = np.einsum("ij,ij->i", b, b)
-    out = np.full((m, n), np.inf)
+        reach_sq = None if reach is None else np.square(reach)[:, None]
     margin = 1.0 + 4 * eps
-    if h is not None:
-        cutoff = float(h) * float(h) * margin
-    # g, half and hi are a chunk's (rows, n) work arrays, and the gathered
-    # rows and columns of its refined pairs are (pairs, p) each
-    step = max(1, _CHUNK_ELEMENTS // (3 * n))
-    pair_step = max(1, _CHUNK_ELEMENTS // (2 * p))
-    for start in range(0, m, step):
-        chunk = slice(start, start + step)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = a[chunk] @ b.T
-            g *= -2.0
-            g += norms_a[chunk, None]
-            g += norms_b
-            half = norms_a[chunk, None] + norms_b
-            half *= gamma
-            half += slack
-            if h is None:
-                hi = g + half
-                hi.partition(k - 1, axis=1)
-                cutoff = hi[:, k - 1:k] * margin
-                del hi
-            g -= half  # now the lower bound of each entry
-            refine = g <= cutoff
-            refine[~np.isfinite(g).all(axis=1)] = True
-        del g, half
-        if np.count_nonzero(refine) > _DENSE_SHARE * refine.size:
+
+    def chunks():
+        for start in range(0, m, step):
+            chunk = slice(start, start + step)
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = a[chunk] @ b.T
+                g *= -2.0
+                g += norms_a[chunk, None]
+                g += norms_b
+                half = norms_a[chunk, None] + norms_b
+                half *= gamma
+                half += slack
+                if k is None:
+                    cutoff = reach_sq[chunk] * margin
+                else:
+                    hi = g + half
+                    hi.partition(k - 1, axis=1)
+                    cutoff = hi[:, k - 1:k] * margin
+                    del hi
+                    if reach is not None:
+                        cutoff = np.maximum(cutoff, reach_sq[chunk] * margin)
+                g -= half  # now the lower bound of each entry
+                refine = g <= cutoff
+                refine[~np.isfinite(g).all(axis=1)] = True
+            del g, half
+            if np.count_nonzero(refine) > _DENSE_SHARE * refine.size:
+                yield chunk, None
+            else:
+                yield chunk, refine
+
+    return chunks()
+
+
+def _screened_distances(rows: np.ndarray, cols: np.ndarray,
+                        weights: np.ndarray, k: int | None = None,
+                        h: float | None = None) -> np.ndarray:
+    """``distance_matrix(rows, cols, weights)`` exact where it decides a fit
+    at k neighbours or at radius h, strictly above that radius elsewhere.
+
+    Every entry ``_screen`` marks is computed by ``_root_weighted_squares``
+    from the unscaled rows, the reduction ``distance_matrix`` uses, so it
+    has the full block's bits; a chunk the screen leaves whole is computed
+    by ``distance_matrix`` itself. Every other entry reads ``inf``, strictly
+    above the row's k-th radius and above h.
+    """
+    reach = None if h is None else np.full(rows.shape[0], float(h))
+    chunks = _screen(rows, cols, weights, k, reach)
+    out = np.full((rows.shape[0], cols.shape[0]), np.inf)
+    for chunk, refine in chunks:
+        if refine is None:
             out[chunk] = distance_matrix(rows[chunk], cols, weights)
             continue
         i, j = np.nonzero(refine)
-        i += start
-        for s in range(0, i.size, pair_step):
-            ri, cj = i[s:s + pair_step], j[s:s + pair_step]
-            diff = rows[ri]
-            diff -= cols[cj]
-            out[ri, cj] = _root_weighted_squares(diff, weights)
+        i += chunk.start
+        out[i, j] = _exact_pairs(rows, cols, weights, i, j)
     return out
+
+
+def _screened_rows(points: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                   k: int | None, reach: np.ndarray | None) -> NeighbourRows:
+    """The rows of ``distance_matrix(cols[points], cols, weights)`` up to
+    each row's radius, sorted, as ``NeighbourRows``.
+
+    A row's radius is its exact k-th smallest distance or its reach,
+    whichever is larger. ``_screen`` marks a superset of the entries within
+    it, which are computed by the exact reduction (a chunk it leaves whole
+    is computed by ``distance_matrix`` and cut at each row's radius), then
+    sorted by (row, distance, column). Every entry above its row's radius
+    is dropped here, so each row is exactly the leading part of the row's
+    stable sort, whatever the screen's margin.
+    """
+    rows = cols[points]
+
+    def radii(chunk, kth):
+        # the larger of each row's reach and its k-th smallest distance
+        if reach is None:
+            return kth
+        return reach[chunk] if k is None else np.maximum(reach[chunk], kth)
+
+    lengths, distances, columns, limits = [], [], [], []
+    for chunk, refine in _screen(rows, cols, weights, k, reach):
+        if refine is None:
+            block = distance_matrix(rows[chunk], cols, weights)
+            kth = (None if k is None else
+                   np.partition(block, k - 1, axis=1)[:, k - 1])
+            i, j = np.nonzero(block <= radii(chunk, kth)[:, None])
+            d = block[i, j]
+            del block
+        else:
+            i, j = np.nonzero(refine)
+            d = _exact_pairs(rows, cols, weights, i + chunk.start, j)
+        # np.nonzero lists a row's entries in column order and lexsort is
+        # stable, so ties keep that order
+        order = np.lexsort((d, i))
+        i, j, d = i[order], j[order], d[order]
+        counts = np.bincount(i, minlength=rows[chunk].shape[0])
+        kth = None if k is None else d[np.cumsum(counts) - counts + k - 1]
+        limit = radii(chunk, kth)
+        keep = d <= limit[i]
+        lengths.append(np.bincount(i[keep], minlength=counts.size))
+        distances.append(d[keep])
+        columns.append(j[keep])
+        limits.append(limit)
+    offsets = np.zeros(points.size + 1, dtype=np.intp)
+    np.cumsum(np.concatenate([np.zeros(0, dtype=np.intp), *lengths]),
+              out=offsets[1:])
+    return NeighbourRows(
+        cols.shape[0], points, offsets, np.concatenate([np.empty(0), *distances]),
+        np.concatenate([np.zeros(0, dtype=np.intp), *columns]),
+        np.concatenate([np.empty(0), *limits]))

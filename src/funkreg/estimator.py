@@ -287,27 +287,66 @@ def nadaraya_watson(distances, responses, kernel: KernelSpec,
     )
 
 
-def _prefix_sums(values: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative sums with a leading zero column."""
-    out = np.zeros((values.shape[0], values.shape[1] + 1))
-    np.cumsum(values, axis=1, out=out[:, 1:])
+#: Element budget of the padded rows ``_prefix_sums`` sums at once.
+_PREFIX_ELEMENTS = 1 << 20
+
+
+def _powers(x: np.ndarray, p: int) -> np.ndarray:
+    """x**p by repeated products: the bits of ``x ** p`` for p <= 2, and for
+    any p exact under scaling by a power of two, which libm's ``pow`` is
+    not, so a fit does not depend on the smoother's ``_unit``."""
+    if p == 0:
+        return np.ones_like(x)
+    out = x
+    for _ in range(p - 1):
+        out = out * x
+    return out
+
+
+def _prefix_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each row's cumulative sums with a leading zero, rows laid end to end:
+    row r's ``offsets[r + 1] - offsets[r] + 1`` sums start at
+    ``offsets[r] + r``.
+
+    Rows are padded with zeros to a common length, a few at a time, and
+    summed along the row as ``np.cumsum`` does, one addition after another,
+    so each sum has the bits of the same row's cumsum on its own.
+    """
+    lengths = np.diff(offsets)
+    out = np.empty(values.size + lengths.size)
+    width = int(lengths.max(initial=0))
+    step = max(1, _PREFIX_ELEMENTS // (width + 1))
+    for start in range(0, lengths.size, step):
+        length = lengths[start:start + step]
+        padded = np.zeros((length.size, width + 1))
+        held = np.arange(width + 1) < length[:, None] + 1
+        held[:, 0] = False
+        padded[held] = values[offsets[start]:offsets[start + length.size]]
+        held[:, 0] = True
+        first = offsets[start] + start
+        out[first:first + length.sum() + length.size] = (
+            np.cumsum(padded, axis=1)[held])
     return out
 
 
 class InsampleSmoother:
-    """Nadaraya-Watson fits at every sample point, at any radii.
+    """Nadaraya-Watson fits at sample points, at any radii up to each
+    point's held radius.
 
-    Takes the square sample-by-sample distance matrix, whose diagonal is
-    the exact-zero self-distance. Every kernel is a polynomial on [0, 1],
-    so at radius h the kernel sums of row i are
+    Takes ``curves.NeighbourRows``: for each of its points, the sorted
+    distances to the whole sample up to a radius, which start with the
+    exact-zero self-distance. Every kernel is a polynomial on [0, 1], so at
+    radius h the kernel sums of a row are
 
-        sum_p c_p h^-p S_p(i, count),   count = #{d_i <= h},
+        sum_p c_p h^-p S_p(row, count),   count = #{d <= h},
 
-    where S_p(i, m) sums d^p y (numerator) or d^p (denominator) over the m
-    smallest distances of row i. Each row is sorted once and these prefix
-    sums are kept per nonzero coefficient, so any radius costs one exact
-    per-row search plus a lookup per coefficient (the updating formula for
-    polynomial kernels, Fan & Marron 1994; Seifert et al. 1994).
+    where S_p(row, m) sums d^p y (numerator) or d^p (denominator) over the
+    m smallest distances of the row. These prefix sums are kept per nonzero
+    coefficient, so any radius costs one exact search plus a lookup per
+    coefficient (the updating formula for polynomial kernels, Fan & Marron
+    1994; Seifert et al. 1994). A row is the leading part of the stable
+    sort of the point's full row, so a fit at a radius up to the row's
+    held radius has the bits of a fit on the full row.
 
     The self term bounds the denominator below by K(0), the kernel's
     maximum, so the rounding error of a prediction stays near
@@ -315,34 +354,53 @@ class InsampleSmoother:
     has no such bound, and is smoothed directly by ``nadaraya_watson``.
     """
 
-    def __init__(self, distances, responses, kernel: KernelSpec):
-        d = np.asarray(distances, dtype=float)
+    def __init__(self, neighbours, responses, kernel: KernelSpec):
         y = np.asarray(responses, dtype=float)
         n = y.size
-        if y.shape != (n,) or d.shape != (n, n):
+        offsets = np.asarray(neighbours.offsets)
+        d = np.asarray(neighbours.distances, dtype=float)
+        columns = np.asarray(neighbours.columns)
+        points = np.asarray(neighbours.points)
+        lengths = np.diff(offsets)
+        if (y.shape != (neighbours.n,)
+                or offsets.shape != (points.size + 1,)
+                or offsets[0] != 0 or offsets[-1] != d.size
+                or columns.shape != d.shape
+                or np.shape(neighbours.radii) != points.shape):
             raise ValidationError(
-                "in-sample distances must be a square matrix, one row per response"
+                "neighbour rows must be laid end to end, one response per point"
             )
-        if np.any(np.diagonal(d) != 0.0) or np.any(d < 0.0):
+        if any(a.size and not (0 <= a.min() and a.max() < n)
+               for a in (columns, points)):
+            raise ValidationError(f"neighbour points must lie in [0, {n})")
+        row_of = np.repeat(np.arange(points.size), lengths)
+        if (np.any(lengths < 1) or np.any(d < 0.0)
+                or np.any(d[offsets[:-1]] != 0.0)
+                or np.any((np.diff(d) < 0.0) & (np.diff(row_of) == 0))):
             raise ValidationError(
-                "in-sample distances must be nonnegative with an exact-zero diagonal"
+                "each neighbour row must be sorted, nonnegative and start "
+                "with an exact zero"
             )
-        order = np.argsort(d, axis=1, kind="stable")
-        self._sorted = np.take_along_axis(d, order, axis=1)
-        y_sorted = y[order]
+        self.points = points
+        self._offsets = offsets
+        self._sorted = d
+        self._held = np.asarray(neighbours.radii, dtype=float)
+        # (row, distance) in lexicographic order, as numpy orders complex
+        # numbers, so one search finds every count
+        self._keys = row_of + 1j * d
         # Powers are taken of distances scaled by a power of two (exact) that
-        # brings the largest below 1, so no d^p overflows.
+        # brings the largest held one below 1, so no d^p overflows.
         self._unit = np.ldexp(1.0, -int(np.frexp(d.max(initial=0.0))[1]))
-        unit_sorted = self._sorted * self._unit
+        unit_sorted = d * self._unit
+        y_sorted = y[columns]
         # (p, c_p, prefix sums of d^p y, prefix sums of d^p) per c_p != 0
         self._terms = []
         for p, c in enumerate(kernel.coefficients):
             if c == 0.0:
                 continue
-            powers = unit_sorted ** p
-            self._terms.append(
-                (p, c, _prefix_sums(powers * y_sorted), _prefix_sums(powers))
-            )
+            powers = _powers(unit_sorted, p)
+            self._terms.append((p, c, _prefix_sums(powers * y_sorted, offsets),
+                                _prefix_sums(powers, offsets)))
         # Below this radius h^deg, in scaled units, nears the subnormal range
         # and the prefix sums lose their relative precision.
         deg = self._terms[-1][0] if self._terms else 0
@@ -351,45 +409,53 @@ class InsampleSmoother:
         )
 
     def __len__(self) -> int:
-        return self._sorted.shape[0]
+        return self.points.size
 
     def knn_radii(self, k: int) -> np.ndarray:
-        """Each point's k-th smallest distance, itself excluded.
+        """Each row's k-th smallest distance, its own point excluded.
 
         Each row's smallest entry is its exact-zero self-distance, so
         entry k of the sorted row is the k-th smallest distance to the
         other points, also when other points tie with it at zero.
-        """
-        available = len(self) - 1
-        if k < 1:
-            raise ValidationError(f"k must be positive, got {k}")
-        if k > available:
-            raise ValidationError(f"k = {k} exceeds {available} available distances")
-        return self._sorted[:, k].copy()
-
-    def fit(self, radii, points=None) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions and neighbor counts at radii of shape (len(points), m).
-
-        Row r of ``radii`` holds the m radii at which sample point
-        ``points[r]`` is fitted; ``points`` defaults to every point in
-        order, and may repeat a point. Both outputs have the shape of
-        ``radii``. The neighbor count is #{d <= h}, the support of the
-        kernel. A fit depends only on its point and radius, so it has the
-        same bits whichever rows are fitted together.
 
         Raises:
-            ValidationError: for a radius that is not positive, or is below
-                ``min_radius`` (about 1e-100 of the largest distance for a
-                cubic kernel, none for the uniform one).
+            ValidationError: for k < 1, or a row holding k or fewer
+                distances.
+        """
+        if k < 1:
+            raise ValidationError(f"k must be positive, got {k}")
+        lengths = np.diff(self._offsets)
+        if np.any(lengths <= k):
+            available = int(lengths.min()) - 1
+            raise ValidationError(
+                f"k = {k} exceeds {available} available distances"
+            )
+        return self._sorted[self._offsets[:-1] + k]
+
+    def fit(self, radii, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions and neighbor counts at radii of shape (len(rows), m).
+
+        Row r of ``radii`` holds the m radii at which smoother row
+        ``rows[r]`` (sample point ``points[rows[r]]``) is fitted; ``rows``
+        defaults to every row in order, and may repeat a row. Both outputs
+        have the shape of ``radii``. The neighbor count is #{d <= h}, the
+        support of the kernel. A fit depends only on its point and radius,
+        so it has the same bits whichever rows are fitted together.
+
+        Raises:
+            ValidationError: for a radius that is not positive, is below
+                ``min_radius`` (about 1e-100 of the largest held distance
+                for a cubic kernel, none for the uniform one) or is above
+                its row's held radius.
             EmptyNeighborhood: naming the first point with no positive weight.
         """
         radii = np.asarray(radii, dtype=float)
-        points = (np.arange(len(self)) if points is None
-                  else np.asarray(points, dtype=np.intp))
-        if points.ndim != 1 or radii.ndim != 2 or radii.shape[0] != points.size:
-            raise ValidationError("radii must have shape (len(points), m)")
-        if points.size and not (0 <= points.min() and points.max() < len(self)):
-            raise ValidationError(f"points must lie in [0, {len(self)})")
+        rows = (np.arange(len(self)) if rows is None
+                else np.asarray(rows, dtype=np.intp))
+        if rows.ndim != 1 or radii.ndim != 2 or radii.shape[0] != rows.size:
+            raise ValidationError("radii must have shape (len(rows), m)")
+        if rows.size and not (0 <= rows.min() and rows.max() < len(self)):
+            raise ValidationError(f"rows must lie in [0, {len(self)})")
         bad = np.flatnonzero(~(radii > 0.0))
         if bad.size:
             raise ValidationError(
@@ -401,23 +467,35 @@ class InsampleSmoother:
                 f"bandwidth {radii.flat[bad[0]]} is below {self.min_radius}, "
                 "the smallest radius the in-sample smoother resolves"
             )
-        counts = np.empty(radii.shape, dtype=np.intp)
-        for r, i in enumerate(points):
-            counts[r] = self._sorted[i].searchsorted(radii[r], side="right")
-        rows = points[:, None]
+        bad = np.argwhere(radii > self._held[rows, None])
+        if bad.size:
+            r, col = bad[0]
+            raise ValidationError(
+                f"bandwidth {radii[r, col]} at sample point "
+                f"{self.points[rows[r]]} is above its held radius "
+                f"{self._held[rows[r]]}"
+            )
+        needles = np.empty(radii.shape, dtype=complex)
+        needles.real = rows[:, None]
+        needles.imag = radii
+        first = self._offsets[rows][:, None]
+        counts = self._keys.searchsorted(needles, side="right")
+        counts -= first
+        # each row's prefix sums start at offsets[row] + row
+        at = counts + (first + rows[:, None])
         num = np.zeros(radii.shape)
         den = np.zeros(radii.shape)
         scaled = radii * self._unit
         for p, c, prefix_y, prefix_1 in self._terms:
-            scale = c / scaled ** p
-            num += scale * prefix_y[rows, counts]
-            den += scale * prefix_1[rows, counts]
+            scale = c / _powers(scaled, p)
+            num += scale * prefix_y[at]
+            den += scale * prefix_1[at]
         bad = np.argwhere(den <= 0.0)
         if bad.size:
             r, col = bad[0]
             raise EmptyNeighborhood(
-                f"at sample point {points[r]}: no positive kernel weight "
-                f"within radius {radii[r, col]}"
+                f"at sample point {self.points[rows[r]]}: no positive kernel "
+                f"weight within radius {radii[r, col]}"
             )
         return num / den, counts
 

@@ -20,6 +20,7 @@ file holds one value per curve and is read by ``float()`` alone.
 
 import csv
 import itertools
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +128,16 @@ def _table_from_rows(body: list[list[str]], width: int, path) -> np.ndarray:
             raise RaggedRows(
                 f"{path}: row {i} has {len(row)} cells, expected {width}"
             )
+    flat = list(itertools.chain.from_iterable(body))
+    remaining = iter(flat)
     try:
-        cells = np.fromiter(map(float, itertools.chain.from_iterable(body)),
-                            float, count=len(body) * width)
+        cells = np.fromiter(map(float, remaining), float, count=len(flat))
     except ValueError:
-        # name the first bad cell in row-major order
-        for i, row in enumerate(body, start=2):
-            for j, cell in enumerate(row, start=1):
-                _parse_cell(cell, i, j, path)
+        # the first bad cell in row-major order is the one the conversion
+        # stopped at, the last the iterator handed out
+        at = len(flat) - operator.length_hint(remaining) - 1
+        row, col = divmod(at, width)
+        _parse_cell(flat[at], row + 2, col + 1, path)
         raise
     return cells.reshape(len(body), width)
 

@@ -1,8 +1,10 @@
 """Tests for the wild residual law and the bootstrap bandwidth selector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import funkreg.bootstrap
 from funkreg import (
@@ -38,14 +40,19 @@ from funkreg.bootstrap import (
     P_LOW,
     _argmin_entry,
     _multiplier_matrix,
+    insample_fit,
 )
 from funkreg.curves import (
     curve_matrix,
     distance_matrix,
+    sample_distances,
     transform,
 )
+from funkreg.errors import FunkregError
 from funkreg.kernels import eval_kernel_array
 from funkreg.simulation import default_grid
+
+from dense_reference import dense_error_curve, dense_insample_fit
 
 QUADRATIC = KernelSpec.quadratic()
 DERIV0 = SemiMetricSpec(derivative_order=0)
@@ -473,13 +480,27 @@ class TestBootstrapErrorCurve:
             grid, np.repeat(levels[:, None], n_points, axis=1), levels**2)
 
     def test_zero_pilot_radius_is_degenerate(self):
-        # four copies of one curve: each copy's 3rd neighbour is at 0
+        # four copies of one curve, all in the query's k_max-ball: each
+        # copy's 3rd neighbour is at 0
         grid, sample = self.constant_curves([0, 0, 0, 0, 1, 2, 3, 4, 5, 6])
         config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
                                  pilot=FixedPilot(3))
         with pytest.raises(DegeneratePilot, match="radius is zero"):
-            bootstrap_error_curve(sample, [Curve(grid, np.full(11, 2.5))],
+            bootstrap_error_curve(sample, [Curve(grid, np.full(11, 0.5))],
                                   QUADRATIC, DERIV0, config)
+
+    def test_pilot_radius_outside_every_ball_is_not_checked(self):
+        # the four copies lie outside the query's k_max-ball, so no fit
+        # reads their pilot radius of 0, and none is computed
+        grid, sample = self.constant_curves([0, 0, 0, 0, 10, 11, 12, 13, 14,
+                                             15, 16, 17, 18, 19, 20])
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
+                                 pilot=FixedPilot(3))
+        query = [Curve(grid, np.full(11, 15.2))]
+        result = bootstrap_error_curve(sample, query, QUADRATIC, DERIV0, config)
+        assert [k for k, _, _ in result.per_bandwidth] == [2, 3, 4]
+        with pytest.raises(DegeneratePilot):
+            dense_error_curve(sample, query, QUADRATIC, DERIV0, config)
 
     def test_empty_query_pilot_is_degenerate(self):
         # the query's two nearest curves, at +-1, both sit on the quadratic
@@ -510,7 +531,7 @@ class TestBootstrapErrorCurve:
         def no_distances(*args, **kwargs):
             raise AssertionError("distances computed before the k_max check")
 
-        monkeypatch.setattr(funkreg.bootstrap, "sample_distances", no_distances)
+        monkeypatch.setattr(funkreg.bootstrap, "transformed_matrix", no_distances)
         with pytest.raises(TooFewPoints, match="k_max <= n - 1 with n = 10"):
             bootstrap_error_curve(sample, [Curve(grid, np.zeros(11))],
                                   QUADRATIC, DERIV0, config)
@@ -587,3 +608,123 @@ class TestBootstrapErrorCurve:
         m = _multiplier_matrix(2024, 100, np.arange(10000))
         freq = float(np.mean(m == MULTIPLIER_LOW))
         assert freq == pytest.approx(P_LOW, abs=0.002)
+
+
+@st.composite
+def bootstrap_cases(draw):
+    """A sample and queries built to stress the screened in-sample path:
+    exact duplicates and near-duplicates 1e-9 apart (ties at every
+    radius), twins shifted by a constant (distance about 1e-14 under a
+    derivative), queries that repeat or shift a sample curve, orders 0-2,
+    windows None or 5, either pilot rule and either evaluation."""
+    p = draw(st.integers(7, 25))
+    n = draw(st.integers(8, 40))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.uniform(0.01, 1.0, p - 1)
+    grid = SamplingGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    values = rng.normal(size=(n + m, p))
+    for row in range(1, n + m):
+        kind = draw(st.sampled_from(["fresh", "fresh", "near", "duplicate",
+                                     "shifted"]))
+        source = values[draw(st.integers(0, min(row, n) - 1))]
+        if kind == "near":
+            values[row] = source + 1e-9 * rng.normal(size=p)
+        elif kind == "duplicate":
+            values[row] = source
+        elif kind == "shifted":
+            values[row] = source + rng.normal()
+    spec = SemiMetricSpec(draw(st.sampled_from([0, 1, 2])),
+                          draw(st.sampled_from([None, 5])))
+    sample = FunctionalSample(grid, values[:n], rng.normal(size=n))
+    queries = [Curve(grid, row) for row in values[n:]]
+    k_max = draw(st.integers(2, n - 1))
+    pilot = draw(st.one_of(
+        st.integers(2, n - 1).map(FixedPilot),
+        st.floats(1.1, 3.0).map(MultiplierPilot)))
+    config = BootstrapConfig(
+        n_replications=draw(st.integers(1, 12)),
+        k_min=draw(st.integers(2, k_max)), k_max=k_max,
+        seed=draw(st.integers(0, 2**64 - 1)), pilot=pilot,
+        evaluation=draw(st.sampled_from(["test_set", "pointwise"])),
+        query_index=draw(st.integers(0, m - 1)))
+    kernel = draw(st.sampled_from([QUADRATIC, KernelSpec.uniform(),
+                                   KernelSpec.triangle()]))
+    return sample, queries, kernel, spec, config
+
+
+class TestDenseReference:
+    """The screened rows of the sample points the queries reach against
+    the sorted full (n, n) matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bootstrap_cases(), st.sampled_from([1, 1 << 9, 1 << 20]),
+           st.sampled_from([1, 1 << 9, 1 << 16]))
+    def test_error_curve_keeps_the_bits_of_the_full_matrix(self, case, block,
+                                                           work):
+        sample, queries, kernel, spec, config = case
+        with pytest.MonkeyPatch.context() as patch:
+            # blocks of one query up to all of them; work arrays of one
+            # query a time up to the whole block
+            patch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", block)
+            patch.setattr(funkreg.bootstrap, "_WORK_ELEMENTS", work)
+            try:
+                want, want_k = dense_error_curve(sample, queries, kernel, spec,
+                                                 config)
+            except FunkregError:
+                assume(False)  # the full-matrix rules reject the input
+            result = bootstrap_error_curve(sample, queries, kernel, spec, config)
+        assert result.per_bandwidth == want
+        assert result.selected_k == want_k
+
+    @settings(max_examples=100, deadline=None)
+    @given(bootstrap_cases(), st.data())
+    def test_insample_fit_keeps_the_bits_of_the_full_matrix(self, case, data):
+        sample, _, kernel, spec, _ = case
+        n = len(sample)
+        full = sample_distances(sample, spec)
+        rule = data.draw(st.one_of(
+            st.integers(1, n - 1).map(lambda k: {"k": k}),
+            st.sampled_from(sorted(set(full[full > 0.0].tolist())) or [1.0])
+            .map(lambda h: {"h": h}),
+            st.floats(1e-3, 10.0).map(lambda h: {"h": h})))
+        try:
+            want = dense_insample_fit(sample, kernel, spec, **rule)
+        except FunkregError:
+            assume(False)  # a zero kNN radius
+        got = insample_fit(sample, kernel, spec, **rule)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_one_transform_of_the_queries_and_the_sample(self, monkeypatch):
+        train, test = small_sample(seed=4, n=30)
+        calls = []
+        transform_ = funkreg.curves.transform
+
+        def spy(values, grid, spec):
+            calls.append(np.shape(values))
+            return transform_(values, grid, spec)
+
+        monkeypatch.setattr(funkreg.curves, "transform", spy)
+        config = BootstrapConfig(n_replications=5, k_min=2, k_max=8,
+                                 pilot=FixedPilot(6))
+        bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
+        assert calls == [(30 + len(test), len(train.grid))]
+
+    def test_select_at_ten_thousand_curves_stays_under_a_gigabyte(self):
+        train, test = generate_functional_sample(SimulationConfig(
+            n_train=10_000, n_test=50, grid_size=101, seed=8))
+        config = BootstrapConfig(n_replications=100, k_min=2, k_max=32,
+                                 seed=3, pilot=FixedPilot(16))
+        tracemalloc.start()
+        try:
+            result = bootstrap_error_curve(train, test.curves, QUADRATIC,
+                                           DERIV1, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 <= result.selected_k <= 32
+        # the (n, n) matrix alone would be 800 MB, and its sort and prefix
+        # sums several times that
+        assert peak < 1 << 30
+        assert peak < 100 * 2**20

@@ -161,6 +161,19 @@ class TestFitPredictCi:
         assert run(["fit", "--data", str(train), "--k", "40"]) == 2
         assert "--k must lie in [1, 39]" in capsys.readouterr().err
 
+    def test_response_file_is_rejected_with_train_and_test(
+            self, simulated, tmp_path, capsys):
+        train, test = simulated
+        responses = tmp_path / "y.txt"
+        responses.write_text("1.0\n" * 40)
+        for command in ("predict", "ci"):
+            assert run([command, "--train", str(train), "--test", str(test),
+                        "--response-file", str(responses), "--k", "5",
+                        "--out", str(tmp_path / "out.tsv")]) == 2
+            err = capsys.readouterr().err
+            assert "--response-file" in err and "--train" in err
+        assert not (tmp_path / "out.tsv").exists()
+
     def test_fit_bandwidth_is_checked_before_any_distance(
             self, simulated, capsys, monkeypatch):
         train, _ = simulated
@@ -168,7 +181,7 @@ class TestFitPredictCi:
         def no_distances(*args, **kwargs):
             raise AssertionError("distances computed before the checks")
 
-        monkeypatch.setattr(funkreg.bootstrap, "sample_distances", no_distances)
+        monkeypatch.setattr(funkreg.bootstrap, "transformed_matrix", no_distances)
         for flags, message in [
             (["--h", "0"], "--h must be positive"),
             (["--h", "-1"], "--h must be positive"),

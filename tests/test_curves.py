@@ -23,7 +23,9 @@ from funkreg import curves
 from funkreg.curves import (
     curve_matrix,
     distance_matrix,
+    neighbour_rows,
     transform,
+    transformed_matrix,
 )
 from funkreg.errors import FunkregError
 from funkreg.estimator import knn_radii, nadaraya_watson_batch
@@ -513,6 +515,117 @@ class TestScreenedDistances:
             # a chunk's work arrays and its pair indices
             copies = (rows.nbytes + cols.nbytes)
             assert peak < out.nbytes + 1.25 * copies + 16 * 8 * budget
+
+
+def assert_cut_rows(full, rows, points, radii):
+    """Row r of ``rows`` is exactly the stable sort of full[points[r]] up
+    to radii[r]: the same distances, bit for bit, and the same columns."""
+    assert rows.n == full.shape[1]
+    assert np.array_equal(rows.points, points)
+    assert rows.radii.tobytes() == np.asarray(radii, dtype=float).tobytes()
+    for r, i in enumerate(points):
+        order = np.argsort(full[i], kind="stable")
+        keep = full[i][order] <= radii[r]
+        held = slice(rows.offsets[r], rows.offsets[r + 1])
+        assert rows.distances[held].tobytes() == full[i][order][keep].tobytes()
+        assert np.array_equal(rows.columns[held], order[keep])
+
+
+def expected_radii(full, points, k, reach):
+    """The larger of each row's reach and its k-th smallest distance."""
+    radii = np.zeros(len(points)) if reach is None else np.asarray(reach)
+    if k is not None:
+        radii = np.maximum(radii, np.sort(full[points], axis=1)[:, k - 1])
+    return radii
+
+
+class TestNeighbourRows:
+    @settings(max_examples=150, deadline=None)
+    @given(screened_cases(), st.data())
+    def test_rows_are_the_leading_part_of_the_stable_sort(self, case, data):
+        sample, _, spec = case
+        n = len(sample)
+        full = sample_distances(sample, spec)
+        t = transformed_matrix(sample, spec)
+        points = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                             min_size=1, max_size=n)))
+        # a reach of one of the row's distances, a float either side of it,
+        # zero or far beyond every distance
+        reach = np.array([data.draw(st.sampled_from([
+            0.0, 1e300, full[i, j], np.nextafter(full[i, j], 0.0),
+            np.nextafter(full[i, j], np.inf)])) for i, j in zip(
+                points, data.draw(st.lists(st.integers(0, n - 1),
+                                           min_size=points.size,
+                                           max_size=points.size)))])
+        for k in range(1, n + 1):
+            for rule in ({"k": k}, {"k": k, "reach": reach}):
+                rows = neighbour_rows(t, points, **rule)
+                assert_cut_rows(full, rows, points,
+                                expected_radii(full, points, k, rule.get("reach")))
+        rows = neighbour_rows(t, points, reach=reach)
+        assert_cut_rows(full, rows, points, expected_radii(full, points, None, reach))
+
+    @pytest.mark.parametrize("mark", ["everything", "whole"])
+    def test_rows_do_not_rely_on_the_screen(self, monkeypatch, mark):
+        # a screen that marks every entry, or leaves every chunk whole: the
+        # rows are still cut exactly at their radii
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(30, 21))
+        values[20:] = values[:10] + 3.0  # shifted twins
+        values[5] = values[4]  # a duplicate
+        sample = FunctionalSample(unit_grid(21), values, np.zeros(30))
+        spec = SemiMetricSpec(1)
+        full = sample_distances(sample, spec)
+        points = np.array([4, 5, 0, 29, 4])
+        reach = full[points, 7]
+
+        def screen(rows, cols, weights, k, reach):
+            for start in range(rows.shape[0]):
+                yield (slice(start, start + 1),
+                       np.ones((1, cols.shape[0]), bool)
+                       if mark == "everything" else None)
+
+        monkeypatch.setattr(curves, "_screen", screen)
+        t = transformed_matrix(sample, spec)
+        for k, r in ((3, None), (3, reach), (None, reach), (30, reach)):
+            rows = neighbour_rows(t, points, k=k, reach=r)
+            assert_cut_rows(full, rows, points, expected_radii(full, points, k, r))
+
+    def test_dense_rows_and_chunks_are_computed_whole(self, monkeypatch):
+        monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", 1 << 8)
+        rng = np.random.default_rng(6)
+        sample = FunctionalSample(unit_grid(21), rng.normal(size=(40, 21)),
+                                  np.zeros(40))
+        spec = SemiMetricSpec(0)
+        full = sample_distances(sample, spec)
+        points = np.arange(40)
+        blocks = []
+
+        def outer_block(rows, cols, weights):
+            blocks.append(rows.shape[0])
+            return distance_matrix(rows, cols, weights)
+
+        monkeypatch.setattr(curves, "distance_matrix", outer_block)
+        t = transformed_matrix(sample, spec)
+        # a reach past every distance in the first chunk only, then a k
+        # past the dense share
+        reach = np.where(points < 2, 1e300, 0.0)
+        rows = neighbour_rows(t, points, k=3, reach=reach)
+        assert_cut_rows(full, rows, points, expected_radii(full, points, 3, reach))
+        assert blocks == [2]
+        rows = neighbour_rows(t, points, k=25)
+        assert_cut_rows(full, rows, points, expected_radii(full, points, 25, None))
+        assert sum(blocks) == 42
+
+    def test_bad_rules(self):
+        sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
+        t = transformed_matrix(sample, SemiMetricSpec(1))
+        for points, kwargs in ((None, {}), (None, {"k": 0}), (None, {"k": 4}),
+                               (None, {"reach": -1.0}),
+                               (None, {"reach": float("nan")}),
+                               ([3], {"k": 1}), ([[0]], {"k": 1})):
+            with pytest.raises(ValidationError):
+                neighbour_rows(t, points, **kwargs)
 
 
 class TestMovingAverage:

@@ -30,8 +30,15 @@ from funkreg import (
     theoretical_bias_variance,
 )
 from funkreg.curves import distance_matrix
-from funkreg.estimator import interval_half_widths, knn_radii, nadaraya_watson_batch
+from funkreg.estimator import (
+    _powers,
+    interval_half_widths,
+    knn_radii,
+    nadaraya_watson_batch,
+)
 from funkreg.kernels import eval_kernel_array
+
+from dense_reference import DenseSmoother, neighbours_from_dense
 
 UNIFORM = KernelSpec.uniform()
 QUADRATIC = KernelSpec.quadratic()
@@ -180,7 +187,7 @@ class TestInsampleSmoother:
     def test_matches_per_row_nadaraya_watson(self, case, kernel_name):
         d, y, mode, radii, k = case
         kernel = SMOOTHER_KERNELS[kernel_name]
-        smoother = InsampleSmoother(d, y, kernel)
+        smoother = InsampleSmoother(neighbours_from_dense(d), y, kernel)
         if mode == "knn":
             radii = smoother.knn_radii(k)[:, None]
             # the old rule: sort, drop one leading exact zero, take the k-th
@@ -211,7 +218,8 @@ class TestInsampleSmoother:
         y = np.array(data.draw(st.lists(
             st.floats(-100.0, 100.0, allow_nan=False), min_size=n, max_size=n
         )))
-        smoother = InsampleSmoother(d, y, SMOOTHER_KERNELS[kernel_name])
+        smoother = InsampleSmoother(neighbours_from_dense(d), y,
+                                    SMOOTHER_KERNELS[kernel_name])
         # radii equal to distances (ties at the kernel's edge) or arbitrary
         usable = d[(d > 0.0) & (d >= smoother.min_radius)]
         radius = st.one_of(
@@ -243,21 +251,23 @@ class TestInsampleSmoother:
     def test_rejects_bad_inputs(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         y = np.array([1.0, 2.0])
+        rows = neighbours_from_dense(d)
         with pytest.raises(ValidationError):
-            InsampleSmoother(d + 0.5, y, UNIFORM)  # nonzero diagonal
+            # nonzero diagonal
+            InsampleSmoother(neighbours_from_dense(d + 0.5), y, UNIFORM)
         with pytest.raises(ValidationError):
-            InsampleSmoother(d, np.ones(3), UNIFORM)
+            InsampleSmoother(rows, np.ones(3), UNIFORM)
         with pytest.raises(InvalidKernel):
-            InsampleSmoother(d, y, KernelSpec.polynomial((0.0, 1.0)))
-        smoother = InsampleSmoother(d, y, UNIFORM)
+            InsampleSmoother(rows, y, KernelSpec.polynomial((0.0, 1.0)))
+        smoother = InsampleSmoother(rows, y, UNIFORM)
         with pytest.raises(ValidationError):
             smoother.knn_radii(2)
         with pytest.raises(ValidationError):
             smoother.fit(np.zeros((2, 1)))
         with pytest.raises(ValidationError):
-            smoother.fit(np.ones((1, 1)), points=[2])
+            smoother.fit(np.ones((1, 1)), rows=[2])
         with pytest.raises(ValidationError):
-            smoother.fit(np.ones((2, 1)), points=[1])
+            smoother.fit(np.ones((2, 1)), rows=[1])
 
     def test_zero_kernel_names_the_point(self):
         # KernelSpec rejects K(0) <= 0, so a zero kernel is built past its
@@ -266,11 +276,117 @@ class TestInsampleSmoother:
         object.__setattr__(zero, "family", "polynomial")
         object.__setattr__(zero, "coefficients", (0.0,))
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        smoother = InsampleSmoother(d, [1.0, 2.0], zero)
+        smoother = InsampleSmoother(neighbours_from_dense(d), [1.0, 2.0], zero)
         with pytest.raises(EmptyNeighborhood, match="sample point 0"):
             smoother.fit(np.ones((2, 1)))
         with pytest.raises(EmptyNeighborhood, match="sample point 1"):
-            smoother.fit(np.ones((1, 1)), points=[1])
+            smoother.fit(np.ones((1, 1)), rows=[1])
+
+
+@st.composite
+def cut_row_cases(draw):
+    """A square matrix, responses, each row's held radius (one of its own
+    positive distances, or the whole row) and fitted rows with radii up to their
+    row's held radius: one of its held distances (ties at the kernel's
+    edge) or an arbitrary value."""
+    d = draw(insample_distances())
+    n = d.shape[0]
+    y = np.array(draw(st.lists(
+        st.floats(-100.0, 100.0, allow_nan=False), min_size=n, max_size=n
+    )))
+    held = np.array([draw(st.sampled_from(sorted(set(row[row > 0].tolist()))
+                                          + [np.inf]))
+                     for row in d])
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=2 * n)))
+    radii = np.empty((rows.size, 3))
+    for r, i in enumerate(rows):
+        inside = d[i][(d[i] > 0.0) & (d[i] <= held[i])]
+        top = min(5.0, held[i])
+        radius = st.floats(min(1e-3, top / 2), top)
+        if inside.size:
+            radius = st.one_of(st.sampled_from(sorted(set(inside.tolist()))),
+                               radius)
+        radii[r] = draw(st.lists(radius, min_size=3, max_size=3))
+    return d, y, held, rows, radii
+
+
+class TestCutRows:
+    """The smoother on rows cut at a held radius against the full rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut_row_cases(), st.sampled_from(sorted(SMOOTHER_KERNELS)))
+    def test_fits_keep_the_bits_of_the_full_rows(self, case, kernel_name):
+        d, y, held, rows, radii = case
+        kernel = SMOOTHER_KERNELS[kernel_name]
+        assume(np.all(radii > 0.0))  # half a subnormal held radius is 0
+        cut = InsampleSmoother(neighbours_from_dense(d, held), y, kernel)
+        full = InsampleSmoother(neighbours_from_dense(d), y, kernel)
+        assume(np.all(radii >= max(cut.min_radius, full.min_radius)))
+        preds, counts = cut.fit(radii, rows)
+        # a kernel of degree 3 or more takes its powers by repeated
+        # products, which no power-of-two ``_unit`` can change
+        want, want_counts = full.fit(radii, rows)
+        assert preds.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(counts, want_counts)
+        if kernel_name != "cubic":
+            # degree <= 2: the bits of the dense square-matrix smoother
+            want, want_counts = DenseSmoother(d, y, kernel).fit(radii, rows)
+            assert preds.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(counts, want_counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut_row_cases())
+    def test_counts_equal_the_per_row_search(self, case):
+        d, y, held, rows, radii = case
+        assume(np.all(radii > 0.0))
+        cut = neighbours_from_dense(d, held)
+        _, counts = InsampleSmoother(cut, y, UNIFORM).fit(radii, rows)
+        # the reference: one searchsorted per fitted row
+        expected = np.empty(radii.shape, dtype=np.intp)
+        for r, i in enumerate(rows):
+            row = cut.distances[cut.offsets[i]:cut.offsets[i + 1]]
+            expected[r] = row.searchsorted(radii[r], side="right")
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_a_radius_beyond_the_held_one_is_rejected(self):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+        smoother = InsampleSmoother(neighbours_from_dense(d, [1.0, 3.0, 3.0]),
+                                    np.ones(3), QUADRATIC)
+        smoother.fit(np.array([[1.0], [2.5]]), rows=[0, 1])
+        with pytest.raises(ValidationError, match="above its held radius"):
+            smoother.fit(np.array([[1.5]]), rows=[0])
+        with pytest.raises(ValidationError, match="available distances"):
+            smoother.knn_radii(2)  # row 0 holds two distances
+        assert smoother.knn_radii(1).tolist() == [1.0, 1.0, 1.5]
+
+    def test_unit_and_min_radius_follow_the_largest_held_distance(self):
+        d = np.array([[0.0, 0.75, 3.0], [0.75, 0.0, 2.0], [3.0, 2.0, 0.0]])
+        y = np.ones(3)
+        full = InsampleSmoother(neighbours_from_dense(d), y, QUADRATIC)
+        cut = InsampleSmoother(neighbours_from_dense(d, [0.75, 0.75, 0.0]),
+                               y, QUADRATIC)
+        # the scale brings the largest held distance into [0.5, 1)
+        assert full._unit == 0.25 and cut._unit == 1.0
+        # min_radius = sqrt(n * tiny) / unit for a quadratic kernel, so it
+        # falls with the largest held distance
+        root = np.sqrt(3 * np.finfo(float).tiny)
+        assert full.min_radius == root / 0.25
+        assert cut.min_radius == root
+        assert InsampleSmoother(neighbours_from_dense(d), y,
+                                UNIFORM).min_radius == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(2.0**-40, 2.0**40), min_size=1, max_size=20),
+           st.integers(-40, 40))
+    def test_powers_are_exact_under_scaling(self, values, shift):
+        # every power stays in the normal range, where scaling is exact
+        x = np.array(values)
+        for p in (0, 1, 2):
+            assert _powers(x, p).tobytes() == (x ** p).tobytes()
+        for p in (3, 4, 5):
+            scaled = _powers(np.ldexp(x, shift), p)
+            assert scaled.tobytes() == np.ldexp(_powers(x, p), shift * p).tobytes()
 
 
 class TestEmpiricalSdf:

@@ -258,6 +258,27 @@ class TestOnePassParse:
         assert outcome(load_sample, path) == expected
         assert "row 3, column 3" in expected[1] and "'x3'" in expected[1]
 
+    def test_a_bad_cell_is_named_without_parsing_every_cell(
+            self, tmp_path, monkeypatch):
+        # 200 rows of 51 cells; the bad one sits in the last row
+        header = ",".join(str(j) for j in range(50)) + ",response\n"
+        body = ["1.5," * 50 + "2\n"] * 199 + ["1.5," * 20 + "x," + "1.5," * 29 + "2\n"]
+        path = write(tmp_path / "d.csv", header + "".join(body))
+        calls = []
+        parse_cell = funkreg.io._parse_cell
+
+        def spy(cell, row, col, path):
+            calls.append((row, col))
+            return parse_cell(cell, row, col, path)
+
+        rows = funkreg.io._read_rows(path)
+        monkeypatch.setattr(funkreg.io, "_parse_cell", spy)
+        with pytest.raises(ParseError, match="row 201, column 21 is not numeric: 'x'"):
+            funkreg.io._table_from_rows(rows[1:], len(rows[0]), path)
+        assert calls == [(201, 21)]
+        monkeypatch.undo()
+        assert outcome(load_sample, path) == outcome(reference_load_sample, path)
+
     def test_ragged_rows_are_found_before_cells_are_parsed(self, tmp_path):
         path = write(tmp_path / "d.csv",
                      "0,1,2,response\n"

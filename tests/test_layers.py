@@ -1,7 +1,8 @@
 """Layering: each shared decision has one owner module in the package.
 
 The semi-metric recipe (transform, trapezoid weights, distance_matrix) is
-run only by ``curves``; every other module asks ``curves.sample_distances``.
+run only by ``curves``; every other module asks ``curves`` for distances
+(``sample_distances``, or ``transformed_matrix`` and the screens on it).
 The replication streams are built only by ``simulation``. The command line
 gets in-sample fits from ``bootstrap.insample_fit``, not from the smoother.
 A module names a thing when it imports, defines or refers to it, as a bare
