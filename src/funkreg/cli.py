@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -378,9 +378,8 @@ def _scalar_experiment(args, experiment):
 def _write_mc(out, config: ScalarDesignConfig, stats: dict) -> None:
     """Write Monte Carlo statistics as JSON, with the scalar design that
     produced them."""
-    design = {name: getattr(config, name)
-              for name in ("n", "h", "chi", "noise_sd", "reps", "seed")}
-    _write(out, json.dumps({**stats, **design}, sort_keys=True, indent=2) + "\n")
+    _write(out, json.dumps({**stats, **asdict(config)},
+                           sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_mc_bias_var(args) -> int:

@@ -36,7 +36,8 @@ class KernelSpec:
     families. Construction checks the shape on a 1024-point grid, with
     tolerances relative to max|K| there, and raises InvalidKernel for a
     negative, increasing or vanishing (K(0) <= 0) kernel, so every
-    KernelSpec has its positive maximum at K(0). The boundary clause
+    KernelSpec has its positive maximum at K(0). A non-finite coefficient
+    raises InvalidKernel before the shape is checked. The boundary clause
     K(1) > 0 is not enforced (``h2_strict``): the quadratic kernel fails it
     yet remains usable everywhere except confidence intervals.
     """
@@ -50,6 +51,10 @@ class KernelSpec:
         object.__setattr__(
             self, "coefficients", tuple(float(c) for c in self.coefficients)
         )
+        for c in self.coefficients:
+            if not np.isfinite(c):
+                raise InvalidKernel(
+                    f"kernel {self.family} has a non-finite coefficient {c}")
         u = np.linspace(0.0, 1.0, _CHECK_GRID_SIZE)
         values = _polyval(self.coefficients, u)
         # Kernel weights are scale-free, so the tolerance scales with K.

@@ -68,7 +68,7 @@ class SimulationConfig:
     def __post_init__(self):
         require_integers(n_train=self.n_train, n_test=self.n_test,
                          grid_size=self.grid_size)
-        if self.n_train < 1 or self.n_test < 0:
+        if self.n_train < 1 or self.n_test < 1:
             raise ValidationError("sample sizes must be positive")
         if self.grid_size < 5:
             raise ValidationError("grid_size must be at least 5")

@@ -11,7 +11,6 @@ start from a matrix.
 
 import numpy as np
 
-from funkreg import bootstrap
 from funkreg.bootstrap import _argmin_entry, _multiplier_matrix, _point_keys
 from funkreg.curves import NeighbourRows, curve_matrix, sample_distances
 from funkreg.errors import (
@@ -102,11 +101,18 @@ def dense_insample_fit(sample, kernel, spec, h=None, k=None):
     return preds[:, 0], counts[:, 0], radii
 
 
-def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None):
+def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None,
+                      block_elements=1):
     """``bootstrap_error_curve``'s per_bandwidth from the full matrix: the
     pilot fit at every sample point, every refit on the sorted full rows
-    and every support padded to its block's largest, in blocks of
-    ``bootstrap._BLOCK_ELEMENTS``, each computed at once.
+    and every support padded to its block's largest, in blocks of as many
+    queries as make (B + s_max) K + B s_max elements each come to
+    ``block_elements`` (s_max the largest ball of all), each computed at
+    once. The default, one query a block, scores each query on its own
+    ball, as the package does. A larger budget pads a smaller ball with
+    points of weight 0, which leaves the sums unchanged up to rounding
+    only: BLAS orders a product's sums by its length, so the last bits
+    of a padded query may move.
 
     Raises DegeneratePilot for a zero pilot radius at any sample point or
     query, and DegenerateGrid or EmptyNeighborhood for a zero or empty
@@ -136,8 +142,7 @@ def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None):
     in_support = dist_qs <= radii[:, -1:]
     support_sizes = in_support.sum(axis=1)
     n_boot, s_max = config.n_replications, int(support_sizes.max())
-    step = max(1, bootstrap._BLOCK_ELEMENTS
-               // ((n_boot + s_max) * n_k + n_boot * s_max))
+    step = max(1, block_elements // ((n_boot + s_max) * n_k + n_boot * s_max))
     errors = np.empty((len(queries), n_k))
     for start in range(0, len(queries), step):
         block = slice(start, start + step)

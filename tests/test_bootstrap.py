@@ -375,23 +375,45 @@ class TestBootstrapErrorCurve:
         train, test = small_sample(seed=13)
         config = BootstrapConfig(n_replications=20, k_min=2, k_max=8, seed=4)
         whole = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
-        # blocks of two queries, the last one short: a query costs about
-        # (B + s) K + B s elements, s its largest k_max-ball
+        # work arrays of one query a time, then of two with the last one
+        # short: a query costs (B + s) K + B s elements, s its k_max-ball
         d = distance_matrix(
             transform(curve_matrix(test.curves, train.grid), train.grid, DERIV1),
             transform(train.values, train.grid, DERIV1),
             train.grid.trapezoid_weights(),
         )
-        s = int((d <= np.sort(d, axis=1)[:, 7:8]).sum(axis=1).max())
-        assert len(test) == 5
-        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS",
-                            2 * ((20 + s) * 7 + 20 * s))
-        blocked = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
-        for (k1, h1, e1), (k2, h2, e2) in zip(whole.per_bandwidth,
-                                              blocked.per_bandwidth):
-            assert (k1, h1) == (k2, h2)
-            assert e2 == pytest.approx(e1, rel=1e-12)
-        assert blocked.selected_k == whole.selected_k
+        sizes = (d <= np.sort(d, axis=1)[:, 7:8]).sum(axis=1)
+        assert len(test) == 5 and np.all(sizes == 8)
+        for per_chunk in (1, 2):
+            monkeypatch.setattr(funkreg.bootstrap, "_WORK_ELEMENTS",
+                                per_chunk * ((20 + 8) * 7 + 20 * 8))
+            chunked = bootstrap_error_curve(train, test.curves, QUADRATIC,
+                                            DERIV1, config)
+            assert chunked == whole
+
+    @pytest.mark.parametrize("k_max", [15, 32])
+    def test_query_errors_do_not_depend_on_the_other_queries(self, k_max):
+        # a copy of B's k_max-th nearest curve ties with it, so B's
+        # k_max-ball holds k_max + 1 points and A's k_max: each query is
+        # scored on its own ball, not padded to the larger one
+        train, test = small_sample(seed=21, n=80)
+        a, b = test.curves[:2]
+        d_b = sample_distances(train, DERIV1, curve_matrix([b], train.grid))[0]
+        twin = np.argsort(d_b, kind="stable")[k_max - 1]
+        sample = FunctionalSample(
+            train.grid, np.vstack([train.values, train.values[twin]]),
+            np.append(train.responses, train.responses[twin] + 1.0))
+        d = sample_distances(sample, DERIV1, curve_matrix([a, b], sample.grid))
+        sizes = (d <= np.sort(d, axis=1)[:, k_max - 1:k_max]).sum(axis=1)
+        assert sizes.tolist() == [k_max, k_max + 1]
+        config = BootstrapConfig(n_replications=30, k_min=2, k_max=k_max,
+                                 seed=5, pilot=FixedPilot(16))
+        alone = [bootstrap_error_curve(sample, [q], QUADRATIC, DERIV1,
+                                       config).per_bandwidth for q in (a, b)]
+        both = bootstrap_error_curve(sample, [a, b], QUADRATIC, DERIV1, config)
+        for (_, _, e), (_, _, e_a), (_, _, e_b) in zip(both.per_bandwidth,
+                                                       *alone):
+            assert e == (e_a + e_b) / 2
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**16), st.integers(0, 12), st.sampled_from([2, 3]),
@@ -456,7 +478,7 @@ class TestBootstrapErrorCurve:
                 bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
                                       config, point_keys=point_keys)
 
-    def test_empty_query_neighborhood_names_k_h_and_query(self, monkeypatch):
+    def test_empty_query_neighborhood_names_k_h_and_query(self):
         # constant curves 1/2 apart: the last query sits halfway between two,
         # so both its k = 2 neighbors lie on the quadratic kernel's zero edge
         grid = default_grid(11)
@@ -465,12 +487,23 @@ class TestBootstrapErrorCurve:
             grid, np.repeat(levels[:, None], 11, axis=1), levels**2
         )
         queries = [Curve(grid, np.full(11, v)) for v in (0.1, 1.3, 2.25)]
-        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", 1)
         config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
                                  pilot=FixedPilot(8))
         with pytest.raises(EmptyNeighborhood, match="at query 2 for k = 2, h = "):
             bootstrap_error_curve(sample, queries, QUADRATIC,
                                   SemiMetricSpec(derivative_order=0), config)
+
+    def test_empty_query_neighborhood_names_the_lowest_query(self):
+        # query 0 sits between 0 and two copies of 1/2: its k = 2 neighbours
+        # lie on the zero edge, as query 2's do, but its k_max-ball holds 5
+        # points to query 2's 4
+        grid, sample = self.constant_curves(
+            [0, 0.5, 0.5, 1, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5])
+        queries = [Curve(grid, np.full(11, v)) for v in (0.25, 3.3, 2.25)]
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
+                                 pilot=FixedPilot(8))
+        with pytest.raises(EmptyNeighborhood, match="at query 0 for k = 2, h = "):
+            bootstrap_error_curve(sample, queries, QUADRATIC, DERIV0, config)
 
     @staticmethod
     def constant_curves(levels, n_points=11):
@@ -658,19 +691,18 @@ class TestDenseReference:
     the sorted full (n, n) matrix."""
 
     @settings(max_examples=150, deadline=None)
-    @given(bootstrap_cases(), st.sampled_from([1, 1 << 9, 1 << 20]),
-           st.sampled_from([1, 1 << 9, 1 << 16]))
-    def test_error_curve_keeps_the_bits_of_the_full_matrix(self, case, block,
-                                                           work):
+    @given(bootstrap_cases(), st.sampled_from([1, 1 << 9, 1 << 16]))
+    def test_error_curve_keeps_the_bits_of_the_full_matrix(self, case, work):
         sample, queries, kernel, spec, config = case
         with pytest.MonkeyPatch.context() as patch:
-            # blocks of one query up to all of them; work arrays of one
-            # query a time up to the whole block
-            patch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", block)
+            # work arrays of one query a time up to all the queries whose
+            # balls have one size, against reference blocks of one query,
+            # each on its own ball: a block padded to a larger ball sums
+            # its products in another order
             patch.setattr(funkreg.bootstrap, "_WORK_ELEMENTS", work)
             try:
                 want, want_k = dense_error_curve(sample, queries, kernel, spec,
-                                                 config)
+                                                 config, block_elements=1)
             except FunkregError:
                 assume(False)  # the full-matrix rules reject the input
             result = bootstrap_error_curve(sample, queries, kernel, spec, config)

@@ -101,6 +101,14 @@ class TestSimulateCommand:
             outs.append((out / "train.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("size", ["--n-train", "--n-test"])
+    def test_empty_sample_exits_2(self, tmp_path, capsys, size):
+        # --n-test 0 failed later, as a sample of no curves
+        out = tmp_path / "sim"
+        assert run(["simulate", size, "0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sample sizes must be positive\n"
+        assert not out.exists()
+
 
 class TestFitPredictCi:
     def test_fit_rows(self, simulated, tmp_path):
@@ -537,6 +545,17 @@ class TestInvalidKernel:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("kernel, bad", [("poly:inf", "inf"),
+                                             ("poly:1,nan", "nan")])
+    def test_non_finite_coefficient_exits_2(self, capsys, kernel, bad):
+        # poly:inf printed nan inf inf with a RuntimeWarning and exit 0
+        assert run(["constants", "--kernel", kernel, "--tau0", "fractal:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: kernel polynomial has a non-finite coefficient {bad}\n")
+        assert captured.out == ""
+
+
 class TestMonteCarloCommands:
     def test_mc_bias_var_json(self, tmp_path):
         out = tmp_path / "mc.json"
@@ -548,6 +567,18 @@ class TestMonteCarloCommands:
         payload = json.loads(out.read_text())
         assert payload["theoretical_bias"] == pytest.approx(0.05)
         assert payload["reps"] == 50
+
+    @pytest.mark.parametrize("command", ["mc-bias-var", "mc-normality"])
+    def test_json_records_the_whole_design(self, capsys, command):
+        # --slope was left out of the JSON
+        assert run([command, "--n", "100", "--h", "0.2", "--chi", "0.5",
+                    "--slope", "3", "--noise-sd", "0.4", "--reps", "5",
+                    "--seed", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {key: payload[key] for key in (
+            "n", "h", "chi", "slope", "noise_sd", "reps", "seed")} == {
+            "n": 100, "h": 0.2, "chi": 0.5, "slope": 3.0, "noise_sd": 0.4,
+            "reps": 5, "seed": 2}
 
     def test_mc_normality_json(self, capsys):
         assert run([

@@ -90,6 +90,15 @@ class TestValidateKernel:
         with pytest.raises(InvalidKernel, match="increasing"):
             KernelSpec.polynomial((1.0, 1e-11))
 
+    @pytest.mark.parametrize("coefficients, bad", [
+        ((float("inf"),), "inf"), ((1.0, float("nan")), "nan"),
+        ((1.0, 0.0, float("-inf")), "-inf")])
+    def test_non_finite_coefficient_rejected(self, coefficients, bad):
+        # inf was accepted, and nan failed only as a negative kernel
+        with pytest.raises(InvalidKernel, match=rf"^kernel polynomial has a "
+                                                rf"non-finite coefficient {bad}$"):
+            KernelSpec.polynomial(coefficients)
+
     def test_negativity_is_reported_before_increase(self):
         with pytest.raises(InvalidKernel, match="negative"):
             KernelSpec("bent", (-1.0, 2.0))

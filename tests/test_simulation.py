@@ -434,6 +434,12 @@ def test_counts_must_be_integers(build):
         build()
 
 
+@pytest.mark.parametrize("sizes", [{"n_train": 0}, {"n_test": 0}])
+def test_sample_sizes_must_be_positive(sizes):
+    with pytest.raises(ValidationError, match="sample sizes must be positive"):
+        SimulationConfig(**sizes)
+
+
 def test_counts_accept_numpy_integers():
     assert fk.BootstrapConfig(k_max=np.int64(8)).k_max == 8
     assert ScalarDesignConfig(n=np.int32(10), h=0.1, reps=np.uint8(3)).reps == 3
