@@ -26,12 +26,11 @@ from one screen of those rows against the sample
 the rows cost O(|U| n p) for the screen plus the sort of the few entries
 each keeps. A query then refits and scores its s = |S_j| points alone
 (s = k_max without ties): O(J K s (log s + deg)) for J queries and K
-candidates, and one (K x s) by (s x B) product per query. Each query is
-scored on its own ball alone, so its errors do not depend on which other
-queries run with it: queries with balls of the same size s run together,
-in chunks (``_WORK_ELEMENTS``) that bound the work arrays. The pilot
-radius is checked only at the points of U and at the queries, the only
-ones a fit reads.
+candidates, and one (K x s) by (s x B) product per query. Queries are
+scored in blocks (``_BLOCK_ELEMENTS``), each query on its block's largest
+s points: a smaller ball is followed by points past it, which weigh 0
+and are not refit. The pilot radius is checked only at the points of U
+and at the queries, the only ones a fit reads.
 """
 
 import math
@@ -68,10 +67,15 @@ MULTIPLIER_LOW = (1.0 - _SQRT5) / 2.0
 MULTIPLIER_HIGH = (1.0 + _SQRT5) / 2.0
 P_LOW = (5.0 + _SQRT5) / 10.0
 P_HIGH = (5.0 - _SQRT5) / 10.0
-#: Element budget of the work arrays of the queries that are refit and
-#: scored at once, (B + s) K + B s per query with s points in each ball:
-#: small enough that a select's temporaries come and go within the heap
-#: glibc keeps. It decides page faults, not bits. At paper scale
+#: Queries are scored in blocks, each query on its block's largest
+#: k_max-ball of s points: blocks of as many queries as make (B + s_max) K
+#: + B s_max floats each (s_max the largest ball of all) come to this
+#: budget. The width s decides the bits of a query's products, whose sums
+#: BLAS orders by their length, so the blocks are kept as they are.
+_BLOCK_ELEMENTS = 1 << 20
+#: Element budget of the work arrays of the queries a block refits and
+#: scores at once, (B + s) K + B s per query: small enough that a select's
+#: temporaries come and go within the heap glibc keeps. At paper scale
 #: (2-core Xeon) 2^16 took about 0 minor page faults per select after
 #: warm-up and 2^18 to 2^20 took 1.0k to 1.6k, with ops 15 to 20% slower.
 _WORK_ELEMENTS = 1 << 16
@@ -375,30 +379,35 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     if np.any(radii <= 0.0):
         raise DegenerateGrid("bandwidths must be strictly positive")
     # Row r holds the multipliers of point points[r], so a support gathers
-    # whole rows.
+    # whole rows; a point outside U reads row 0, at weight 0.
     multipliers = np.ascontiguousarray(
         _multiplier_matrix(config.seed, config.n_replications, keys[points]).T
     )
     row_of = np.zeros(n, dtype=np.intp)
     row_of[points] = np.arange(points.size)
     support_sizes = in_support.sum(axis=1)
-    n_boot = config.n_replications
+    n_boot, s_max = config.n_replications, int(support_sizes.max())
     errors = np.empty((len(active), n_k))
-    # (query, k index) of each chunk's first radius without weight: the
-    # lowest query is reported, whatever the size of its ball
-    empty = []
-    # the queries whose k_max-balls hold s points, each ball in index order
-    for s in np.unique(support_sizes):
-        group = np.flatnonzero(support_sizes == s)
+    n_block = max(1, _BLOCK_ELEMENTS // ((n_boot + s_max) * n_k + n_boot * s_max))
+    for first in range(0, len(active), n_block):
+        last = min(first + n_block, len(active))
+        s = int(support_sizes[first:last].max())
         step = max(1, _WORK_ELEMENTS // ((n_boot + s) * n_k + n_boot * s))
-        for start in range(0, group.size, step):
-            block = group[start:start + step]
+        for start in range(first, last, step):
+            block = slice(start, min(start + step, last))
             h = radii[block]  # (queries, k)
-            support = np.nonzero(in_support[block])[1].reshape(-1, s)
+            sizes = support_sizes[block]
+            # Each query's support in index order, then points past its
+            # k_max-ball, where d > h makes the kernel weight exactly 0:
+            # their residuals are left at 0 and only the support is refit.
+            support = np.argsort(~in_support[block], axis=1,
+                                 kind="stable")[:, :s]
             rows = row_of[support]
-            fits = smoother.fit(np.repeat(h, s, axis=0), rows.ravel())[0]
-            resid = y[support][..., None] - fits.reshape(*support.shape, n_k)
-            d = dist_qs[block[:, None], support]
+            inside = np.arange(s) < sizes[:, None]
+            fits = smoother.fit(np.repeat(h, sizes, axis=0), rows[inside])[0]
+            resid = np.zeros((*support.shape, n_k))
+            resid[inside] = y[support[inside], None] - fits
+            d = np.take_along_axis(dist_qs[block], support, axis=1)
             # A distance far above a tiny radius overflows to inf: weight 0.
             with np.errstate(over="ignore"):
                 u = d[..., None] / h[:, None, :]
@@ -406,8 +415,11 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             totals = w_q.sum(axis=1)
             bad = np.argwhere(totals <= 0.0)
             if bad.size:
-                empty.append((block[bad[0, 0]], bad[0, 1]))
-                continue
+                j, ki = bad[0]
+                raise EmptyNeighborhood(
+                    f"no positive weight at query {start + j} for k = {ks[ki]}, "
+                    f"h = {radii[start + j, ki]}"
+                )
             base = np.matmul(r_tilde[rows][:, None, :], w_q)[:, 0, :] / totals
             # (queries, k, s) @ (queries, s, B): every replication's
             # re-estimate, then its squared error against the pilot value
@@ -418,12 +430,6 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             sq -= r_tilde_q[block, None, None]
             np.square(sq, out=sq)
             errors[block] = sq.mean(axis=2)
-    if empty:
-        j, ki = min(empty)
-        raise EmptyNeighborhood(
-            f"no positive weight at query {j} for k = {ks[ki]}, "
-            f"h = {radii[j, ki]}"
-        )
 
     per_bandwidth = tuple(
         (k, float(radii[:, ki].mean()), float(errors[:, ki].mean()))

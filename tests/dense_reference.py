@@ -101,18 +101,14 @@ def dense_insample_fit(sample, kernel, spec, h=None, k=None):
     return preds[:, 0], counts[:, 0], radii
 
 
-def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None,
-                      block_elements=1):
+def dense_error_curve(sample, queries, kernel, spec, config, block_elements,
+                      point_keys=None):
     """``bootstrap_error_curve``'s per_bandwidth from the full matrix: the
     pilot fit at every sample point, every refit on the sorted full rows
     and every support padded to its block's largest, in blocks of as many
     queries as make (B + s_max) K + B s_max elements each come to
-    ``block_elements`` (s_max the largest ball of all), each computed at
-    once. The default, one query a block, scores each query on its own
-    ball, as the package does. A larger budget pads a smaller ball with
-    points of weight 0, which leaves the sums unchanged up to rounding
-    only: BLAS orders a product's sums by its length, so the last bits
-    of a padded query may move.
+    ``block_elements`` (the package's ``_BLOCK_ELEMENTS``, s_max the
+    largest ball of all), each computed at once.
 
     Raises DegeneratePilot for a zero pilot radius at any sample point or
     query, and DegenerateGrid or EmptyNeighborhood for a zero or empty

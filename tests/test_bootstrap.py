@@ -375,45 +375,30 @@ class TestBootstrapErrorCurve:
         train, test = small_sample(seed=13)
         config = BootstrapConfig(n_replications=20, k_min=2, k_max=8, seed=4)
         whole = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
-        # work arrays of one query a time, then of two with the last one
-        # short: a query costs (B + s) K + B s elements, s its k_max-ball
+        # blocks of two queries, the last one short: a query costs about
+        # (B + s) K + B s elements, s its largest k_max-ball
         d = distance_matrix(
             transform(curve_matrix(test.curves, train.grid), train.grid, DERIV1),
             transform(train.values, train.grid, DERIV1),
             train.grid.trapezoid_weights(),
         )
-        sizes = (d <= np.sort(d, axis=1)[:, 7:8]).sum(axis=1)
-        assert len(test) == 5 and np.all(sizes == 8)
+        s = int((d <= np.sort(d, axis=1)[:, 7:8]).sum(axis=1).max())
+        assert len(test) == 5
         for per_chunk in (1, 2):
+            # work arrays of one query, then of two with the last one short,
+            # within the one block: the same products, so the same bits
             monkeypatch.setattr(funkreg.bootstrap, "_WORK_ELEMENTS",
-                                per_chunk * ((20 + 8) * 7 + 20 * 8))
-            chunked = bootstrap_error_curve(train, test.curves, QUADRATIC,
-                                            DERIV1, config)
-            assert chunked == whole
-
-    @pytest.mark.parametrize("k_max", [15, 32])
-    def test_query_errors_do_not_depend_on_the_other_queries(self, k_max):
-        # a copy of B's k_max-th nearest curve ties with it, so B's
-        # k_max-ball holds k_max + 1 points and A's k_max: each query is
-        # scored on its own ball, not padded to the larger one
-        train, test = small_sample(seed=21, n=80)
-        a, b = test.curves[:2]
-        d_b = sample_distances(train, DERIV1, curve_matrix([b], train.grid))[0]
-        twin = np.argsort(d_b, kind="stable")[k_max - 1]
-        sample = FunctionalSample(
-            train.grid, np.vstack([train.values, train.values[twin]]),
-            np.append(train.responses, train.responses[twin] + 1.0))
-        d = sample_distances(sample, DERIV1, curve_matrix([a, b], sample.grid))
-        sizes = (d <= np.sort(d, axis=1)[:, k_max - 1:k_max]).sum(axis=1)
-        assert sizes.tolist() == [k_max, k_max + 1]
-        config = BootstrapConfig(n_replications=30, k_min=2, k_max=k_max,
-                                 seed=5, pilot=FixedPilot(16))
-        alone = [bootstrap_error_curve(sample, [q], QUADRATIC, DERIV1,
-                                       config).per_bandwidth for q in (a, b)]
-        both = bootstrap_error_curve(sample, [a, b], QUADRATIC, DERIV1, config)
-        for (_, _, e), (_, _, e_a), (_, _, e_b) in zip(both.per_bandwidth,
-                                                       *alone):
-            assert e == (e_a + e_b) / 2
+                                per_chunk * ((20 + s) * 7 + 20 * s))
+            assert bootstrap_error_curve(train, test.curves, QUADRATIC,
+                                         DERIV1, config) == whole
+        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS",
+                            2 * ((20 + s) * 7 + 20 * s))
+        blocked = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
+        for (k1, h1, e1), (k2, h2, e2) in zip(whole.per_bandwidth,
+                                              blocked.per_bandwidth):
+            assert (k1, h1) == (k2, h2)
+            assert e2 == pytest.approx(e1, rel=1e-12)
+        assert blocked.selected_k == whole.selected_k
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**16), st.integers(0, 12), st.sampled_from([2, 3]),
@@ -478,7 +463,7 @@ class TestBootstrapErrorCurve:
                 bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
                                       config, point_keys=point_keys)
 
-    def test_empty_query_neighborhood_names_k_h_and_query(self):
+    def test_empty_query_neighborhood_names_k_h_and_query(self, monkeypatch):
         # constant curves 1/2 apart: the last query sits halfway between two,
         # so both its k = 2 neighbors lie on the quadratic kernel's zero edge
         grid = default_grid(11)
@@ -487,6 +472,7 @@ class TestBootstrapErrorCurve:
             grid, np.repeat(levels[:, None], 11, axis=1), levels**2
         )
         queries = [Curve(grid, np.full(11, v)) for v in (0.1, 1.3, 2.25)]
+        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", 1)
         config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
                                  pilot=FixedPilot(8))
         with pytest.raises(EmptyNeighborhood, match="at query 2 for k = 2, h = "):
@@ -533,7 +519,8 @@ class TestBootstrapErrorCurve:
         result = bootstrap_error_curve(sample, query, QUADRATIC, DERIV0, config)
         assert [k for k, _, _ in result.per_bandwidth] == [2, 3, 4]
         with pytest.raises(DegeneratePilot):
-            dense_error_curve(sample, query, QUADRATIC, DERIV0, config)
+            dense_error_curve(sample, query, QUADRATIC, DERIV0, config,
+                              funkreg.bootstrap._BLOCK_ELEMENTS)
 
     def test_empty_query_pilot_is_degenerate(self):
         # the query's two nearest curves, at +-1, both sit on the quadratic
@@ -691,18 +678,19 @@ class TestDenseReference:
     the sorted full (n, n) matrix."""
 
     @settings(max_examples=150, deadline=None)
-    @given(bootstrap_cases(), st.sampled_from([1, 1 << 9, 1 << 16]))
-    def test_error_curve_keeps_the_bits_of_the_full_matrix(self, case, work):
+    @given(bootstrap_cases(), st.sampled_from([1, 1 << 9, 1 << 20]),
+           st.sampled_from([1, 1 << 9, 1 << 16]))
+    def test_error_curve_keeps_the_bits_of_the_full_matrix(self, case, block,
+                                                           work):
         sample, queries, kernel, spec, config = case
         with pytest.MonkeyPatch.context() as patch:
-            # work arrays of one query a time up to all the queries whose
-            # balls have one size, against reference blocks of one query,
-            # each on its own ball: a block padded to a larger ball sums
-            # its products in another order
+            # blocks of one query up to all of them; work arrays of one
+            # query a time up to the whole block
+            patch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", block)
             patch.setattr(funkreg.bootstrap, "_WORK_ELEMENTS", work)
             try:
                 want, want_k = dense_error_curve(sample, queries, kernel, spec,
-                                                 config, block_elements=1)
+                                                 config, block)
             except FunkregError:
                 assume(False)  # the full-matrix rules reject the input
             result = bootstrap_error_curve(sample, queries, kernel, spec, config)
