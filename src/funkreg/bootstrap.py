@@ -239,8 +239,9 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
     t = transformed_matrix(sample, spec)
     if h is not None:
         radii = np.full(n, float(h))
-        if not radii[0] > 0.0:
-            raise ValidationError(f"bandwidth must be positive, got {radii[0]}")
+        if not 0.0 < radii[0] < np.inf:
+            raise ValidationError(
+                f"bandwidth must be positive and finite, got {radii[0]}")
         rows = neighbour_rows(t, reach=radii)
     else:
         k = int(k)
@@ -352,8 +353,8 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             f"got k_min = {config.k_min}, k_max = {config.k_max}"
         )
     t = transformed_matrix(sample, spec, query_values)
-    # exact up to each query's largest radius in use; beyond it inf, or
-    # exact where the screen computed a chunk whole
+    # exact up to each query's largest radius in use and wherever else the
+    # screen marks an entry; inf elsewhere
     dist_qs = query_distances(t, k=max(k_g, config.k_max))
     pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]
     radii = knn_radii(dist_qs, config.k_min, config.k_max)

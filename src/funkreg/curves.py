@@ -17,15 +17,12 @@ A kernel estimate reads only the curves inside its ball. Given the
 neighbour count k or the radius h that decides those balls, a query block
 is screened with one matrix product per row chunk, and only the entries
 that the screen cannot place beyond every radius in use are computed
-exactly, with ``distance_matrix``'s own reduction. The others read ``inf``
-(or their exact value, where most of a chunk is needed and it is computed
-whole): every kNN radius up to k, every kernel weight and every ``d <= h``
-count keeps the bits of the full block. The same screen, with a cutoff per
-row, gives the in-sample smoother its rows: ``neighbour_rows`` keeps each
-sample point's sorted distances up to its own radius in a ragged layout
-(``NeighbourRows``), so no (n, n) array is formed. Both rules that compute
-a chunk whole, for a chunk that needs most of its entries and for a k above
-``_DENSE_SHARE`` of n, live in ``_screen``.
+exactly, with ``distance_matrix``'s own reduction. The others read ``inf``:
+every kNN radius up to k, every kernel weight and every ``d <= h`` count
+keeps the bits of the full block. The same screen, with a cutoff per row,
+gives the in-sample smoother its rows: ``neighbour_rows`` keeps each sample
+point's sorted distances up to its own radius in a ragged layout
+(``NeighbourRows``), so no (n, n) array is formed.
 """
 
 from dataclasses import dataclass
@@ -48,12 +45,6 @@ _CHUNK_ELEMENTS = 1 << 21
 #: (2-core Xeon) 8000 pairs took 5.0 ms in batches of 10^4 and 1.8-2.0 ms
 #: in batches of 256 to 1024.
 _PAIR_ELEMENTS = 1 << 16
-
-#: Share of a screened block's entries past which the exact outer block is
-#: cheaper than gathering those entries' (pairs, p) differences: on p = 101
-#: (2-core Xeon) the gathered pairs cost as much as the broadcast block at
-#: a share near 0.65, and 1.55 times as much at 1.
-_DENSE_SHARE = 0.6
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,8 +341,8 @@ def _check_rule(n: int, k: int | None, h: float | None) -> None:
         require_integers(k=k)
         if not 1 <= k <= n:
             raise ValidationError(f"k must lie in [1, {n}], got {k}")
-    if h is not None and not h > 0:
-        raise ValidationError(f"bandwidth must be positive, got {h}")
+    if h is not None and not 0.0 < h < np.inf:
+        raise ValidationError(f"bandwidth must be positive and finite, got {h}")
 
 
 def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
@@ -375,7 +366,7 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
         GridMismatch: if the query rows do not have one value per grid point.
         ValidationError: for both ``k`` and ``h``, either one without a
             query block, a ``k`` outside [1, n] or an ``h`` that is not
-            positive (NaN included).
+            positive and finite (NaN included).
     """
     if k is not None and h is not None:
         raise ValidationError("give at most one of h or k")
@@ -395,10 +386,10 @@ def query_distances(t: TransformedSample, *, k: int | None = None,
 
     With a neighbour count ``k`` in [1, n] or a global radius ``h > 0``, at
     most one of them (``sample_distances`` checks them), the block is
-    screened (``_screened_distances``): every entry at most the row's k-th
-    smallest distance, or at most ``h``, equals the full block's bit for
-    bit, and every other entry is strictly above that radius: ``inf``, or
-    its exact value where the screen computes a chunk whole.
+    screened (``_screened_distances``): every entry the screen marks, which
+    includes every entry at most the row's k-th smallest distance or at
+    most ``h``, equals the full block's bit for bit, and every other entry
+    reads ``inf``.
     """
     if k is None and h is None:
         return distance_matrix(t.queries, t.sample, t.weights)
@@ -485,9 +476,10 @@ def _exact_pairs(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
 def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
             k: int | None, reach: np.ndarray | None):
     """An iterator over row chunks of ``distance_matrix(rows, cols,
-    weights)`` and, for each, the (chunk, n) mask of the entries that may
-    lie within the row's radius (the larger of ``reach`` and the k-th
-    smallest distance), or None where the chunk is to be computed whole.
+    weights)`` that yields, for each, ``(chunk, i, j, d)``: the entries that
+    may lie within their row's radius (the larger of ``reach`` and the k-th
+    smallest distance), at rows ``i`` of ``rows`` and columns ``j`` in
+    row-major order, and their exact distances ``d`` (``_exact_pairs``).
     The centred and scaled copies of rows and cols are made before it is
     returned, ahead of the caller's output.
 
@@ -525,20 +517,10 @@ def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     its root is strictly above the row's radius after rounding. Every other
     entry is marked. A row whose screen is not finite (overflow) is marked
     whole.
-
-    Whole. The mark count is the one rule for a chunk: one that marks more
-    than ``_DENSE_SHARE`` of its entries (a radius near the data's spread)
-    is computed whole by ``distance_matrix``, which gives every entry the
-    same bits at less cost there. A k above ``_DENSE_SHARE`` of n marks at
-    least that share of every row, so every chunk is whole, without a
-    screen.
     """
     m, n, p = rows.shape[0], cols.shape[0], cols.shape[1]
     # g, half and hi are a chunk's (rows, n) work arrays
     step = max(1, _CHUNK_ELEMENTS // (3 * n))
-    if k is not None and k > _DENSE_SHARE * n:
-        return ((slice(start, start + step), None)
-                for start in range(0, m, step))
     eps = float(np.finfo(float).eps)
     gamma = (4 * p + 32) * eps
     slack = 4 * p * (1.0 + weights.max()) * np.finfo(float).tiny
@@ -576,10 +558,10 @@ def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
                 refine = g <= cutoff
                 refine[~np.isfinite(g).all(axis=1)] = True
             del g, half
-            if np.count_nonzero(refine) > _DENSE_SHARE * refine.size:
-                yield chunk, None
-            else:
-                yield chunk, refine
+            i, j = np.nonzero(refine)
+            del refine
+            i += start
+            yield chunk, i, j, _exact_pairs(rows, cols, weights, i, j)
 
     return chunks()
 
@@ -592,20 +574,14 @@ def _screened_distances(rows: np.ndarray, cols: np.ndarray,
 
     Every entry ``_screen`` marks is computed by ``_root_weighted_squares``
     from the unscaled rows, the reduction ``distance_matrix`` uses, so it
-    has the full block's bits; a chunk the screen leaves whole is computed
-    by ``distance_matrix`` itself. Every other entry reads ``inf``, strictly
+    has the full block's bits. Every other entry reads ``inf``, strictly
     above the row's k-th radius and above h.
     """
     reach = None if h is None else np.full(rows.shape[0], float(h))
     chunks = _screen(rows, cols, weights, k, reach)
     out = np.full((rows.shape[0], cols.shape[0]), np.inf)
-    for chunk, refine in chunks:
-        if refine is None:
-            out[chunk] = distance_matrix(rows[chunk], cols, weights)
-            continue
-        i, j = np.nonzero(refine)
-        i += chunk.start
-        out[i, j] = _exact_pairs(rows, cols, weights, i, j)
+    for _, i, j, d in chunks:
+        out[i, j] = d
     return out
 
 
@@ -616,39 +592,26 @@ def _screened_rows(points: np.ndarray, cols: np.ndarray, weights: np.ndarray,
 
     A row's radius is its exact k-th smallest distance or its reach,
     whichever is larger. ``_screen`` marks a superset of the entries within
-    it, which are computed by the exact reduction (a chunk it leaves whole
-    is computed by ``distance_matrix`` and cut at each row's radius), then
-    sorted by (row, distance, column). Every entry above its row's radius
-    is dropped here, so each row is exactly the leading part of the row's
-    stable sort, whatever the screen's margin.
+    it, which are computed by the exact reduction, then sorted by (row,
+    distance, column). Every entry above its row's radius is dropped here,
+    so each row is exactly the leading part of the row's stable sort,
+    whatever the screen's margin.
     """
     rows = cols[points]
-
-    def radii(chunk, kth):
-        # the larger of each row's reach and its k-th smallest distance
-        if reach is None:
-            return kth
-        return reach[chunk] if k is None else np.maximum(reach[chunk], kth)
-
     lengths, distances, columns, limits = [], [], [], []
-    for chunk, refine in _screen(rows, cols, weights, k, reach):
-        if refine is None:
-            block = distance_matrix(rows[chunk], cols, weights)
-            kth = (None if k is None else
-                   np.partition(block, k - 1, axis=1)[:, k - 1])
-            i, j = np.nonzero(block <= radii(chunk, kth)[:, None])
-            d = block[i, j]
-            del block
-        else:
-            i, j = np.nonzero(refine)
-            d = _exact_pairs(rows, cols, weights, i + chunk.start, j)
-        # np.nonzero lists a row's entries in column order and lexsort is
+    for chunk, i, j, d in _screen(rows, cols, weights, k, reach):
+        # the screen lists a row's entries in column order and lexsort is
         # stable, so ties keep that order
         order = np.lexsort((d, i))
-        i, j, d = i[order], j[order], d[order]
+        i, j, d = i[order] - chunk.start, j[order], d[order]
         counts = np.bincount(i, minlength=rows[chunk].shape[0])
-        kth = None if k is None else d[np.cumsum(counts) - counts + k - 1]
-        limit = radii(chunk, kth)
+        # the larger of each row's reach and its k-th smallest distance
+        if k is None:
+            limit = reach[chunk]
+        else:
+            limit = d[np.cumsum(counts) - counts + k - 1]
+            if reach is not None:
+                limit = np.maximum(reach[chunk], limit)
         keep = d <= limit[i]
         lengths.append(np.bincount(i[keep], minlength=counts.size))
         distances.append(d[keep])

@@ -219,6 +219,12 @@ class TestResiduals:
         with pytest.raises(ValidationError):
             residuals(train, QUADRATIC, DERIV1, h=0.5, k=3)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bandwidth_must_be_positive_and_finite(self, h):
+        train, _ = small_sample()
+        with pytest.raises(ValidationError, match="positive and finite"):
+            insample_fit(train, QUADRATIC, DERIV1, h=h)
+
 
 class TestSelectBandwidth:
     def test_single_candidate(self):

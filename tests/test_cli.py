@@ -194,6 +194,7 @@ class TestFitPredictCi:
             (["--h", "0"], "--h must be positive"),
             (["--h", "-1"], "--h must be positive"),
             (["--h", "nan"], "--h must be positive"),
+            (["--h", "inf"], "--h must be positive and finite"),
             (["--k", "0"], "--k must lie in [1, 39]"),
         ]:
             assert run(["fit", "--data", str(train)] + flags) == 2
@@ -641,7 +642,7 @@ class TestBatchedPredictCi:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("window", [None, 5])
-    @pytest.mark.parametrize("rule", ["k", "h"])
+    @pytest.mark.parametrize("rule", ["k", "h", "k_dense", "h_dense"])
     @pytest.mark.parametrize("command", ["predict", "ci"])
     def test_matches_per_query_reference(self, simulated, tmp_path, order,
                                          window, rule, command):
@@ -656,10 +657,14 @@ class TestBatchedPredictCi:
             interval = (Tau0Model.fractal(2.0), 0.9)
             extra = ["--tau0", "fractal:2", "--level", "0.9"]
         dist, train_sample, test_sample = query_distances(train, test, spec)
-        if rule == "k":
-            bandwidth = {"k": 9}
-        else:
-            bandwidth = {"h": float(np.quantile(dist, 0.3))}
+        # a few curves a ball, or most of them: k = 30 of 40 curves and h
+        # at the 0.9 distance quantile
+        bandwidth = {
+            "k": {"k": 9},
+            "h": {"h": float(np.quantile(dist, 0.3))},
+            "k_dense": {"k": 30},
+            "h_dense": {"h": float(np.quantile(dist, 0.9))},
+        }[rule]
         want = reference_tsv_rows(dist, train_sample, test_sample, kernel,
                                   interval=interval, **bandwidth)
         out = tmp_path / "out.tsv"
@@ -682,6 +687,11 @@ class TestBatchedPredictCi:
         assert "--k must lie in [1, 40]" in capsys.readouterr().err
         assert run(base + ["--h", "0"]) == 2
         assert "--h must be positive" in capsys.readouterr().err
+        for command in ("fit", "predict", "ci"):
+            flags = (["--data", str(train)] if command == "fit"
+                     else ["--train", str(train), "--test", str(test)])
+            assert run([command, *flags, "--h", "inf"]) == 2
+            assert "--h must be positive and finite" in capsys.readouterr().err
         assert run(base + ["--k", "3", "--h", "1"]) == 2
         assert "give exactly one of --k or --h" in capsys.readouterr().err
 
@@ -701,6 +711,7 @@ class TestBatchedPredictCi:
             (["--h", "0"], "--h must be positive"),
             (["--h", "-1"], "--h must be positive"),
             (["--h", "nan"], "--h must be positive"),
+            (["--h", "inf"], "--h must be positive and finite"),
             (["--k", "3", "--h", "1"], "give exactly one of --k or --h"),
         ]:
             assert run(base + flags) == 2

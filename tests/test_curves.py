@@ -450,11 +450,10 @@ class TestScreenedDistances:
             assert np.array_equal(
                 sample_distances(sample, spec, values[10:], k=k), full)
 
-    def test_chunks_that_need_most_entries_are_computed_whole(self, monkeypatch):
+    def test_chunks_that_need_most_entries_keep_their_bits(self, monkeypatch):
         # one row a chunk. At h = 1.4 the query at the centre has all the
         # curves inside its ball and the half-scale one 96%, so the screen
-        # refines most of both chunks, which are then computed whole; the
-        # far one has none inside.
+        # marks most of both chunks; the far one has none inside.
         monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", 1 << 7)
         rng = np.random.default_rng(3)
         sample = FunctionalSample(unit_grid(21), rng.normal(size=(50, 21)),
@@ -463,35 +462,29 @@ class TestScreenedDistances:
                              np.full(21, 100.0)])
         spec = SemiMetricSpec(0)
         full = sample_distances(sample, spec, queries)
-        blocks = []
-
-        def outer_block(rows, cols, weights):
-            blocks.append((rows.shape[0], cols.shape[0]))
-            return distance_matrix(rows, cols, weights)
-
-        monkeypatch.setattr(curves, "distance_matrix", outer_block)
         screened = sample_distances(sample, spec, queries, h=1.4)
-        assert blocks == [(1, 50), (1, 50)]
-        assert np.array_equal(screened[:2], full[:2])
+        assert_screened(full, screened, 1.4)
+        assert np.array_equal(screened[0], full[0])
         assert np.all(screened[2] == np.inf)
 
-    def test_k_past_the_dense_share_takes_the_full_block(self):
+    def test_k_near_n_keeps_the_bits_of_the_full_block(self):
         rng = np.random.default_rng(4)
         sample = FunctionalSample(unit_grid(21), rng.normal(size=(20, 21)),
                                   np.zeros(20))
         queries = rng.normal(size=(3, 21))
         spec = SemiMetricSpec(1)
         full = sample_distances(sample, spec, queries)
-        for k in (13, 20):
-            assert np.array_equal(
-                sample_distances(sample, spec, queries, k=k), full)
+        assert_screened(full, sample_distances(sample, spec, queries, k=13),
+                        knn_radii(full, 13, 13))
+        assert np.array_equal(sample_distances(sample, spec, queries, k=20),
+                              full)
         assert np.isinf(sample_distances(sample, spec, queries, k=2)).any()
 
     def test_bad_rules(self):
         sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
         spec, queries = SemiMetricSpec(1), np.zeros((2, 11))
         for kwargs in ({"k": 0}, {"k": 4}, {"h": 0.0}, {"h": float("nan")},
-                       {"k": 1, "h": 1.0}):
+                       {"h": float("inf")}, {"k": 1, "h": 1.0}):
             with pytest.raises(ValidationError):
                 sample_distances(sample, spec, queries, **kwargs)
         with pytest.raises(ValidationError):
@@ -503,7 +496,7 @@ class TestScreenedDistances:
         rng = np.random.default_rng(17)
         rows, cols = rng.normal(size=(100, 101)), rng.normal(size=(1000, 101))
         weights = unit_grid(101).trapezoid_weights()
-        # k = 20 refines about 20 pairs a row, h = 1e3 every pair
+        # k = 20 marks about 20 pairs a row, h = 1e3 every pair
         for kwargs in ({"k": 20}, {"h": 1e3}):
             tracemalloc.start()
             try:
@@ -565,10 +558,9 @@ class TestNeighbourRows:
         rows = neighbour_rows(t, points, reach=reach)
         assert_cut_rows(full, rows, points, expected_radii(full, points, None, reach))
 
-    @pytest.mark.parametrize("mark", ["everything", "whole"])
-    def test_rows_do_not_rely_on_the_screen(self, monkeypatch, mark):
-        # a screen that marks every entry, or leaves every chunk whole: the
-        # rows are still cut exactly at their radii
+    def test_rows_do_not_rely_on_the_screen(self, monkeypatch):
+        # a screen that marks every entry: the rows are still cut exactly
+        # at their radii
         rng = np.random.default_rng(5)
         values = rng.normal(size=(30, 21))
         values[20:] = values[:10] + 3.0  # shifted twins
@@ -580,10 +572,11 @@ class TestNeighbourRows:
         reach = full[points, 7]
 
         def screen(rows, cols, weights, k, reach):
+            j = np.arange(cols.shape[0])
             for start in range(rows.shape[0]):
-                yield (slice(start, start + 1),
-                       np.ones((1, cols.shape[0]), bool)
-                       if mark == "everything" else None)
+                i = np.full(j.size, start)
+                yield (slice(start, start + 1), i, j,
+                       curves._exact_pairs(rows, cols, weights, i, j))
 
         monkeypatch.setattr(curves, "_screen", screen)
         t = transformed_matrix(sample, spec)
@@ -591,7 +584,7 @@ class TestNeighbourRows:
             rows = neighbour_rows(t, points, k=k, reach=r)
             assert_cut_rows(full, rows, points, expected_radii(full, points, k, r))
 
-    def test_dense_rows_and_chunks_are_computed_whole(self, monkeypatch):
+    def test_dense_rows_and_chunks_are_cut_exactly(self, monkeypatch):
         monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", 1 << 8)
         rng = np.random.default_rng(6)
         sample = FunctionalSample(unit_grid(21), rng.normal(size=(40, 21)),
@@ -599,23 +592,14 @@ class TestNeighbourRows:
         spec = SemiMetricSpec(0)
         full = sample_distances(sample, spec)
         points = np.arange(40)
-        blocks = []
-
-        def outer_block(rows, cols, weights):
-            blocks.append(rows.shape[0])
-            return distance_matrix(rows, cols, weights)
-
-        monkeypatch.setattr(curves, "distance_matrix", outer_block)
         t = transformed_matrix(sample, spec)
         # a reach past every distance in the first chunk only, then a k
-        # past the dense share
+        # that holds most of every row
         reach = np.where(points < 2, 1e300, 0.0)
         rows = neighbour_rows(t, points, k=3, reach=reach)
         assert_cut_rows(full, rows, points, expected_radii(full, points, 3, reach))
-        assert blocks == [2]
         rows = neighbour_rows(t, points, k=25)
         assert_cut_rows(full, rows, points, expected_radii(full, points, 25, None))
-        assert sum(blocks) == 42
 
     def test_bad_rules(self):
         sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
