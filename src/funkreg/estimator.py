@@ -23,6 +23,7 @@ from .errors import (
     MissingSigma2,
     TooFewPoints,
     ValidationError,
+    require_integers,
 )
 from .kernels import (
     KernelConstants,
@@ -110,8 +111,10 @@ def knn_radii(distances, k_min: int, k_max: int) -> np.ndarray:
     smallest are sorted.
 
     Raises:
+        ValidationError: for a count that is not an integer.
         TooFewPoints: unless 1 <= k_min <= k_max <= n.
     """
+    require_integers(k_min=k_min, k_max=k_max)
     d = np.asarray(distances, dtype=float)
     n = d.shape[-1]
     if not 1 <= k_min <= k_max <= n:
@@ -132,8 +135,10 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
     consecutive radii. This is the one-row case of ``knn_radii``.
 
     Raises:
+        ValidationError: for a count that is not an integer.
         TooFewPoints: unless 2 <= k_min <= k_max <= n - 1.
     """
+    require_integers(k_min=k_min, k_max=k_max)
     d = np.asarray(distances, dtype=float).ravel()
     n = d.size
     if not (2 <= k_min <= k_max <= n - 1):

@@ -101,18 +101,15 @@ def dense_insample_fit(sample, kernel, spec, h=None, k=None):
     return preds[:, 0], counts[:, 0], radii
 
 
-def dense_error_curve(sample, queries, kernel, spec, config, block_elements,
-                      point_keys=None):
+def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None):
     """``bootstrap_error_curve``'s per_bandwidth from the full matrix: the
     pilot fit at every sample point, every refit on the sorted full rows
-    and every support padded to its block's largest, in blocks of as many
-    queries as make (B + s_max) K + B s_max elements each come to
-    ``block_elements`` (the package's ``_BLOCK_ELEMENTS``, s_max the
-    largest ball of all), each computed at once.
+    and each query scored on its own k_max-ball, one query at a time.
 
     Raises DegeneratePilot for a zero pilot radius at any sample point or
-    query, and DegenerateGrid or EmptyNeighborhood for a zero or empty
-    candidate radius: the rules of the full-matrix path."""
+    query, and DegenerateGrid for a zero candidate radius: the rules of the
+    full-matrix path. A candidate radius without weight at some query
+    scores inf, and EmptyNeighborhood is raised when every k does."""
     n = len(sample)
     y = sample.responses
     if config.evaluation == "pointwise":
@@ -135,31 +132,27 @@ def dense_error_curve(sample, queries, kernel, spec, config, block_elements,
         raise DegenerateGrid("bandwidths must be strictly positive")
     multipliers = np.ascontiguousarray(
         _multiplier_matrix(config.seed, config.n_replications, keys).T)
-    in_support = dist_qs <= radii[:, -1:]
-    support_sizes = in_support.sum(axis=1)
-    n_boot, s_max = config.n_replications, int(support_sizes.max())
-    step = max(1, block_elements // ((n_boot + s_max) * n_k + n_boot * s_max))
     errors = np.empty((len(queries), n_k))
-    for start in range(0, len(queries), step):
-        block = slice(start, start + step)
-        h = radii[block]
-        s = int(support_sizes[block].max())
-        support = np.argsort(~in_support[block], axis=1, kind="stable")[:, :s]
-        fits = smoother.fit(np.repeat(h, s, axis=0), support.ravel())[0]
-        resid = y[support][..., None] - fits.reshape(*support.shape, n_k)
-        d = np.take_along_axis(dist_qs[block], support, axis=1)
+    for j in range(len(queries)):
+        h = radii[j:j + 1]
+        support = np.flatnonzero(dist_qs[j] <= h[0, -1])[None]
+        fits = smoother.fit(np.repeat(h, support.size, axis=0), support[0])[0]
+        resid = y[support][..., None] - fits[None]
+        d = dist_qs[j][support]
         with np.errstate(over="ignore"):
             u = d[..., None] / h[:, None, :]
         w_q = eval_kernel_array(kernel, u)
         totals = w_q.sum(axis=1)
-        if np.any(totals <= 0.0):
-            raise EmptyNeighborhood("no positive weight")
+        empty = totals <= 0.0
+        totals[empty] = 1.0
         base = np.matmul(r_tilde[support][:, None, :], w_q)[:, 0, :] / totals
         deviations = np.matmul(
             (w_q * resid).transpose(0, 2, 1), multipliers[support]
         ) / totals[..., None]
-        sq = (base[..., None] + deviations - r_tilde_q[block, None, None]) ** 2
-        errors[block] = sq.mean(axis=2)
+        sq = (base[..., None] + deviations - r_tilde_q[j]) ** 2
+        errors[j] = np.where(empty, np.inf, sq.mean(axis=2))[0]
+    if np.all(errors.max(axis=0) == np.inf):
+        raise EmptyNeighborhood("no positive weight at any k")
     per_bandwidth = tuple(
         (k, float(radii[:, ki].mean()), float(errors[:, ki].mean()))
         for ki, k in enumerate(ks)

@@ -49,6 +49,7 @@ from funkreg.curves import (
     transform,
 )
 from funkreg.errors import FunkregError
+from funkreg.estimator import knn_radii
 from funkreg.kernels import eval_kernel_array
 from funkreg.simulation import default_grid
 
@@ -99,14 +100,17 @@ def reference_error_curve(sample, queries, kernel, spec, config, point_keys=None
         for ki, (k, h) in enumerate(grid.entries):
             weights = eval_kernel_array(kernel, dist_ss / h)
             resid = y - (weights @ y) / weights.sum(axis=1)
+            radii[j, ki] = h
             w_q = eval_kernel_array(kernel, dist_qs[j] / h)
             total = float(w_q.sum())
-            if total <= 0.0:
-                raise EmptyNeighborhood(f"query {j}, k = {k}")
+            if total <= 0.0:  # drops k for every query
+                errors[j, ki] = np.inf
+                continue
             base = float(np.dot(w_q, r_tilde)) / total
             deviations = (multipliers @ (w_q * resid)) / total
             errors[j, ki] = np.mean((base + deviations - r_tilde_q[j]) ** 2)
-            radii[j, ki] = h
+    if np.all(errors.max(axis=0) == np.inf):
+        raise EmptyNeighborhood("no positive weight at any k")
     per_bandwidth = tuple(
         (k, float(radii[:, ki].mean()), float(errors[:, ki].mean()))
         for ki, k in enumerate(range(config.k_min, config.k_max + 1))
@@ -224,6 +228,24 @@ class TestResiduals:
         train, _ = small_sample()
         with pytest.raises(ValidationError, match="positive and finite"):
             insample_fit(train, QUADRATIC, DERIV1, h=h)
+
+    @pytest.mark.parametrize("count", [2.7, 3.0, float("nan"), True])
+    @pytest.mark.parametrize("entry", [
+        lambda train, d, c: insample_fit(train, QUADRATIC, DERIV1, k=c),
+        lambda train, d, c: residuals(train, QUADRATIC, DERIV1, k=c),
+        lambda train, d, c: knn_radii(d, c, 4),
+        lambda train, d, c: knn_radii(d, 2, c),
+        lambda train, d, c: knn_bandwidths(d, c, 4),
+        lambda train, d, c: knn_bandwidths(d, 2, c),
+    ], ids=["insample_fit", "residuals", "knn_radii_k_min", "knn_radii_k_max",
+            "knn_bandwidths_k_min", "knn_bandwidths_k_max"])
+    def test_neighbour_counts_must_be_integers(self, entry, count):
+        # 2.7 fitted at k = 2, nan and a float count raised a bare
+        # ValueError or TypeError, and True ran as a count of 1
+        train, _ = small_sample()
+        d = np.linspace(0.1, 1.0, 10)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            entry(train, d, count)
 
 
 class TestSelectBandwidth:
@@ -388,23 +410,39 @@ class TestBootstrapErrorCurve:
             transform(train.values, train.grid, DERIV1),
             train.grid.trapezoid_weights(),
         )
-        s = int((d <= np.sort(d, axis=1)[:, 7:8]).sum(axis=1).max())
-        assert len(test) == 5
+        sizes = (d <= np.sort(d, axis=1)[:, 7:8]).sum(axis=1)
+        assert len(test) == 5 and np.all(sizes == 8)
         for per_chunk in (1, 2):
-            # work arrays of one query, then of two with the last one short,
-            # within the one block: the same products, so the same bits
+            # work arrays of one query, then of two with the last one short:
+            # the same products, so the same bits
             monkeypatch.setattr(funkreg.bootstrap, "_WORK_ELEMENTS",
-                                per_chunk * ((20 + s) * 7 + 20 * s))
+                                per_chunk * ((20 + 8) * 7 + 20 * 8))
             assert bootstrap_error_curve(train, test.curves, QUADRATIC,
                                          DERIV1, config) == whole
-        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS",
-                            2 * ((20 + s) * 7 + 20 * s))
-        blocked = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
-        for (k1, h1, e1), (k2, h2, e2) in zip(whole.per_bandwidth,
-                                              blocked.per_bandwidth):
-            assert (k1, h1) == (k2, h2)
-            assert e2 == pytest.approx(e1, rel=1e-12)
-        assert blocked.selected_k == whole.selected_k
+
+    @pytest.mark.parametrize("k_max", [15, 32])
+    def test_query_errors_do_not_depend_on_the_other_queries(self, k_max):
+        # a copy of B's k_max-th nearest curve ties with it, so B's
+        # k_max-ball holds k_max + 1 points and A's k_max: each query is
+        # scored on its own ball, not padded to the larger one
+        train, test = small_sample(seed=21, n=80)
+        a, b = test.curves[:2]
+        d_b = sample_distances(train, DERIV1, curve_matrix([b], train.grid))[0]
+        twin = np.argsort(d_b, kind="stable")[k_max - 1]
+        sample = FunctionalSample(
+            train.grid, np.vstack([train.values, train.values[twin]]),
+            np.append(train.responses, train.responses[twin] + 1.0))
+        d = sample_distances(sample, DERIV1, curve_matrix([a, b], sample.grid))
+        sizes = (d <= np.sort(d, axis=1)[:, k_max - 1:k_max]).sum(axis=1)
+        assert sizes.tolist() == [k_max, k_max + 1]
+        config = BootstrapConfig(n_replications=30, k_min=2, k_max=k_max,
+                                 seed=5, pilot=FixedPilot(16))
+        alone = [bootstrap_error_curve(sample, [q], QUADRATIC, DERIV1,
+                                       config).per_bandwidth for q in (a, b)]
+        both = bootstrap_error_curve(sample, [a, b], QUADRATIC, DERIV1, config)
+        for (_, _, e), (_, _, e_a), (_, _, e_b) in zip(both.per_bandwidth,
+                                                       *alone):
+            assert e == (e_a + e_b) / 2
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**16), st.integers(0, 12), st.sampled_from([2, 3]),
@@ -469,33 +507,43 @@ class TestBootstrapErrorCurve:
                 bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
                                       config, point_keys=point_keys)
 
-    def test_empty_query_neighborhood_names_k_h_and_query(self, monkeypatch):
+    def test_empty_query_neighborhood_names_k_h_and_query(self):
         # constant curves 1/2 apart: the last query sits halfway between two,
         # so both its k = 2 neighbors lie on the quadratic kernel's zero edge
-        grid = default_grid(11)
-        levels = np.arange(12) / 2.0
-        sample = FunctionalSample(
-            grid, np.repeat(levels[:, None], 11, axis=1), levels**2
-        )
+        grid, sample = self.constant_curves(np.arange(12) / 2.0)
         queries = [Curve(grid, np.full(11, v)) for v in (0.1, 1.3, 2.25)]
-        monkeypatch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", 1)
         config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
                                  pilot=FixedPilot(8))
+        # k = 2 is dropped for every query; k = 3 and 4 are scored
+        result = bootstrap_error_curve(sample, queries, QUADRATIC, DERIV0,
+                                       config)
+        assert result.per_bandwidth[0][2] == np.inf
+        assert_same_error_curve(result, *reference_error_curve(
+            sample, queries, QUADRATIC, DERIV0, config))
+        assert result.selected_k in (3, 4)
+        # no k left: the run fails, naming the query
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=2,
+                                 pilot=FixedPilot(8))
         with pytest.raises(EmptyNeighborhood, match="at query 2 for k = 2, h = "):
-            bootstrap_error_curve(sample, queries, QUADRATIC,
-                                  SemiMetricSpec(derivative_order=0), config)
+            bootstrap_error_curve(sample, queries, QUADRATIC, DERIV0, config)
 
     def test_empty_query_neighborhood_names_the_lowest_query(self):
-        # query 0 sits between 0 and two copies of 1/2: its k = 2 neighbours
-        # lie on the zero edge, as query 2's do, but its k_max-ball holds 5
-        # points to query 2's 4
+        # query 0 sits between 0 and two copies of 1/2: its k = 2 and 3
+        # neighbours lie on the zero edge, and query 2's k = 2 ones; query
+        # 0's k_max-ball holds 3 points to query 2's 4
         grid, sample = self.constant_curves(
             [0, 0.5, 0.5, 1, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5])
         queries = [Curve(grid, np.full(11, v)) for v in (0.25, 3.3, 2.25)]
-        config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=3,
                                  pilot=FixedPilot(8))
         with pytest.raises(EmptyNeighborhood, match="at query 0 for k = 2, h = "):
             bootstrap_error_curve(sample, queries, QUADRATIC, DERIV0, config)
+        config = BootstrapConfig(n_replications=3, k_min=2, k_max=4,
+                                 pilot=FixedPilot(8))
+        result = bootstrap_error_curve(sample, queries, QUADRATIC, DERIV0,
+                                       config)
+        assert [e for _, _, e in result.per_bandwidth[:2]] == [np.inf] * 2
+        assert result.selected_k == 4
 
     @staticmethod
     def constant_curves(levels, n_points=11):
@@ -525,8 +573,7 @@ class TestBootstrapErrorCurve:
         result = bootstrap_error_curve(sample, query, QUADRATIC, DERIV0, config)
         assert [k for k, _, _ in result.per_bandwidth] == [2, 3, 4]
         with pytest.raises(DegeneratePilot):
-            dense_error_curve(sample, query, QUADRATIC, DERIV0, config,
-                              funkreg.bootstrap._BLOCK_ELEMENTS)
+            dense_error_curve(sample, query, QUADRATIC, DERIV0, config)
 
     def test_empty_query_pilot_is_degenerate(self):
         # the query's two nearest curves, at +-1, both sit on the quadratic
@@ -684,19 +731,17 @@ class TestDenseReference:
     the sorted full (n, n) matrix."""
 
     @settings(max_examples=150, deadline=None)
-    @given(bootstrap_cases(), st.sampled_from([1, 1 << 9, 1 << 20]),
-           st.sampled_from([1, 1 << 9, 1 << 16]))
-    def test_error_curve_keeps_the_bits_of_the_full_matrix(self, case, block,
-                                                           work):
+    @given(bootstrap_cases(), st.sampled_from([1, 1 << 9, 1 << 16]))
+    def test_error_curve_keeps_the_bits_of_the_full_matrix(self, case, work):
         sample, queries, kernel, spec, config = case
         with pytest.MonkeyPatch.context() as patch:
-            # blocks of one query up to all of them; work arrays of one
-            # query a time up to the whole block
-            patch.setattr(funkreg.bootstrap, "_BLOCK_ELEMENTS", block)
+            # work arrays of one query a time up to all the queries whose
+            # balls hold the same number of points, against the reference's
+            # one query a time
             patch.setattr(funkreg.bootstrap, "_WORK_ELEMENTS", work)
             try:
                 want, want_k = dense_error_curve(sample, queries, kernel, spec,
-                                                 config, block)
+                                                 config)
             except FunkregError:
                 assume(False)  # the full-matrix rules reject the input
             result = bootstrap_error_curve(sample, queries, kernel, spec, config)

@@ -264,6 +264,32 @@ class TestSelectCommand:
         errs = [float(line.split("\t")[2]) for line in lines[1:]]
         assert errs[flags.index(1)] == min(errs)
 
+    def test_tied_nearest_curves_drop_k_2(self, tmp_path, capsys):
+        # 165 simulated curves plus copies of 40 of them: some query's two
+        # nearest curves tie at its k = 2 radius, where the quadratic
+        # kernel weighs 0; this exited 3 for the whole run
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-train", "165", "--n-test", "50",
+                    "--seed", "0", "--out-dir", str(sim)]) == 0
+        train = load_sample(sim / "train.csv")
+        copies = np.random.default_rng(0).choice(165, size=40, replace=False)
+        tied = tmp_path / "tied.csv"
+        save_sample(FunctionalSample(
+            train.grid, np.vstack([train.values, train.values[copies]]),
+            np.concatenate([train.responses, train.responses[copies]])), tied)
+        out = tmp_path / "select.tsv"
+        capsys.readouterr()
+        assert run(["select", "--train", str(tied), "--test",
+                    str(sim / "test.csv"), "--out", str(out)]) == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 31
+        assert rows[0][0] == "2" and rows[0][2] == "inf" and rows[0][3] == "0"
+        errors = [float(row[2]) for row in rows[1:]]
+        assert all(np.isfinite(errors))
+        best = rows[1 + errors.index(min(errors))]
+        assert best[3] == "1"
+        assert capsys.readouterr().out.startswith(f"selected k={best[0]} h=")
+
     def test_byte_identical_rerun(self, simulated, tmp_path):
         train, test = simulated
         contents = []
