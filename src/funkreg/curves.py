@@ -9,9 +9,13 @@ by a constant; that is intentional, not a defect.
 A sample is one (n, p) matrix; ``transform`` and ``distance_matrix`` work on
 whole matrices, the latter in row chunks so that its memory stays bounded.
 ``transformed_matrix`` is the one place the semi-metric recipe (transform,
-trapezoid weights) runs for the rest of the package: it transforms a query
-block stacked on the sample in one call, and ``query_distances``,
-``neighbour_rows`` and ``sample_distances`` compute every distance from it.
+trapezoid weights) runs for the rest of the package, and ``query_distances``,
+``neighbour_rows`` and ``sample_distances`` compute every distance from its
+result. A sample transforms its own rows once per ``SemiMetricSpec``, on
+first use, and keeps them as a read-only (n, p) table per spec for as long
+as it lives; each call then transforms only its query rows. A grid keeps
+its trapezoid weights the same way. ``transform`` works row by row, so a
+row has the same bits alone as in any stack of rows.
 
 A kernel estimate reads only the curves inside its ball. Given the
 neighbour count k or the radius h that decides those balls, a query block
@@ -68,6 +72,7 @@ class SamplingGrid:
             raise ValidationError("grid points must be strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_weights", None)
 
     def __len__(self) -> int:
         return self.points.size
@@ -77,12 +82,17 @@ class SamplingGrid:
         return float(self.points[0]), float(self.points[-1])
 
     def trapezoid_weights(self) -> np.ndarray:
-        """Quadrature weights w with sum(w * f) == trapezoid integral of f."""
-        pts = self.points
-        w = np.empty_like(pts)
-        w[0] = (pts[1] - pts[0]) / 2.0
-        w[-1] = (pts[-1] - pts[-2]) / 2.0
-        w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
+        """Quadrature weights w with sum(w * f) == trapezoid integral of f;
+        computed on first use and kept on the grid, read-only."""
+        w = self._weights
+        if w is None:
+            pts = self.points
+            w = np.empty_like(pts)
+            w[0] = (pts[1] - pts[0]) / 2.0
+            w[-1] = (pts[-1] - pts[-2]) / 2.0
+            w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
+            w.setflags(write=False)
+            object.__setattr__(self, "_weights", w)
         return w
 
     def matches(self, other: "SamplingGrid") -> bool:
@@ -146,7 +156,13 @@ class SemiMetricSpec:
 class FunctionalSample:
     """Paired (curve, response) observations on a common grid: one curve per
     row of the (n, p) ``values`` matrix, kept as a read-only copy. Rows that
-    do not have one value per grid point raise GridMismatch."""
+    do not have one value per grid point raise GridMismatch.
+
+    A sample also keeps its rows as transformed under each semi-metric it
+    has been used with (``transformed_matrix``): one read-only (n, p) table
+    per ``SemiMetricSpec``, filled on first use and dropped with the sample.
+    The copy of ``values`` is what keeps those tables valid: no caller holds
+    a writable view of the rows they were computed from."""
 
     grid: SamplingGrid
     values: np.ndarray
@@ -162,18 +178,19 @@ class FunctionalSample:
                 f"sample rows have {vals.shape[1]} values for a "
                 f"{len(self.grid)}-point grid"
             )
-        if not np.all(np.isfinite(vals)):
+        if not _all_finite(vals):
             raise ValidationError("curve values must all be finite")
         if resp.ndim != 1 or resp.size != vals.shape[0]:
             raise ValidationError(
                 f"{vals.shape[0]} curves but {resp.size} responses"
             )
-        if not np.all(np.isfinite(resp)):
+        if not _all_finite(resp):
             raise ValidationError("responses must all be finite")
         vals.setflags(write=False)
         resp.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "responses", resp)
+        object.__setattr__(self, "_transformed", {})
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -185,6 +202,12 @@ class FunctionalSample:
 
     def values_matrix(self) -> np.ndarray:
         return self.values
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether a nonempty array holds no NaN or infinity: its min and max,
+    which NaN propagates to, are finite. No (n, p) mask is formed."""
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -264,6 +287,9 @@ def pairwise_distances(sample: FunctionalSample, query: Curve,
     """Distances from every sample curve to the query, in sample order.
 
     Element i equals ``semi_metric_distance(sample.curves[i], query, spec)``.
+    The sample's transformed rows are computed on the first call with a
+    given spec and kept on the sample (``transformed_matrix``), so a later
+    call transforms only its query.
 
     Raises:
         GridMismatch: if the query is not on the sample grid.
@@ -273,10 +299,10 @@ def pairwise_distances(sample: FunctionalSample, query: Curve,
 
 @dataclass(frozen=True, eq=False)
 class TransformedSample:
-    """The query and sample rows after one ``transform`` call of the
-    queries stacked on the sample, with the grid's trapezoid weights: every
-    distance of a run is computed from it (``query_distances``,
-    ``neighbour_rows``)."""
+    """The transformed query and sample rows, with the grid's trapezoid
+    weights (``transformed_matrix``): every distance of a run is computed
+    from it (``query_distances``, ``neighbour_rows``). The sample rows and
+    the weights are read-only tables kept on the sample and the grid."""
 
     queries: np.ndarray
     sample: np.ndarray
@@ -310,21 +336,30 @@ class NeighbourRows:
 
 def transformed_matrix(sample: FunctionalSample, spec: SemiMetricSpec,
                        queries: np.ndarray | None = None) -> TransformedSample:
-    """The (m, p) ``queries``, one curve per row on the sample grid, stacked
-    on the sample and transformed in one call; without queries, the sample
-    alone.
+    """The sample's rows and the (m, p) ``queries``, one curve per row on
+    the sample grid, each transformed under ``spec``; without queries, the
+    sample alone (and an empty query block).
+
+    The sample's rows are transformed once per spec, on the first call
+    that needs them, and kept on the sample as one read-only (n, p) table
+    per spec for as long as the sample lives; later calls transform only
+    their queries. ``transform`` works row by row, so every row has the
+    bits it would have in any stack of rows.
 
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
         GridTooShort: if the grid is too short for the derivative order.
     """
-    if queries is None:
-        values, m = sample.values, 0
-    else:
+    if queries is not None:
         queries = _query_matrix(sample, queries)
-        values, m = np.vstack([queries, sample.values]), queries.shape[0]
-    rows = transform(values, sample.grid, spec)
-    return TransformedSample(rows[:m], rows[m:], sample.grid.trapezoid_weights())
+    rows = sample._transformed.get(spec)
+    if rows is None:
+        rows = transform(sample.values, sample.grid, spec)
+        rows.setflags(write=False)
+        sample._transformed[spec] = rows
+    queries = rows[:0] if queries is None else transform(
+        queries, sample.grid, spec)
+    return TransformedSample(queries, rows, sample.grid.trapezoid_weights())
 
 
 def _query_matrix(sample: FunctionalSample, queries) -> np.ndarray:

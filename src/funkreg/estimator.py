@@ -10,6 +10,7 @@ normalizer.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -394,8 +395,11 @@ class InsampleSmoother:
         # numbers, so one search finds every count
         self._keys = row_of + 1j * d
         # Powers are taken of distances scaled by a power of two (exact) that
-        # brings the largest held one below 1, so no d^p overflows.
-        self._unit = np.ldexp(1.0, -int(np.frexp(d.max(initial=0.0))[1]))
+        # brings the largest held one below 1, so no d^p overflows. Below
+        # 2^-1023 the power would overflow; 2^1023 already scales such a
+        # subnormal largest distance below 1/2.
+        self._unit = np.ldexp(
+            1.0, min(1023, -int(np.frexp(d.max(initial=0.0))[1])))
         unit_sorted = d * self._unit
         y_sorted = y[columns]
         # (p, c_p, prefix sums of d^p y, prefix sums of d^p) per c_p != 0
@@ -535,7 +539,8 @@ def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
     asymptotic-normality intervals, elementwise over arrays of plug-in
     variances and neighbor counts (count = n * F_hat(h)).
 
-    The constants and the normal quantile z are computed once per call.
+    The constants are computed once per call, and the normal quantile z
+    once per level (``_normal_quantile``).
 
     Raises:
         KernelNotH2Strict: if K(1) = 0 (the limit constants degenerate).
@@ -555,14 +560,20 @@ def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
         raise DegenerateBall("confidence interval needs F_hat(h) > 0")
     if constants.m1 <= 0.0:
         raise DegenerateConstants(f"m1 = {constants.m1} is not positive")
-    # scipy.stats costs most of a cold import; only intervals need it
-    from scipy.stats import norm
-
-    z = float(norm.ppf((1.0 + level) / 2.0))
+    z = _normal_quantile(float(level))
     return z * np.sqrt(
         constants.m2 * np.asarray(sigma2_hat, dtype=float)
         / (counts * constants.m1 ** 2)
     )
+
+
+@lru_cache
+def _normal_quantile(level: float) -> float:
+    """The standard normal quantile at (1 + level) / 2, kept per level."""
+    # scipy.stats costs most of a cold import; only intervals need it
+    from scipy.stats import norm
+
+    return float(norm.ppf((1.0 + level) / 2.0))
 
 
 def confidence_interval(result: EstimateResult, kernel: KernelSpec,

@@ -16,6 +16,7 @@ in closed form; otherwise by adaptive Simpson quadrature.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -236,9 +237,13 @@ def _fractal_power_integral(coefficients, gamma: float, extra_power: int) -> flo
     )
 
 
-def _closed_form_fractal(spec: KernelSpec, gamma: float) -> KernelConstants:
+@lru_cache
+def _closed_form_fractal(c: tuple[float, ...], gamma: float) -> KernelConstants:
+    """The constants of the kernel with coefficients ``c`` under
+    tau0(s) = s**gamma, kept per (c, gamma): plain values, so a kernel or
+    tau0 model need not be hashable to use them."""
+    spec = KernelSpec("polynomial", c)
     k1 = spec.k_at_one
-    c = spec.coefficients
     # (s K(s))' has ascending coefficients (j + 1) c_j.
     i0 = _fractal_power_integral(
         tuple((j + 1) * cj for j, cj in enumerate(c)), gamma, 0
@@ -310,7 +315,7 @@ def compute_constants(spec: KernelSpec, tau0: Tau0Model) -> KernelConstants:
     Indicator and empirical models fall back to adaptive quadrature.
     """
     if tau0.family == "fractal":
-        return _closed_form_fractal(spec, tau0.gamma)
+        return _closed_form_fractal(spec.coefficients, float(tau0.gamma))
     if tau0.family == "dirac_at_one":
         k1 = spec.k_at_one
         return KernelConstants(m0=k1, m1=k1, m2=k1 * k1)

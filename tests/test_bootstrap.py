@@ -779,8 +779,16 @@ class TestDenseReference:
         monkeypatch.setattr(funkreg.curves, "transform", spy)
         config = BootstrapConfig(n_replications=5, k_min=2, k_max=8,
                                  pilot=FixedPilot(6))
-        bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
-        assert calls == [(30 + len(test), len(train.grid))]
+        p = len(train.grid)
+        first = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                      config)
+        assert calls == [(30, p), (len(test), p)]
+        # a second select on the same sample and spec transforms only its
+        # queries, and reads the same bits
+        second = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                       config)
+        assert calls == [(30, p), (len(test), p), (len(test), p)]
+        assert second.per_bandwidth == first.per_bandwidth
 
     def test_select_at_ten_thousand_curves_stays_under_a_gigabyte(self):
         train, test = generate_functional_sample(SimulationConfig(

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from funkreg import (
     Curve,
@@ -29,6 +29,7 @@ from funkreg.curves import (
 )
 from funkreg.errors import FunkregError
 from funkreg.estimator import knn_radii, nadaraya_watson_batch
+from funkreg.io import split_sample
 from funkreg.kernels import KernelSpec
 from funkreg.simulation import SimulationConfig, generate_functional_sample
 
@@ -134,6 +135,90 @@ class TestFunctionalSample:
             FunctionalSample(grid, np.zeros(3), [1.0])
         with pytest.raises(ValidationError):
             FunctionalSample(grid, np.zeros((2, 3)), [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_last_cell(self, bad):
+        grid = unit_grid(3)
+        values = np.arange(6.0).reshape(2, 3)
+        values[-1, -1] = bad
+        with pytest.raises(ValidationError,
+                           match="^curve values must all be finite$"):
+            FunctionalSample(grid, values, [1.0, 2.0])
+        with pytest.raises(ValidationError,
+                           match="^responses must all be finite$"):
+            FunctionalSample(grid, np.zeros((2, 3)), [1.0, bad])
+
+
+class TestTransformCache:
+    """A sample transforms its own rows once per spec and keeps them; a grid
+    keeps its trapezoid weights."""
+
+    SPECS = (SemiMetricSpec(1), SemiMetricSpec(2, presmoothing_window=5))
+
+    @staticmethod
+    def spy_on_transform(monkeypatch):
+        calls = []
+        transform_ = curves.transform
+
+        def spy(values, grid, spec):
+            calls.append((np.shape(values), spec))
+            return transform_(values, grid, spec)
+
+        monkeypatch.setattr(curves, "transform", spy)
+        return calls
+
+    def test_kept_rows_keep_the_bits_and_are_made_once_per_spec(
+            self, monkeypatch):
+        train, test = generate_functional_sample(
+            SimulationConfig(n_train=30, n_test=10, grid_size=41, seed=5))
+        cases = [(test.curves[i % len(test)], self.SPECS[i % 2])
+                 for i in range(20)]
+        want = [pairwise_distances(
+            FunctionalSample(train.grid, train.values, train.responses),
+            query, spec) for query, spec in cases]
+        calls = self.spy_on_transform(monkeypatch)
+        for (query, spec), d in zip(cases, want):
+            assert pairwise_distances(train, query, spec).tobytes() == \
+                d.tobytes()
+        assert [spec for shape, spec in calls
+                if shape == train.values.shape] == list(self.SPECS)
+        assert [shape for shape, _ in calls
+                if shape != train.values.shape] == [(1, 41)] * 20
+
+    @pytest.mark.parametrize("spec", [SemiMetricSpec(0), SemiMetricSpec(1),
+                                      SemiMetricSpec(2, 3)])
+    def test_kept_rows_and_weights_are_read_only(self, spec):
+        rng = np.random.default_rng(3)
+        sample = FunctionalSample(unit_grid(9), rng.normal(size=(4, 9)),
+                                  np.zeros(4))
+        t = transformed_matrix(sample, spec, rng.normal(size=(2, 9)))
+        assert transformed_matrix(sample, spec).sample is t.sample
+        assert sample.grid.trapezoid_weights() is t.weights
+        with pytest.raises(ValueError):
+            t.sample[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            t.weights[0] = 1.0
+        with pytest.raises(ValueError):
+            sample.grid.trapezoid_weights()[-1] = 1.0
+
+    def test_a_sample_built_from_another_starts_empty(self, monkeypatch):
+        train, test = generate_functional_sample(
+            SimulationConfig(n_train=30, n_test=4, grid_size=41, seed=6))
+        spec = self.SPECS[1]
+        pairwise_distances(train, test.curves[0], spec)
+        calls = self.spy_on_transform(monkeypatch)
+        idx = np.arange(0, 30, 2)
+        children = [*split_sample(train, 20, 10, seed=1),
+                    FunctionalSample(train.grid, train.values[idx],
+                                     train.responses[idx])]
+        for child in children:
+            d = pairwise_distances(child, test.curves[0], spec)
+            want = distance_matrix(transform(test.values[:1], child.grid, spec),
+                                   transform(child.values, child.grid, spec),
+                                   child.grid.trapezoid_weights())[0]
+            assert d.tobytes() == want.tobytes()
+        assert [shape for shape, _ in calls if shape[0] > 1] == [
+            (20, 41), (10, 41), (15, 41)]
 
 
 class TestCurveValidation:
@@ -630,6 +715,13 @@ class TestMovingAverage:
 class TestTransform:
     @settings(max_examples=80, deadline=None)
     @given(curves_on_a_grid(max_p=101, max_m=4))
+    # equal spacings take np.gradient's uniform branch, which drawn steps
+    # reach only by chance
+    @example((SamplingGrid(np.arange(12, dtype=float)),
+              np.random.default_rng(1).normal(size=(3, 12)),
+              SemiMetricSpec(2, 5)))
+    @example((unit_grid(5), np.random.default_rng(2).normal(size=(4, 5)),
+              SemiMetricSpec(1)))
     def test_equals_per_curve_reference(self, case):
         grid, values, spec = case
         expected = reference_transform(values, grid.points, spec)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.stats import norm
 
 from funkreg import (
     DegenerateBall,
@@ -31,6 +32,7 @@ from funkreg import (
 )
 from funkreg.curves import distance_matrix
 from funkreg.estimator import (
+    _normal_quantile,
     _powers,
     interval_half_widths,
     knn_radii,
@@ -375,6 +377,17 @@ class TestCutRows:
         assert cut.min_radius == root
         assert InsampleSmoother(neighbours_from_dense(d), y,
                                 UNIFORM).min_radius == 0.0
+
+    def test_a_subnormal_largest_distance_is_scaled_without_overflow(self):
+        # its scale would be 2^1025, past the largest double; that raised
+        # an overflow warning (an error under the suite's filters)
+        tiny = 0.8 * 2.0**-1025
+        d = np.array([[0.0, tiny], [tiny, 0.0]])
+        smoother = InsampleSmoother(neighbours_from_dense(d), np.ones(2),
+                                    UNIFORM)
+        assert smoother._unit == 2.0**1023
+        _, counts = smoother.fit(np.array([[tiny]]), rows=[0])
+        assert counts.tolist() == [[2]]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(2.0**-40, 2.0**40), min_size=1, max_size=20),
@@ -807,6 +820,17 @@ class TestIntervalHalfWidths:
             )
             lower, upper = confidence_interval(result, kernel, tau0, 0.9)
             assert (lower, upper) == (-half[j], half[j])
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    def test_kept_quantile_keeps_the_bits_of_the_formula(self, level):
+        _normal_quantile.cache_clear()
+        sigma2, counts = np.array([0.3, 2.0, 7.5]), np.array([4, 17, 160])
+        z = float(norm.ppf((1.0 + level) / 2.0))
+        want = z * np.sqrt(sigma2 / counts)
+        for _ in range(2):  # the first call fills the kept quantile
+            half = interval_half_widths(sigma2, counts, UNIFORM,
+                                        Tau0Model.fractal(1.0), level)
+            assert half.tobytes() == want.tobytes()
 
     def test_rejects_empty_balls_and_bad_levels(self):
         with pytest.raises(DegenerateBall):

@@ -179,6 +179,14 @@ class TestComputeConstants:
         c = compute_constants(KernelSpec.quadratic(), Tau0Model.fractal(1.0))
         assert (c.m0, c.m1, c.m2) == pytest.approx((0.25, 2.0 / 3.0, 8.0 / 15.0))
 
+    def test_fractal_constants_ignore_an_unhashable_unused_field(self):
+        # a fractal model's table is never read; a list there must not
+        # break the kept closed form
+        model = Tau0Model("fractal", gamma=2, table=[[0.5, 0.5]])
+        for kernel in NAMED_KERNELS.values():
+            assert compute_constants(kernel, model) == compute_constants(
+                kernel, Tau0Model.fractal(2.0))
+
     def test_uniform_dirac(self):
         c = compute_constants(KernelSpec.uniform(), Tau0Model.dirac_at_one())
         assert (c.m0, c.m1, c.m2) == (1.0, 1.0, 1.0)
