@@ -16,7 +16,7 @@ Cost: at query j only the points of its k_max-ball
 S_j = {i : d(query j, X_i) <= h_{j, k_max}} get a positive weight at any
 candidate radius, so only their residuals can move its score. The query
 block comes first: its distances are screened at max(k_g, k_max)
-neighbours (``curves.query_distances``), and its radii define U, the
+neighbours (``curves.sample_distances``), and its radii define U, the
 union of S_1 .. S_J, at most J k_max points whatever n is, and the reach
 of each point of U: the largest h_{j, k_max} of a ball that holds it, or
 its own pilot radius. Only the rows of U are read, each up to its reach,
@@ -46,8 +46,7 @@ from .curves import (
     SemiMetricSpec,
     curve_matrix,
     neighbour_rows,
-    query_distances,
-    transformed_matrix,
+    sample_distances,
 )
 from .errors import (
     DegenerateGrid,
@@ -235,13 +234,13 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
     if (h is None) == (k is None):
         raise ValidationError("give exactly one of h or k")
     n = len(sample)
-    t = transformed_matrix(sample, spec)
+    spec.check_grid(sample.grid)
     if h is not None:
         radii = np.full(n, float(h))
         if not 0.0 < radii[0] < np.inf:
             raise ValidationError(
                 f"bandwidth must be positive and finite, got {radii[0]}")
-        rows = neighbour_rows(t, reach=radii)
+        rows = neighbour_rows(sample, spec, reach=radii)
     else:
         require_integers(k=k)
         if k < 1:
@@ -249,7 +248,7 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
         if k > n - 1:
             raise ValidationError(f"k = {k} exceeds {n - 1} available distances")
         # each row up to its point's k-th neighbour, itself counted first
-        rows = neighbour_rows(t, k=k + 1)
+        rows = neighbour_rows(sample, spec, k=k + 1)
     smoother = InsampleSmoother(rows, sample.responses, kernel)
     if k is not None:
         radii = smoother.knn_radii(k)
@@ -352,10 +351,10 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
             f"got k_min = {config.k_min}, k_max = {config.k_max}"
         )
-    t = transformed_matrix(sample, spec, query_values)
     # exact up to each query's largest radius in use and wherever else the
     # screen marks an entry; inf elsewhere
-    dist_qs = query_distances(t, k=max(k_g, config.k_max))
+    dist_qs = sample_distances(sample, spec, query_values,
+                               k=max(k_g, config.k_max))
     pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]
     radii = knn_radii(dist_qs, config.k_min, config.k_max)
     # S_j = {i : d(query j, X_i) <= h_{j, k_max}} holds every point with a
@@ -366,7 +365,8 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     points = np.flatnonzero(in_support.any(axis=0))
     reach = np.where(in_support, radii[:, -1:], 0.0).max(axis=0)[points]
     smoother = InsampleSmoother(
-        neighbour_rows(t, points, k=k_g + 1, reach=reach), y, kernel)
+        neighbour_rows(sample, spec, points, k=k_g + 1, reach=reach),
+        y, kernel)
 
     pilot_radii = smoother.knn_radii(k_g)
     if np.any(pilot_radii <= 0.0) or np.any(pilot_radii_q <= 0.0):

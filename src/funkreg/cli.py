@@ -326,6 +326,8 @@ def _cmd_ci(args) -> int:
     kernel = parse_kernel(args.kernel)
     spec = _semi_metric(args)
     tau0 = parse_tau0(args.tau0)
+    # the interval's own checks of level and kernel, before any distance
+    interval_half_widths(np.empty(0), np.empty(0), kernel, tau0, args.level)
     (weights, totals), columns = _query_fit(args, train, queries, kernel, spec)
     preds, counts = columns["prediction"], columns["neighbors"]
     y = train.responses

@@ -8,14 +8,14 @@ by a constant; that is intentional, not a defect.
 
 A sample is one (n, p) matrix; ``transform`` and ``distance_matrix`` work on
 whole matrices, the latter in row chunks so that its memory stays bounded.
-``transformed_matrix`` is the one place the semi-metric recipe (transform,
-trapezoid weights) runs for the rest of the package, and ``query_distances``,
-``neighbour_rows`` and ``sample_distances`` compute every distance from its
-result. A sample transforms its own rows once per ``SemiMetricSpec``, on
-first use, and keeps them as a read-only (n, p) table per spec for as long
-as it lives; each call then transforms only its query rows. A grid keeps
-its trapezoid weights the same way. ``transform`` works row by row, so a
-row has the same bits alone as in any stack of rows.
+The rest of the package asks a sample for its distances under a
+``SemiMetricSpec``: ``sample_distances`` for the (m, n) block to some query
+curves (or the (n, n) block), ``neighbour_rows`` for each sample point's
+sorted distances up to a radius. A sample transforms its own rows once per
+spec, on first use, and keeps them as a read-only (n, p) table per spec for
+as long as it lives (``_kept_rows``); each call then transforms only its
+query rows. A grid keeps its trapezoid weights the same way. ``transform``
+works row by row, so a row has the same bits alone as in any stack of rows.
 
 A kernel estimate reads only the curves inside its ball. Given the
 neighbour count k or the radius h that decides those balls, a query block
@@ -159,10 +159,11 @@ class FunctionalSample:
     do not have one value per grid point raise GridMismatch.
 
     A sample also keeps its rows as transformed under each semi-metric it
-    has been used with (``transformed_matrix``): one read-only (n, p) table
-    per ``SemiMetricSpec``, filled on first use and dropped with the sample.
-    The copy of ``values`` is what keeps those tables valid: no caller holds
-    a writable view of the rows they were computed from."""
+    has been used with: one read-only (n, p) table per ``SemiMetricSpec``,
+    filled on first use by ``_kept_rows``, which alone reads or fills them,
+    and dropped with the sample. The copy of ``values`` is what keeps those
+    tables valid: no caller holds a writable view of the rows they were
+    computed from."""
 
     grid: SamplingGrid
     values: np.ndarray
@@ -287,26 +288,13 @@ def pairwise_distances(sample: FunctionalSample, query: Curve,
     """Distances from every sample curve to the query, in sample order.
 
     Element i equals ``semi_metric_distance(sample.curves[i], query, spec)``.
-    The sample's transformed rows are computed on the first call with a
-    given spec and kept on the sample (``transformed_matrix``), so a later
-    call transforms only its query.
+    It is the one-row case of ``sample_distances``, so a call transforms
+    only its query once the sample keeps its rows under ``spec``.
 
     Raises:
         GridMismatch: if the query is not on the sample grid.
     """
     return sample_distances(sample, spec, curve_matrix((query,), sample.grid))[0]
-
-
-@dataclass(frozen=True, eq=False)
-class TransformedSample:
-    """The transformed query and sample rows, with the grid's trapezoid
-    weights (``transformed_matrix``): every distance of a run is computed
-    from it (``query_distances``, ``neighbour_rows``). The sample rows and
-    the weights are read-only tables kept on the sample and the grid."""
-
-    queries: np.ndarray
-    sample: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,41 +322,20 @@ class NeighbourRows:
         return self.points.size
 
 
-def transformed_matrix(sample: FunctionalSample, spec: SemiMetricSpec,
-                       queries: np.ndarray | None = None) -> TransformedSample:
-    """The sample's rows and the (m, p) ``queries``, one curve per row on
-    the sample grid, each transformed under ``spec``; without queries, the
-    sample alone (and an empty query block).
-
-    The sample's rows are transformed once per spec, on the first call
-    that needs them, and kept on the sample as one read-only (n, p) table
-    per spec for as long as the sample lives; later calls transform only
-    their queries. ``transform`` works row by row, so every row has the
-    bits it would have in any stack of rows.
+def _kept_rows(sample: FunctionalSample, spec: SemiMetricSpec) -> np.ndarray:
+    """The sample's rows transformed under ``spec``: computed on the first
+    call with that spec and kept on the sample as a read-only (n, p) table
+    for as long as the sample lives.
 
     Raises:
-        GridMismatch: if the query rows do not have one value per grid point.
         GridTooShort: if the grid is too short for the derivative order.
     """
-    if queries is not None:
-        queries = _query_matrix(sample, queries)
     rows = sample._transformed.get(spec)
     if rows is None:
         rows = transform(sample.values, sample.grid, spec)
         rows.setflags(write=False)
         sample._transformed[spec] = rows
-    queries = rows[:0] if queries is None else transform(
-        queries, sample.grid, spec)
-    return TransformedSample(queries, rows, sample.grid.trapezoid_weights())
-
-
-def _query_matrix(sample: FunctionalSample, queries) -> np.ndarray:
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != len(sample.grid):
-        raise GridMismatch(
-            f"queries of shape {queries.shape} for a {len(sample.grid)}-point grid"
-        )
-    return queries
+    return rows
 
 
 def _check_rule(n: int, k: int | None, h: float | None) -> None:
@@ -387,60 +354,57 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
     """Semi-metric distances to the n sample curves.
 
     With an (m, p) ``queries`` matrix, one curve per row on the sample grid,
-    returns the (m, n) distances from each query to each sample curve: the
-    ``query_distances`` of ``transformed_matrix(sample, spec, queries)``.
-    With ``queries=None``, returns the (n, n) sample-by-sample distances,
-    whose diagonal is exactly zero.
+    returns the (m, n) distances from each query to each sample curve;
+    only the queries are transformed (``_kept_rows``). With
+    ``queries=None``, returns the (n, n) sample-by-sample distances, whose
+    diagonal is exactly zero.
 
     A query block may name the bandwidth rule its fit uses: a neighbour
-    count ``k`` or a global radius ``h``. The block is then screened, and
-    every kNN radius up to k, every kernel weight at such a radius and
-    every ``d <= h`` count keeps the full block's bits (``query_distances``).
+    count ``k`` or a global radius ``h``. The block is then screened
+    (``_screened_distances``): every kNN radius up to k, every kernel
+    weight at such a radius and every ``d <= h`` count keeps the full
+    block's bits, and an entry beyond the radius in use may read ``inf``.
 
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
+        GridTooShort: if the grid is too short for the derivative order.
         ValidationError: for both ``k`` and ``h``, either one without a
             query block, a ``k`` outside [1, n] or an ``h`` that is not
             positive and finite (NaN included).
     """
     if k is not None and h is not None:
         raise ValidationError("give at most one of h or k")
+    weights = sample.grid.trapezoid_weights()
     if queries is None:
         if k is not None or h is not None:
             raise ValidationError("k and h screen a query block")
-        t = transformed_matrix(sample, spec)
-        return distance_matrix(t.sample, t.sample, t.weights)
-    queries = _query_matrix(sample, queries)
+        rows = _kept_rows(sample, spec)
+        return distance_matrix(rows, rows, weights)
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != len(sample.grid):
+        raise GridMismatch(
+            f"queries of shape {queries.shape} for a {len(sample.grid)}-point grid"
+        )
     _check_rule(len(sample), k, h)
-    return query_distances(transformed_matrix(sample, spec, queries), k=k, h=h)
-
-
-def query_distances(t: TransformedSample, *, k: int | None = None,
-                    h: float | None = None) -> np.ndarray:
-    """The (m, n) distances from the queries of ``t`` to its sample.
-
-    With a neighbour count ``k`` in [1, n] or a global radius ``h > 0``, at
-    most one of them (``sample_distances`` checks them), the block is
-    screened (``_screened_distances``): every entry the screen marks, which
-    includes every entry at most the row's k-th smallest distance or at
-    most ``h``, equals the full block's bit for bit, and every other entry
-    reads ``inf``.
-    """
+    cols = _kept_rows(sample, spec)
+    queries = transform(queries, sample.grid, spec)
     if k is None and h is None:
-        return distance_matrix(t.queries, t.sample, t.weights)
-    return _screened_distances(t.queries, t.sample, t.weights, k=k, h=h)
+        return distance_matrix(queries, cols, weights)
+    return _screened_distances(queries, cols, weights, k=k, h=h)
 
 
-def neighbour_rows(t: TransformedSample, points=None, *, k: int | None = None,
+def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
+                   points=None, *, k: int | None = None,
                    reach=None) -> NeighbourRows:
-    """The sample points' sorted distances to the whole sample, each row
-    cut at its radius: the larger of the point's ``reach`` and its k-th
-    smallest distance (the self-distance counts).
+    """Some sample points' sorted distances to the whole sample under
+    ``spec``, each row cut at its radius: the larger of the point's
+    ``reach`` and its k-th smallest distance (the self-distance counts).
 
     Only the entries the screen cannot place beyond a row's radius are
     computed, with the exact reduction of ``distance_matrix``
-    (``_screened_rows``), so every kept entry has the full matrix's bits
-    and no (n, n) array is formed.
+    (``_screened_rows``) from the sample's kept rows (``_kept_rows``), so
+    every kept entry has the full matrix's bits and no (n, n) array is
+    formed.
 
     Args:
         points: sample indices of the rows, all n in order by default.
@@ -448,10 +412,12 @@ def neighbour_rows(t: TransformedSample, points=None, *, k: int | None = None,
         reach: a radius, or one per row, that every row reaches.
 
     Raises:
+        GridTooShort: if the grid is too short for the derivative order.
         ValidationError: without k and reach, for a k outside [1, n], a
             negative or NaN reach or a point outside the sample.
     """
-    n = t.sample.shape[0]
+    cols = _kept_rows(sample, spec)
+    n = len(sample)
     points = (np.arange(n) if points is None
               else np.asarray(points, dtype=np.intp))
     if points.ndim != 1 or (points.size and not (
@@ -464,7 +430,8 @@ def neighbour_rows(t: TransformedSample, points=None, *, k: int | None = None,
         reach = np.broadcast_to(np.asarray(reach, dtype=float), points.shape)
         if not (reach >= 0.0).all():
             raise ValidationError("reach must be nonnegative")
-    return _screened_rows(points, t.sample, t.weights, k=k, reach=reach)
+    return _screened_rows(points, cols, sample.grid.trapezoid_weights(),
+                          k=k, reach=reach)
 
 
 def _root_weighted_squares(diff: np.ndarray,

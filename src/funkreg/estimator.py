@@ -169,7 +169,7 @@ def empirical_tau(distances, h: float, s: float) -> float:
         DomainError: if s is outside [0, 1].
         DegenerateBall: if no distance falls within h.
     """
-    if s < 0.0 or s > 1.0:
+    if not 0.0 <= s <= 1.0:  # written so that NaN fails
         raise DomainError(f"tau argument must lie in [0, 1], got {s}")
     denom = empirical_sdf(distances, h)
     if denom == 0.0:
@@ -608,13 +608,20 @@ def theoretical_bias_variance(phi_prime: float, sigma2: float, h: float,
 
     Raises:
         DegenerateConstants: when m1 <= 0.
+        ValidationError: for a negative sigma2, an h that is not positive
+            and finite, n < 1, f_of_h outside (0, 1] or a non-finite
+            phi_prime (NaN included).
     """
     if constants.m1 <= 0.0:
         raise DegenerateConstants(f"m1 = {constants.m1} is not positive")
-    if sigma2 < 0.0:
+    # each check written so that NaN fails
+    if not sigma2 >= 0.0:
         raise ValidationError("sigma2 must be nonnegative")
-    if h <= 0.0 or n <= 0 or not (0.0 < f_of_h <= 1.0):
-        raise ValidationError("need h > 0, n > 0, and f_of_h in (0, 1]")
+    if not (0.0 < h < np.inf and n > 0 and 0.0 < f_of_h <= 1.0):
+        raise ValidationError(
+            "need finite h > 0, n > 0, and f_of_h in (0, 1]")
+    if not np.isfinite(phi_prime):
+        raise ValidationError("phi_prime must be finite")
     b_n = phi_prime * (constants.m0 / constants.m1) * h
     variance = (constants.m2 / constants.m1 ** 2) * sigma2 / (n * f_of_h)
     return BiasVarianceReport(
@@ -639,11 +646,14 @@ def estimate_phi_prime(distances, responses, kernel: KernelSpec,
     estimator exists for this quantity.
 
     Raises:
+        ValidationError: if distances and responses differ in length.
         TooFewPoints: with fewer than 10 points inside the pilot ball.
         EmptyNeighborhood: if no in-ball point gets positive weight.
     """
     d = np.asarray(distances, dtype=float)
     y = np.asarray(responses, dtype=float)
+    if d.shape != y.shape:
+        raise ValidationError("distances and responses must have equal length")
     inside = d <= h_pilot
     if int(np.count_nonzero(inside)) < 10:
         raise TooFewPoints(

@@ -196,7 +196,7 @@ def tau0_eval(model: Tau0Model, s: float) -> float:
     Raises:
         DomainError: if s is outside [0, 1].
     """
-    if s < 0.0 or s > 1.0:
+    if not 0.0 <= s <= 1.0:  # written so that NaN fails
         raise DomainError(f"tau0 argument must lie in [0, 1], got {s}")
     if model.family == "fractal":
         return float(s) ** model.gamma

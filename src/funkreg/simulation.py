@@ -468,7 +468,8 @@ def mc_tau_convergence(family: FractalFamily | NonsmoothFamily, n: int,
     if n < _MIN_TAU_SAMPLE:
         raise ValidationError(f"tau convergence check needs n >= {_MIN_TAU_SAMPLE}")
     s_grid = np.asarray(s_grid, dtype=float)
-    if s_grid.size == 0 or np.any((s_grid < 0) | (s_grid > 1)):
+    # written so that NaN fails
+    if s_grid.size == 0 or not np.all((s_grid >= 0) & (s_grid <= 1)):
         raise ValidationError("s_grid must be nonempty within [0, 1]")
     rng = next(replication_streams(seed, 1))
     if isinstance(family, FractalFamily):

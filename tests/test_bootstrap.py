@@ -604,7 +604,8 @@ class TestBootstrapErrorCurve:
         def no_distances(*args, **kwargs):
             raise AssertionError("distances computed before the k_max check")
 
-        monkeypatch.setattr(funkreg.bootstrap, "transformed_matrix", no_distances)
+        for name in ("sample_distances", "neighbour_rows"):
+            monkeypatch.setattr(funkreg.bootstrap, name, no_distances)
         with pytest.raises(TooFewPoints, match="k_max <= n - 1 with n = 10"):
             bootstrap_error_curve(sample, [Curve(grid, np.zeros(11))],
                                   QUADRATIC, DERIV0, config)

@@ -189,7 +189,8 @@ class TestFitPredictCi:
         def no_distances(*args, **kwargs):
             raise AssertionError("distances computed before the checks")
 
-        monkeypatch.setattr(funkreg.bootstrap, "transformed_matrix", no_distances)
+        for name in ("sample_distances", "neighbour_rows"):
+            monkeypatch.setattr(funkreg.bootstrap, name, no_distances)
         for flags, message in [
             (["--h", "0"], "--h must be positive"),
             (["--h", "-1"], "--h must be positive"),
@@ -749,6 +750,27 @@ class TestBatchedPredictCi:
         assert run([command, "--train", str(short), "--test", str(short),
                     "--deriv-order", "2", "--k", "0"]) == 2
         assert "order-2 derivative needs >= 5 grid points" in capsys.readouterr().err
+
+    def test_interval_inputs_are_checked_before_any_distance(
+            self, simulated, capsys, monkeypatch):
+        train, test = simulated
+
+        def no_distances(*args, **kwargs):
+            raise AssertionError("distances computed before the checks")
+
+        monkeypatch.setattr(funkreg.cli, "sample_distances", no_distances)
+        base = ["ci", "--train", str(train), "--test", str(test), "--k", "5"]
+        level = "error: confidence level must lie strictly in (0, 1)\n"
+        for flags, message in [
+            (["--level", "1.5"], level),
+            (["--level", "nan"], level),
+            (["--level", "0"], level),
+            (["--kernel", "quadratic"],
+             "error: kernel quadratic has K(1) = 0; switch to a kernel with "
+             "K(1) > 0 (e.g. uniform) for confidence intervals\n"),
+        ]:
+            assert run(base + flags) == 2
+            assert capsys.readouterr().err == message
 
 
 def test_import_does_not_load_scipy_stats():

@@ -25,7 +25,6 @@ from funkreg.curves import (
     distance_matrix,
     neighbour_rows,
     transform,
-    transformed_matrix,
 )
 from funkreg.errors import FunkregError
 from funkreg.estimator import knn_radii, nadaraya_watson_batch
@@ -187,19 +186,26 @@ class TestTransformCache:
 
     @pytest.mark.parametrize("spec", [SemiMetricSpec(0), SemiMetricSpec(1),
                                       SemiMetricSpec(2, 3)])
-    def test_kept_rows_and_weights_are_read_only(self, spec):
+    def test_kept_rows_and_weights_are_read_only(self, spec, monkeypatch):
         rng = np.random.default_rng(3)
         sample = FunctionalSample(unit_grid(9), rng.normal(size=(4, 9)),
                                   np.zeros(4))
-        t = transformed_matrix(sample, spec, rng.normal(size=(2, 9)))
-        assert transformed_matrix(sample, spec).sample is t.sample
-        assert sample.grid.trapezoid_weights() is t.weights
+        calls = self.spy_on_transform(monkeypatch)
+        sample_distances(sample, spec, rng.normal(size=(2, 9)))
+        rows = curves._kept_rows(sample, spec)
+        neighbour_rows(sample, spec, k=2)
+        sample_distances(sample, spec)
+        # one table per spec, made by the first call; later calls read it
+        assert curves._kept_rows(sample, spec) is rows
+        assert [shape for shape, _ in calls] == [(4, 9), (2, 9)]
+        assert rows.tobytes() == transform(
+            sample.values, sample.grid, spec).tobytes()
+        weights = sample.grid.trapezoid_weights()
+        assert sample.grid.trapezoid_weights() is weights
         with pytest.raises(ValueError):
-            t.sample[0, 0] = 1.0
+            rows[0, 0] = 1.0
         with pytest.raises(ValueError):
-            t.weights[0] = 1.0
-        with pytest.raises(ValueError):
-            sample.grid.trapezoid_weights()[-1] = 1.0
+            weights[0] = 1.0
 
     def test_a_sample_built_from_another_starts_empty(self, monkeypatch):
         train, test = generate_functional_sample(
@@ -624,7 +630,6 @@ class TestNeighbourRows:
         sample, _, spec = case
         n = len(sample)
         full = sample_distances(sample, spec)
-        t = transformed_matrix(sample, spec)
         points = np.array(data.draw(st.lists(st.integers(0, n - 1),
                                              min_size=1, max_size=n)))
         # a reach of one of the row's distances, a float either side of it,
@@ -637,10 +642,10 @@ class TestNeighbourRows:
                                            max_size=points.size)))])
         for k in range(1, n + 1):
             for rule in ({"k": k}, {"k": k, "reach": reach}):
-                rows = neighbour_rows(t, points, **rule)
+                rows = neighbour_rows(sample, spec, points, **rule)
                 assert_cut_rows(full, rows, points,
                                 expected_radii(full, points, k, rule.get("reach")))
-        rows = neighbour_rows(t, points, reach=reach)
+        rows = neighbour_rows(sample, spec, points, reach=reach)
         assert_cut_rows(full, rows, points, expected_radii(full, points, None, reach))
 
     def test_rows_do_not_rely_on_the_screen(self, monkeypatch):
@@ -664,9 +669,8 @@ class TestNeighbourRows:
                        curves._exact_pairs(rows, cols, weights, i, j))
 
         monkeypatch.setattr(curves, "_screen", screen)
-        t = transformed_matrix(sample, spec)
         for k, r in ((3, None), (3, reach), (None, reach), (30, reach)):
-            rows = neighbour_rows(t, points, k=k, reach=r)
+            rows = neighbour_rows(sample, spec, points, k=k, reach=r)
             assert_cut_rows(full, rows, points, expected_radii(full, points, k, r))
 
     def test_dense_rows_and_chunks_are_cut_exactly(self, monkeypatch):
@@ -677,24 +681,23 @@ class TestNeighbourRows:
         spec = SemiMetricSpec(0)
         full = sample_distances(sample, spec)
         points = np.arange(40)
-        t = transformed_matrix(sample, spec)
         # a reach past every distance in the first chunk only, then a k
         # that holds most of every row
         reach = np.where(points < 2, 1e300, 0.0)
-        rows = neighbour_rows(t, points, k=3, reach=reach)
+        rows = neighbour_rows(sample, spec, points, k=3, reach=reach)
         assert_cut_rows(full, rows, points, expected_radii(full, points, 3, reach))
-        rows = neighbour_rows(t, points, k=25)
+        rows = neighbour_rows(sample, spec, points, k=25)
         assert_cut_rows(full, rows, points, expected_radii(full, points, 25, None))
 
     def test_bad_rules(self):
         sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
-        t = transformed_matrix(sample, SemiMetricSpec(1))
+        spec = SemiMetricSpec(1)
         for points, kwargs in ((None, {}), (None, {"k": 0}), (None, {"k": 4}),
                                (None, {"reach": -1.0}),
                                (None, {"reach": float("nan")}),
                                ([3], {"k": 1}), ([[0]], {"k": 1})):
             with pytest.raises(ValidationError):
-                neighbour_rows(t, points, **kwargs)
+                neighbour_rows(sample, spec, points, **kwargs)
 
 
 class TestMovingAverage:

@@ -1,6 +1,7 @@
 """Tests for the kernel estimator, empirical small-ball tools, and intervals."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -452,8 +453,9 @@ class TestEmpiricalTau:
             empirical_tau([0.5, 0.6], 0.1, 0.5)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            empirical_tau([0.1], 0.5, 1.2)
+        for s in (1.2, -0.1, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                empirical_tau([0.1], 0.5, s)
 
     def test_monotone_in_s(self):
         rng = np.random.default_rng(5)
@@ -556,6 +558,21 @@ class TestTheoreticalBiasVariance:
                 1.0, 1.0, 0.1, 10, 0.5, KernelConstants(0.0, 0.0, 0.0)
             )
 
+    @pytest.mark.parametrize("phi_prime, sigma2, h, f_of_h, message", [
+        (1.0, -1.0, 0.1, 0.5, "sigma2 must be nonnegative"),
+        (1.0, math.nan, 0.1, 0.5, "sigma2 must be nonnegative"),
+        (1.0, 1.0, 0.0, 0.5, "finite h > 0"),
+        (1.0, 1.0, math.nan, 0.5, "finite h > 0"),
+        (1.0, 1.0, math.inf, 0.5, "finite h > 0"),
+        (1.0, 1.0, 0.1, math.nan, "f_of_h in"),
+        (math.nan, 1.0, 0.1, 0.5, "phi_prime must be finite"),
+        (math.inf, 1.0, 0.1, 0.5, "phi_prime must be finite"),
+    ])
+    def test_bad_inputs(self, phi_prime, sigma2, h, f_of_h, message):
+        with pytest.raises(ValidationError, match=message):
+            theoretical_bias_variance(phi_prime, sigma2, h, 10, f_of_h,
+                                      KernelConstants(0.5, 1.0, 1.0))
+
 
 class TestEstimatePhiPrime:
     def test_exact_for_linear_responses(self):
@@ -578,6 +595,11 @@ class TestEstimatePhiPrime:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             estimate_phi_prime([0.1] * 5, [1.0] * 5, UNIFORM, 0.2)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            estimate_phi_prime(np.linspace(0.0, 0.5, 50), np.zeros(10),
+                               UNIFORM, 0.3)
 
     def test_weighted_variant_also_exact(self):
         d = np.linspace(0.0, 0.29, 25)

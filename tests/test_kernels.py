@@ -131,8 +131,10 @@ class TestTau0Eval:
         assert tau0_eval(model, 0.75) == pytest.approx(0.75)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            tau0_eval(Tau0Model.fractal(1.0), 1.5)
+        for model in ALL_TAU0:
+            for s in (1.5, -0.5, float("nan"), float("inf")):
+                with pytest.raises(DomainError):
+                    tau0_eval(model, s)
 
     @pytest.mark.parametrize("model", ALL_TAU0)
     def test_nondecreasing(self, model):

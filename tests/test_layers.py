@@ -1,8 +1,10 @@
 """Layering: each shared decision has one owner module in the package.
 
 The semi-metric recipe (transform, trapezoid weights, distance_matrix) is
-run only by ``curves``; every other module asks ``curves`` for distances
-(``sample_distances``, or ``transformed_matrix`` and the screens on it).
+run only by ``curves``, and only ``curves`` reads or fills the transformed
+rows a sample keeps (``_transformed``); every other module asks ``curves``
+for distances, with the sample and the spec (``sample_distances``,
+``neighbour_rows``).
 The replication streams are built only by ``simulation``. The command line
 gets in-sample fits from ``bootstrap.insample_fit``, not from the smoother.
 A module names a thing when it imports, defines or refers to it, as a bare
@@ -22,6 +24,7 @@ OWNERS = {
     "transform": "curves",
     "trapezoid_weights": "curves",
     "distance_matrix": "curves",
+    "_transformed": "curves",
     "Philox": "simulation",
 }
 #: module -> names it must not use

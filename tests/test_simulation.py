@@ -229,6 +229,12 @@ class TestMcTauConvergence:
         with pytest.raises(ValidationError):
             mc_tau_convergence(FractalFamily(1.0), 100, 0.1, [0.5])
 
+    @pytest.mark.parametrize("s_grid", [[], [0.5, 1.5], [0.5, -0.1],
+                                        [0.5, math.nan], [0.5, math.inf]])
+    def test_s_grid_outside_the_unit_interval(self, s_grid):
+        with pytest.raises(ValidationError, match="s_grid must be nonempty"):
+            mc_tau_convergence(FractalFamily(1.0), 2000, 0.5, s_grid)
+
     def test_degenerate_ball(self):
         with pytest.raises(DegenerateBall):
             mc_tau_convergence(FractalFamily(1.0), 1000, 1e-9, [0.5], seed=8)
