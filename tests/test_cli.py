@@ -211,7 +211,7 @@ class TestFitPredictCi:
             "--deriv-order", "1", "--tau0", f"empirical:{table}",
             "--out", str(out),
         ]) == 0
-        dist, train_sample, test_sample = query_distances(
+        dist, train_sample, test_sample = file_distances(
             train, test, SemiMetricSpec(1))
         tau0 = Tau0Model.empirical([[0.25, 0.1], [0.5, 0.4], [1, 1]])
         want = reference_tsv_rows(dist, train_sample, test_sample,
@@ -629,7 +629,7 @@ class TestMonteCarloCommands:
         assert outs[0] == outs[1]
 
 
-def query_distances(train_path, test_path, spec):
+def file_distances(train_path, test_path, spec):
     train, test = load_sample(train_path), load_sample(test_path)
     return distance_matrix(transform(test.values, test.grid, spec),
                            transform(train.values, train.grid, spec),
@@ -683,7 +683,7 @@ class TestBatchedPredictCi:
             kernel = KernelSpec.polynomial((1.0, -0.5))
             interval = (Tau0Model.fractal(2.0), 0.9)
             extra = ["--tau0", "fractal:2", "--level", "0.9"]
-        dist, train_sample, test_sample = query_distances(train, test, spec)
+        dist, train_sample, test_sample = file_distances(train, test, spec)
         # a few curves a ball, or most of them: k = 30 of 40 curves and h
         # at the 0.9 distance quantile
         bandwidth = {
