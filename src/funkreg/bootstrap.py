@@ -351,8 +351,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
             f"got k_min = {config.k_min}, k_max = {config.k_max}"
         )
-    # exact up to each query's largest radius in use and wherever else the
-    # screen marks an entry; inf elsewhere
+    # exact up to each query's largest radius in use, inf beyond it
     dist_qs = sample_distances(sample, spec, query_values,
                                k=max(k_g, config.k_max))
     pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]

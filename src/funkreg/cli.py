@@ -237,10 +237,15 @@ def _train_and_queries(args) -> tuple[FunctionalSample, FunctionalSample]:
                         args.split_seed)
 
 
-def _bandwidth_rule(args) -> tuple[int | None, float | None]:
-    """The (k, h) options, exactly one of them given."""
+def _bandwidth_rule(args, k_max: int) -> tuple[int | None, float | None]:
+    """The (k, h) options: exactly one of them given, an h positive and
+    finite, a k in [1, k_max]."""
     if (args.k is None) == (args.h is None):
         raise ValidationError("give exactly one of --k or --h")
+    if args.h is not None and not 0 < args.h < np.inf:
+        raise ValidationError("--h must be positive and finite")
+    if args.k is not None and not 1 <= args.k <= k_max:
+        raise ValidationError(f"--k must lie in [1, {k_max}]")
     return args.k, args.h
 
 
@@ -268,11 +273,7 @@ def _cmd_fit(args) -> int:
     kernel = parse_kernel(args.kernel)
     spec = _semi_metric(args)
     n = len(sample)
-    k, h = _bandwidth_rule(args)
-    if h is not None and not 0 < h < np.inf:
-        raise ValidationError("--h must be positive and finite")
-    if k is not None and not 1 <= k <= n - 1:
-        raise ValidationError(f"--k must lie in [1, {n - 1}]")
+    k, h = _bandwidth_rule(args, n - 1)
     preds, counts, radii = insample_fit(sample, kernel, spec, h=h, k=k)
     _write_tsv(args.out, {
         "index": range(n),
@@ -289,14 +290,10 @@ def _query_fit(args, train: FunctionalSample, queries: FunctionalSample,
                kernel: KernelSpec, spec: SemiMetricSpec):
     """The kernel weights and totals of each query at its radius, and the
     leading columns of predict and ci: the batched fit. The distances are
-    screened at the bandwidth rule: entries beyond each query's radius may
-    read inf."""
+    screened at the bandwidth rule: entries beyond each query's radius read
+    inf."""
     spec.check_grid(train.grid)
-    k, h = _bandwidth_rule(args)
-    if h is not None and not 0 < h < np.inf:
-        raise ValidationError("--h must be positive and finite")
-    if h is None and not 1 <= k <= len(train):
-        raise ValidationError(f"--k must lie in [1, {len(train)}]")
+    k, h = _bandwidth_rule(args, len(train))
     dist = sample_distances(train, spec, queries.values, k=k, h=h)
     if h is not None:
         radii = np.full(len(queries), float(h))

@@ -10,23 +10,25 @@ A sample is one (n, p) matrix; ``transform`` and ``distance_matrix`` work on
 whole matrices, the latter in row chunks so that its memory stays bounded.
 The rest of the package asks a sample for its distances under a
 ``SemiMetricSpec``: ``sample_distances`` for the (m, n) block to some query
-curves (or the (n, n) block), ``neighbour_rows`` for each sample point's
-sorted distances up to a radius. A sample transforms its own rows once per
-spec, on first use, and keeps them as a read-only (n, p) table per spec for
-as long as it lives (``_kept_rows``); each call then transforms only its
-query rows. A grid keeps its trapezoid weights the same way. ``transform``
-works row by row, so a row has the same bits alone as in any stack of rows.
+curves, ``neighbour_rows`` for each sample point's sorted distances up to a
+radius. A sample transforms its own rows once per spec, on first use, and
+keeps them as a read-only (n, p) table per spec for as long as it lives
+(``_kept_rows``); each call then transforms only its query rows. A grid
+keeps its trapezoid weights the same way. ``transform`` works row by row,
+so a row has the same bits alone as in any stack of rows, and
+``sample_distances(sample, spec, sample.values)`` is the (n, n) block.
 
 A kernel estimate reads only the curves inside its ball. Given the
-neighbour count k or the radius h that decides those balls, a query block
-is screened with one matrix product per row chunk, and only the entries
-that the screen cannot place beyond every radius in use are computed
-exactly, with ``distance_matrix``'s own reduction. The others read ``inf``:
+neighbour count k or the radius h that decides those balls, rows are
+screened with one matrix product per row chunk, and only the entries that
+the screen cannot place beyond every radius in use are computed exactly,
+with ``distance_matrix``'s own reduction, then sorted and cut at the row's
+radius (``_screened_rows``). That cut is the only one: ``neighbour_rows``
+keeps each sample point's sorted distances up to its own radius in a
+ragged layout (``NeighbourRows``), so no (n, n) array is formed, and a
+screened query block is the same rows scattered into an ``inf`` block, so
 every kNN radius up to k, every kernel weight and every ``d <= h`` count
-keeps the bits of the full block. The same screen, with a cutoff per row,
-gives the in-sample smoother its rows: ``neighbour_rows`` keeps each sample
-point's sorted distances up to its own radius in a ragged layout
-(``NeighbourRows``), so no (n, n) array is formed.
+keeps the bits of the full block.
 """
 
 from dataclasses import dataclass
@@ -348,38 +350,32 @@ def _check_rule(n: int, k: int | None, h: float | None) -> None:
 
 
 def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
-                     queries: np.ndarray | None = None, *,
-                     k: int | None = None,
+                     queries: np.ndarray, *, k: int | None = None,
                      h: float | None = None) -> np.ndarray:
-    """Semi-metric distances to the n sample curves.
+    """Semi-metric distances from query curves to the n sample curves.
 
-    With an (m, p) ``queries`` matrix, one curve per row on the sample grid,
-    returns the (m, n) distances from each query to each sample curve;
-    only the queries are transformed (``_kept_rows``). With
-    ``queries=None``, returns the (n, n) sample-by-sample distances, whose
-    diagonal is exactly zero.
+    ``queries`` is an (m, p) matrix, one curve per row on the sample grid;
+    returns the (m, n) distances from each query to each sample curve.
+    Only the queries are transformed (``_kept_rows``), row by row, so
+    ``sample_distances(sample, spec, sample.values)`` is the sample's own
+    (n, n) block, with an exact-zero diagonal.
 
     A query block may name the bandwidth rule its fit uses: a neighbour
-    count ``k`` or a global radius ``h``. The block is then screened
-    (``_screened_distances``): every kNN radius up to k, every kernel
-    weight at such a radius and every ``d <= h`` count keeps the full
-    block's bits, and an entry beyond the radius in use may read ``inf``.
+    count ``k`` or a global radius ``h``. The block is then the scatter of
+    the query rows' sorted, cut distances (``_screened_rows``) into an
+    ``inf`` block: exactly ``np.where(full <= radius, full, inf)`` with
+    ``radius`` each query's k-th smallest distance or h, so every kNN
+    radius up to k, every kernel weight at such a radius and every
+    ``d <= h`` count keeps the full block's bits.
 
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
         GridTooShort: if the grid is too short for the derivative order.
-        ValidationError: for both ``k`` and ``h``, either one without a
-            query block, a ``k`` outside [1, n] or an ``h`` that is not
-            positive and finite (NaN included).
+        ValidationError: for both ``k`` and ``h``, a ``k`` outside [1, n]
+            or an ``h`` that is not positive and finite (NaN included).
     """
     if k is not None and h is not None:
         raise ValidationError("give at most one of h or k")
-    weights = sample.grid.trapezoid_weights()
-    if queries is None:
-        if k is not None or h is not None:
-            raise ValidationError("k and h screen a query block")
-        rows = _kept_rows(sample, spec)
-        return distance_matrix(rows, rows, weights)
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != len(sample.grid):
         raise GridMismatch(
@@ -388,9 +384,16 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
     _check_rule(len(sample), k, h)
     cols = _kept_rows(sample, spec)
     queries = transform(queries, sample.grid, spec)
+    weights = sample.grid.trapezoid_weights()
     if k is None and h is None:
         return distance_matrix(queries, cols, weights)
-    return _screened_distances(queries, cols, weights, k=k, h=h)
+    m = queries.shape[0]
+    reach = None if h is None else np.full(m, float(h))
+    offsets, distances, columns, _ = _screened_rows(queries, cols, weights,
+                                                    k, reach)
+    out = np.full((m, cols.shape[0]), np.inf)
+    out[np.repeat(np.arange(m), np.diff(offsets)), columns] = distances
+    return out
 
 
 def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
@@ -430,8 +433,8 @@ def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
         reach = np.broadcast_to(np.asarray(reach, dtype=float), points.shape)
         if not (reach >= 0.0).all():
             raise ValidationError("reach must be nonnegative")
-    return _screened_rows(points, cols, sample.grid.trapezoid_weights(),
-                          k=k, reach=reach)
+    return NeighbourRows(n, points, *_screened_rows(
+        cols[points], cols, sample.grid.trapezoid_weights(), k, reach))
 
 
 def _root_weighted_squares(diff: np.ndarray,
@@ -477,13 +480,12 @@ def _exact_pairs(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
 
 def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
             k: int | None, reach: np.ndarray | None):
-    """An iterator over row chunks of ``distance_matrix(rows, cols,
-    weights)`` that yields, for each, ``(chunk, i, j, d)``: the entries that
-    may lie within their row's radius (the larger of ``reach`` and the k-th
-    smallest distance), at rows ``i`` of ``rows`` and columns ``j`` in
-    row-major order, and their exact distances ``d`` (``_exact_pairs``).
-    The centred and scaled copies of rows and cols are made before it is
-    returned, ahead of the caller's output.
+    """Yield, for each row chunk of ``distance_matrix(rows, cols,
+    weights)``, ``(chunk, i, j, d)``: the entries that may lie within their
+    row's radius (the larger of ``reach`` and the k-th smallest distance),
+    at rows ``i`` of ``rows`` and columns ``j`` in row-major order, and
+    their exact distances ``d`` (``_exact_pairs``). ``_screened_rows`` is
+    its one caller, and cuts each row at its radius.
 
     Screen. With c the column mean of ``cols`` and s = sqrt(weights), the
     rows a = (rows - c) s and b = (cols - c) s give G = |a|^2 + |b|^2 - 2 a.b,
@@ -535,71 +537,49 @@ def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
         norms_b = np.einsum("ij,ij->i", b, b)
         reach_sq = None if reach is None else np.square(reach)[:, None]
     margin = 1.0 + 4 * eps
-
-    def chunks():
-        for start in range(0, m, step):
-            chunk = slice(start, start + step)
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = a[chunk] @ b.T
-                g *= -2.0
-                g += norms_a[chunk, None]
-                g += norms_b
-                half = norms_a[chunk, None] + norms_b
-                half *= gamma
-                half += slack
-                if k is None:
-                    cutoff = reach_sq[chunk] * margin
-                else:
-                    hi = g + half
-                    hi.partition(k - 1, axis=1)
-                    cutoff = hi[:, k - 1:k] * margin
-                    del hi
-                    if reach is not None:
-                        cutoff = np.maximum(cutoff, reach_sq[chunk] * margin)
-                g -= half  # now the lower bound of each entry
-                refine = g <= cutoff
-                refine[~np.isfinite(g).all(axis=1)] = True
-            del g, half
-            i, j = np.nonzero(refine)
-            del refine
-            i += start
-            yield chunk, i, j, _exact_pairs(rows, cols, weights, i, j)
-
-    return chunks()
+    for start in range(0, m, step):
+        chunk = slice(start, start + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = a[chunk] @ b.T
+            g *= -2.0
+            g += norms_a[chunk, None]
+            g += norms_b
+            half = norms_a[chunk, None] + norms_b
+            half *= gamma
+            half += slack
+            if k is None:
+                cutoff = reach_sq[chunk] * margin
+            else:
+                hi = g + half
+                hi.partition(k - 1, axis=1)
+                cutoff = hi[:, k - 1:k] * margin
+                del hi
+                if reach is not None:
+                    cutoff = np.maximum(cutoff, reach_sq[chunk] * margin)
+            g -= half  # now the lower bound of each entry
+            refine = g <= cutoff
+            refine[~np.isfinite(g).all(axis=1)] = True
+        del g, half
+        i, j = np.nonzero(refine)
+        del refine
+        i += start
+        yield chunk, i, j, _exact_pairs(rows, cols, weights, i, j)
 
 
-def _screened_distances(rows: np.ndarray, cols: np.ndarray,
-                        weights: np.ndarray, k: int | None = None,
-                        h: float | None = None) -> np.ndarray:
-    """``distance_matrix(rows, cols, weights)`` exact where it decides a fit
-    at k neighbours or at radius h, strictly above that radius elsewhere.
-
-    Every entry ``_screen`` marks is computed by ``_root_weighted_squares``
-    from the unscaled rows, the reduction ``distance_matrix`` uses, so it
-    has the full block's bits. Every other entry reads ``inf``, strictly
-    above the row's k-th radius and above h.
-    """
-    reach = None if h is None else np.full(rows.shape[0], float(h))
-    chunks = _screen(rows, cols, weights, k, reach)
-    out = np.full((rows.shape[0], cols.shape[0]), np.inf)
-    for _, i, j, d in chunks:
-        out[i, j] = d
-    return out
-
-
-def _screened_rows(points: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-                   k: int | None, reach: np.ndarray | None) -> NeighbourRows:
-    """The rows of ``distance_matrix(cols[points], cols, weights)`` up to
-    each row's radius, sorted, as ``NeighbourRows``.
+def _screened_rows(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                   k: int | None, reach: np.ndarray | None):
+    """The rows of ``distance_matrix(rows, cols, weights)`` up to each
+    row's radius, sorted and laid end to end: the ``(offsets, distances,
+    columns, radii)`` of ``NeighbourRows``.
 
     A row's radius is its exact k-th smallest distance or its reach,
     whichever is larger. ``_screen`` marks a superset of the entries within
     it, which are computed by the exact reduction, then sorted by (row,
     distance, column). Every entry above its row's radius is dropped here,
     so each row is exactly the leading part of the row's stable sort,
-    whatever the screen's margin.
+    whatever the screen's margin. ``neighbour_rows`` and the screened
+    ``sample_distances`` both read their rows from here.
     """
-    rows = cols[points]
     lengths, distances, columns, limits = [], [], [], []
     for chunk, i, j, d in _screen(rows, cols, weights, k, reach):
         # the screen lists a row's entries in column order and lexsort is
@@ -619,10 +599,9 @@ def _screened_rows(points: np.ndarray, cols: np.ndarray, weights: np.ndarray,
         distances.append(d[keep])
         columns.append(j[keep])
         limits.append(limit)
-    offsets = np.zeros(points.size + 1, dtype=np.intp)
+    offsets = np.zeros(rows.shape[0] + 1, dtype=np.intp)
     np.cumsum(np.concatenate([np.zeros(0, dtype=np.intp), *lengths]),
               out=offsets[1:])
-    return NeighbourRows(
-        cols.shape[0], points, offsets, np.concatenate([np.empty(0), *distances]),
-        np.concatenate([np.zeros(0, dtype=np.intp), *columns]),
-        np.concatenate([np.empty(0), *limits]))
+    return (offsets, np.concatenate([np.empty(0), *distances]),
+            np.concatenate([np.zeros(0, dtype=np.intp), *columns]),
+            np.concatenate([np.empty(0), *limits]))

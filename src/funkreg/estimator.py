@@ -357,7 +357,8 @@ class InsampleSmoother:
     The self term bounds the denominator below by K(0), the kernel's
     maximum, so the rounding error of a prediction stays near
     eps * count * sum|c_p| / K(0) times max|y|. A query outside the sample
-    has no such bound, and is smoothed directly by ``nadaraya_watson``.
+    has no such bound, and is smoothed directly by
+    ``nadaraya_watson_batch``.
     """
 
     def __init__(self, neighbours, responses, kernel: KernelSpec):
@@ -608,15 +609,17 @@ def theoretical_bias_variance(phi_prime: float, sigma2: float, h: float,
 
     Raises:
         DegenerateConstants: when m1 <= 0.
-        ValidationError: for a negative sigma2, an h that is not positive
-            and finite, n < 1, f_of_h outside (0, 1] or a non-finite
+        ValidationError: for a sigma2 that is not nonnegative and finite,
+            an h that is not positive and finite, an n that is not an
+            integer or is below 1, f_of_h outside (0, 1] or a non-finite
             phi_prime (NaN included).
     """
     if constants.m1 <= 0.0:
         raise DegenerateConstants(f"m1 = {constants.m1} is not positive")
     # each check written so that NaN fails
-    if not sigma2 >= 0.0:
-        raise ValidationError("sigma2 must be nonnegative")
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValidationError("sigma2 must be nonnegative and finite")
+    require_integers(n=n)
     if not (0.0 < h < np.inf and n > 0 and 0.0 < f_of_h <= 1.0):
         raise ValidationError(
             "need finite h > 0, n > 0, and f_of_h in (0, 1]")

@@ -228,13 +228,23 @@ class KernelConstants:
         object.__setattr__(self, "m2", float(self.m2))
 
 
-def _fractal_power_integral(coefficients, gamma: float, extra_power: int) -> float:
-    """int_0^1 (sum_j c_j s^(j + extra_power)) * s^gamma ds, term by term."""
+def _fractal_power_integral(coefficients, gamma: float) -> float:
+    """int_0^1 (sum_j c_j s^j) * s^gamma ds, term by term."""
     return sum(
-        c / (j + extra_power + gamma + 1.0)
+        c / (j + gamma + 1.0)
         for j, c in enumerate(coefficients)
         if c != 0.0
     )
+
+
+def _integrand_coefficients(spec: KernelSpec):
+    """Ascending coefficients of (s K(s))', K'(s) and (K(s)^2)': their
+    integrals against tau0 over [0, 1] are K(1) - m0, K(1) - m1 and
+    K(1)^2 - m2."""
+    sq = spec.squared_coefficients()
+    return (tuple((j + 1) * cj for j, cj in enumerate(spec.coefficients)),
+            spec.derivative_coefficients(),
+            tuple(j * cj for j, cj in enumerate(sq))[1:] or (0.0,))
 
 
 @lru_cache
@@ -244,15 +254,8 @@ def _closed_form_fractal(c: tuple[float, ...], gamma: float) -> KernelConstants:
     tau0 model need not be hashable to use them."""
     spec = KernelSpec("polynomial", c)
     k1 = spec.k_at_one
-    # (s K(s))' has ascending coefficients (j + 1) c_j.
-    i0 = _fractal_power_integral(
-        tuple((j + 1) * cj for j, cj in enumerate(c)), gamma, 0
-    )
-    dc = spec.derivative_coefficients()
-    i1 = _fractal_power_integral(dc, gamma, 0)
-    sq = spec.squared_coefficients()
-    dsq = tuple(j * cj for j, cj in enumerate(sq))[1:] or (0.0,)
-    i2 = _fractal_power_integral(dsq, gamma, 0)
+    i0, i1, i2 = (_fractal_power_integral(coeffs, gamma)
+                  for coeffs in _integrand_coefficients(spec))
     return KernelConstants(m0=k1 - i0, m1=k1 - i1, m2=k1 * k1 - i2)
 
 
@@ -291,18 +294,12 @@ def constants_by_quadrature(spec: KernelSpec, tau0: Tau0Model,
     integrals against an a.e.-zero or a.e.-one factor.
     """
     k1 = spec.k_at_one
-    c = spec.coefficients
-    skc = tuple((j + 1) * cj for j, cj in enumerate(c))
-    dc = spec.derivative_coefficients()
-    sq = spec.squared_coefficients()
-    dsq = tuple(j * cj for j, cj in enumerate(sq))[1:] or (0.0,)
 
     def integrand(coeffs):
         return lambda s: float(_polyval(coeffs, s)) * tau0_eval(tau0, s)
 
-    i0 = _adaptive_simpson(integrand(skc), 0.0, 1.0, tol)
-    i1 = _adaptive_simpson(integrand(dc), 0.0, 1.0, tol)
-    i2 = _adaptive_simpson(integrand(dsq), 0.0, 1.0, tol)
+    i0, i1, i2 = (_adaptive_simpson(integrand(coeffs), 0.0, 1.0, tol)
+                  for coeffs in _integrand_coefficients(spec))
     return KernelConstants(m0=k1 - i0, m1=k1 - i1, m2=k1 * k1 - i2)
 
 

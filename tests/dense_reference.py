@@ -89,8 +89,8 @@ def prefix_sums(values):
 def dense_insample_fit(sample, kernel, spec, h=None, k=None):
     """(predictions, counts, radii) of ``bootstrap.insample_fit`` from the
     full matrix; ValidationError for a radius that is not positive."""
-    smoother = DenseSmoother(sample_distances(sample, spec), sample.responses,
-                             kernel)
+    smoother = DenseSmoother(sample_distances(sample, spec, sample.values),
+                             sample.responses, kernel)
     if h is not None:
         radii = np.full(len(sample), float(h))
     else:
@@ -118,7 +118,8 @@ def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None):
     k_g = config.pilot_k(n)
     ks = range(config.k_min, config.k_max + 1)
     n_k = len(ks)
-    smoother = DenseSmoother(sample_distances(sample, spec), y, kernel)
+    smoother = DenseSmoother(sample_distances(sample, spec, sample.values), y,
+                             kernel)
     dist_qs = sample_distances(sample, spec, curve_matrix(queries, sample.grid),
                                k=max(k_g, config.k_max))
     pilot_radii = smoother.knn_radii(k_g)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import funkreg.bootstrap
+import funkreg.estimator
 from funkreg import (
     BootstrapConfig,
     Curve,
@@ -750,11 +751,13 @@ class TestDenseReference:
         assert result.selected_k == want_k
 
     @settings(max_examples=100, deadline=None)
-    @given(bootstrap_cases(), st.data())
-    def test_insample_fit_keeps_the_bits_of_the_full_matrix(self, case, data):
+    @given(bootstrap_cases(), st.sampled_from([1, 1 << 6, 1 << 9, 1 << 20]),
+           st.data())
+    def test_insample_fit_keeps_the_bits_of_the_full_matrix(self, case, prefix,
+                                                            data):
         sample, _, kernel, spec, _ = case
         n = len(sample)
-        full = sample_distances(sample, spec)
+        full = sample_distances(sample, spec, sample.values)
         rule = data.draw(st.one_of(
             st.integers(1, n - 1).map(lambda k: {"k": k}),
             st.sampled_from(sorted(set(full[full > 0.0].tolist())) or [1.0])
@@ -764,7 +767,11 @@ class TestDenseReference:
             want = dense_insample_fit(sample, kernel, spec, **rule)
         except FunkregError:
             assume(False)  # a zero kNN radius
-        got = insample_fit(sample, kernel, spec, **rule)
+        with pytest.MonkeyPatch.context() as patch:
+            # prefix sums of one row a time, a few rows a time (rows hold
+            # up to 40 distances) or every row at once
+            patch.setattr(funkreg.estimator, "_PREFIX_ELEMENTS", prefix)
+            got = insample_fit(sample, kernel, spec, **rule)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 

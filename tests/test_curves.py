@@ -194,10 +194,11 @@ class TestTransformCache:
         sample_distances(sample, spec, rng.normal(size=(2, 9)))
         rows = curves._kept_rows(sample, spec)
         neighbour_rows(sample, spec, k=2)
-        sample_distances(sample, spec)
+        sample_distances(sample, spec, sample.values)
         # one table per spec, made by the first call; later calls read it
+        # and transform only their queries
         assert curves._kept_rows(sample, spec) is rows
-        assert [shape for shape, _ in calls] == [(4, 9), (2, 9)]
+        assert [shape for shape, _ in calls] == [(4, 9), (2, 9), (4, 9)]
         assert rows.tobytes() == transform(
             sample.values, sample.grid, spec).tobytes()
         weights = sample.grid.trapezoid_weights()
@@ -397,8 +398,9 @@ class TestPairwiseDistances:
 
 @st.composite
 def samples_and_queries(draw):
-    """A sample on a non-uniform grid, an optional (m, p) query block, and a
-    spec with any derivative order and a window of None, 3 or 5."""
+    """A sample on a non-uniform grid, an (m, p) query block or None for
+    the sample's own rows, and a spec with any derivative order and a
+    window of None, 3 or 5."""
     grid, values, _ = draw(curves_on_a_grid(max_p=30, max_m=5))
     p = len(grid)
     m = draw(st.integers(1, 4))
@@ -418,7 +420,8 @@ class TestSampleDistances:
         cols = transform(sample.values, sample.grid, spec)
         rows = cols if queries is None else transform(queries, sample.grid, spec)
         want = distance_matrix(rows, cols, sample.grid.trapezoid_weights())
-        got = sample_distances(sample, spec, queries)
+        got = sample_distances(
+            sample, spec, sample.values if queries is None else queries)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         if queries is None:
@@ -481,11 +484,11 @@ def assert_same_fit(full, screened, responses, radii):
                     else a == b)
 
 
-def assert_screened(full, screened, cutoff):
-    """Bit-equal at or below each row's cutoff, strictly above it elsewhere."""
-    inside = full <= cutoff
-    assert np.array_equal(screened[inside], full[inside])
-    assert np.all((screened > cutoff)[~inside])
+def assert_screened(full, screened, radius):
+    """The full block at or below each row's radius, inf above it, bit for
+    bit."""
+    assert screened.tobytes() == np.where(full <= radius, full,
+                                          np.inf).tobytes()
 
 
 class TestScreenedDistances:
@@ -538,8 +541,8 @@ class TestScreenedDistances:
         full = sample_distances(sample, spec, values[10:])
         assert np.all(np.isfinite(full))
         for k in (1, 10):
-            assert np.array_equal(
-                sample_distances(sample, spec, values[10:], k=k), full)
+            assert_screened(full, sample_distances(sample, spec, values[10:], k=k),
+                            knn_radii(full, k, k))
 
     def test_chunks_that_need_most_entries_keep_their_bits(self, monkeypatch):
         # one row a chunk. At h = 1.4 the query at the centre has all the
@@ -578,20 +581,20 @@ class TestScreenedDistances:
                        {"h": float("inf")}, {"k": 1, "h": 1.0}):
             with pytest.raises(ValidationError):
                 sample_distances(sample, spec, queries, **kwargs)
-        with pytest.raises(ValidationError):
-            sample_distances(sample, spec, k=1)
 
     def test_memory_is_bounded_by_the_chunk_budget(self, monkeypatch):
         budget = 1 << 15
         monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", budget)
         rng = np.random.default_rng(17)
         rows, cols = rng.normal(size=(100, 101)), rng.normal(size=(1000, 101))
-        weights = unit_grid(101).trapezoid_weights()
+        sample = FunctionalSample(unit_grid(101), cols, np.zeros(1000))
+        spec = SemiMetricSpec(0)
+        curves._kept_rows(sample, spec)
         # k = 20 marks about 20 pairs a row, h = 1e3 every pair
         for kwargs in ({"k": 20}, {"h": 1e3}):
             tracemalloc.start()
             try:
-                out = curves._screened_distances(rows, cols, weights, **kwargs)
+                out = sample_distances(sample, spec, rows, **kwargs)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -629,7 +632,7 @@ class TestNeighbourRows:
     def test_rows_are_the_leading_part_of_the_stable_sort(self, case, data):
         sample, _, spec = case
         n = len(sample)
-        full = sample_distances(sample, spec)
+        full = sample_distances(sample, spec, sample.values)
         points = np.array(data.draw(st.lists(st.integers(0, n - 1),
                                              min_size=1, max_size=n)))
         # a reach of one of the row's distances, a float either side of it,
@@ -649,15 +652,15 @@ class TestNeighbourRows:
         assert_cut_rows(full, rows, points, expected_radii(full, points, None, reach))
 
     def test_rows_do_not_rely_on_the_screen(self, monkeypatch):
-        # a screen that marks every entry: the rows are still cut exactly
-        # at their radii
+        # a screen that marks every entry: the rows, and the query blocks
+        # scattered from them, are still cut exactly at their radii
         rng = np.random.default_rng(5)
         values = rng.normal(size=(30, 21))
         values[20:] = values[:10] + 3.0  # shifted twins
         values[5] = values[4]  # a duplicate
         sample = FunctionalSample(unit_grid(21), values, np.zeros(30))
         spec = SemiMetricSpec(1)
-        full = sample_distances(sample, spec)
+        full = sample_distances(sample, spec, sample.values)
         points = np.array([4, 5, 0, 29, 4])
         reach = full[points, 7]
 
@@ -672,6 +675,14 @@ class TestNeighbourRows:
         for k, r in ((3, None), (3, reach), (None, reach), (30, reach)):
             rows = neighbour_rows(sample, spec, points, k=k, reach=r)
             assert_cut_rows(full, rows, points, expected_radii(full, points, k, r))
+        queries = values[points]
+        for k in (1, 3, 30):
+            assert_screened(full[points],
+                            sample_distances(sample, spec, queries, k=k),
+                            knn_radii(full[points], k, k))
+        for h in reach:
+            assert_screened(full[points],
+                            sample_distances(sample, spec, queries, h=h), h)
 
     def test_dense_rows_and_chunks_are_cut_exactly(self, monkeypatch):
         monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", 1 << 8)
@@ -679,7 +690,7 @@ class TestNeighbourRows:
         sample = FunctionalSample(unit_grid(21), rng.normal(size=(40, 21)),
                                   np.zeros(40))
         spec = SemiMetricSpec(0)
-        full = sample_distances(sample, spec)
+        full = sample_distances(sample, spec, sample.values)
         points = np.arange(40)
         # a reach past every distance in the first chunk only, then a k
         # that holds most of every row

@@ -567,10 +567,23 @@ class TestTheoreticalBiasVariance:
         (1.0, 1.0, 0.1, math.nan, "f_of_h in"),
         (math.nan, 1.0, 0.1, 0.5, "phi_prime must be finite"),
         (math.inf, 1.0, 0.1, 0.5, "phi_prime must be finite"),
+        (1.0, math.inf, 0.1, 0.5, "sigma2 must be nonnegative"),
     ])
     def test_bad_inputs(self, phi_prime, sigma2, h, f_of_h, message):
         with pytest.raises(ValidationError, match=message):
             theoretical_bias_variance(phi_prime, sigma2, h, 10, f_of_h,
+                                      KernelConstants(0.5, 1.0, 1.0))
+
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n must be an integer"),
+        (True, "n must be an integer"),
+        (np.float64(10.0), "n must be an integer"),
+        (0, "n > 0"),
+        (-3, "n > 0"),
+    ])
+    def test_bad_sample_sizes(self, n, message):
+        with pytest.raises(ValidationError, match=message):
+            theoretical_bias_variance(1.0, 1.0, 0.1, n, 0.5,
                                       KernelConstants(0.5, 1.0, 1.0))
 
 
