@@ -25,6 +25,7 @@ from .curves import (
     SemiMetricSpec,
     differentiate,
     pairwise_distances,
+    query_rows,
     sample_distances,
     semi_metric_distance,
 )
@@ -64,6 +65,7 @@ from .estimator import (
     knn_radii,
     nadaraya_watson,
     nadaraya_watson_batch,
+    nadaraya_watson_rows,
     plugin_variance,
     theoretical_bias_variance,
 )

@@ -14,17 +14,16 @@ bit-stable and independent of evaluation order.
 
 Cost: at query j only the points of its k_max-ball
 S_j = {i : d(query j, X_i) <= h_{j, k_max}} get a positive weight at any
-candidate radius, so only their residuals can move its score. The query
-block comes first: its distances are screened at max(k_g, k_max)
-neighbours (``curves.sample_distances``), and its radii define U, the
-union of S_1 .. S_J, at most J k_max points whatever n is, and the reach
-of each point of U: the largest h_{j, k_max} of a ball that holds it, or
-its own pilot radius. Only the rows of U are read, each up to its reach,
-from one screen of those rows against the sample
-(``curves.neighbour_rows``), and the in-sample smoother
-(``InsampleSmoother``) prefix-sums them: no (n, n) array is formed, and
-the rows cost O(|U| n p) for the screen plus the sort of the few entries
-each keeps. A query then refits and scores its s = |S_j| points alone
+candidate radius, so only their residuals can move its score. Each
+query's sorted distances up to its max(k_g, k_max)-th smallest
+(``curves.query_rows``) give its radii, its pilot fit and S_j. U, the
+union of S_1 .. S_J, holds at most J k_max points whatever n is, and the
+reach of each point of U is the largest h_{j, k_max} of a ball that holds
+it, or its own pilot radius. Only the rows of U are read, each up to its
+reach (``curves.neighbour_rows``), and the in-sample smoother
+(``InsampleSmoother``) prefix-sums them: no (m, n) or (n, n) array is
+formed, and the rows cost O(|U| n p) for the screen plus the sort of the
+few entries each keeps. A query then refits and scores its s = |S_j| points alone
 (s = k_max without ties): O(J K s (log s + deg)) for J queries and K
 candidates, and one (K x s) by (s x B) product per query. Each query is
 scored on its own ball alone, so its errors do not depend on which other
@@ -46,7 +45,7 @@ from .curves import (
     SemiMetricSpec,
     curve_matrix,
     neighbour_rows,
-    sample_distances,
+    query_rows,
 )
 from .errors import (
     DegenerateGrid,
@@ -57,7 +56,7 @@ from .errors import (
     ValidationError,
     require_integers,
 )
-from .estimator import InsampleSmoother, knn_radii, nadaraya_watson_batch
+from .estimator import InsampleSmoother, nadaraya_watson_rows
 from .kernels import KernelSpec, eval_kernel_array
 from .simulation import check_seed, replication_uniforms
 
@@ -251,7 +250,7 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
         rows = neighbour_rows(sample, spec, k=k + 1)
     smoother = InsampleSmoother(rows, sample.responses, kernel)
     if k is not None:
-        radii = smoother.knn_radii(k)
+        radii = smoother.neighbour_radii(k)
     preds, counts = smoother.fit(radii[:, None])
     return preds[:, 0], counts[:, 0], radii
 
@@ -351,43 +350,46 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
             f"got k_min = {config.k_min}, k_max = {config.k_max}"
         )
-    # exact up to each query's largest radius in use, inf beyond it
-    dist_qs = sample_distances(sample, spec, query_values,
-                               k=max(k_g, config.k_max))
-    pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]
-    radii = knn_radii(dist_qs, config.k_min, config.k_max)
-    # S_j = {i : d(query j, X_i) <= h_{j, k_max}} holds every point with a
-    # positive query weight at any candidate radius, ties included. Only
-    # the points of their union U are refit, each up to its reach: the
-    # largest h_{j, k_max} of a ball holding it, or its pilot radius.
-    in_support = dist_qs <= radii[:, -1:]
-    points = np.flatnonzero(in_support.any(axis=0))
-    reach = np.where(in_support, radii[:, -1:], 0.0).max(axis=0)[points]
+    # each query's sorted distances up to its largest radius in use
+    near = query_rows(sample, spec, query_values, k=max(k_g, config.k_max))
+    first = near.offsets[:-1]
+    pilot_radii_q = near.distances[first + k_g - 1]
+    radii = near.distances[first[:, None]
+                           + np.arange(config.k_min - 1, config.k_max)]
+    # S_j = {i : d(query j, X_i) <= h_{j, k_max}}, ties included, in
+    # sample order. Only the points of their union U are refit, each up to
+    # its reach: the largest h_{j, k_max} of a ball holding it, or its
+    # pilot radius.
+    query = np.repeat(np.arange(len(active)), np.diff(near.offsets))
+    ball = np.flatnonzero(near.distances <= radii[query, -1])
+    ball = ball[np.lexsort((near.columns[ball], query[ball]))]
+    query, dist_ball = query[ball], near.distances[ball]
+    points, ball = np.unique(near.columns[ball], return_inverse=True)
+    reach = np.zeros(points.size)
+    np.maximum.at(reach, ball, radii[query, -1])
     smoother = InsampleSmoother(
         neighbour_rows(sample, spec, points, k=k_g + 1, reach=reach),
         y, kernel)
 
-    pilot_radii = smoother.knn_radii(k_g)
+    pilot_radii = smoother.neighbour_radii(k_g)
     if np.any(pilot_radii <= 0.0) or np.any(pilot_radii_q <= 0.0):
         raise DegeneratePilot("pilot kNN radius is zero at some point or query")
     try:
         r_tilde = smoother.fit(pilot_radii[:, None])[0][:, 0]
-        r_tilde_q = nadaraya_watson_batch(dist_qs, y, kernel, pilot_radii_q)[0]
+        r_tilde_q = nadaraya_watson_rows(near, y, kernel, pilot_radii_q)[0][0]
     except EmptyNeighborhood as exc:
         raise DegeneratePilot(f"pilot fit failed: {exc}") from exc
 
     if np.any(radii <= 0.0):
         raise DegenerateGrid("bandwidths must be strictly positive")
     # Everything a support gathers is indexed by the rows of U, row r
-    # being point points[r]: the multipliers, the responses, and each
-    # query's ball mask and distances.
+    # being point points[r]; ball j starts at ball_start[j] in ``ball``.
     multipliers = np.ascontiguousarray(
         _multiplier_matrix(config.seed, config.n_replications, keys[points]).T
     )
-    in_ball = in_support[:, points]
-    dist_u = dist_qs[:, points]
     y_u = y[points]
-    support_sizes = in_ball.sum(axis=1)
+    support_sizes = np.bincount(query, minlength=len(active))
+    ball_start = np.cumsum(support_sizes) - support_sizes
     n_boot = config.n_replications
     errors = np.empty((len(active), n_k))
     # the queries whose k_max-balls hold s points, each ball in index order
@@ -397,10 +399,11 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
         for start in range(0, group.size, step):
             block = group[start:start + step]
             h = radii[block]  # (queries, k)
-            rows = np.nonzero(in_ball[block])[1].reshape(-1, s)
+            at = ball_start[block, None] + np.arange(s)
+            rows = ball[at]
             fits = smoother.fit(np.repeat(h, s, axis=0), rows.ravel())[0]
             resid = y_u[rows][..., None] - fits.reshape(*rows.shape, n_k)
-            d = dist_u[block[:, None], rows]
+            d = dist_ball[at]
             # A distance far above a tiny radius overflows to inf: weight 0.
             with np.errstate(over="ignore"):
                 u = d[..., None] / h[:, None, :]

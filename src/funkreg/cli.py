@@ -27,7 +27,7 @@ from .bootstrap import (
     bootstrap_error_curve,
     insample_fit,
 )
-from .curves import FunctionalSample, SemiMetricSpec, sample_distances
+from .curves import FunctionalSample, SemiMetricSpec, query_rows
 from .errors import (
     FunkregError,
     GridMismatch,
@@ -37,10 +37,8 @@ from .errors import (
 )
 from .estimator import (
     interval_half_widths,
-    kernel_weights,
-    knn_radii,
+    nadaraya_watson_rows,
     plugin_variance,
-    weighted_means,
 )
 from .io import _fmt, load_sample, save_sample, split_sample
 from .kernels import KernelSpec, Tau0Model, compute_constants
@@ -287,26 +285,20 @@ def _cmd_fit(args) -> int:
 
 
 def _query_fit(args, train: FunctionalSample, queries: FunctionalSample,
-               kernel: KernelSpec, spec: SemiMetricSpec):
-    """The kernel weights and totals of each query at its radius, and the
-    leading columns of predict and ci: the batched fit. The distances are
-    screened at the bandwidth rule: entries beyond each query's radius read
-    inf."""
+               kernel: KernelSpec, spec: SemiMetricSpec, moments: int = 1):
+    """The leading columns of predict and ci, and the (moments, m) means of
+    the responses' powers: the batched fit on each query's cut row."""
     spec.check_grid(train.grid)
     k, h = _bandwidth_rule(args, len(train))
-    dist = sample_distances(train, spec, queries.values, k=k, h=h)
-    if h is not None:
-        radii = np.full(len(queries), float(h))
-    else:
-        radii = knn_radii(dist, k, k)[:, 0]
-    weights, totals, counts = kernel_weights(dist, kernel, radii)
-    preds = weighted_means(weights, totals, train.responses)
-    return (weights, totals), {
+    rows = query_rows(train, spec, queries.values, k=k, h=h)
+    means, _, counts = nadaraya_watson_rows(rows, train.responses, kernel,
+                                            rows.radii, moments)
+    return means, {
         "index": range(len(queries)),
-        "prediction": preds,
+        "prediction": means[0],
         "f_hat": counts / len(train),
         "neighbors": counts,
-        "bandwidth": radii,
+        "bandwidth": rows.radii,
     }
 
 
@@ -325,11 +317,9 @@ def _cmd_ci(args) -> int:
     tau0 = parse_tau0(args.tau0)
     # the interval's own checks of level and kernel, before any distance
     interval_half_widths(np.empty(0), np.empty(0), kernel, tau0, args.level)
-    (weights, totals), columns = _query_fit(args, train, queries, kernel, spec)
+    means, columns = _query_fit(args, train, queries, kernel, spec, moments=2)
     preds, counts = columns["prediction"], columns["neighbors"]
-    y = train.responses
-    second = weighted_means(weights, totals, y * y)
-    sigma2 = plugin_variance(preds, second)
+    sigma2 = plugin_variance(preds, means[1])
     half = interval_half_widths(sigma2, counts, kernel, tau0, args.level)
     _write_tsv(args.out, {
         **columns,

@@ -3,17 +3,19 @@
 Curves are functions sampled on a shared strictly increasing grid. Distances
 between curves are computed as the square root of the trapezoid-quadrature
 integral of the squared difference of (optionally presmoothed) derivatives.
-Semi-metrics with derivative order >= 1 assign distance 0 to curves differing
-by a constant; that is intentional, not a defect.
+Semi-metrics with derivative order >= 1 assign distance zero, up to
+rounding (2e-14 at order 1 and 2e-12 at order 2 for a unit-scale curve on
+101 points), to curves differing by a constant; that is intentional.
 
 A sample is one (n, p) matrix; ``transform`` and ``distance_matrix`` work on
 whole matrices, the latter in row chunks so that its memory stays bounded.
 The rest of the package asks a sample for its distances under a
 ``SemiMetricSpec``: ``sample_distances`` for the (m, n) block to some query
-curves, ``neighbour_rows`` for each sample point's sorted distances up to a
-radius. A sample transforms its own rows once per spec, on first use, and
-keeps them as a read-only (n, p) table per spec for as long as it lives
-(``_kept_rows``); each call then transforms only its query rows. A grid
+curves, ``query_rows`` and ``neighbour_rows`` for each query's or sample
+point's sorted distances up to a radius. A sample transforms its own rows
+once per spec, on first use, and keeps them as a read-only (n, p) table
+per spec for as long as it lives (``_kept_rows``); each call then
+transforms only its query rows. A grid
 keeps its trapezoid weights the same way. ``transform`` works row by row,
 so a row has the same bits alone as in any stack of rows, and
 ``sample_distances(sample, spec, sample.values)`` is the (n, n) block.
@@ -23,12 +25,9 @@ neighbour count k or the radius h that decides those balls, rows are
 screened with one matrix product per row chunk, and only the entries that
 the screen cannot place beyond every radius in use are computed exactly,
 with ``distance_matrix``'s own reduction, then sorted and cut at the row's
-radius (``_screened_rows``). That cut is the only one: ``neighbour_rows``
-keeps each sample point's sorted distances up to its own radius in a
-ragged layout (``NeighbourRows``), so no (n, n) array is formed, and a
-screened query block is the same rows scattered into an ``inf`` block, so
-every kNN radius up to k, every kernel weight and every ``d <= h`` count
-keeps the bits of the full block.
+radius (``_screened_rows``), the only cut: both row calls keep them in a
+ragged layout (``NeighbourRows``), so no (m, n) or (n, n) array is formed
+and every kept entry has the bits of the full block.
 """
 
 from dataclasses import dataclass
@@ -301,16 +300,15 @@ def pairwise_distances(sample: FunctionalSample, query: Curve,
 
 @dataclass(frozen=True, eq=False)
 class NeighbourRows:
-    """Sorted distances from some sample points to the whole sample, each
+    """Sorted distances from some curves to a sample of ``n`` curves, each
     row cut at its own radius, laid end to end (compressed sparse rows).
 
-    Row r belongs to sample point ``points[r]`` of a sample of ``n``
-    curves. It holds, ascending with ties in sample order, every distance
-    from that point that is at most ``radii[r]``:
+    Row r belongs to ``points[r]``, a sample point (``neighbour_rows``) or
+    a query (``query_rows``). It holds, ascending with ties in sample
+    order, every distance from that curve that is at most ``radii[r]``:
     ``distances[offsets[r]:offsets[r + 1]]``, with their sample indices in
-    ``columns``. So a row is exactly the leading part of
-    the stable sort of the point's full row of distances, and it starts
-    with the point's exact-zero self-distance (or a tie with it).
+    ``columns``: exactly the leading part of the stable sort of the full
+    row. A sample point's row starts with its exact-zero self-distance.
     """
 
     n: int
@@ -319,9 +317,6 @@ class NeighbourRows:
     distances: np.ndarray
     columns: np.ndarray
     radii: np.ndarray
-
-    def __len__(self) -> int:
-        return self.points.size
 
 
 def _kept_rows(sample: FunctionalSample, spec: SemiMetricSpec) -> np.ndarray:
@@ -349,9 +344,20 @@ def _check_rule(n: int, k: int | None, h: float | None) -> None:
         raise ValidationError(f"bandwidth must be positive and finite, got {h}")
 
 
+def _query_and_sample_rows(sample: FunctionalSample, spec: SemiMetricSpec,
+                           queries) -> tuple[np.ndarray, np.ndarray]:
+    """An (m, p) query matrix and the sample's rows, transformed."""
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != len(sample.grid):
+        raise GridMismatch(
+            f"queries of shape {queries.shape} for a {len(sample.grid)}-point grid"
+        )
+    cols = _kept_rows(sample, spec)
+    return transform(queries, sample.grid, spec), cols
+
+
 def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
-                     queries: np.ndarray, *, k: int | None = None,
-                     h: float | None = None) -> np.ndarray:
+                     queries: np.ndarray) -> np.ndarray:
     """Semi-metric distances from query curves to the n sample curves.
 
     ``queries`` is an (m, p) matrix, one curve per row on the sample grid;
@@ -360,40 +366,34 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
     ``sample_distances(sample, spec, sample.values)`` is the sample's own
     (n, n) block, with an exact-zero diagonal.
 
-    A query block may name the bandwidth rule its fit uses: a neighbour
-    count ``k`` or a global radius ``h``. The block is then the scatter of
-    the query rows' sorted, cut distances (``_screened_rows``) into an
-    ``inf`` block: exactly ``np.where(full <= radius, full, inf)`` with
-    ``radius`` each query's k-th smallest distance or h, so every kNN
-    radius up to k, every kernel weight at such a radius and every
-    ``d <= h`` count keeps the full block's bits.
+    Raises:
+        GridMismatch: if the query rows do not have one value per grid point.
+        GridTooShort: if the grid is too short for the derivative order.
+    """
+    return distance_matrix(*_query_and_sample_rows(sample, spec, queries),
+                           sample.grid.trapezoid_weights())
+
+
+def query_rows(sample: FunctionalSample, spec: SemiMetricSpec, queries, *,
+               k: int | None = None, h: float | None = None) -> NeighbourRows:
+    """The rows of ``sample_distances(sample, spec, queries)``, each cut
+    at its radius, its k-th smallest distance or ``h``, without forming
+    the block (``_screened_rows``): row j belongs to query j.
 
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
         GridTooShort: if the grid is too short for the derivative order.
-        ValidationError: for both ``k`` and ``h``, a ``k`` outside [1, n]
-            or an ``h`` that is not positive and finite (NaN included).
+        ValidationError: unless given either a ``k`` in [1, n] or a
+            positive, finite ``h``.
     """
-    if k is not None and h is not None:
-        raise ValidationError("give at most one of h or k")
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2 or queries.shape[1] != len(sample.grid):
-        raise GridMismatch(
-            f"queries of shape {queries.shape} for a {len(sample.grid)}-point grid"
-        )
+    if (k is None) == (h is None):
+        raise ValidationError("give exactly one of h or k")
     _check_rule(len(sample), k, h)
-    cols = _kept_rows(sample, spec)
-    queries = transform(queries, sample.grid, spec)
-    weights = sample.grid.trapezoid_weights()
-    if k is None and h is None:
-        return distance_matrix(queries, cols, weights)
-    m = queries.shape[0]
+    rows, cols = _query_and_sample_rows(sample, spec, queries)
+    m = rows.shape[0]
     reach = None if h is None else np.full(m, float(h))
-    offsets, distances, columns, _ = _screened_rows(queries, cols, weights,
-                                                    k, reach)
-    out = np.full((m, cols.shape[0]), np.inf)
-    out[np.repeat(np.arange(m), np.diff(offsets)), columns] = distances
-    return out
+    return NeighbourRows(len(sample), np.arange(m), *_screened_rows(
+        rows, cols, sample.grid.trapezoid_weights(), k, reach))
 
 
 def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
@@ -577,8 +577,8 @@ def _screened_rows(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     it, which are computed by the exact reduction, then sorted by (row,
     distance, column). Every entry above its row's radius is dropped here,
     so each row is exactly the leading part of the row's stable sort,
-    whatever the screen's margin. ``neighbour_rows`` and the screened
-    ``sample_distances`` both read their rows from here.
+    whatever the screen's margin. ``neighbour_rows`` and ``query_rows``
+    both read their rows from here.
     """
     lengths, distances, columns, limits = [], [], [], []
     for chunk, i, j, d in _screen(rows, cols, weights, k, reach):

@@ -1,12 +1,12 @@
 """Functional Nadaraya-Watson estimation at a fixed query.
 
-All operations here work on the vector of semi-metric distances from the
-sample curves to a query, or on an (m, n) block of such rows for m queries
-at once, which decouples them from how curves are represented. The
-estimate decomposes as a ratio of a response-weighted and an unweighted
-kernel sum, both normalized by n * F_hat(h) where F_hat is the empirical
-small-ball fraction; the prediction itself is invariant to that
-normalizer.
+All operations here work on the semi-metric distances from the sample
+curves to a query (a vector, an (m, n) block for m queries, or each
+query's row cut at its radius), which decouples them from how curves are
+represented. The estimate decomposes as a ratio of a response-weighted and
+an unweighted kernel sum, both normalized by n * F_hat(h) where F_hat is
+the empirical small-ball fraction; the prediction itself is invariant to
+that normalizer.
 """
 
 from dataclasses import dataclass
@@ -177,85 +177,89 @@ def empirical_tau(distances, h: float, s: float) -> float:
     return empirical_sdf(distances, h * s) / denom
 
 
-def kernel_weights(distances, kernel: KernelSpec,
-                   radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel weights of m queries at once, for any number of responses.
+def nadaraya_watson_rows(rows, responses, kernel: KernelSpec, radii,
+                         moments: int = 1
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel-weighted means of the responses at m queries, from rows of
+    distances laid end to end as in ``curves.NeighbourRows`` (``n``,
+    ``offsets``, ``distances``, ``columns``), such as ``curves.query_rows``.
+
+    Row j, in any order, must hold every distance from query j at or
+    below ``radii[j]``; entries above it are dropped. The kernel weighs
+    the kept entries only, and each row's sums add its entries one after
+    another in sample order, so a row's fit has the same bits whichever
+    call cut the row, in any batch.
 
     Args:
-        distances: (m, n) block; row j holds the semi-metric distances from
-            the n sample curves to query j.
-        kernel: weighting kernel, evaluated at distance / radius.
-        radii: (m,) bandwidths, one per query, strictly positive.
+        responses: (n,), shared by every query, or (m, n), a row per query.
+        radii: (m,) bandwidths, strictly positive.
+        moments: how many powers of the responses to average.
 
     Returns:
-        The (m, n) weights K(d_ji / h_j), the per-query kernel totals
-        sum_i K(d_ji / h_j) and neighbor counts #{i : d_ji <= h_j}.
+        The (moments, m) means sum_i K(d_ji / h_j) y_i^p / sum_i K(d_ji / h_j)
+        for p = 1 .. moments, the (m,) kernel totals and neighbor counts.
 
     Raises:
         ValidationError: for mismatched shapes or a radius that is not
             positive.
         EmptyNeighborhood: naming the first query with no positive weight.
     """
-    d = np.asarray(distances, dtype=float)
+    h, y = _fit_inputs(len(rows.offsets) - 1, rows.n, radii, responses)
+    row = np.repeat(np.arange(h.size), np.diff(rows.offsets))
+    keep = np.flatnonzero(rows.distances <= h[row])
+    keep = keep[np.argsort(row[keep] * rows.n + rows.columns[keep],
+                           kind="stable")]
+    return _row_sums(kernel, h, y, row[keep], rows.distances[keep],
+                     rows.columns[keep], moments)
+
+
+def _fit_inputs(m: int, n: int, radii, responses):
+    """Validated (m,) radii and (n,) or (m, n) responses."""
     h = np.asarray(radii, dtype=float)
-    if d.ndim != 2 or h.shape != d.shape[:1]:
-        raise ValidationError("need (m, n) distances and (m,) radii")
+    if h.shape != (m,):
+        raise ValidationError(f"need {m} radii, one per query")
     if not (h > 0.0).all():
         bad = np.flatnonzero(~(h > 0.0))[0]
         raise ValidationError(f"bandwidth must be positive, got {h[bad]}")
-    column = h[:, None]
-    # A distance far above a tiny radius overflows to inf, which the kernel
-    # maps to weight 0, as it does any ratio beyond 1.
-    with np.errstate(over="ignore"):
-        u = d / column
-    w = eval_kernel_array(kernel, u)
-    totals = w.sum(axis=1)
+    y = np.asarray(responses, dtype=float)
+    if y.shape not in ((n,), (m, n)):
+        raise ValidationError(f"need (n,) or (m, n) responses, n = {n}")
+    return h, y
+
+
+def _row_sums(kernel: KernelSpec, h, y, row, d, columns, moments: int):
+    """The query-side fit on entries d[e] <= h[row[e]] at sample curves
+    columns[e], listed row by row in sample order, summed in that order."""
+    w = eval_kernel_array(kernel, d / h[row])
+    totals = np.bincount(row, w, minlength=h.size)
     if (totals <= 0.0).any():
         bad = np.flatnonzero(totals <= 0.0)[0]
         raise EmptyNeighborhood(
             f"no positive kernel weight within radius {h[bad]} at query {bad}"
         )
-    return w, totals, (d <= column).sum(axis=1)
-
-
-def weighted_means(weights, totals, responses) -> np.ndarray:
-    """Per-query kernel-weighted means of (n,) responses shared by every
-    query, or (m, n) with one row per query, from ``kernel_weights``.
-
-    One dot product per row, a stack of (1, n) @ (n, 1) products: each row
-    rounds as np.dot does, whatever the batch (a gemv's rounding depends on
-    the block height), so moments fitted from one set of weights keep the
-    bits of separate fits.
-    """
-    y = np.asarray(responses, dtype=float)
-    if y.shape not in (weights.shape[1:], weights.shape):
-        raise ValidationError("need (n,) or (m, n) responses for (m, n) weights")
-    return np.matmul(weights[:, None, :], y[..., None])[:, 0, 0] / totals
+    y = y[columns] if y.ndim == 1 else y[row, columns]
+    means = [np.bincount(row, w * _powers(y, p), minlength=h.size)
+             for p in range(1, moments + 1)]
+    return np.array(means) / totals, totals, np.bincount(row, minlength=h.size)
 
 
 def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
                           radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel-weighted means of the responses at m queries at once.
-
-    Args:
-        distances: (m, n) block; row j holds the semi-metric distances from
-            the n sample curves to query j.
-        responses: (n,) responses shared by every query, or (m, n) with one
-            row of responses per query.
-        kernel: weighting kernel, evaluated at distance / radius.
-        radii: (m,) bandwidths, one per query, strictly positive.
-
-    Returns:
-        Per-query predictions, kernel totals sum_i K(d_ji / h_j), and
-        neighbor counts #{i : d_ji <= h_j}, each of shape (m,).
-
-    Raises:
-        ValidationError: for mismatched shapes or a radius that is not
-            positive.
-        EmptyNeighborhood: naming the first query with no positive weight.
+    """Kernel-weighted means of the responses at m queries at once, from
+    an (m, n) block whose row j holds the distances from the n sample
+    curves to query j: ``nadaraya_watson_rows`` (arguments, errors) on the
+    block's entries at or below each row's radius, which ``np.nonzero``
+    lists in sample order. Returns the (m,) predictions, kernel totals and
+    neighbor counts.
     """
-    w, totals, counts = kernel_weights(distances, kernel, radii)
-    return weighted_means(w, totals, responses), totals, counts
+    d = np.asarray(distances, dtype=float)
+    if d.ndim != 2:
+        raise ValidationError("need (m, n) distances and (m,) radii")
+    h, y = _fit_inputs(*d.shape, radii, responses)
+    row, columns = np.nonzero(d <= h[:, None])
+    means, totals, counts = _row_sums(kernel, h, y, row, d[row, columns],
+                                      columns, 1)
+    return means[0], totals, counts
 
 
 def nadaraya_watson(distances, responses, kernel: KernelSpec,
@@ -358,7 +362,7 @@ class InsampleSmoother:
     maximum, so the rounding error of a prediction stays near
     eps * count * sum|c_p| / K(0) times max|y|. A query outside the sample
     has no such bound, and is smoothed directly by
-    ``nadaraya_watson_batch``.
+    ``nadaraya_watson_rows``.
     """
 
     def __init__(self, neighbours, responses, kernel: KernelSpec):
@@ -421,7 +425,7 @@ class InsampleSmoother:
     def __len__(self) -> int:
         return self.points.size
 
-    def knn_radii(self, k: int) -> np.ndarray:
+    def neighbour_radii(self, k: int) -> np.ndarray:
         """Each row's k-th smallest distance, its own point excluded.
 
         Each row's smallest entry is its exact-zero self-distance, so
@@ -521,17 +525,17 @@ def estimate_sigma2(distances, responses, kernel: KernelSpec,
                     h: float) -> float:
     """Plug-in conditional variance: E(Y^2 | ball) - E(Y | ball)^2.
 
-    Both conditional expectations are weighted means over one set of
-    ``kernel_weights``; the difference is clamped at zero
+    Both conditional expectations are weighted means over the same kernel
+    weights, rows of one batched fit; the difference is clamped at zero
     (``plugin_variance``).
     """
     d = np.asarray(distances, dtype=float).reshape(1, -1)
     y = np.asarray(responses, dtype=float).reshape(-1)
     if d.shape[1:] != y.shape:
         raise ValidationError("distances and responses must have equal length")
-    w, totals, _ = kernel_weights(d, kernel, [h])
-    first = weighted_means(w, totals, y)
-    return float(plugin_variance(first, weighted_means(w, totals, y * y))[0])
+    means = nadaraya_watson_batch(np.vstack([d, d]), np.vstack([y, y * y]),
+                                  kernel, [h, h])[0]
+    return float(plugin_variance(means[0], means[1]))
 
 
 def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,

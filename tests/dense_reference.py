@@ -120,8 +120,7 @@ def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None):
     n_k = len(ks)
     smoother = DenseSmoother(sample_distances(sample, spec, sample.values), y,
                              kernel)
-    dist_qs = sample_distances(sample, spec, curve_matrix(queries, sample.grid),
-                               k=max(k_g, config.k_max))
+    dist_qs = sample_distances(sample, spec, curve_matrix(queries, sample.grid))
     pilot_radii = smoother.knn_radii(k_g)
     pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]
     if np.any(pilot_radii <= 0.0) or np.any(pilot_radii_q <= 0.0):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import funkreg.bootstrap
+import funkreg.cli
 import funkreg.estimator
 from funkreg import (
     BootstrapConfig,
@@ -23,6 +24,7 @@ from funkreg import (
     SamplingGrid,
     SemiMetricSpec,
     SimulationConfig,
+    Tau0Model,
     TooFewPoints,
     ValidationError,
     WildBootstrapResult,
@@ -30,9 +32,11 @@ from funkreg import (
     bootstrap_error_curve,
     draw_wild_residual,
     generate_functional_sample,
+    interval_half_widths,
     knn_bandwidths,
     nadaraya_watson,
     residuals,
+    save_sample,
     select_bandwidth,
 )
 from funkreg.bootstrap import (
@@ -605,7 +609,7 @@ class TestBootstrapErrorCurve:
         def no_distances(*args, **kwargs):
             raise AssertionError("distances computed before the k_max check")
 
-        for name in ("sample_distances", "neighbour_rows"):
+        for name in ("query_rows", "neighbour_rows"):
             monkeypatch.setattr(funkreg.bootstrap, name, no_distances)
         with pytest.raises(TooFewPoints, match="k_max <= n - 1 with n = 10"):
             bootstrap_error_curve(sample, [Curve(grid, np.zeros(11))],
@@ -814,4 +818,30 @@ class TestDenseReference:
         # the (n, n) matrix alone would be 800 MB, and its sort and prefix
         # sums several times that
         assert peak < 1 << 30
+        assert peak < 100 * 2**20
+
+    def test_ci_at_ten_thousand_queries_and_curves_stays_small(self, tmp_path):
+        # ci's steps as the command runs them, from its files: the (m, n)
+        # query block alone would be 800 MB
+        train, test = generate_functional_sample(SimulationConfig(
+            n_train=10_000, n_test=10_000, grid_size=101, seed=9))
+        save_sample(train, tmp_path / "train.csv")
+        save_sample(test, tmp_path / "test.csv")
+        out = tmp_path / "ci.tsv"
+        # the interval's first use imports scipy.stats, about 40 MB of
+        # modules that stay loaded; that is not the query side's memory
+        interval_half_widths([1.0], [1], KernelSpec.uniform(),
+                             Tau0Model.fractal(1.0), 0.95)
+        tracemalloc.start()
+        try:
+            code = funkreg.cli.main([
+                "ci", "--train", str(tmp_path / "train.csv"),
+                "--test", str(tmp_path / "test.csv"), "--k", "20",
+                "--deriv-order", "1", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        neighbours = np.loadtxt(out, delimiter="\t", skiprows=1, usecols=3)
+        assert neighbours.shape == (10_000,) and np.all(neighbours >= 20)
         assert peak < 100 * 2**20

@@ -24,10 +24,11 @@ from funkreg.curves import (
     curve_matrix,
     distance_matrix,
     neighbour_rows,
+    query_rows,
     transform,
 )
 from funkreg.errors import FunkregError
-from funkreg.estimator import knn_radii, nadaraya_watson_batch
+from funkreg.estimator import nadaraya_watson_batch, nadaraya_watson_rows
 from funkreg.io import split_sample
 from funkreg.kernels import KernelSpec
 from funkreg.simulation import SimulationConfig, generate_functional_sample
@@ -466,57 +467,63 @@ def screened_cases(draw):
     return sample, curves_[n:], spec
 
 
-def fit_outcome(distances, responses, kernel, radii):
-    """The batched fit's outputs, or the error it raises."""
+#: kernels of degree 0 to 3, two of them zero at the edge of the ball
+FIT_KERNELS = (KernelSpec.uniform(), KernelSpec.quadratic(),
+               KernelSpec.triangle(), KernelSpec.polynomial((1.0, 0.0, 0.0, -0.5)))
+
+
+def fit_outcome(fit, *args):
+    """A fit's outputs, or the error it raises."""
     try:
-        return nadaraya_watson_batch(distances, responses, kernel, radii)
+        return fit(*args)
     except FunkregError as exc:
         return type(exc), str(exc)
 
 
-def assert_same_fit(full, screened, responses, radii):
-    for kernel in (KernelSpec.uniform(), KernelSpec.quadratic()):
-        want = fit_outcome(full, responses, kernel, radii)
-        got = fit_outcome(screened, responses, kernel, radii)
+def assert_same_fit(full, rows, responses, radii):
+    """The row fit on the cut rows, at radii up to theirs, against the
+    batched fit on the full block: the same outputs or the same error, bit
+    for bit."""
+    for kernel in FIT_KERNELS:
+        want = fit_outcome(nadaraya_watson_batch, full, responses, kernel, radii)
+        got = fit_outcome(nadaraya_watson_rows, rows, responses, kernel, radii)
+        if isinstance(got[0], np.ndarray):
+            got = (got[0][0], *got[1:])
         assert len(want) == len(got)
         for a, b in zip(want, got):
-            assert (np.array_equal(a, b) if isinstance(a, np.ndarray)
+            assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
                     else a == b)
 
 
-def assert_screened(full, screened, radius):
-    """The full block at or below each row's radius, inf above it, bit for
-    bit."""
-    assert screened.tobytes() == np.where(full <= radius, full,
-                                          np.inf).tobytes()
-
-
 class TestScreenedDistances:
+    """``query_rows``: each query's distances up to its radius, cut from
+    the screened entries, against the full block."""
+
     @settings(max_examples=150, deadline=None)
     @given(screened_cases())
     def test_every_radius_count_and_fit_keeps_its_bits(self, case):
         sample, queries, spec = case
-        n, y = len(sample), sample.responses
+        n, m, y = len(sample), len(queries), sample.responses
         full = sample_distances(sample, spec, queries)
+        every = np.arange(m)
         for k in range(1, n + 1):
-            screened = sample_distances(sample, spec, queries, k=k)
-            radii = knn_radii(full, 1, k)
-            assert np.array_equal(knn_radii(screened, 1, k), radii)
-            assert_screened(full, screened, radii[:, -1:])
-            for r in radii.T:
-                assert np.array_equal((screened <= r[:, None]).sum(axis=1),
-                                      (full <= r[:, None]).sum(axis=1))
-            assert_same_fit(full, screened, y, radii[:, -1])
+            rows = query_rows(sample, spec, queries, k=k)
+            radii = np.sort(full, axis=1)[:, :k]
+            assert_cut_rows(full, rows, every, radii[:, -1])
+            # every kNN radius up to k is a position in the sorted row
+            first = rows.offsets[:-1]
+            assert np.array_equal(rows.distances[first[:, None] + np.arange(k)],
+                                  radii)
+            for r in (radii[:, 0], radii[:, -1]):
+                assert_same_fit(full, rows, y, r)
         # every existing distance, a float either side of it, and beyond
         values = np.unique(full[full > 0.0])
         hs = np.concatenate([values, np.nextafter(values, 0.0),
                              np.nextafter(values, np.inf), [1e300]])
         for h in hs:
-            screened = sample_distances(sample, spec, queries, h=float(h))
-            assert_screened(full, screened, h)
-            assert np.array_equal((screened <= h).sum(axis=1),
-                                  (full <= h).sum(axis=1))
-            assert_same_fit(full, screened, y, np.full(len(queries), h))
+            rows = query_rows(sample, spec, queries, h=float(h))
+            assert_cut_rows(full, rows, every, np.full(m, h))
+            assert_same_fit(full, rows, y, np.full(m, h))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 60),
@@ -541,8 +548,8 @@ class TestScreenedDistances:
         full = sample_distances(sample, spec, values[10:])
         assert np.all(np.isfinite(full))
         for k in (1, 10):
-            assert_screened(full, sample_distances(sample, spec, values[10:], k=k),
-                            knn_radii(full, k, k))
+            assert_cut_rows(full, query_rows(sample, spec, values[10:], k=k),
+                            np.arange(1), np.sort(full, axis=1)[:, k - 1])
 
     def test_chunks_that_need_most_entries_keep_their_bits(self, monkeypatch):
         # one row a chunk. At h = 1.4 the query at the centre has all the
@@ -556,10 +563,9 @@ class TestScreenedDistances:
                              np.full(21, 100.0)])
         spec = SemiMetricSpec(0)
         full = sample_distances(sample, spec, queries)
-        screened = sample_distances(sample, spec, queries, h=1.4)
-        assert_screened(full, screened, 1.4)
-        assert np.array_equal(screened[0], full[0])
-        assert np.all(screened[2] == np.inf)
+        rows = query_rows(sample, spec, queries, h=1.4)
+        assert_cut_rows(full, rows, np.arange(3), np.full(3, 1.4))
+        assert np.diff(rows.offsets).tolist()[::2] == [50, 0]
 
     def test_k_near_n_keeps_the_bits_of_the_full_block(self):
         rng = np.random.default_rng(4)
@@ -568,19 +574,23 @@ class TestScreenedDistances:
         queries = rng.normal(size=(3, 21))
         spec = SemiMetricSpec(1)
         full = sample_distances(sample, spec, queries)
-        assert_screened(full, sample_distances(sample, spec, queries, k=13),
-                        knn_radii(full, 13, 13))
-        assert np.array_equal(sample_distances(sample, spec, queries, k=20),
-                              full)
-        assert np.isinf(sample_distances(sample, spec, queries, k=2)).any()
+        for k in (2, 13, 20):
+            rows = query_rows(sample, spec, queries, k=k)
+            assert_cut_rows(full, rows, np.arange(3),
+                            np.sort(full, axis=1)[:, k - 1])
+        # k = n holds each whole row
+        assert rows.distances.tobytes() == np.sort(full, axis=1).tobytes()
 
     def test_bad_rules(self):
         sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
         spec, queries = SemiMetricSpec(1), np.zeros((2, 11))
-        for kwargs in ({"k": 0}, {"k": 4}, {"h": 0.0}, {"h": float("nan")},
-                       {"h": float("inf")}, {"k": 1, "h": 1.0}):
+        for kwargs in ({}, {"k": 0}, {"k": 4}, {"k": 2.5}, {"h": 0.0},
+                       {"h": float("nan")}, {"h": float("inf")},
+                       {"k": 1, "h": 1.0}):
             with pytest.raises(ValidationError):
-                sample_distances(sample, spec, queries, **kwargs)
+                query_rows(sample, spec, queries, **kwargs)
+        with pytest.raises(GridMismatch):
+            query_rows(sample, spec, np.zeros((2, 10)), k=1)
 
     def test_memory_is_bounded_by_the_chunk_budget(self, monkeypatch):
         budget = 1 << 15
@@ -594,14 +604,16 @@ class TestScreenedDistances:
         for kwargs in ({"k": 20}, {"h": 1e3}):
             tracemalloc.start()
             try:
-                out = sample_distances(sample, spec, rows, **kwargs)
+                out = query_rows(sample, spec, rows, **kwargs)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            # the output, the centred and scaled copies of rows and cols,
-            # a chunk's work arrays and its pair indices
+            # the kept entries twice (a chunk's pieces, then joined), the
+            # centred and scaled copies of rows and cols, a chunk's work
+            # arrays and its pair indices
+            kept = out.distances.nbytes + out.columns.nbytes
             copies = (rows.nbytes + cols.nbytes)
-            assert peak < out.nbytes + 1.25 * copies + 16 * 8 * budget
+            assert peak < 2 * kept + 1.25 * copies + 16 * 8 * budget
 
 
 def assert_cut_rows(full, rows, points, radii):
@@ -652,8 +664,8 @@ class TestNeighbourRows:
         assert_cut_rows(full, rows, points, expected_radii(full, points, None, reach))
 
     def test_rows_do_not_rely_on_the_screen(self, monkeypatch):
-        # a screen that marks every entry: the rows, and the query blocks
-        # scattered from them, are still cut exactly at their radii
+        # a screen that marks every entry: the rows of sample points and of
+        # queries are still cut exactly at their radii
         rng = np.random.default_rng(5)
         values = rng.normal(size=(30, 21))
         values[20:] = values[:10] + 3.0  # shifted twins
@@ -675,14 +687,13 @@ class TestNeighbourRows:
         for k, r in ((3, None), (3, reach), (None, reach), (30, reach)):
             rows = neighbour_rows(sample, spec, points, k=k, reach=r)
             assert_cut_rows(full, rows, points, expected_radii(full, points, k, r))
-        queries = values[points]
+        queries, every = values[points], np.arange(points.size)
         for k in (1, 3, 30):
-            assert_screened(full[points],
-                            sample_distances(sample, spec, queries, k=k),
-                            knn_radii(full[points], k, k))
+            assert_cut_rows(full[points], query_rows(sample, spec, queries, k=k),
+                            every, np.sort(full[points], axis=1)[:, k - 1])
         for h in reach:
-            assert_screened(full[points],
-                            sample_distances(sample, spec, queries, h=h), h)
+            assert_cut_rows(full[points], query_rows(sample, spec, queries, h=h),
+                            every, np.full(points.size, h))
 
     def test_dense_rows_and_chunks_are_cut_exactly(self, monkeypatch):
         monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", 1 << 8)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,13 +32,22 @@ from funkreg import (
     nadaraya_watson,
     theoretical_bias_variance,
 )
-from funkreg.curves import distance_matrix
+from funkreg.curves import (
+    FunctionalSample,
+    NeighbourRows,
+    SamplingGrid,
+    SemiMetricSpec,
+    distance_matrix,
+    query_rows,
+    sample_distances,
+)
 from funkreg.estimator import (
     _normal_quantile,
     _powers,
     interval_half_widths,
     knn_radii,
     nadaraya_watson_batch,
+    nadaraya_watson_rows,
 )
 from funkreg.kernels import eval_kernel_array
 
@@ -192,7 +202,7 @@ class TestInsampleSmoother:
         kernel = SMOOTHER_KERNELS[kernel_name]
         smoother = InsampleSmoother(neighbours_from_dense(d), y, kernel)
         if mode == "knn":
-            radii = smoother.knn_radii(k)[:, None]
+            radii = smoother.neighbour_radii(k)[:, None]
             # the old rule: sort, drop one leading exact zero, take the k-th
             expected = [np.sort(row)[1:][k - 1] for row in d]
             np.testing.assert_array_equal(radii[:, 0], expected)
@@ -264,7 +274,7 @@ class TestInsampleSmoother:
             InsampleSmoother(rows, y, KernelSpec.polynomial((0.0, 1.0)))
         smoother = InsampleSmoother(rows, y, UNIFORM)
         with pytest.raises(ValidationError):
-            smoother.knn_radii(2)
+            smoother.neighbour_radii(2)
         with pytest.raises(ValidationError):
             smoother.fit(np.zeros((2, 1)))
         with pytest.raises(ValidationError):
@@ -360,8 +370,8 @@ class TestCutRows:
         with pytest.raises(ValidationError, match="above its held radius"):
             smoother.fit(np.array([[1.5]]), rows=[0])
         with pytest.raises(ValidationError, match="available distances"):
-            smoother.knn_radii(2)  # row 0 holds two distances
-        assert smoother.knn_radii(1).tolist() == [1.0, 1.0, 1.5]
+            smoother.neighbour_radii(2)  # row 0 holds two distances
+        assert smoother.neighbour_radii(1).tolist() == [1.0, 1.0, 1.5]
 
     def test_unit_and_min_radius_follow_the_largest_held_distance(self):
         d = np.array([[0.0, 0.75, 3.0], [0.75, 0.0, 2.0], [3.0, 2.0, 0.0]])
@@ -804,10 +814,93 @@ class TestBatchInvariance:
         for j in range(len(d)):
             alone = nadaraya_watson(d[j], rows[j], kernel, radii[j])
             assert alone.prediction == full[0][j]
-            # bit for bit the per-query np.dot the batched smoother replaced
+            # the per-query np.sum and np.dot the batched smoother replaced,
+            # within the bound of two summation orders of n terms:
+            # 2 n eps of the total, and of the sum of |w y| over the total
+            # (the largest moves seen were 0.17 and 0.40 of n eps)
             w = eval_kernel_array(kernel, d[j] / radii[j])
-            assert full[1][j] == np.sum(w)
-            assert full[0][j] == np.dot(w, rows[j]) / np.sum(w)
+            bound = 2 * d.shape[1] * np.finfo(float).eps
+            assert abs(full[1][j] - np.sum(w)) <= bound * np.sum(w)
+            assert (abs(full[0][j] - np.dot(w, rows[j]) / np.sum(w))
+                    <= bound * np.dot(w, np.abs(rows[j])) / np.sum(w))
+
+
+class TestRowFit:
+    """``nadaraya_watson_rows`` on each query's cut rows (``query_rows``),
+    on hostile inputs, against the batched fit on the full block."""
+
+    @staticmethod
+    def sample():
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=(30, 21))
+        values[3] = values[7]  # a twin
+        return FunctionalSample(SamplingGrid(np.linspace(0.0, 1.0, 21)),
+                                values, rng.normal(size=30))
+
+    def test_a_query_equal_to_a_training_curve(self):
+        sample, spec = self.sample(), SemiMetricSpec(1)
+        queries = sample.values[[7, 12]]
+        rows = query_rows(sample, spec, queries, k=5)
+        first = rows.offsets[:-1]
+        # exact zeros lead each row: the curve itself, and its twin
+        assert rows.distances[first].tolist() == [0.0, 0.0]
+        assert rows.columns[first[0]:first[0] + 2].tolist() == [3, 7]
+        assert rows.distances[first[0] + 2] > 0.0
+        full = sample_distances(sample, spec, queries)
+        for kernel in SMOOTHER_KERNELS.values():
+            got = nadaraya_watson_rows(rows, sample.responses, kernel,
+                                       rows.radii)
+            want = nadaraya_watson_batch(full, sample.responses, kernel,
+                                         rows.radii)
+            assert got[0][0].tobytes() == want[0].tobytes()
+            for a, b in zip(got[1:], want[1:]):
+                assert a.tobytes() == b.tobytes()
+
+    def test_ties_at_the_kth_radius_are_all_counted(self):
+        # constant curves at levels 0, 1, 1, 1, 2, 3: from a query at 0, the
+        # second nearest distance 1 is shared by three curves
+        levels = np.array([2.0, 1.0, 0.0, 1.0, 3.0, 1.0])
+        sample = FunctionalSample(SamplingGrid([0.0, 1.0]),
+                                  np.column_stack([levels, levels]), levels)
+        spec, query = SemiMetricSpec(0), np.zeros((1, 2))
+        rows = query_rows(sample, spec, query, k=2)
+        assert rows.radii.tolist() == [1.0]
+        assert rows.columns.tolist() == [2, 1, 3, 5]
+        full = sample_distances(sample, spec, query)
+        predictions, _, counts = nadaraya_watson_rows(
+            rows, sample.responses, UNIFORM, rows.radii)
+        assert counts.tolist() == [4] == (full <= 1.0).sum(axis=1).tolist()
+        assert predictions[0].tolist() == [0.75]
+
+    def test_an_empty_row_names_its_query(self):
+        sample, spec = self.sample(), SemiMetricSpec(1)
+        # query 0 is a training curve; query 1 lies far from every one
+        queries = np.vstack([sample.values[12], sample.values[12] + 100.0
+                             * np.linspace(0.0, 1.0, 21)])
+        rows = query_rows(sample, spec, queries, h=1e-3)
+        assert np.diff(rows.offsets).tolist()[1] == 0
+        with pytest.raises(EmptyNeighborhood,
+                           match=r"^no positive kernel weight within radius "
+                                 r"0\.001 at query 1$"):
+            nadaraya_watson_rows(rows, sample.responses, UNIFORM, rows.radii)
+
+    @pytest.mark.parametrize("radius", [1e-300, 1e-310, 5e-324])
+    def test_a_distance_far_beyond_a_tiny_radius_weighs_nothing(self, radius):
+        # 1 / radius overflows; the entry is dropped before any division
+        rows = NeighbourRows(2, np.arange(1), np.array([0, 2]),
+                             np.array([0.0, 1.0]), np.array([1, 0]),
+                             np.array([1.0]))
+        y = np.array([-4.0, 7.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in SMOOTHER_KERNELS.values():
+                means, totals, counts = nadaraya_watson_rows(
+                    rows, y, kernel, [radius], 2)
+                assert means[:, 0].tolist() == [7.0, 49.0]
+                assert (totals[0], counts[0]) == (kernel.coefficients[0], 1)
+                predictions, _, counts = nadaraya_watson_batch(
+                    [[1.0, 0.0]], y, kernel, [radius])
+                assert (predictions[0], counts[0]) == (7.0, 1)
 
 
 class TestKnnRadii:

@@ -7,6 +7,9 @@ for distances, with the sample and the spec (``sample_distances``,
 ``neighbour_rows``).
 The replication streams are built only by ``simulation``. The command line
 gets in-sample fits from ``bootstrap.insample_fit``, not from the smoother.
+Neither the command line nor the bootstrap fits a dense (m, n) query block:
+they fit each query's cut rows (``query_rows``, ``nadaraya_watson_rows``),
+so they name neither ``knn_radii`` nor ``nadaraya_watson_batch``.
 A module names a thing when it imports, defines or refers to it, as a bare
 name or as an attribute.
 """
@@ -29,7 +32,8 @@ OWNERS = {
 }
 #: module -> names it must not use
 FORBIDDEN = {
-    "cli": {"InsampleSmoother"},
+    "cli": {"InsampleSmoother", "knn_radii", "nadaraya_watson_batch"},
+    "bootstrap": {"knn_radii", "nadaraya_watson_batch"},
 }
 
 
