@@ -390,9 +390,8 @@ def query_rows(sample: FunctionalSample, spec: SemiMetricSpec, queries, *,
         raise ValidationError("give exactly one of h or k")
     _check_rule(len(sample), k, h)
     rows, cols = _query_and_sample_rows(sample, spec, queries)
-    m = rows.shape[0]
-    reach = None if h is None else np.full(m, float(h))
-    return NeighbourRows(len(sample), np.arange(m), *_screened_rows(
+    reach = None if h is None else np.full(len(rows), float(h))
+    return NeighbourRows(len(sample), np.arange(len(rows)), *_screened_rows(
         rows, cols, sample.grid.trapezoid_weights(), k, reach))
 
 

@@ -180,29 +180,20 @@ def empirical_tau(distances, h: float, s: float) -> float:
 def nadaraya_watson_rows(rows, responses, kernel: KernelSpec, radii,
                          moments: int = 1
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel-weighted means of the responses at m queries, from rows of
+    """Kernel-weighted means of the (n,) responses, or of one (n,) row of
+    them per query, at m queries with (m,) positive ``radii``, from rows of
     distances laid end to end as in ``curves.NeighbourRows`` (``n``,
     ``offsets``, ``distances``, ``columns``), such as ``curves.query_rows``.
 
-    Row j, in any order, must hold every distance from query j at or
-    below ``radii[j]``; entries above it are dropped. The kernel weighs
-    the kept entries only, and each row's sums add its entries one after
-    another in sample order, so a row's fit has the same bits whichever
-    call cut the row, in any batch.
-
-    Args:
-        responses: (n,), shared by every query, or (m, n), a row per query.
-        radii: (m,) bandwidths, strictly positive.
-        moments: how many powers of the responses to average.
-
-    Returns:
-        The (moments, m) means sum_i K(d_ji / h_j) y_i^p / sum_i K(d_ji / h_j)
-        for p = 1 .. moments, the (m,) kernel totals and neighbor counts.
-
-    Raises:
-        ValidationError: for mismatched shapes or a radius that is not
-            positive.
-        EmptyNeighborhood: naming the first query with no positive weight.
+    Row j, in any order, must hold every distance from query j at or below
+    ``radii[j]``; entries above it are dropped. The kernel weighs the kept
+    entries only, and each row's sums add its entries one after another in
+    sample order, so a row's fit has the same bits whichever call cut the
+    row, in any batch. Returns the (moments, m) means
+    sum_i K(d_ji / h_j) y_i^p / sum_i K(d_ji / h_j), p = 1 .. moments, and
+    the (m,) kernel totals and neighbor counts. Raises ValidationError for
+    mismatched shapes or a radius that is not positive, EmptyNeighborhood
+    naming the first query with no positive weight.
     """
     h, y = _fit_inputs(len(rows.offsets) - 1, rows.n, radii, responses)
     row = np.repeat(np.arange(h.size), np.diff(rows.offsets))
@@ -238,9 +229,23 @@ def _row_sums(kernel: KernelSpec, h, y, row, d, columns, moments: int):
             f"no positive kernel weight within radius {h[bad]} at query {bad}"
         )
     y = y[columns] if y.ndim == 1 else y[row, columns]
-    means = [np.bincount(row, w * _powers(y, p), minlength=h.size)
-             for p in range(1, moments + 1)]
-    return np.array(means) / totals, totals, np.bincount(row, minlength=h.size)
+    means = np.empty((moments, h.size))
+    for p in range(moments):
+        means[p] = np.bincount(row, w * _powers(y, p + 1), minlength=h.size)
+    means /= totals
+    return means, totals, np.bincount(row, minlength=h.size)
+
+
+def _dense_fit(distances, responses, kernel: KernelSpec, radii, moments):
+    """``_row_sums`` on an (m, n) block's entries within each row's radius,
+    which ``np.nonzero`` lists row by row in column order."""
+    d = np.asarray(distances, dtype=float)
+    if d.ndim != 2:
+        raise ValidationError("need (m, n) distances and (m,) radii")
+    h, y = _fit_inputs(*d.shape, radii, responses)
+    inside = d <= h[:, None]
+    row, columns = np.nonzero(inside)
+    return _row_sums(kernel, h, y, row, d[inside], columns, moments)
 
 
 def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
@@ -252,13 +257,7 @@ def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
     lists in sample order. Returns the (m,) predictions, kernel totals and
     neighbor counts.
     """
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 2:
-        raise ValidationError("need (m, n) distances and (m,) radii")
-    h, y = _fit_inputs(*d.shape, radii, responses)
-    row, columns = np.nonzero(d <= h[:, None])
-    means, totals, counts = _row_sums(kernel, h, y, row, d[row, columns],
-                                      columns, 1)
+    means, totals, counts = _dense_fit(distances, responses, kernel, radii, 1)
     return means[0], totals, counts
 
 
@@ -525,17 +524,15 @@ def estimate_sigma2(distances, responses, kernel: KernelSpec,
                     h: float) -> float:
     """Plug-in conditional variance: E(Y^2 | ball) - E(Y | ball)^2.
 
-    Both conditional expectations are weighted means over the same kernel
-    weights, rows of one batched fit; the difference is clamped at zero
-    (``plugin_variance``).
+    Both conditional expectations are weighted means over one set of kernel
+    weights; the difference is clamped at zero (``plugin_variance``).
     """
     d = np.asarray(distances, dtype=float).reshape(1, -1)
     y = np.asarray(responses, dtype=float).reshape(-1)
     if d.shape[1:] != y.shape:
         raise ValidationError("distances and responses must have equal length")
-    means = nadaraya_watson_batch(np.vstack([d, d]), np.vstack([y, y * y]),
-                                  kernel, [h, h])[0]
-    return float(plugin_variance(means[0], means[1]))
+    means = _dense_fit(d, y, kernel, [h], 2)[0]
+    return float(plugin_variance(means[0], means[1])[0])
 
 
 def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
