@@ -238,14 +238,14 @@ def _row_sums(kernel: KernelSpec, h, y, row, d, columns, moments: int):
 
 def _dense_fit(distances, responses, kernel: KernelSpec, radii, moments):
     """``_row_sums`` on an (m, n) block's entries within each row's radius,
-    which ``np.nonzero`` lists row by row in column order."""
+    which ``np.flatnonzero`` lists row by row in column order."""
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2:
         raise ValidationError("need (m, n) distances and (m,) radii")
     h, y = _fit_inputs(*d.shape, radii, responses)
-    inside = d <= h[:, None]
-    row, columns = np.nonzero(inside)
-    return _row_sums(kernel, h, y, row, d[inside], columns, moments)
+    flat = np.flatnonzero(d <= h[:, None])
+    row, columns = np.divmod(flat, d.shape[1])
+    return _row_sums(kernel, h, y, row, d.ravel()[flat], columns, moments)
 
 
 def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
@@ -253,7 +253,7 @@ def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
     """Kernel-weighted means of the responses at m queries at once, from
     an (m, n) block whose row j holds the distances from the n sample
     curves to query j: ``nadaraya_watson_rows`` (arguments, errors) on the
-    block's entries at or below each row's radius, which ``np.nonzero``
+    block's entries at or below each row's radius, which ``np.flatnonzero``
     lists in sample order. Returns the (m,) predictions, kernel totals and
     neighbor counts.
     """
