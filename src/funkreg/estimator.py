@@ -198,8 +198,8 @@ def nadaraya_watson_rows(rows, responses, kernel: KernelSpec, radii,
     h, y = _fit_inputs(len(rows.offsets) - 1, rows.n, radii, responses)
     row = np.repeat(np.arange(h.size), np.diff(rows.offsets))
     keep = np.flatnonzero(rows.distances <= h[row])
-    keep = keep[np.argsort(row[keep] * rows.n + rows.columns[keep],
-                           kind="stable")]
+    # a row lists each sample curve once, so the keys are distinct
+    keep = keep[np.argsort(row[keep] * rows.n + rows.columns[keep])]
     return _row_sums(kernel, h, y, row[keep], rows.distances[keep],
                      rows.columns[keep], moments)
 
