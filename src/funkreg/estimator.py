@@ -10,7 +10,6 @@ that normalizer.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -541,8 +540,9 @@ def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
     asymptotic-normality intervals, elementwise over arrays of plug-in
     variances and neighbor counts (count = n * F_hat(h)).
 
-    The constants are computed once per call, and the normal quantile z
-    once per level (``_normal_quantile``).
+    The constants are computed once per call; z is the standard normal
+    quantile at (1 + level) / 2, from ``statistics.NormalDist.inv_cdf``
+    (Wichura's algorithm AS 241).
 
     Raises:
         KernelNotH2Strict: if K(1) = 0 (the limit constants degenerate).
@@ -562,20 +562,15 @@ def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
         raise DegenerateBall("confidence interval needs F_hat(h) > 0")
     if constants.m1 <= 0.0:
         raise DegenerateConstants(f"m1 = {constants.m1} is not positive")
-    z = _normal_quantile(float(level))
+    # statistics (with decimal and fractions) adds about 5 ms to a cold
+    # import; only intervals need it
+    from statistics import NormalDist
+
+    z = NormalDist().inv_cdf((1.0 + float(level)) / 2.0)
     return z * np.sqrt(
         constants.m2 * np.asarray(sigma2_hat, dtype=float)
         / (counts * constants.m1 ** 2)
     )
-
-
-@lru_cache
-def _normal_quantile(level: float) -> float:
-    """The standard normal quantile at (1 + level) / 2, kept per level."""
-    # scipy.stats costs most of a cold import; only intervals need it
-    from scipy.stats import norm
-
-    return float(norm.ppf((1.0 + level) / 2.0))
 
 
 def confidence_interval(result: EstimateResult, kernel: KernelSpec,

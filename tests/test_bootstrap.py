@@ -24,7 +24,6 @@ from funkreg import (
     SamplingGrid,
     SemiMetricSpec,
     SimulationConfig,
-    Tau0Model,
     TooFewPoints,
     ValidationError,
     WildBootstrapResult,
@@ -32,7 +31,6 @@ from funkreg import (
     bootstrap_error_curve,
     draw_wild_residual,
     generate_functional_sample,
-    interval_half_widths,
     knn_bandwidths,
     nadaraya_watson,
     residuals,
@@ -828,10 +826,6 @@ class TestDenseReference:
         save_sample(train, tmp_path / "train.csv")
         save_sample(test, tmp_path / "test.csv")
         out = tmp_path / "ci.tsv"
-        # the interval's first use imports scipy.stats, about 40 MB of
-        # modules that stay loaded; that is not the query side's memory
-        interval_half_widths([1.0], [1], KernelSpec.uniform(),
-                             Tau0Model.fractal(1.0), 0.95)
         tracemalloc.start()
         try:
             code = funkreg.cli.main([

@@ -796,10 +796,40 @@ class TestBatchedPredictCi:
             assert capsys.readouterr().err == message
 
 
-def test_import_does_not_load_scipy_stats():
+#: A script that blocks every scipy import (a None entry in sys.modules
+#: makes ``import scipy...`` raise ImportError), imports funkreg and runs
+#: each command in its argv through ``cli.main``, printing the exit codes.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None
+import funkreg.cli
+commands = json.loads(sys.argv[1])
+print(json.dumps([funkreg.cli.main(argv) for argv in commands]))
+"""
+
+
+def test_no_command_loads_scipy(simulated, tmp_path):
+    train, test = (str(path) for path in simulated)
+    files = ["--train", train, "--test", test]
+    scalar = ["--n", "200", "--h", "0.2", "--reps", "40", "--seed", "1"]
+    commands = [
+        ["predict", *files, "--k", "5"],
+        ["ci", *files, "--k", "5", "--deriv-order", "1"],
+        ["ci", *files, "--h", "0.5", "--level", "0.9"],
+        ["select", *files, "--k-min", "2", "--k-max", "6", "--n-boot", "5"],
+        ["fit", "--data", train, "--k", "5"],
+        ["constants", "--kernel", "uniform", "--tau0", "fractal:1"],
+        ["mc-bias-var", *scalar],
+        ["mc-normality", *scalar],
+    ]
+    for j, argv in enumerate(commands):
+        if argv[0] != "constants":
+            argv += ["--out", str(tmp_path / f"out{j}")]
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, funkreg; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(commands), \
+        done.stderr

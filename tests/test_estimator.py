@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ from funkreg.curves import (
     sample_distances,
 )
 from funkreg.estimator import (
-    _normal_quantile,
     _powers,
     interval_half_widths,
     knn_radii,
@@ -951,14 +951,26 @@ class TestIntervalHalfWidths:
 
     @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
     def test_kept_quantile_keeps_the_bits_of_the_formula(self, level):
-        _normal_quantile.cache_clear()
         sigma2, counts = np.array([0.3, 2.0, 7.5]), np.array([4, 17, 160])
-        z = float(norm.ppf((1.0 + level) / 2.0))
+        z = NormalDist().inv_cdf((1 + level) / 2)
         want = z * np.sqrt(sigma2 / counts)
-        for _ in range(2):  # the first call fills the kept quantile
-            half = interval_half_widths(sigma2, counts, UNIFORM,
-                                        Tau0Model.fractal(1.0), level)
-            assert half.tobytes() == want.tobytes()
+        half = interval_half_widths(sigma2, counts, UNIFORM,
+                                    Tau0Model.fractal(1.0), level)
+        assert half.tobytes() == want.tobytes()
+
+    def test_quantile_is_within_eight_ulp_of_the_reference(self):
+        # AS 241 against scipy's ndtri: 0 to 3 ulp at the usual levels and
+        # at most 6 over 45k levels down to 1e-15 from either end
+        levels = np.concatenate([
+            np.linspace(1e-6, 1.0 - 1e-6, 2001),
+            1.0 - np.logspace(-1, -13, 61),
+            np.logspace(-13, -1, 61),
+        ])
+        for level in levels.tolist():
+            got = interval_half_widths([1.0], [1], UNIFORM,
+                                       Tau0Model.fractal(1.0), level)[0]
+            want = float(norm.ppf((1.0 + level) / 2.0))
+            assert abs(got - want) <= 8 * math.ulp(want), level
 
     def test_rejects_empty_balls_and_bad_levels(self):
         with pytest.raises(DegenerateBall):

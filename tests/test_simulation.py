@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import kstest
 
 from funkreg import (
     Curve,
@@ -30,6 +31,7 @@ import funkreg as fk
 from funkreg import simulation
 from funkreg.kernels import eval_kernel_array
 from funkreg.simulation import (
+    _ks_statistic,
     _scalar_fits,
     check_seed,
     replication_streams,
@@ -203,6 +205,38 @@ class TestMcNormality:
         report = mc_normality(config, UNIFORM)
         assert not report.insufficient_replications
         assert report.ks_statistic < 0.1
+
+    def test_reports_the_ks_statistic_of_its_standardized_values(self):
+        config = ScalarDesignConfig(n=400, h=0.1, noise_sd=0.5, reps=60, seed=4)
+        report = mc_normality(config, UNIFORM)
+        assert report.ks_statistic == _ks_statistic(report.standardized)
+
+
+#: Largest gap allowed between ``_ks_statistic`` and the reference KS test:
+#: the two round the normal CDF differently (erfc alone against scipy's
+#: erf/erfc split), a few ulp of a value in [0, 1]. The largest gap seen
+#: on 3000 random draws was 2.2e-16.
+KS_ATOL = 1e-15
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 2000), pool=st.integers(1, 2000),
+       seed=st.integers(0, 2**32 - 1), shift=st.floats(-3.0, 3.0),
+       scale=st.floats(0.05, 5.0), decimals=st.none() | st.integers(0, 3))
+def test_ks_statistic_matches_the_reference(n, pool, seed, shift, scale,
+                                            decimals):
+    # n values drawn with replacement from a pool of distinct normal draws:
+    # exact duplicates when the pool is smaller than n, ties again when the
+    # values are rounded
+    rng = np.random.default_rng(seed)
+    draws = shift + scale * rng.standard_normal(min(pool, n))
+    values = draws[rng.integers(0, draws.size, n)]
+    if decimals is not None:
+        values = np.round(values, decimals)
+    got = _ks_statistic(values)
+    assert got == pytest.approx(kstest(values, "norm").statistic,
+                                rel=0, abs=KS_ATOL)
+    assert 0.0 < got <= 1.0
 
 
 class TestMcTauConvergence:
