@@ -401,13 +401,17 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             h = radii[block]  # (queries, k)
             at = ball_start[block, None] + np.arange(s)
             rows = ball[at]
-            fits = smoother.fit(np.repeat(h, s, axis=0), rows.ravel())[0]
-            resid = y_u[rows][..., None] - fits.reshape(*rows.shape, n_k)
             d = dist_ball[at]
             # A distance far above a tiny radius overflows to inf: weight 0.
             with np.errstate(over="ignore"):
                 u = d[..., None] / h[:, None, :]
             w_q = eval_kernel_array(kernel, u)  # (queries, s, k)
+            # refit only the (point, radius) pairs the query weighs; the
+            # residual of any other pair is multiplied by weight 0
+            qi, si, ki = np.nonzero(w_q > 0.0)
+            resid = np.zeros(w_q.shape)
+            resid[qi, si, ki] = y_u[rows[qi, si]] - smoother.fit(
+                h[qi, ki, None], rows[qi, si])[0][:, 0]
             totals = w_q.sum(axis=1)
             # a radius that leaves its query no weight scores inf, which
             # drops its k for every query; a total of 1 avoids 0 / 0

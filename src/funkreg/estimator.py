@@ -199,8 +199,9 @@ def nadaraya_watson_rows(rows, responses, kernel: KernelSpec, radii,
     keep = np.flatnonzero(rows.distances <= h[row])
     # a row lists each sample curve once, so the keys are distinct
     keep = keep[np.argsort(row[keep] * rows.n + rows.columns[keep])]
-    return _row_sums(kernel, h, y, row[keep], rows.distances[keep],
-                     rows.columns[keep], moments)
+    row = row[keep]
+    return _row_sums(kernel, h, _gather(y, row, rows.columns[keep]), row,
+                     rows.distances[keep], moments)
 
 
 def _fit_inputs(m: int, n: int, radii, responses):
@@ -217,9 +218,15 @@ def _fit_inputs(m: int, n: int, radii, responses):
     return h, y
 
 
-def _row_sums(kernel: KernelSpec, h, y, row, d, columns, moments: int):
-    """The query-side fit on entries d[e] <= h[row[e]] at sample curves
-    columns[e], listed row by row in sample order, summed in that order."""
+def _gather(y, row, columns):
+    """The responses of entries at sample curves ``columns`` from (n,) or
+    (m, n) responses."""
+    return y[columns] if y.ndim == 1 else y[row, columns]
+
+
+def _row_sums(kernel: KernelSpec, h, y, row, d, moments: int):
+    """The query-side fit on entries d[e] <= h[row[e]] with responses y[e],
+    listed row by row in sample order, summed in that order."""
     w = eval_kernel_array(kernel, d / h[row])
     totals = np.bincount(row, w, minlength=h.size)
     if (totals <= 0.0).any():
@@ -227,7 +234,6 @@ def _row_sums(kernel: KernelSpec, h, y, row, d, columns, moments: int):
         raise EmptyNeighborhood(
             f"no positive kernel weight within radius {h[bad]} at query {bad}"
         )
-    y = y[columns] if y.ndim == 1 else y[row, columns]
     means = np.empty((moments, h.size))
     for p in range(moments):
         means[p] = np.bincount(row, w * _powers(y, p + 1), minlength=h.size)
@@ -244,7 +250,8 @@ def _dense_fit(distances, responses, kernel: KernelSpec, radii, moments):
     h, y = _fit_inputs(*d.shape, radii, responses)
     flat = np.flatnonzero(d <= h[:, None])
     row, columns = np.divmod(flat, d.shape[1])
-    return _row_sums(kernel, h, y, row, d.ravel()[flat], columns, moments)
+    return _row_sums(kernel, h, _gather(y, row, columns), row, d.ravel()[flat],
+                     moments)
 
 
 def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,

@@ -35,19 +35,19 @@ from .errors import (
 )
 from .estimator import (
     BiasVarianceReport,
+    _row_sums,
     empirical_tau,
-    nadaraya_watson_batch,
     theoretical_bias_variance,
 )
 from .kernels import KernelSpec, Tau0Model, compute_constants
 
 _MIN_TAU_SAMPLE = 1000
 _MIN_NORMALITY_REPS = 30
-#: Element budget of one block of scalar replications: replications are
-#: drawn into the rows of an (m, n) block of about this many elements and
-#: fitted with one smoother call, which bounds the block's working arrays.
-#: At 128 KB per array the block's temporaries stay in cache; 2^16-element
-#: blocks ran no faster than one fit per replication at n = 2000.
+#: Element budget of the draw buffers of the scalar replications: the
+#: designs and the noise of a block of replications are drawn into the
+#: rows of two (m, n) buffers of about this many elements, allocated once
+#: and reused block after block. At 128 KB per buffer they and the block's
+#: distance temporaries stay in cache.
 _BLOCK_ELEMENTS = 1 << 14
 #: Widest gap between two sorted positions that ``replication_uniforms``
 #: draws through; a wider one starts a new run, whose stream reset and
@@ -222,8 +222,19 @@ def replication_uniforms(seed: int, count: int, positions) -> np.ndarray:
     ``_RUN_GAP``, and each run resets the stream, skips whole Philox
     blocks of four draws (``advance``) and draws through to its last
     position, so memory is bounded whatever the positions.
+
+    Raises:
+        ValidationError: naming the first position that is negative or not
+            an integer (a float array holds no integers).
     """
     positions = np.asarray(positions)
+    if positions.size == 0:
+        return np.empty((count, 0))
+    if positions.dtype.kind not in "iu" or (positions < 0).any():
+        bad = next(p for p in positions.tolist() if not is_integer(p) or p < 0)
+        raise ValidationError(
+            f"stream positions must be nonnegative integers, got {bad!r}"
+        )
     order = np.argsort(positions, kind="stable")
     ordered = positions[order]
     cuts = (np.flatnonzero(np.diff(ordered) > _RUN_GAP) + 1).tolist()
@@ -248,35 +259,42 @@ def _scalar_fits(config: ScalarDesignConfig,
     """Predictions and neighbor counts of every replication, in order.
 
     Replication b draws its design and noise from its own stream (see the
-    module's stream policy); blocks of replications are stacked as rows and
-    fitted together.
+    module's stream policy) into a row of a block of replications. The
+    block is cut once at |x - chi| <= h, and only the kept entries get a
+    response and a kernel weight, summed row by row in sample order.
 
     Raises:
         EmptyNeighborhood: naming the block of the first replication with
             no positive weight.
     """
     n = config.n
-    step = max(1, _BLOCK_ELEMENTS // n)
+    step = min(config.reps, max(1, _BLOCK_ELEMENTS // n))
     predictions = np.empty(config.reps)
     counts = np.empty(config.reps, dtype=np.intp)
+    design = np.empty((step, n))
+    noise = np.empty((step, n)) if config.noise_sd > 0 else None
     streams = replication_streams(config.seed, config.reps)
     for start in range(0, config.reps, step):
         stop = min(start + step, config.reps)
-        x = np.empty((stop - start, n))
-        y = np.empty_like(x)
+        x = design[:stop - start]
         for row, rng in enumerate(islice(streams, stop - start)):
-            x[row] = rng.random(n)
-            y[row] = config.slope * x[row]
-            if config.noise_sd > 0:
-                y[row] += config.noise_sd * rng.standard_normal(n)
+            rng.random(out=x[row])
+            if noise is not None:
+                rng.standard_normal(out=noise[row])
+        d = np.abs(x - config.chi)
+        kept = np.flatnonzero(d <= config.h)
+        y = config.slope * x.ravel()[kept]
+        if noise is not None:
+            y += config.noise_sd * noise.ravel()[kept]
         try:
-            predictions[start:stop], _, counts[start:stop] = nadaraya_watson_batch(
-                np.abs(x - config.chi), y, kernel, np.full(stop - start, config.h)
-            )
+            means, _, counts[start:stop] = _row_sums(
+                kernel, np.full(stop - start, config.h), y, kept // n,
+                d.ravel()[kept], 1)
         except EmptyNeighborhood as exc:
             raise EmptyNeighborhood(
                 f"replications {start}-{stop - 1}: {exc}"
             ) from None
+        predictions[start:stop] = means[0]
     return predictions, counts
 
 

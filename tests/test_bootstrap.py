@@ -423,6 +423,41 @@ class TestBootstrapErrorCurve:
             assert bootstrap_error_curve(train, test.curves, QUADRATIC,
                                          DERIV1, config) == whole
 
+    @pytest.mark.parametrize("kernel, weighed", [
+        (QUADRATIC, lambda k: k - 1),  # K(1) = 0: the k-th neighbor weighs 0
+        (KernelSpec.uniform(), lambda k: k),
+    ], ids=["quadratic", "uniform"])
+    def test_refits_only_the_pairs_a_query_weighs(self, monkeypatch, kernel,
+                                                  weighed):
+        train, test = small_sample(seed=12, n=60)
+        config = BootstrapConfig(n_replications=10, k_min=2, k_max=12, seed=5,
+                                 pilot=FixedPilot(6))
+        requests = []
+        fit = funkreg.estimator.InsampleSmoother.fit
+
+        def recording_fit(self, radii, rows=None):
+            if rows is not None:  # not the pilot fit, which fits every row
+                radii = np.asarray(radii)
+                points = np.repeat(self.points[rows], radii.shape[1])
+                requests.extend(zip(points.tolist(), radii.ravel().tolist()))
+            return fit(self, radii, rows)
+
+        monkeypatch.setattr(funkreg.estimator.InsampleSmoother, "fit",
+                            recording_fit)
+        bootstrap_error_curve(train, test.curves, kernel, DERIV1, config)
+        d = sample_distances(train, DERIV1,
+                             curve_matrix(test.curves, train.grid))
+        radii = np.sort(d, axis=1)[:, config.k_min - 1:config.k_max]
+        query_of = {h: j for j, row in enumerate(radii) for h in row.tolist()}
+        assert len(query_of) == radii.size  # no ties: a radius names its query
+        weights = eval_kernel_array(kernel, d[:, None, :] / radii[..., None])
+        assert len(set(requests)) == len(requests)
+        for point, h in requests:
+            assert eval_kernel_array(kernel, d[query_of[h], point] / h) > 0.0
+        ks = range(config.k_min, config.k_max + 1)
+        assert len(requests) == np.count_nonzero(weights > 0.0)
+        assert len(requests) == len(test) * sum(map(weighed, ks))
+
     @pytest.mark.parametrize("k_max", [15, 32])
     def test_query_errors_do_not_depend_on_the_other_queries(self, k_max):
         # a copy of B's k_max-th nearest curve ties with it, so B's

@@ -29,6 +29,7 @@ from funkreg import (
 )
 import funkreg as fk
 from funkreg import simulation
+from funkreg.estimator import nadaraya_watson_batch
 from funkreg.kernels import eval_kernel_array
 from funkreg.simulation import (
     _ks_statistic,
@@ -322,7 +323,35 @@ def reference_scalar_fits(config, kernel):
     return np.array(preds), np.array(counts)
 
 
+def dense_scalar_fits(config, kernel):
+    """Every replication's design and responses as the rows of one dense
+    (reps, n) block, fitted by ``nadaraya_watson_batch``."""
+    x = np.empty((config.reps, config.n))
+    y = np.empty_like(x)
+    for row, rng in enumerate(replication_streams(config.seed, config.reps)):
+        x[row] = rng.random(config.n)
+        y[row] = config.slope * x[row]
+        if config.noise_sd > 0:
+            y[row] += config.noise_sd * rng.standard_normal(config.n)
+    preds, _, counts = nadaraya_watson_batch(
+        np.abs(x - config.chi), y, kernel, np.full(config.reps, config.h))
+    return preds, counts
+
+
 class TestBlockedReplications:
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
+    @pytest.mark.parametrize("chi", [0.0, 0.4])
+    @pytest.mark.parametrize("kernel", [UNIFORM, KernelSpec.quadratic()])
+    def test_keeps_the_bits_of_the_dense_block(self, kernel, chi, noise_sd):
+        # n = 2000: blocks of 8 replications, the last one of 5
+        config = ScalarDesignConfig(n=2000, h=0.05, chi=chi, slope=1.3,
+                                    noise_sd=noise_sd, reps=13, seed=17)
+        assert config.reps % max(1, simulation._BLOCK_ELEMENTS // config.n) == 5
+        preds, counts = _scalar_fits(config, kernel)
+        want_preds, want_counts = dense_scalar_fits(config, kernel)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(preds, want_preds)
+
     @pytest.mark.parametrize("budget", [1, 60, 150, 1 << 16])
     @pytest.mark.parametrize("kernel", [UNIFORM, KernelSpec.quadratic()])
     def test_blocks_match_per_replication_fits(self, monkeypatch, budget, kernel):
@@ -434,6 +463,21 @@ class TestReplicationUniforms:
         want = [philox_draw(4, 1, int(k)) for k in positions]
         np.testing.assert_array_equal(
             replication_uniforms(4, 2, positions)[1], want)
+
+    def test_no_positions_draw_nothing(self):
+        for positions in ([], np.array([], dtype=np.int64)):
+            got = replication_uniforms(3, 4, positions)
+            assert got.shape == (4, 0) and got.dtype == float
+
+    @pytest.mark.parametrize("positions, named", [
+        ([-3], "-3"), ([4, -1, -2], "-1"), (np.array([2, -7]), "-7"),
+        ([0.5], "0.5"), ([2.0], "2.0"), ([True], "True"),
+    ])
+    def test_negative_or_fractional_positions_raise(self, positions, named):
+        # a negative position once read a draw from the end of a run
+        with pytest.raises(ValidationError,
+                           match=f"nonnegative integers, got {named}$"):
+            replication_uniforms(1, 1, positions)
 
     def test_huge_positions_in_bounded_memory(self):
         # drawing every value before 10^12 would take 8 TB
