@@ -474,7 +474,6 @@ class TestReplicationUniforms:
         ([0.5], "0.5"), ([2.0], "2.0"), ([True], "True"),
     ])
     def test_negative_or_fractional_positions_raise(self, positions, named):
-        # a negative position once read a draw from the end of a run
         with pytest.raises(ValidationError,
                            match=f"nonnegative integers, got {named}$"):
             replication_uniforms(1, 1, positions)
