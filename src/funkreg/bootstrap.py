@@ -251,8 +251,7 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
     smoother = InsampleSmoother(rows, sample.responses, kernel)
     if k is not None:
         radii = smoother.neighbour_radii(k)
-    preds, counts = smoother.fit(radii[:, None])
-    return preds[:, 0], counts[:, 0], radii
+    return (*smoother.fit(radii), radii)
 
 
 def residuals(sample: FunctionalSample, kernel: KernelSpec,
@@ -375,7 +374,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     if np.any(pilot_radii <= 0.0) or np.any(pilot_radii_q <= 0.0):
         raise DegeneratePilot("pilot kNN radius is zero at some point or query")
     try:
-        r_tilde = smoother.fit(pilot_radii[:, None])[0][:, 0]
+        r_tilde = smoother.fit(pilot_radii)[0]
         r_tilde_q = nadaraya_watson_rows(near, y, kernel, pilot_radii_q)[0][0]
     except EmptyNeighborhood as exc:
         raise DegeneratePilot(f"pilot fit failed: {exc}") from exc
@@ -411,7 +410,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             qi, si, ki = np.nonzero(w_q > 0.0)
             resid = np.zeros(w_q.shape)
             resid[qi, si, ki] = y_u[rows[qi, si]] - smoother.fit(
-                h[qi, ki, None], rows[qi, si])[0][:, 0]
+                h[qi, ki], rows[qi, si])[0]
             totals = w_q.sum(axis=1)
             # a radius that leaves its query no weight scores inf, which
             # drops its k for every query; a total of 1 avoids 0 / 0

@@ -346,12 +346,15 @@ def _check_rule(n: int, k: int | None, h: float | None) -> None:
 
 def _query_and_sample_rows(sample: FunctionalSample, spec: SemiMetricSpec,
                            queries) -> tuple[np.ndarray, np.ndarray]:
-    """An (m, p) query matrix and the sample's rows, transformed."""
+    """An (m, p) query matrix, all finite, and the sample's rows, transformed."""
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != len(sample.grid):
         raise GridMismatch(
             f"queries of shape {queries.shape} for a {len(sample.grid)}-point grid"
         )
+    if queries.size and not _all_finite(queries):
+        bad = np.flatnonzero(~np.isfinite(queries).all(axis=1))[0]
+        raise ValidationError(f"query row {bad} holds a value that is not finite")
     cols = _kept_rows(sample, spec)
     return transform(queries, sample.grid, spec), cols
 
@@ -369,6 +372,7 @@ def sample_distances(sample: FunctionalSample, spec: SemiMetricSpec,
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
         GridTooShort: if the grid is too short for the derivative order.
+        ValidationError: naming the first query row that is not finite.
     """
     return distance_matrix(*_query_and_sample_rows(sample, spec, queries),
                            sample.grid.trapezoid_weights())
@@ -384,13 +388,13 @@ def query_rows(sample: FunctionalSample, spec: SemiMetricSpec, queries, *,
         GridMismatch: if the query rows do not have one value per grid point.
         GridTooShort: if the grid is too short for the derivative order.
         ValidationError: unless given either a ``k`` in [1, n] or a
-            positive, finite ``h``.
+            positive, finite ``h``, or for a query row that is not finite.
     """
     if (k is None) == (h is None):
         raise ValidationError("give exactly one of h or k")
     _check_rule(len(sample), k, h)
     rows, cols = _query_and_sample_rows(sample, spec, queries)
-    reach = None if h is None else np.full(len(rows), float(h))
+    reach = np.full(len(rows), 0.0 if h is None else float(h))
     return NeighbourRows(len(sample), np.arange(len(rows)), *_screened_rows(
         rows, cols, sample.grid.trapezoid_weights(), k, reach))
 
@@ -411,7 +415,7 @@ def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
     Args:
         points: sample indices of the rows, all n in order by default.
         k: neighbour count in [1, n] that every row reaches.
-        reach: a radius, or one per row, that every row reaches.
+        reach: a radius, or one per row, every row reaches (default 0).
 
     Raises:
         GridTooShort: if the grid is too short for the derivative order.
@@ -428,10 +432,10 @@ def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
     if k is None and reach is None:
         raise ValidationError("give k, reach or both")
     _check_rule(n, k, None)
-    if reach is not None:
-        reach = np.broadcast_to(np.asarray(reach, dtype=float), points.shape)
-        if not (reach >= 0.0).all():
-            raise ValidationError("reach must be nonnegative")
+    reach = np.broadcast_to(
+        np.asarray(0.0 if reach is None else reach, dtype=float), points.shape)
+    if not (reach >= 0.0).all():
+        raise ValidationError("reach must be nonnegative")
     return NeighbourRows(n, points, *_screened_rows(
         cols[points], cols, sample.grid.trapezoid_weights(), k, reach))
 
@@ -478,7 +482,7 @@ def _exact_pairs(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
 
 
 def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-            k: int | None, reach: np.ndarray | None):
+            k: int | None, reach: np.ndarray):
     """Yield, for each row chunk of ``distance_matrix(rows, cols,
     weights)``, ``(chunk, i, j, d)``: the entries that may lie within their
     row's radius (the larger of ``reach`` and the k-th smallest distance),
@@ -513,13 +517,13 @@ def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     most one subnormal ulp per operation, which the absolute term
     4 p (1 + max w) tiny covers.
 
-    Refine. The cutoff of a row is the larger of its reach squared and its
-    k-th smallest hi (at least k entries have D at or below it, so the k-th
-    smallest D is too), times 1 + 4 eps: an entry with lo above the cutoff
-    has D more than 4 eps above the k-th smallest D and above reach^2, so
-    its root is strictly above the row's radius after rounding. Every other
-    entry is marked. A row whose screen is not finite (overflow) is marked
-    whole.
+    Refine. The cutoff of a row is reach^2 and, given k, the larger of that
+    and its k-th smallest hi (at least k entries have D at or below it, so
+    the k-th smallest D is too; a reach of 0 leaves k alone to decide, as
+    hi >= D >= 0), times 1 + 4 eps: an entry with lo above the cutoff has D
+    more than 4 eps above reach^2 and any k-th smallest D, so its root is
+    strictly above the row's radius after rounding. Every other entry is
+    marked. A row whose screen is not finite (overflow) is marked whole.
     """
     m, n, p = rows.shape[0], cols.shape[0], cols.shape[1]
     # g, half and hi are a chunk's (rows, n) work arrays
@@ -534,7 +538,7 @@ def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     with np.errstate(over="ignore"):
         norms_a = np.einsum("ij,ij->i", a, a)
         norms_b = np.einsum("ij,ij->i", b, b)
-        reach_sq = None if reach is None else np.square(reach)[:, None]
+        reach_sq = np.square(reach)[:, None]
     margin = 1.0 + 4 * eps
     for start in range(0, m, step):
         chunk = slice(start, start + step)
@@ -546,15 +550,12 @@ def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
             half = norms_a[chunk, None] + norms_b
             half *= gamma
             half += slack
-            if k is None:
-                cutoff = reach_sq[chunk] * margin
-            else:
+            cutoff = reach_sq[chunk] * margin
+            if k is not None:
                 hi = g + half
                 hi.partition(k - 1, axis=1)
-                cutoff = hi[:, k - 1:k] * margin
+                cutoff = np.maximum(cutoff, hi[:, k - 1:k] * margin)
                 del hi
-                if reach is not None:
-                    cutoff = np.maximum(cutoff, reach_sq[chunk] * margin)
             g -= half  # now the lower bound of each entry
             refine = g <= cutoff
             refine[~np.isfinite(g).all(axis=1)] = True
@@ -566,7 +567,7 @@ def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
 
 
 def _screened_rows(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-                   k: int | None, reach: np.ndarray | None):
+                   k: int | None, reach: np.ndarray):
     """The rows of ``distance_matrix(rows, cols, weights)`` up to each
     row's radius, sorted and laid end to end: the ``(offsets, distances,
     columns, radii)`` of ``NeighbourRows``.
@@ -587,12 +588,9 @@ def _screened_rows(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
         i, j, d = i[order] - chunk.start, j[order], d[order]
         counts = np.bincount(i, minlength=rows[chunk].shape[0])
         # the larger of each row's reach and its k-th smallest distance
-        if k is None:
-            limit = reach[chunk]
-        else:
-            limit = d[np.cumsum(counts) - counts + k - 1]
-            if reach is not None:
-                limit = np.maximum(reach[chunk], limit)
+        limit = reach[chunk]
+        if k is not None:
+            limit = np.maximum(limit, d[np.cumsum(counts) - counts + k - 1])
         keep = d <= limit[i]
         lengths.append(np.bincount(i[keep], minlength=counts.size))
         distances.append(d[keep])

@@ -52,7 +52,9 @@ class BandwidthGrid:
         hs = [h for _, h in entries]
         if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
             raise ValidationError("neighbor counts must be strictly increasing")
-        if any(h <= 0 for h in hs):
+        if not all(h > 0 for h in hs):  # written so that NaN fails
+            if any(h != h for h in hs):
+                raise ValidationError("bandwidths must not be NaN")
             raise DegenerateGrid("bandwidths must be strictly positive")
         if any(h2 < h1 for h1, h2 in zip(hs, hs[1:])):
             raise ValidationError("bandwidths must be nondecreasing in k")
@@ -111,7 +113,7 @@ def knn_radii(distances, k_min: int, k_max: int) -> np.ndarray:
     smallest are sorted.
 
     Raises:
-        ValidationError: for a count that is not an integer.
+        ValidationError: for a count that is not an integer or a NaN distance.
         TooFewPoints: unless 1 <= k_min <= k_max <= n.
     """
     require_integers(k_min=k_min, k_max=k_max)
@@ -122,6 +124,8 @@ def knn_radii(distances, k_min: int, k_max: int) -> np.ndarray:
             f"need 1 <= k_min <= k_max <= n with n = {n}, "
             f"got k_min = {k_min}, k_max = {k_max}"
         )
+    if np.isnan(d).any():
+        raise ValidationError("distances must not be NaN")
     head = np.partition(d, k_max - 1, axis=-1)[..., :k_max]
     if k_min < k_max:
         head.sort(axis=-1)
@@ -135,7 +139,7 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
     consecutive radii. This is the one-row case of ``knn_radii``.
 
     Raises:
-        ValidationError: for a count that is not an integer.
+        ValidationError: for a count that is not an integer or a NaN distance.
         TooFewPoints: unless 2 <= k_min <= k_max <= n - 1.
     """
     require_integers(k_min=k_min, k_max=k_max)
@@ -179,10 +183,10 @@ def empirical_tau(distances, h: float, s: float) -> float:
 def nadaraya_watson_rows(rows, responses, kernel: KernelSpec, radii,
                          moments: int = 1
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel-weighted means of the (n,) responses, or of one (n,) row of
-    them per query, at m queries with (m,) positive ``radii``, from rows of
-    distances laid end to end as in ``curves.NeighbourRows`` (``n``,
-    ``offsets``, ``distances``, ``columns``), such as ``curves.query_rows``.
+    """Kernel-weighted means of the (n,) responses, one per sample curve,
+    at m queries with (m,) positive ``radii``, from rows of distances laid
+    end to end as in ``curves.NeighbourRows`` (``n``, ``offsets``,
+    ``distances``, ``columns``), such as ``curves.query_rows``.
 
     Row j, in any order, must hold every distance from query j at or below
     ``radii[j]``; entries above it are dropped. The kernel weighs the kept
@@ -199,13 +203,12 @@ def nadaraya_watson_rows(rows, responses, kernel: KernelSpec, radii,
     keep = np.flatnonzero(rows.distances <= h[row])
     # a row lists each sample curve once, so the keys are distinct
     keep = keep[np.argsort(row[keep] * rows.n + rows.columns[keep])]
-    row = row[keep]
-    return _row_sums(kernel, h, _gather(y, row, rows.columns[keep]), row,
+    return _row_sums(kernel, h, y[rows.columns[keep]], row[keep],
                      rows.distances[keep], moments)
 
 
 def _fit_inputs(m: int, n: int, radii, responses):
-    """Validated (m,) radii and (n,) or (m, n) responses."""
+    """Validated (m,) radii and (n,) responses, else ValidationError."""
     h = np.asarray(radii, dtype=float)
     if h.shape != (m,):
         raise ValidationError(f"need {m} radii, one per query")
@@ -213,15 +216,9 @@ def _fit_inputs(m: int, n: int, radii, responses):
         bad = np.flatnonzero(~(h > 0.0))[0]
         raise ValidationError(f"bandwidth must be positive, got {h[bad]}")
     y = np.asarray(responses, dtype=float)
-    if y.shape not in ((n,), (m, n)):
-        raise ValidationError(f"need (n,) or (m, n) responses, n = {n}")
+    if y.shape != (n,):
+        raise ValidationError(f"need (n,) responses, n = {n}")
     return h, y
-
-
-def _gather(y, row, columns):
-    """The responses of entries at sample curves ``columns`` from (n,) or
-    (m, n) responses."""
-    return y[columns] if y.ndim == 1 else y[row, columns]
 
 
 def _row_sums(kernel: KernelSpec, h, y, row, d, moments: int):
@@ -250,14 +247,13 @@ def _dense_fit(distances, responses, kernel: KernelSpec, radii, moments):
     h, y = _fit_inputs(*d.shape, radii, responses)
     flat = np.flatnonzero(d <= h[:, None])
     row, columns = np.divmod(flat, d.shape[1])
-    return _row_sums(kernel, h, _gather(y, row, columns), row, d.ravel()[flat],
-                     moments)
+    return _row_sums(kernel, h, y[columns], row, d.ravel()[flat], moments)
 
 
 def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
                           radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel-weighted means of the responses at m queries at once, from
-    an (m, n) block whose row j holds the distances from the n sample
+    """Kernel-weighted means of the (n,) responses at m queries at once,
+    from an (m, n) block whose row j holds the distances from the n sample
     curves to query j: ``nadaraya_watson_rows`` (arguments, errors) on the
     block's entries at or below each row's radius, which ``np.flatnonzero``
     lists in sample order. Returns the (m,) predictions, kernel totals and
@@ -452,56 +448,57 @@ class InsampleSmoother:
         return self._sorted[self._offsets[:-1] + k]
 
     def fit(self, radii, rows=None) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions and neighbor counts at radii of shape (len(rows), m).
+        """Predictions and neighbor counts at one radius per fitted row.
 
-        Row r of ``radii`` holds the m radii at which smoother row
-        ``rows[r]`` (sample point ``points[rows[r]]``) is fitted; ``rows``
-        defaults to every row in order, and may repeat a row. Both outputs
-        have the shape of ``radii``. The neighbor count is #{d <= h}, the
-        support of the kernel. A fit depends only on its point and radius,
-        so it has the same bits whichever rows are fitted together.
+        ``radii[r]`` is the radius at which smoother row ``rows[r]`` (sample
+        point ``points[rows[r]]``) is fitted; ``rows`` defaults to every row
+        in order, and repeats a row to fit it at several radii. Both radii
+        and outputs have the shape of ``rows``. The neighbor count is
+        #{d <= h}, the support of the kernel. A fit depends only on its
+        point and radius, so it has the same bits whichever rows are fitted
+        together.
 
         Raises:
-            ValidationError: for a radius that is not positive, is below
-                ``min_radius`` (about 1e-100 of the largest held distance
-                for a cubic kernel, none for the uniform one) or is above
-                its row's held radius.
+            ValidationError: for radii not shaped as ``rows``, or a radius
+                that is not positive, is below ``min_radius`` (about 1e-100
+                of the largest held distance for a cubic kernel, none for
+                the uniform one) or is above its row's held radius.
             EmptyNeighborhood: naming the first point with no positive weight.
         """
         radii = np.asarray(radii, dtype=float)
         rows = (np.arange(len(self)) if rows is None
                 else np.asarray(rows, dtype=np.intp))
-        if rows.ndim != 1 or radii.ndim != 2 or radii.shape[0] != rows.size:
-            raise ValidationError("radii must have shape (len(rows), m)")
+        if rows.ndim != 1 or radii.shape != rows.shape:
+            raise ValidationError("need one radius per fitted row")
         if rows.size and not (0 <= rows.min() and rows.max() < len(self)):
             raise ValidationError(f"rows must lie in [0, {len(self)})")
         bad = np.flatnonzero(~(radii > 0.0))
         if bad.size:
             raise ValidationError(
-                f"bandwidth must be positive, got {radii.flat[bad[0]]}"
+                f"bandwidth must be positive, got {radii[bad[0]]}"
             )
         bad = np.flatnonzero(radii < self.min_radius)
         if bad.size:
             raise ValidationError(
-                f"bandwidth {radii.flat[bad[0]]} is below {self.min_radius}, "
+                f"bandwidth {radii[bad[0]]} is below {self.min_radius}, "
                 "the smallest radius the in-sample smoother resolves"
             )
-        bad = np.argwhere(radii > self._held[rows, None])
+        bad = np.flatnonzero(radii > self._held[rows])
         if bad.size:
-            r, col = bad[0]
+            r = bad[0]
             raise ValidationError(
-                f"bandwidth {radii[r, col]} at sample point "
+                f"bandwidth {radii[r]} at sample point "
                 f"{self.points[rows[r]]} is above its held radius "
                 f"{self._held[rows[r]]}"
             )
+        # rows + 1j * radii would give nan + inf j at an infinite radius
         needles = np.empty(radii.shape, dtype=complex)
-        needles.real = rows[:, None]
+        needles.real = rows
         needles.imag = radii
-        first = self._offsets[rows][:, None]
-        counts = self._keys.searchsorted(needles, side="right")
-        counts -= first
+        found = self._keys.searchsorted(needles, side="right")
+        counts = found - self._offsets[rows]
         # each row's prefix sums start at offsets[row] + row
-        at = counts + (first + rows[:, None])
+        at = found + rows
         num = np.zeros(radii.shape)
         den = np.zeros(radii.shape)
         scaled = radii * self._unit
@@ -509,12 +506,12 @@ class InsampleSmoother:
             scale = c / _powers(scaled, p)
             num += scale * prefix_y[at]
             den += scale * prefix_1[at]
-        bad = np.argwhere(den <= 0.0)
+        bad = np.flatnonzero(den <= 0.0)
         if bad.size:
-            r, col = bad[0]
+            r = bad[0]
             raise EmptyNeighborhood(
                 f"at sample point {self.points[rows[r]]}: no positive kernel "
-                f"weight within radius {radii[r, col]}"
+                f"weight within radius {radii[r]}"
             )
         return num / den, counts
 
@@ -535,8 +532,6 @@ def estimate_sigma2(distances, responses, kernel: KernelSpec,
     """
     d = np.asarray(distances, dtype=float).reshape(1, -1)
     y = np.asarray(responses, dtype=float).reshape(-1)
-    if d.shape[1:] != y.shape:
-        raise ValidationError("distances and responses must have equal length")
     means = _dense_fit(d, y, kernel, [h], 2)[0]
     return float(plugin_variance(means[0], means[1])[0])
 
@@ -652,7 +647,7 @@ def estimate_phi_prime(distances, responses, kernel: KernelSpec,
     estimator exists for this quantity.
 
     Raises:
-        ValidationError: if distances and responses differ in length.
+        ValidationError: for unequal lengths or an h_pilot not in (0, inf).
         TooFewPoints: with fewer than 10 points inside the pilot ball.
         EmptyNeighborhood: if no in-ball point gets positive weight.
     """
@@ -660,6 +655,8 @@ def estimate_phi_prime(distances, responses, kernel: KernelSpec,
     y = np.asarray(responses, dtype=float)
     if d.shape != y.shape:
         raise ValidationError("distances and responses must have equal length")
+    if not 0.0 < h_pilot < np.inf:  # written so that NaN fails
+        raise ValidationError(f"need 0 < h_pilot < inf, got {h_pilot}")
     inside = d <= h_pilot
     if int(np.count_nonzero(inside)) < 10:
         raise TooFewPoints(

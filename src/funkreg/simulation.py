@@ -445,8 +445,11 @@ class NonsmoothFamily:
         return Tau0Model.dirac_at_one()
 
     def bandwidth_at_rate(self, n: int, a: float = 1.75) -> float:
-        """Bandwidth a / (log n)**(1/beta), the slow rate that keeps
-        n F(h) growing for this family."""
+        """Bandwidth a / (log n)**(1/beta) for an integer n >= 2 and a finite
+        a > 0, the slow rate that keeps n F(h) growing for this family."""
+        require_integers(n=n)
+        if n < 2 or not 0 < a < np.inf:  # written so that NaN fails
+            raise ValidationError(f"need n >= 2 and finite a > 0, got {n} and {a}")
         return a / math.log(n) ** (1.0 / self.beta)
 
     def _unnormalized(self, s: np.ndarray) -> np.ndarray:
@@ -492,9 +495,10 @@ def mc_tau_convergence(family: FractalFamily | NonsmoothFamily, n: int,
     s = 0.5) are the meaningful convergence diagnostic there.
 
     Raises:
-        ValidationError: on a seed ``check_seed`` rejects.
+        ValidationError: for a non-integer n or a seed ``check_seed`` rejects.
         DegenerateBall: if no draw falls within h.
     """
+    require_integers(n=n)
     if n < _MIN_TAU_SAMPLE:
         raise ValidationError(f"tau convergence check needs n >= {_MIN_TAU_SAMPLE}")
     s_grid = np.asarray(s_grid, dtype=float)

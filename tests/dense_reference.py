@@ -41,7 +41,7 @@ def neighbours_from_dense(d, radii=None) -> NeighbourRows:
 class DenseSmoother:
     """The in-sample smoother on the full square matrix: every row sorted,
     prefix sums of d^p y and d^p per nonzero coefficient, one search per
-    fitted row."""
+    fitted (point, radius) pair."""
 
     def __init__(self, d, y, kernel):
         order = np.argsort(d, axis=1, kind="stable")
@@ -67,16 +67,16 @@ class DenseSmoother:
         return counts
 
     def fit(self, radii, points=None):
+        """Predictions and counts at one radius per fitted point."""
         points = np.arange(len(self.sorted)) if points is None else points
         counts = self.counts(radii, points)
-        rows = points[:, None]
         num = np.zeros(radii.shape)
         den = np.zeros(radii.shape)
         scaled = radii * self.unit
         for p, c, prefix_y, prefix_1 in self.terms:
             scale = c / scaled ** p
-            num += scale * prefix_y[rows, counts]
-            den += scale * prefix_1[rows, counts]
+            num += scale * prefix_y[points, counts]
+            den += scale * prefix_1[points, counts]
         return num / den, counts
 
 
@@ -97,8 +97,8 @@ def dense_insample_fit(sample, kernel, spec, h=None, k=None):
         radii = smoother.knn_radii(k)
     if not np.all(radii > 0.0):
         raise ValidationError("bandwidth must be positive")
-    preds, counts = smoother.fit(radii[:, None])
-    return preds[:, 0], counts[:, 0], radii
+    preds, counts = smoother.fit(radii)
+    return preds, counts, radii
 
 
 def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None):
@@ -125,7 +125,7 @@ def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None):
     pilot_radii_q = knn_radii(dist_qs, k_g, k_g)[:, 0]
     if np.any(pilot_radii <= 0.0) or np.any(pilot_radii_q <= 0.0):
         raise DegeneratePilot("pilot kNN radius is zero")
-    r_tilde = smoother.fit(pilot_radii[:, None])[0][:, 0]
+    r_tilde = smoother.fit(pilot_radii)[0]
     r_tilde_q = nadaraya_watson_batch(dist_qs, y, kernel, pilot_radii_q)[0]
     radii = knn_radii(dist_qs, config.k_min, config.k_max)
     if np.any(radii <= 0.0):
@@ -136,8 +136,10 @@ def dense_error_curve(sample, queries, kernel, spec, config, point_keys=None):
     for j in range(len(queries)):
         h = radii[j:j + 1]
         support = np.flatnonzero(dist_qs[j] <= h[0, -1])[None]
-        fits = smoother.fit(np.repeat(h, support.size, axis=0), support[0])[0]
-        resid = y[support][..., None] - fits[None]
+        # each support point at every candidate radius
+        fits = smoother.fit(np.tile(h[0], support.size),
+                            np.repeat(support[0], n_k))[0]
+        resid = y[support][..., None] - fits.reshape(1, -1, n_k)
         d = dist_qs[j][support]
         with np.errstate(over="ignore"):
             u = d[..., None] / h[:, None, :]

@@ -437,9 +437,8 @@ class TestBootstrapErrorCurve:
 
         def recording_fit(self, radii, rows=None):
             if rows is not None:  # not the pilot fit, which fits every row
-                radii = np.asarray(radii)
-                points = np.repeat(self.points[rows], radii.shape[1])
-                requests.extend(zip(points.tolist(), radii.ravel().tolist()))
+                requests.extend(zip(self.points[rows].tolist(),
+                                    np.asarray(radii).tolist()))
             return fit(self, radii, rows)
 
         monkeypatch.setattr(funkreg.estimator.InsampleSmoother, "fit",

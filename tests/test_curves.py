@@ -428,6 +428,35 @@ class TestSampleDistances:
         if queries is None:
             assert np.all(np.diagonal(got) == 0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda sample, spec, q: sample_distances(sample, spec, q),
+        lambda sample, spec, q: query_rows(sample, spec, q, k=5),
+        lambda sample, spec, q: query_rows(sample, spec, q, h=5.0),
+    ], ids=["sample_distances", "query_rows_k", "query_rows_h"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_query_row_is_named(self, monkeypatch, call, bad):
+        # a NaN row got a NaN row of distances, a NaN kNN radius or, at a
+        # given h, an empty row
+        rng = np.random.default_rng(8)
+        sample = FunctionalSample(unit_grid(11), rng.normal(size=(6, 11)),
+                                  np.zeros(6))
+        queries = rng.normal(size=(4, 11))
+        queries[2, 5] = bad
+        queries[3, 0] = bad
+        calls = TestTransformCache.spy_on_transform(monkeypatch)
+        with pytest.raises(ValidationError, match=r"^query row 2 holds"):
+            call(sample, SemiMetricSpec(1), queries)
+        assert calls == []  # neither the queries nor the sample transformed
+
+    def test_no_queries_give_no_rows(self):
+        sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))
+        spec, empty = SemiMetricSpec(1), np.zeros((0, 11))
+        assert sample_distances(sample, spec, empty).shape == (0, 3)
+        for rule in ({"k": 2}, {"h": 0.5}):
+            rows = query_rows(sample, spec, empty, **rule)
+            assert rows.offsets.tolist() == [0]
+            assert rows.distances.size == rows.columns.size == rows.radii.size == 0
+
     @pytest.mark.parametrize("shape", [(2, 10), (2, 12), (11,)])
     def test_query_width_must_match_the_grid(self, shape):
         sample = FunctionalSample(unit_grid(11), np.zeros((3, 11)), np.zeros(3))

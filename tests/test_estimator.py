@@ -11,8 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import norm
 
 from funkreg import (
+    BandwidthGrid,
     DegenerateBall,
     DegenerateConstants,
+    DegenerateGrid,
     DomainError,
     EmptyNeighborhood,
     InsampleSmoother,
@@ -82,6 +84,22 @@ class TestKnnBandwidths:
             knn_bandwidths([0.1, 0.2, 0.3], 2, 3)  # k_max > n - 1
         with pytest.raises(TooFewPoints):
             knn_bandwidths([0.1, 0.2, 0.3], 1, 2)
+
+    def test_nan_distances_raise(self):
+        # NaN sorts last, so the grid read (0.2, nan) off a row of three
+        with pytest.raises(ValidationError, match="NaN"):
+            knn_bandwidths([np.nan, np.nan, np.nan, 0.1, 0.2], 2, 3)
+        with pytest.raises(ValidationError, match="NaN"):
+            knn_radii(np.array([[0.1, 0.2], [0.3, np.nan]]), 1, 1)
+
+    def test_grid_rejects_nan_bandwidths(self):
+        for entries in (((2, np.nan), (3, np.nan)), ((2, 0.1), (3, np.nan)),
+                        ((2, np.nan), (3, 0.1))):
+            with pytest.raises(ValidationError, match="NaN"):
+                BandwidthGrid(entries)
+        for entries in (((2, 0.0), (3, 0.1)), ((2, -1.0),)):
+            with pytest.raises(DegenerateGrid, match="strictly positive"):
+                BandwidthGrid(entries)
 
 
 class TestNadarayaWatson:
@@ -194,6 +212,16 @@ def smoother_cases(draw):
     return d, y, mode, radii, draw(st.integers(1, n - 1))
 
 
+def fit_grid(smoother, radii, rows):
+    """A smoother's predictions and counts at an (len(rows), m) grid of
+    radii: row r is fitted at each of its m radii as m repeats of
+    ``rows[r]``, one radius each, and the results are laid out as the
+    grid."""
+    preds, counts = smoother.fit(radii.ravel(),
+                                 np.repeat(rows, radii.shape[1]))
+    return preds.reshape(radii.shape), counts.reshape(radii.shape)
+
+
 class TestInsampleSmoother:
     @settings(max_examples=150, deadline=None)
     @given(smoother_cases(), st.sampled_from(sorted(SMOOTHER_KERNELS)))
@@ -208,10 +236,10 @@ class TestInsampleSmoother:
             np.testing.assert_array_equal(radii[:, 0], expected)
             if np.any(radii <= 0.0):  # duplicate curves at k
                 with pytest.raises(ValidationError):
-                    smoother.fit(radii)
+                    smoother.fit(radii[:, 0])
                 return
         try:
-            preds, counts = smoother.fit(radii)
+            preds, counts = fit_grid(smoother, radii, np.arange(len(d)))
         except ValidationError:
             # radii far below the sample's scale are out of the smoother's range
             assert np.any(radii < 1e-100 * d.max())
@@ -243,8 +271,8 @@ class TestInsampleSmoother:
             radius, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
         points = np.array(data.draw(st.lists(
             st.integers(0, n - 1), min_size=1, max_size=2 * n)))
-        preds, counts = smoother.fit(radii)
-        at_points, counts_at_points = smoother.fit(radii[points], points)
+        preds, counts = fit_grid(smoother, radii, np.arange(n))
+        at_points, counts_at_points = fit_grid(smoother, radii[points], points)
         np.testing.assert_array_equal(at_points, preds[points])
         np.testing.assert_array_equal(counts_at_points, counts[points])
 
@@ -275,12 +303,27 @@ class TestInsampleSmoother:
         smoother = InsampleSmoother(rows, y, UNIFORM)
         with pytest.raises(ValidationError):
             smoother.neighbour_radii(2)
-        with pytest.raises(ValidationError):
-            smoother.fit(np.zeros((2, 1)))
-        with pytest.raises(ValidationError):
-            smoother.fit(np.ones((1, 1)), rows=[2])
-        with pytest.raises(ValidationError):
-            smoother.fit(np.ones((2, 1)), rows=[1])
+        with pytest.raises(ValidationError, match="must be positive"):
+            smoother.fit(np.zeros(2))
+        with pytest.raises(ValidationError, match="must lie in"):
+            smoother.fit(np.ones(1), rows=[2])
+        with pytest.raises(ValidationError, match="one radius per fitted row"):
+            smoother.fit(np.ones(2), rows=[1])
+
+    def test_rejects_a_grid_of_radii(self):
+        # one radius per fitted row: several radii at a row are repeats of
+        # the row, not a second axis
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        smoother = InsampleSmoother(neighbours_from_dense(d), [1.0, 2.0],
+                                    UNIFORM)
+        for radii, rows in ((np.ones((2, 1)), None), (np.ones((2, 3)), None),
+                            (np.ones((1, 1)), [1]), (np.ones(3), [[0, 1, 1]]),
+                            (1.0, None)):
+            with pytest.raises(ValidationError, match="one radius per fitted row"):
+                smoother.fit(radii, rows)
+        preds, counts = smoother.fit([1.0, 0.5, 1.0], [1, 1, 0])
+        assert preds.tolist() == [1.5, 2.0, 1.5]
+        assert counts.tolist() == [2, 1, 2]
 
     def test_zero_kernel_names_the_point(self):
         # KernelSpec rejects K(0) <= 0, so a zero kernel is built past its
@@ -291,9 +334,9 @@ class TestInsampleSmoother:
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         smoother = InsampleSmoother(neighbours_from_dense(d), [1.0, 2.0], zero)
         with pytest.raises(EmptyNeighborhood, match="sample point 0"):
-            smoother.fit(np.ones((2, 1)))
+            smoother.fit(np.ones(2))
         with pytest.raises(EmptyNeighborhood, match="sample point 1"):
-            smoother.fit(np.ones((1, 1)), rows=[1])
+            smoother.fit(np.ones(1), rows=[1])
 
 
 @st.composite
@@ -336,15 +379,16 @@ class TestCutRows:
         cut = InsampleSmoother(neighbours_from_dense(d, held), y, kernel)
         full = InsampleSmoother(neighbours_from_dense(d), y, kernel)
         assume(np.all(radii >= max(cut.min_radius, full.min_radius)))
-        preds, counts = cut.fit(radii, rows)
+        preds, counts = fit_grid(cut, radii, rows)
         # a kernel of degree 3 or more takes its powers by repeated
         # products, which no power-of-two ``_unit`` can change
-        want, want_counts = full.fit(radii, rows)
+        want, want_counts = fit_grid(full, radii, rows)
         assert preds.tobytes() == want.tobytes()
         np.testing.assert_array_equal(counts, want_counts)
         if kernel_name != "cubic":
             # degree <= 2: the bits of the dense square-matrix smoother
-            want, want_counts = DenseSmoother(d, y, kernel).fit(radii, rows)
+            want, want_counts = fit_grid(DenseSmoother(d, y, kernel), radii,
+                                         rows)
             assert preds.tobytes() == want.tobytes()
             np.testing.assert_array_equal(counts, want_counts)
 
@@ -354,7 +398,7 @@ class TestCutRows:
         d, y, held, rows, radii = case
         assume(np.all(radii > 0.0))
         cut = neighbours_from_dense(d, held)
-        _, counts = InsampleSmoother(cut, y, UNIFORM).fit(radii, rows)
+        _, counts = fit_grid(InsampleSmoother(cut, y, UNIFORM), radii, rows)
         # the reference: one searchsorted per fitted row
         expected = np.empty(radii.shape, dtype=np.intp)
         for r, i in enumerate(rows):
@@ -366,9 +410,9 @@ class TestCutRows:
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
         smoother = InsampleSmoother(neighbours_from_dense(d, [1.0, 3.0, 3.0]),
                                     np.ones(3), QUADRATIC)
-        smoother.fit(np.array([[1.0], [2.5]]), rows=[0, 1])
+        smoother.fit(np.array([1.0, 2.5]), rows=[0, 1])
         with pytest.raises(ValidationError, match="above its held radius"):
-            smoother.fit(np.array([[1.5]]), rows=[0])
+            smoother.fit(np.array([1.5]), rows=[0])
         with pytest.raises(ValidationError, match="available distances"):
             smoother.neighbour_radii(2)  # row 0 holds two distances
         assert smoother.neighbour_radii(1).tolist() == [1.0, 1.0, 1.5]
@@ -397,8 +441,8 @@ class TestCutRows:
         smoother = InsampleSmoother(neighbours_from_dense(d), np.ones(2),
                                     UNIFORM)
         assert smoother._unit == 2.0**1023
-        _, counts = smoother.fit(np.array([[tiny]]), rows=[0])
-        assert counts.tolist() == [[2]]
+        _, counts = smoother.fit(np.array([tiny]), rows=[0])
+        assert counts.tolist() == [2]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(2.0**-40, 2.0**40), min_size=1, max_size=20),
@@ -624,6 +668,14 @@ class TestEstimatePhiPrime:
             estimate_phi_prime(np.linspace(0.0, 0.5, 50), np.zeros(10),
                                UNIFORM, 0.3)
 
+    @pytest.mark.parametrize("h_pilot", [0.0, -0.3, math.nan, math.inf])
+    def test_pilot_bandwidth_must_be_positive_and_finite(self, h_pilot):
+        # 0 raised EmptyNeighborhood, a numeric failure, and NaN
+        # TooFewPoints "within nan"
+        d = np.linspace(0.0, 0.29, 25)
+        with pytest.raises(ValidationError, match="h_pilot"):
+            estimate_phi_prime(d, d, UNIFORM, h_pilot)
+
     def test_weighted_variant_also_exact(self):
         d = np.linspace(0.0, 0.29, 25)
         y = -1.0 + 4.0 * d
@@ -703,7 +755,7 @@ def reference_nadaraya_watson(distances, responses, kernel, h):
 
 @st.composite
 def query_blocks(draw):
-    """(m, n) distance blocks with radii and (n,) or (m, n) responses.
+    """(m, n) distance blocks with radii and (n,) responses.
 
     Distances on a 1/8 lattice tie often and can be zero; a radius is
     either one of its row's distances or an arbitrary positive value.
@@ -719,10 +771,8 @@ def query_blocks(draw):
                        st.floats(1e-3, 5.0)))
         for row in d
     ])
-    shape = draw(st.sampled_from([(n,), (m, n)]))
-    size = int(np.prod(shape))
     y = np.array(draw(st.lists(st.floats(-100.0, 100.0, allow_nan=False),
-                               min_size=size, max_size=size))).reshape(shape)
+                               min_size=n, max_size=n)))
     return d, y, radii
 
 
@@ -732,11 +782,10 @@ class TestNadarayaWatsonBatch:
     def test_matches_per_row_reference(self, case, kernel_name):
         d, y, radii = case
         kernel = SMOOTHER_KERNELS[kernel_name]
-        rows = np.broadcast_to(y, d.shape)
         expected, empty = [], None
         for j in range(len(d)):
             try:
-                expected.append(reference_nadaraya_watson(d[j], rows[j], kernel, radii[j]))
+                expected.append(reference_nadaraya_watson(d[j], y, kernel, radii[j]))
             except EmptyNeighborhood:
                 empty = j
                 break
@@ -774,6 +823,18 @@ class TestNadarayaWatsonBatch:
         with pytest.raises(ValidationError):
             nadaraya_watson_batch(d, np.ones((3, 2)), UNIFORM, [0.5, 0.5])
 
+    def test_rejects_a_row_of_responses_per_query(self):
+        # the responses are one per sample curve, shared by every query
+        d = np.array([[0.1, 0.2], [0.3, 0.4]])
+        rows = NeighbourRows(2, np.arange(2), np.array([0, 2, 4]),
+                             d.ravel(), np.array([0, 1, 0, 1]),
+                             np.array([0.5, 0.5]))
+        for y in (np.ones((2, 2)), np.ones((1, 2)), np.ones(1)):
+            with pytest.raises(ValidationError, match=r"need \(n,\) responses"):
+                nadaraya_watson_batch(d, y, UNIFORM, [0.5, 0.5])
+            with pytest.raises(ValidationError, match=r"need \(n,\) responses"):
+                nadaraya_watson_rows(rows, y, UNIFORM, [0.5, 0.5])
+
     def test_empty_row_names_the_query(self):
         d = np.array([[0.1, 0.2], [0.3, 0.4], [0.9, 0.8]])
         with pytest.raises(EmptyNeighborhood, match="radius 0.25 at query 1"):
@@ -793,7 +854,7 @@ def batches(draw):
     k = draw(st.integers(1, n))
     # above the k-th smallest distance, so every row has positive weight
     radii = 1.5 * np.sort(d, axis=1)[:, k - 1] + 1e-3
-    y = rng.normal(size=draw(st.sampled_from([(n,), (m, n)]))) * 100.0
+    y = rng.normal(size=n) * 100.0
     batch = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m))
     return d, y, radii, np.array(batch)
 
@@ -805,14 +866,11 @@ class TestBatchInvariance:
         d, y, radii, batch = case
         kernel = SMOOTHER_KERNELS[kernel_name]
         full = nadaraya_watson_batch(d, y, kernel, radii)
-        part = nadaraya_watson_batch(
-            d[batch], y if y.ndim == 1 else y[batch], kernel, radii[batch]
-        )
+        part = nadaraya_watson_batch(d[batch], y, kernel, radii[batch])
         for got, want in zip(part, full):
             np.testing.assert_array_equal(got, want[batch])
-        rows = np.broadcast_to(y, d.shape)
         for j in range(len(d)):
-            alone = nadaraya_watson(d[j], rows[j], kernel, radii[j])
+            alone = nadaraya_watson(d[j], y, kernel, radii[j])
             assert alone.prediction == full[0][j]
             # the per-query np.sum and np.dot the batched smoother replaced,
             # within the bound of two summation orders of n terms:
@@ -821,8 +879,8 @@ class TestBatchInvariance:
             w = eval_kernel_array(kernel, d[j] / radii[j])
             bound = 2 * d.shape[1] * np.finfo(float).eps
             assert abs(full[1][j] - np.sum(w)) <= bound * np.sum(w)
-            assert (abs(full[0][j] - np.dot(w, rows[j]) / np.sum(w))
-                    <= bound * np.dot(w, np.abs(rows[j])) / np.sum(w))
+            assert (abs(full[0][j] - np.dot(w, y) / np.sum(w))
+                    <= bound * np.dot(w, np.abs(y)) / np.sum(w))
 
 
 class TestRowFit:

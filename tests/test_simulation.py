@@ -291,6 +291,21 @@ class TestMcTauConvergence:
         with pytest.raises(ValidationError, match="finite and positive"):
             NonsmoothFamily(**params)
 
+    @pytest.mark.parametrize("n, a", [(1, 1.75), (0, 1.75), (-3, 1.75),
+                                      (2.5, 1.75), (5000.0, 1.75),
+                                      (5000, 0.0), (5000, -1.0),
+                                      (5000, math.nan), (5000, math.inf)])
+    def test_bandwidth_at_rate_needs_n_of_two_and_a_finite_positive_a(self, n, a):
+        # n = 1 divided by log 1 = 0 and n = 0 took the log of 0
+        family = NonsmoothFamily(alpha=1.0, beta=2.0, c=1.0)
+        with pytest.raises(ValidationError):
+            family.bandwidth_at_rate(n, a)
+
+    def test_sample_size_must_be_an_integer(self):
+        # a float n reached numpy's random draw as a size
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            mc_tau_convergence(FractalFamily(1.0), 5000.0, 0.1, [0.5])
+
     def test_nonsmooth_sampler_matches_law(self):
         # the inverse-CDF draws must reproduce the target CDF itself
         family = NonsmoothFamily(alpha=1.0, beta=2.0, c=1.0)
@@ -324,17 +339,18 @@ def reference_scalar_fits(config, kernel):
 
 
 def dense_scalar_fits(config, kernel):
-    """Every replication's design and responses as the rows of one dense
-    (reps, n) block, fitted by ``nadaraya_watson_batch``."""
-    x = np.empty((config.reps, config.n))
-    y = np.empty_like(x)
+    """Every replication's design and responses as one dense (1, n) block,
+    fitted by ``nadaraya_watson_batch``, one replication a call."""
+    preds = np.empty(config.reps)
+    counts = np.empty(config.reps, dtype=np.intp)
     for row, rng in enumerate(replication_streams(config.seed, config.reps)):
-        x[row] = rng.random(config.n)
-        y[row] = config.slope * x[row]
+        x = rng.random(config.n)
+        y = config.slope * x
         if config.noise_sd > 0:
-            y[row] += config.noise_sd * rng.standard_normal(config.n)
-    preds, _, counts = nadaraya_watson_batch(
-        np.abs(x - config.chi), y, kernel, np.full(config.reps, config.h))
+            y += config.noise_sd * rng.standard_normal(config.n)
+        pred, _, count = nadaraya_watson_batch(
+            np.abs(x - config.chi)[None], y, kernel, [config.h])
+        preds[row], counts[row] = pred[0], count[0]
     return preds, counts
 
 
