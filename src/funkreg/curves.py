@@ -420,7 +420,8 @@ def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
     Raises:
         GridTooShort: if the grid is too short for the derivative order.
         ValidationError: without k and reach, for a k outside [1, n], a
-            negative or NaN reach or a point outside the sample.
+            negative or NaN reach, reaches that are not one per point or a
+            point outside the sample.
     """
     cols = _kept_rows(sample, spec)
     n = len(sample)
@@ -432,8 +433,10 @@ def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
     if k is None and reach is None:
         raise ValidationError("give k, reach or both")
     _check_rule(n, k, None)
-    reach = np.broadcast_to(
-        np.asarray(0.0 if reach is None else reach, dtype=float), points.shape)
+    reach = np.asarray(0.0 if reach is None else reach, dtype=float)
+    if reach.ndim and reach.shape != points.shape:
+        raise ValidationError(f"need one reach, or one per point ({points.size})")
+    reach = np.broadcast_to(reach, points.shape)
     if not (reach >= 0.0).all():
         raise ValidationError("reach must be nonnegative")
     return NeighbourRows(n, points, *_screened_rows(

@@ -158,8 +158,13 @@ def empirical_sdf(distances, h: float) -> float:
     """Empirical small-ball fraction: share of distances <= h.
 
     Right-continuous and nondecreasing as a function of h.
+
+    Raises:
+        ValidationError: for a NaN radius or distance.
     """
     d = np.asarray(distances, dtype=float)
+    if np.isnan(h) or np.isnan(d).any():
+        raise ValidationError("radius and distances must not be NaN")
     if d.size == 0:
         return 0.0
     return float(np.count_nonzero(d <= h)) / d.size
@@ -170,10 +175,14 @@ def empirical_tau(distances, h: float, s: float) -> float:
 
     Raises:
         DomainError: if s is outside [0, 1].
+        ValidationError: for a radius that is not finite (at h = inf,
+            h * 0 is NaN) or a NaN distance.
         DegenerateBall: if no distance falls within h.
     """
     if not 0.0 <= s <= 1.0:  # written so that NaN fails
         raise DomainError(f"tau argument must lie in [0, 1], got {s}")
+    if not np.isfinite(h):
+        raise ValidationError(f"radius must be finite, got {h}")
     denom = empirical_sdf(distances, h)
     if denom == 0.0:
         raise DegenerateBall(f"no observation within radius {h}")
@@ -263,6 +272,14 @@ def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
     return means[0], totals, counts
 
 
+def _query_row(distances) -> np.ndarray:
+    """One query's (n,) distances as a (1, n) block, else ValidationError."""
+    d = np.asarray(distances, dtype=float)
+    if d.ndim != 1:
+        raise ValidationError("need (n,) distances, one per sample curve")
+    return d[None]
+
+
 def nadaraya_watson(distances, responses, kernel: KernelSpec,
                     h: float) -> EstimateResult:
     """Kernel-weighted mean of the responses at bandwidth h.
@@ -270,21 +287,19 @@ def nadaraya_watson(distances, responses, kernel: KernelSpec,
     The one-query case of ``nadaraya_watson_batch``.
 
     Args:
-        distances: semi-metric distances from the sample curves to the query.
-        responses: scalar responses, same length and order as distances.
+        distances: (n,) semi-metric distances from the sample curves to the
+            query.
+        responses: (n,) scalar responses, in the order of the distances.
         kernel: weighting kernel, evaluated at distance / h.
         h: bandwidth, strictly positive.
 
     Raises:
+        ValidationError: unless distances and responses are both (n,).
         EmptyNeighborhood: when no observation receives positive weight.
     """
-    d = np.asarray(distances, dtype=float)
-    y = np.asarray(responses, dtype=float)
-    if d.shape != y.shape:
-        raise ValidationError("distances and responses must have equal length")
+    d = _query_row(distances)
     predictions, totals, counts = nadaraya_watson_batch(
-        d.reshape(1, -1), y.reshape(-1), kernel, [h]
-    )
+        d, responses, kernel, [h])
     total = float(totals[0])
     count = int(counts[0])
     prediction = float(predictions[0])
@@ -529,10 +544,9 @@ def estimate_sigma2(distances, responses, kernel: KernelSpec,
 
     Both conditional expectations are weighted means over one set of kernel
     weights; the difference is clamped at zero (``plugin_variance``).
+    Raises ValidationError unless distances and responses are both (n,).
     """
-    d = np.asarray(distances, dtype=float).reshape(1, -1)
-    y = np.asarray(responses, dtype=float).reshape(-1)
-    means = _dense_fit(d, y, kernel, [h], 2)[0]
+    means = _dense_fit(_query_row(distances), responses, kernel, [h], 2)[0]
     return float(plugin_variance(means[0], means[1])[0])
 
 

@@ -14,10 +14,14 @@ Stream policy (this module owns it; the wild bootstrap follows it too): a
 seed is an integer in [0, 2^64), checked by ``check_seed`` where it comes
 in, and replication b of a run seeded with s draws from the start of the
 Philox stream keyed by (s, b). ``replication_streams`` is the one place
-those streams are built.
+those streams are built. Since a replication's draws depend on (s, b)
+alone, the scalar Monte Carlo draws its replications in contiguous shares
+on several threads, with the same bits on any number of them.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -43,11 +47,12 @@ from .kernels import KernelSpec, Tau0Model, compute_constants
 
 _MIN_TAU_SAMPLE = 1000
 _MIN_NORMALITY_REPS = 30
-#: Element budget of the draw buffers of the scalar replications: the
-#: designs and the noise of a block of replications are drawn into the
-#: rows of two (m, n) buffers of about this many elements, allocated once
-#: and reused block after block. At 128 KB per buffer they and the block's
-#: distance temporaries stay in cache.
+#: Element budget of the draw buffers of the scalar replications: each
+#: share of the replications draws the designs and the noise of a block
+#: into the rows of its own two (m, n) buffers of about this many elements,
+#: allocated once and reused block after block. At 128 KB per buffer they
+#: and the block's distance temporaries stay in the cache of the share's
+#: core.
 _BLOCK_ELEMENTS = 1 << 14
 #: Widest gap between two sorted positions that ``replication_uniforms``
 #: draws through; a wider one starts a new run, whose stream reset and
@@ -193,20 +198,24 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
-def replication_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """For b = 0 .. count - 1, a Generator at the start of the Philox stream
-    keyed by (seed, b).
+def replication_streams(seed: int, count: int,
+                        start: int = 0) -> Iterator[np.random.Generator]:
+    """For b = start .. count - 1, a Generator at the start of the Philox
+    stream keyed by (seed, b).
 
     The same Generator is yielded each time, reset in place to a fresh
     state with the key (seed, b): the bits of a new
     ``Generator(Philox(key=[seed, b]))`` without building and seeding one
-    per replication. Draw from it before taking the next stream.
+    per replication. Draw from it before taking the next stream. Each call
+    builds its own Generator, so calls on different threads share no state;
+    with a ``start`` the first stream is (seed, start), as if the streams
+    before it had been taken and left undrawn.
     """
     seed = check_seed(seed)
     bit_generator = np.random.Philox(0)
     gen = np.random.Generator(bit_generator)
     state = bit_generator.state  # zero counter, empty buffers
-    for b in range(count):
+    for b in range(start, count):
         state["state"]["key"] = np.array([seed, b], dtype=np.uint64)
         bit_generator.state = state
         yield gen
@@ -254,28 +263,82 @@ def replication_uniforms(seed: int, count: int, positions) -> np.ndarray:
     return out
 
 
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _scalar_fits(config: ScalarDesignConfig,
                  kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and neighbor counts of every replication, in order.
 
-    Replication b draws its design and noise from its own stream (see the
-    module's stream policy) into a row of a block of replications. The
-    block is cut once at |x - chi| <= h, and only the kept entries get a
-    response and a kernel weight, summed row by row in sample order.
+    The replications are cut into blocks of ``step``, and the blocks into
+    contiguous shares, one per CPU the process may use (``_worker_count``)
+    and at most one per block. The calling thread fits share 0 and one
+    thread each fits the others (``_fit_share``), each into its own slice of
+    the outputs. Replication b draws from its own stream and each row is
+    summed on its own, so the bits do not depend on the number of shares.
 
     Raises:
         EmptyNeighborhood: naming the block of the first replication with
             no positive weight.
     """
-    n = config.n
-    step = min(config.reps, max(1, _BLOCK_ELEMENTS // n))
+    step = min(config.reps, max(1, _BLOCK_ELEMENTS // config.n))
+    blocks = -(-config.reps // step)
+    shares = min(_worker_count(), blocks)
+    bounds = [step * (blocks * i // shares) for i in range(shares)]
+    bounds.append(config.reps)
     predictions = np.empty(config.reps)
     counts = np.empty(config.reps, dtype=np.intp)
+    failures = [None] * shares
+
+    def fit(share: int) -> None:
+        try:
+            _fit_share(config, kernel, step, bounds[share], bounds[share + 1],
+                       predictions, counts)
+        except Exception as exc:  # re-raised by the caller, in share order
+            failures[share] = exc
+
+    threads = [threading.Thread(target=fit, args=(share,))
+               for share in range(1, shares)]
+    for thread in threads:
+        thread.start()
+    try:
+        fit(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return predictions, counts
+
+
+def _fit_share(config: ScalarDesignConfig, kernel: KernelSpec, step: int,
+               first: int, end: int, predictions: np.ndarray,
+               counts: np.ndarray) -> None:
+    """Fit replications first .. end - 1 into their entries of
+    ``predictions`` and ``counts``, a block of ``step`` at a time.
+
+    Replication b draws its design and noise from its own stream (see the
+    module's stream policy) into a row of the block's draw buffers, which
+    the share allocates once. The block is cut once at |x - chi| <= h, and
+    only the kept entries get a response and a kernel weight, summed row by
+    row in sample order.
+
+    Raises:
+        EmptyNeighborhood: naming the share's first block that holds a
+            replication with no positive weight.
+    """
+    n = config.n
     design = np.empty((step, n))
     noise = np.empty((step, n)) if config.noise_sd > 0 else None
-    streams = replication_streams(config.seed, config.reps)
-    for start in range(0, config.reps, step):
-        stop = min(start + step, config.reps)
+    streams = replication_streams(config.seed, end, first)
+    for start in range(first, end, step):
+        stop = min(start + step, end)
         x = design[:stop - start]
         for row, rng in enumerate(islice(streams, stop - start)):
             rng.random(out=x[row])
@@ -295,7 +358,6 @@ def _scalar_fits(config: ScalarDesignConfig,
                 f"replications {start}-{stop - 1}: {exc}"
             ) from None
         predictions[start:stop] = means[0]
-    return predictions, counts
 
 
 @dataclass(frozen=True, eq=False)

@@ -746,7 +746,9 @@ class TestNeighbourRows:
         for points, kwargs in ((None, {}), (None, {"k": 0}), (None, {"k": 4}),
                                (None, {"reach": -1.0}),
                                (None, {"reach": float("nan")}),
-                               ([3], {"k": 1}), ([[0]], {"k": 1})):
+                               ([3], {"k": 1}), ([[0]], {"k": 1}),
+                               ([0, 1, 2], {"reach": [0.1, 0.2]}),
+                               ([0, 1], {"reach": [[0.1, 0.2]]})):
             with pytest.raises(ValidationError):
                 neighbour_rows(sample, spec, points, **kwargs)
 

@@ -163,6 +163,19 @@ class TestNadarayaWatson:
         y_far[2] = 1e6
         assert nadaraya_watson(d, y_far, QUADRATIC, h).prediction == base
 
+    @pytest.mark.parametrize("fit", [nadaraya_watson, estimate_sigma2])
+    def test_one_query_takes_n_distances_and_n_responses(self, fit):
+        # a (2, 3) block fitted as one query of 6; (3, 2) responses to
+        # (6,) distances fitted by size alone
+        d = np.linspace(0.1, 0.6, 6)
+        y = np.arange(6.0)
+        for distances, responses, match in (
+                (d.reshape(2, 3), y.reshape(2, 3), "distances"),
+                (d, y.reshape(3, 2), "responses"),
+                (d, y[:5], "responses")):
+            with pytest.raises(ValidationError, match=match):
+                fit(distances, responses, UNIFORM, 2.0)
+
 
 SMOOTHER_KERNELS = {
     "uniform": UNIFORM,
@@ -488,6 +501,12 @@ class TestEmpiricalSdf:
         # the count in floating point (15 / 22 * 22 = 14.999999999999998)
         assert empirical_sdf(d, hi) == sum(x <= hi for x in d) / len(d)
 
+    def test_nan_radius_or_distance_raises(self):
+        # a NaN distance counted as outside the ball: 0.5
+        for d, h in (([np.nan, 0.1], 0.5), ([0.1, 0.2], np.nan)):
+            with pytest.raises(ValidationError, match="NaN"):
+                empirical_sdf(d, h)
+
 
 class TestEmpiricalTau:
     def test_one_at_s_one(self):
@@ -505,6 +524,15 @@ class TestEmpiricalTau:
     def test_degenerate_ball(self):
         with pytest.raises(DegenerateBall):
             empirical_tau([0.5, 0.6], 0.1, 0.5)
+
+    def test_nan_radius_or_distance_raises(self):
+        # a NaN radius raised DegenerateBall, a numeric failure, and an
+        # infinite one at s = 0 returned 0.0 here, F_hat(nan) = 0
+        for d, h, match in (([0.1, 0.2], np.nan, "finite"),
+                            ([0.0, 0.2], np.inf, "finite"),
+                            ([0.1, np.nan], 0.5, "NaN")):
+            with pytest.raises(ValidationError, match=match):
+                empirical_tau(d, h, 0.0)
 
     def test_domain_error(self):
         for s in (1.2, -0.1, float("nan"), float("inf")):

@@ -1,6 +1,8 @@
 """Tests for the curve generators and Monte Carlo experiments."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -392,8 +394,10 @@ class TestBlockedReplications:
         standardized = np.sqrt(counts) * (want - config.h / 2) / config.noise_sd
         np.testing.assert_allclose(normal.standardized, standardized, rtol=1e-12)
 
-    def test_first_empty_replication_raises(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_first_empty_replication_raises(self, monkeypatch, workers):
         monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 6)  # 3 per block
+        monkeypatch.setattr(simulation, "_worker_count", lambda: workers)
         # a seed whose first empty replication lies past the first block
         for seed in range(100):
             config = ScalarDesignConfig(n=2, h=0.2, chi=0.5, reps=12, seed=seed)
@@ -408,6 +412,75 @@ class TestBlockedReplications:
                            match=f"replications {block}-{block + 2}: .* "
                                  f"at query {first - block}$"):
             _scalar_fits(config, UNIFORM)
+
+
+def shares_of(workers, config):
+    """The outputs of ``_scalar_fits`` with ``workers`` CPUs to use, and the
+    number of threads it started."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_worker_count", lambda: workers)
+        patch.setattr(simulation.threading, "Thread", Thread)
+        out = _scalar_fits(config, UNIFORM)
+    assert not any(thread.is_alive() for thread in started)
+    return out, len(started)
+
+
+class TestShares:
+    @pytest.mark.parametrize("budget", [simulation._BLOCK_ELEMENTS, 4000])
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, budget):
+        # n = 2000: blocks of 8 (2 blocks) or of 2 (7 blocks), the last one
+        # short, so shares of 1, 2, 3 and 5 workers end mid-run; a short
+        # switch interval interleaves the threads often
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", budget)
+        config = ScalarDesignConfig(n=2000, h=0.05, chi=0.4, slope=1.3,
+                                    noise_sd=0.5, reps=13, seed=17)
+        blocks = -(-13 // min(13, budget // 2000))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            (want_preds, want_counts), threads = shares_of(1, config)
+            assert threads == 0
+            for workers in (2, 3, 5):
+                (preds, counts), threads = shares_of(workers, config)
+                assert threads == min(workers, blocks) - 1
+                np.testing.assert_array_equal(counts, want_counts)
+                np.testing.assert_array_equal(preds, want_preds)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_block_starts_no_thread(self):
+        config = ScalarDesignConfig(n=2000, h=0.05, reps=1, seed=3)
+        assert shares_of(5, config)[1] == 0
+
+    def test_the_lowest_failing_share_is_raised(self, monkeypatch):
+        # blocks of 2 of 13 replications: shares start at 0, 4 and 8, and
+        # shares 1 and 2 fail after share 0 ran
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 4000)
+        fit_share = simulation._fit_share
+
+        def failing(config, kernel, step, first, end, predictions, counts):
+            fit_share(config, kernel, step, first, end, predictions, counts)
+            if first:
+                raise RuntimeError(f"share at {first}")
+
+        monkeypatch.setattr(simulation, "_fit_share", failing)
+        config = ScalarDesignConfig(n=2000, h=0.05, reps=13, seed=3)
+        with pytest.raises(RuntimeError, match="^share at 4$"):
+            shares_of(3, config)
+
+    def test_worker_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: None)
+        assert simulation._worker_count() == 1
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+        assert simulation._worker_count() == 3
 
 
 class TestReplicationStreams:
@@ -428,6 +501,20 @@ class TestReplicationStreams:
     def test_count_bounds_the_streams(self):
         assert len(list(replication_streams(3, 0))) == 0
         assert len(list(replication_streams(3, 7))) == 7
+        assert len(list(replication_streams(3, 7, 5))) == 2
+        assert len(list(replication_streams(3, 7, 9))) == 0
+
+    @pytest.mark.parametrize("start", [0, 1, 4, 6])
+    def test_a_start_skips_to_its_stream(self, start):
+        def draws(streams):
+            return [np.concatenate([gen.random(3), gen.standard_normal(5)])
+                    for gen in streams]
+
+        want = draws(replication_streams(2**63 + 5, 7))[start:]
+        got = draws(replication_streams(2**63 + 5, 7, start))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
     def test_check_seed_rejects(self, seed):
