@@ -16,9 +16,14 @@ point's sorted distances up to a radius. A sample transforms its own rows
 once per spec, on first use, and keeps them as a read-only (n, p) table
 per spec for as long as it lives (``_kept_rows``); each call then
 transforms only its query rows. A grid
-keeps its trapezoid weights the same way. ``transform`` works row by row,
-so a row has the same bits alone as in any stack of rows, and
-``sample_distances(sample, spec, sample.values)`` is the (n, n) block.
+keeps its trapezoid weights the same way, and its derivative stencil:
+``np.gradient``'s second-order three-point rule (``edge_order=2``), each
+point's (left, mid, right) neighbours and their coefficients (a, b, c),
+so a derivative is three gathers, products and sums a block of rows at a
+time, with ``np.gradient``'s bits and none of its per-call set-up.
+``transform`` works row by row, so a row has the same bits alone as in any
+stack of rows, and ``sample_distances(sample, spec, sample.values)`` is the
+(n, n) block.
 
 A kernel estimate reads only the curves inside its ball. Given the
 neighbour count k or the radius h that decides those balls, rows are
@@ -32,7 +37,7 @@ and every kept entry has the bits of the full block.
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,10 +50,14 @@ from .errors import GridMismatch, GridTooShort, ValidationError, require_integer
 #: work arrays a chunk.
 _CHUNK_ELEMENTS = 1 << 21
 
-#: Element budget of one batch of gathered (pairs, p) differences in the
-#: screen's exact pass. Small enough that a batch stays in cache: on p = 101
-#: (2-core Xeon) 8000 pairs took 5.0 ms in batches of 10^4 and 1.8-2.0 ms
-#: in batches of 256 to 1024.
+#: Element budget of one block of gathered rows: a batch of (pairs, p)
+#: differences in the screen's exact pass, and a block of (rows, p) curves
+#: that ``transform`` differentiates (648 rows at p = 101). Small enough
+#: that a block and its work arrays stay in cache: on p = 101 (2-core Xeon)
+#: 8000 pairs took 5.0 ms in batches of 10^4 and 1.8-2.0 ms in batches of
+#: 256 to 1024; the order-1 derivative of 2000 rows took 1.45 ms in blocks
+#: of 32 rows, 0.93-0.99 ms in blocks of 128 to 648 and 1.02 ms whole,
+#: against 2.05 ms by ``np.gradient`` (best of 9).
 _PAIR_ELEMENTS = 1 << 16
 
 
@@ -56,7 +65,11 @@ _PAIR_ELEMENTS = 1 << 16
 class SamplingGrid:
     """Ordered abscissae shared by a family of curves.
 
-    Points must be finite, strictly increasing, and at least two.
+    Points must be finite, strictly increasing, and at least two. A grid
+    computes its trapezoid weights and its derivative stencil on first use
+    and keeps them, read-only; either raises ValidationError, naming the
+    grid, if it is not finite (spacings so wide or so narrow that they
+    overflow).
     """
 
     points: np.ndarray
@@ -74,6 +87,7 @@ class SamplingGrid:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_weights", None)
+        object.__setattr__(self, "_stencil", None)
 
     def __len__(self) -> int:
         return self.points.size
@@ -89,15 +103,96 @@ class SamplingGrid:
         if w is None:
             pts = self.points
             w = np.empty_like(pts)
-            w[0] = (pts[1] - pts[0]) / 2.0
-            w[-1] = (pts[-1] - pts[-2]) / 2.0
-            w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
+            with np.errstate(over="ignore"):
+                w[0] = (pts[1] - pts[0]) / 2.0
+                w[-1] = (pts[-1] - pts[-2]) / 2.0
+                w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
+            self._check_finite("trapezoid weights", w)
             w.setflags(write=False)
             object.__setattr__(self, "_weights", w)
         return w
 
+    def derivative_stencil(self) -> "Stencil":
+        """``np.gradient(f, points, edge_order=2)`` as a kept rule: computed
+        on first use with numpy's own arithmetic and kept on the grid,
+        read-only (``Stencil``).
+
+        Raises:
+            GridTooShort: if the grid has fewer than 3 points.
+            ValidationError: if a coefficient is not finite.
+        """
+        stencil = self._stencil
+        if stencil is None:
+            stencil = _three_point_stencil(self.points)
+            arrays = [a for a in stencil if a is not None]
+            self._check_finite("derivative coefficients", *arrays)
+            for array in arrays:
+                array.setflags(write=False)
+            object.__setattr__(self, "_stencil", stencil)
+        return stencil
+
+    def _check_finite(self, what: str, *arrays: np.ndarray) -> None:
+        if not all(np.isfinite(a).all() for a in arrays):
+            lo, hi = self.span
+            raise ValidationError(
+                f"the {what} of the {len(self)}-point grid on "
+                f"[{lo!r}, {hi!r}] are not finite"
+            )
+
     def matches(self, other: "SamplingGrid") -> bool:
         return self is other or np.array_equal(self.points, other.points)
+
+
+class Stencil(NamedTuple):
+    """``np.gradient``'s second-order three-point rule on one grid, with
+    its second-order one-sided rule at the two ends (``edge_order=2``).
+
+    Column ``i`` of the derivative that the rule covers is
+    ``a[i] * f[left[i]] + b[i] * f[mid[i]] + c[i] * f[right[i]]``, summed
+    in that order, with ``(left, mid, right) = neighbours`` and
+    ``(a, b, c) = coefficients``, each (3, q). On a non-uniform grid the
+    rule covers all q = p columns and ``spacing`` is None. On a uniform
+    one (all ``np.diff`` equal, numpy's own test) it covers the two ends
+    (q = 2) and ``spacing`` is 2 dx: interior column i is numpy's
+    ``(f[i + 1] - f[i - 1]) / spacing``.
+    """
+
+    neighbours: np.ndarray
+    coefficients: np.ndarray
+    spacing: np.ndarray | None
+
+
+def _three_point_stencil(pts: np.ndarray) -> Stencil:
+    """The ``Stencil`` of a grid, each coefficient written as
+    ``np.gradient`` writes it, so the derivative keeps numpy's bits."""
+    p = pts.size
+    if p < 3:
+        raise GridTooShort(f"a derivative needs >= 3 grid points, got {p}")
+    dx = np.diff(pts)
+    mid = np.clip(np.arange(p), 1, p - 2)
+    neighbours = np.stack([mid - 1, mid, mid + 1])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if (dx == dx[0]).all():
+            d = dx[0]
+            return Stencil(neighbours[:, [0, -1]],
+                           np.array([[-1.5 / d, 0.5 / d],
+                                     [2. / d, -2. / d],
+                                     [-0.5 / d, 1.5 / d]]),
+                           np.array(2. * d))
+        coefficients = np.empty((3, p))
+        d1, d2 = dx[:-1], dx[1:]
+        coefficients[:, 1:-1] = (-d2 / (d1 * (d1 + d2)),
+                                 (d2 - d1) / (d1 * d2),
+                                 d1 / (d2 * (d1 + d2)))
+        d1, d2 = dx[0], dx[1]
+        coefficients[:, 0] = (-(2. * d1 + d2) / (d1 * (d1 + d2)),
+                              (d1 + d2) / (d1 * d2),
+                              -d1 / (d2 * (d1 + d2)))
+        d1, d2 = dx[-2], dx[-1]
+        coefficients[:, -1] = (d2 / (d1 * (d1 + d2)),
+                               -(d2 + d1) / (d1 * d2),
+                               (2. * d2 + d1) / (d2 * (d1 + d2)))
+    return Stencil(neighbours, coefficients, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,15 +345,64 @@ def transform(values: np.ndarray, grid: SamplingGrid,
     """Presmooth then differentiate along the last axis of one curve's (p,)
     values or of an (m, p) matrix with one curve per row.
 
+    Each derivative is the grid's kept stencil (``derivative_stencil``),
+    applied to a block of ``_PAIR_ELEMENTS // p`` rows at a time, all its
+    orders before the next block: the bits of ``np.gradient(values,
+    grid.points, axis=-1, edge_order=2)`` applied ``derivative_order``
+    times.
+
     Raises:
         GridTooShort: if the grid is too short for the derivative order.
+        ValidationError: if the grid's stencil is not finite.
     """
     spec.check_grid(grid)
     if spec.presmoothing_window is not None:
         values = _moving_average(values, spec.presmoothing_window)
-    for _ in range(spec.derivative_order):
-        values = np.gradient(values, grid.points, axis=-1, edge_order=2)
+    if spec.derivative_order:
+        values = _differentiate(values, grid, spec.derivative_order)
     return values
+
+
+def _differentiate(values: np.ndarray, grid: SamplingGrid,
+                   order: int) -> np.ndarray:
+    """``order`` derivatives along the last axis by the grid's stencil,
+    a block of rows at a time (see ``transform``)."""
+    stencil = grid.derivative_stencil()
+    values = np.asarray(values, dtype=float)
+    p = values.shape[-1]
+    rows = values.reshape(-1, p)
+    out = np.empty(rows.shape)
+    step = max(1, _PAIR_ELEMENTS // p)
+    # a gather buffer and, at order 2, the first derivative of the block
+    work = np.empty((order, min(step, rows.shape[0]), p))
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        size = block.shape[0]
+        for d in range(order, 0, -1):
+            dest = out[start:start + step] if d == 1 else work[1, :size]
+            _three_point(block, stencil, dest, work[0, :size])
+            block = dest
+    return out.reshape(values.shape)
+
+
+def _three_point(f: np.ndarray, stencil: Stencil, out: np.ndarray,
+                 work: np.ndarray) -> None:
+    """One derivative of the (rows, p) block ``f`` into ``out`` by
+    ``stencil``; ``work`` is a buffer of the same shape."""
+    (left, mid, right), (a, b, c) = stencil.neighbours, stencil.coefficients
+    if stencil.spacing is not None:
+        np.subtract(f[:, 2:], f[:, :-2], out=out[:, 1:-1])
+        out[:, 1:-1] /= stencil.spacing
+        out[:, [0, -1]] = f[:, left] * a + f[:, mid] * b + f[:, right] * c
+        return
+    np.take(f, left, axis=1, out=out, mode="clip")
+    out *= a
+    np.take(f, mid, axis=1, out=work, mode="clip")
+    work *= b
+    out += work
+    np.take(f, right, axis=1, out=work, mode="clip")
+    work *= c
+    out += work
 
 
 def curve_matrix(curves: Sequence[Curve], grid: SamplingGrid) -> np.ndarray:
@@ -585,11 +729,10 @@ def _screened_rows(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     """
     lengths, distances, columns, limits = [], [], [], []
     for chunk, i, j, d in _screen(rows, cols, weights, k, reach):
-        # the screen lists a row's entries in column order and lexsort is
-        # stable, so ties keep that order
-        order = np.lexsort((d, i))
-        i, j, d = i[order] - chunk.start, j[order], d[order]
+        i -= chunk.start
         counts = np.bincount(i, minlength=rows[chunk].shape[0])
+        order = _row_order(i, counts, d)
+        j, d = j[order], d[order]
         # the larger of each row's reach and its k-th smallest distance
         limit = reach[chunk]
         if k is not None:
@@ -605,3 +748,19 @@ def _screened_rows(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     return (offsets, np.concatenate([np.empty(0), *distances]),
             np.concatenate([np.zeros(0, dtype=np.intp), *columns]),
             np.concatenate([np.empty(0), *limits]))
+
+
+def _row_order(i: np.ndarray, counts: np.ndarray,
+               d: np.ndarray) -> np.ndarray:
+    """The order of ``np.lexsort((d, i))`` for entries listed row by row
+    (``i`` ascending, ``counts[r]`` of them in row r): each row's
+    distances ascending, ties in the order given. Each row is scattered
+    into a padded (rows, longest row) block of +inf and sorted there by a
+    stable ``argsort``; a row's own entries sort before its padding, its
+    infinite distances too, as they come first. No row is longer than n,
+    so the block fits the screen's (rows, n) chunk budget."""
+    starts = np.cumsum(counts) - counts
+    block = np.full((counts.size, counts.max(initial=0)), np.inf)
+    block[i, np.arange(i.size) - starts[i]] = d
+    order = block.argsort(axis=1, kind="stable")
+    return order[np.arange(block.shape[1]) < counts[:, None]] + starts[i]

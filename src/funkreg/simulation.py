@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .curves import Curve, FunctionalSample, SamplingGrid
+from .curves import Curve, FunctionalSample, SamplingGrid, _differentiate
 from .errors import (
     DegenerateBall,
     EmptyNeighborhood,
@@ -139,8 +139,9 @@ def generate_curve(omega: float, a: float, b: float,
     return Curve(grid, _curve_values(omega, a, b, grid.points))
 
 
-def _regression_values(values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    deriv = np.gradient(values, t, axis=-1, edge_order=2)
+def _regression_values(values: np.ndarray, grid: SamplingGrid) -> np.ndarray:
+    t = grid.points
+    deriv = _differentiate(values, grid, 1)
     return np.trapezoid(np.abs(deriv) * (1.0 - np.cos(math.pi * t)), t, axis=-1)
 
 
@@ -158,7 +159,7 @@ def true_regression(curve: Curve) -> float:
     lo, hi = curve.grid.span
     if abs(lo + 1.0) > 1e-9 or abs(hi - 1.0) > 1e-9:
         raise ValidationError("regression functional expects a grid spanning [-1, 1]")
-    return float(_regression_values(curve.values, curve.grid.points))
+    return float(_regression_values(curve.values, curve.grid))
 
 
 def _draw_functional(rng: np.random.Generator, n: int, grid: SamplingGrid,
@@ -167,7 +168,7 @@ def _draw_functional(rng: np.random.Generator, n: int, grid: SamplingGrid,
     slopes = rng.uniform(0.0, 1.0, (n, 1))
     intercepts = rng.uniform(0.0, 1.0, (n, 1))
     values = _curve_values(omegas, slopes, intercepts, grid.points)
-    signal = _regression_values(values, grid.points)
+    signal = _regression_values(values, grid)
     noise = rng.normal(0.0, noise_sd, n) if noise_sd > 0 else np.zeros(n)
     return FunctionalSample(grid, values, signal + noise)
 

@@ -1,5 +1,6 @@
 """Tests for sampled curves, derivatives, and semi-metric distances."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,39 @@ class TestSamplingGrid:
         assert np.dot(grid.trapezoid_weights(), f) == pytest.approx(
             np.trapezoid(f, grid.points), abs=1e-15
         )
+
+
+    # finite, strictly increasing points whose trapezoid weights or
+    # derivative coefficients overflow
+    HOSTILE = (
+        ([-1.7e308, -1e308, 0.0, 1e308, 1.7e308], "trapezoid_weights",
+         "trapezoid weights", SemiMetricSpec(0)),
+        (np.cumsum([1.0, 1.5, 1.0, 2.0, 1.0, 1.5]) * 1e-170,
+         "derivative_stencil", "derivative coefficients", SemiMetricSpec(1)),
+    )
+
+    @pytest.mark.parametrize("points, method, what, spec", HOSTILE)
+    def test_overflowing_weights_and_stencils_raise_naming_the_grid(
+            self, points, method, what, spec):
+        grid = SamplingGrid(points)
+        name = (f"the {what} of the {len(points)}-point grid on "
+                f"[{float(points[0])!r}, {float(points[-1])!r}] are not finite")
+        with pytest.raises(ValidationError, match=re.escape(name)):
+            getattr(grid, method)()
+        # nothing is kept, so the next call raises too
+        with pytest.raises(ValidationError, match=re.escape(name)):
+            getattr(grid, method)()
+
+    @pytest.mark.parametrize("points, method, what, spec", HOSTILE)
+    def test_distances_on_such_grids_raise_rather_than_give_nan(
+            self, points, method, what, spec):
+        p = len(points)
+        sample = FunctionalSample(SamplingGrid(points),
+                                  np.arange(5.0 * p).reshape(5, p), np.zeros(5))
+        with pytest.raises(ValidationError, match=what):
+            sample_distances(sample, spec, sample.values)
+        with pytest.raises(ValidationError, match=what):
+            query_rows(sample, spec, sample.values, k=3)
 
 
 class TestFunctionalSample:
@@ -753,6 +787,41 @@ class TestNeighbourRows:
                 neighbour_rows(sample, spec, points, **kwargs)
 
 
+class TestRowOrder:
+    """The cut's row-wise sort gives np.lexsort's order."""
+
+    @staticmethod
+    def assert_lexsort_order(i, d, rows):
+        counts = np.bincount(i, minlength=rows)
+        assert np.array_equal(curves._row_order(i, counts, d),
+                              np.lexsort((d, i)))
+
+    def test_ties_and_empty_rows(self):
+        rng = np.random.default_rng(10)
+        # rows of 0 to 12 entries, the empty ones first, last and between,
+        # with distances drawn from three values so most entries tie
+        counts = np.array([0, 5, 0, 0, 12, 1, 7, 0])
+        i = np.repeat(np.arange(counts.size), counts)
+        d = rng.choice([0.0, 0.5, 2.0], size=i.size)
+        self.assert_lexsort_order(i, d, counts.size)
+
+    def test_an_all_empty_chunk(self):
+        self.assert_lexsort_order(np.zeros(0, dtype=np.intp), np.empty(0), 4)
+
+    def test_infinite_distances_from_overflow(self):
+        # curves at 1e200 whose squared differences overflow: the rows hold
+        # infinite distances, tied with one another and with the padding
+        rng = np.random.default_rng(11)
+        cols = rng.normal(size=(6, 9)) * 1e200
+        cols[3] = cols[1]
+        rows = np.vstack([cols[:3], np.zeros((2, 9))])
+        i, j = np.nonzero(rng.random((5, 6)) < 0.7)
+        with np.errstate(over="ignore"):
+            d = curves._exact_pairs(rows, cols, np.ones(9), i, j)
+        assert np.isinf(d).any() and np.isfinite(d).any()
+        self.assert_lexsort_order(i, d, 5)
+
+
 class TestMovingAverage:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 10),
@@ -787,6 +856,82 @@ class TestTransform:
     def test_grid_too_short(self):
         with pytest.raises(GridTooShort):
             transform(np.zeros((2, 4)), unit_grid(4), SemiMetricSpec(2))
+
+
+class TestStencil:
+    """The grid's kept stencil differentiates with np.gradient's bits, in
+    blocks of any size."""
+
+    GRIDS = {
+        "integer": SamplingGrid(np.arange(17, dtype=float)),
+        "linspace": SamplingGrid(np.linspace(-1.0, 1.0, 21)),
+        "drawn": SamplingGrid(np.cumsum(
+            np.random.default_rng(0).uniform(0.01, 1.0, 17))),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    @pytest.mark.parametrize("spec", [SemiMetricSpec(1), SemiMetricSpec(2),
+                                      SemiMetricSpec(2, 5)])
+    def test_any_block_size_keeps_the_bits(self, monkeypatch, name, spec):
+        grid = self.GRIDS[name]
+        p = len(grid)
+        values = np.random.default_rng(7).normal(size=(10, p))
+        want = reference_transform(values, grid.points, spec)
+        # blocks of 1 row, 3 rows (the last one short) and all 10
+        for budget in (p, 3 * p, 10 * p):
+            monkeypatch.setattr(curves, "_PAIR_ELEMENTS", budget)
+            assert np.array_equal(transform(values, grid, spec), want)
+            assert np.array_equal(transform(values[3], grid, spec), want[3])
+
+    def test_uniform_grids_take_numpys_uniform_branch(self):
+        # numpy's test for its uniform branch, all np.diff equal, which the
+        # 21-point linspace fails by rounding
+        for name, uniform in (("integer", True), ("linspace", False),
+                              ("drawn", False)):
+            grid = self.GRIDS[name]
+            stencil = grid.derivative_stencil()
+            assert (stencil.spacing is not None) == uniform
+            assert stencil.neighbours.shape == stencil.coefficients.shape == (
+                (3, 2) if uniform else (3, len(grid)))
+
+    @pytest.mark.parametrize("points", [[0.0, 1.0, 2.0], [0.0, 0.3, 1.0]])
+    def test_the_three_point_minimum_grid_at_order_one(self, points):
+        grid = SamplingGrid(points)
+        values = np.random.default_rng(8).normal(size=(4, 3))
+        want = np.gradient(values, grid.points, axis=-1, edge_order=2)
+        assert np.array_equal(transform(values, grid, SemiMetricSpec(1)), want)
+        assert np.array_equal(transform(values[0], grid, SemiMetricSpec(1)),
+                              want[0])
+        # every point of a 3-point grid takes the one stencil (0, 1, 2)
+        neighbours = grid.derivative_stencil().neighbours
+        assert np.array_equal(neighbours,
+                              np.repeat([[0], [1], [2]], neighbours.shape[1], 1))
+
+    def test_no_stencil_below_three_points(self):
+        with pytest.raises(GridTooShort):
+            unit_grid(2).derivative_stencil()
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_made_once_per_grid_and_read_only(self, monkeypatch, name):
+        grid = SamplingGrid(self.GRIDS[name].points)
+        calls = []
+        make = curves._three_point_stencil
+
+        def spy(points):
+            calls.append(points)
+            return make(points)
+
+        monkeypatch.setattr(curves, "_three_point_stencil", spy)
+        values = np.random.default_rng(9).normal(size=(3, len(grid)))
+        for spec in (SemiMetricSpec(1), SemiMetricSpec(2, 3)):
+            transform(values, grid, spec)
+        stencil = grid.derivative_stencil()
+        assert grid.derivative_stencil() is stencil
+        assert len(calls) == 1
+        for array in stencil:
+            if array is not None:
+                with pytest.raises(ValueError):
+                    array[...] = 0
 
 
 class TestDistanceMatrix:

@@ -130,6 +130,30 @@ class TestGenerateFunctionalSample:
                                   np.array([c.values for c in curves]))
             assert np.array_equal(sample.responses, signal + noise)
 
+    @pytest.mark.parametrize("grid_size", [5, 41, 101])
+    def test_draws_keep_the_bits_of_numpys_gradient(self, monkeypatch,
+                                                    grid_size):
+        # the regression functional as it was written on np.gradient; the
+        # grid's stencil keeps its bits on uniform (5 points) and rounded
+        # (41, 101) linspace grids
+        def regression_values(values, grid):
+            t = grid.points
+            deriv = np.gradient(values, t, axis=-1, edge_order=2)
+            return np.trapezoid(np.abs(deriv) * (1.0 - np.cos(math.pi * t)),
+                                t, axis=-1)
+
+        config = SimulationConfig(n_train=40, n_test=10, grid_size=grid_size,
+                                  seed=3)
+        drawn = generate_functional_sample(config)
+        curve = drawn[1].curves[0]
+        assert true_regression(curve) == float(
+            regression_values(curve.values, curve.grid))
+        monkeypatch.setattr(simulation, "_regression_values",
+                            regression_values)
+        for got, want in zip(drawn, generate_functional_sample(config)):
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.responses.tobytes() == want.responses.tobytes()
+
     def test_same_seed_identical(self):
         config = SimulationConfig(n_train=8, n_test=4, seed=5)
         t1, s1 = generate_functional_sample(config)
