@@ -201,15 +201,15 @@ def _write(out, text: str) -> None:
 
 
 def _write_tsv(out, columns: dict) -> None:
-    """Write equal-length named columns as a TSV table: integers as
-    integers, everything else with 17 significant digits."""
-    lines = ["\t".join(columns)]
-    for row in zip(*columns.values()):
-        lines.append("\t".join(
-            str(cell) if isinstance(cell, (int, np.integer)) else _fmt(cell)
-            for cell in row
-        ))
-    _write(out, "\n".join(lines) + "\n")
+    """Write equal-length named columns as a TSV table, each row by one
+    ``%``-pattern: integer columns as integers (``%d``), every other one
+    with 17 significant digits (``%.17g``, as ``_fmt``)."""
+    values = [np.asarray(column) for column in columns.values()]
+    row_format = "\t".join("%d" if v.dtype.kind in "iu" else "%.17g"
+                           for v in values) + "\n"
+    rows = zip(*(v.tolist() for v in values))
+    _write(out, "\t".join(columns) + "\n"
+           + "".join([row_format % row for row in rows]))
 
 
 def _load_single(args) -> FunctionalSample:

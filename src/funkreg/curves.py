@@ -35,12 +35,12 @@ ragged layout (``NeighbourRows``), so no (m, n) or (n, n) array is formed
 and every kept entry has the bits of the full block.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatch, GridTooShort, ValidationError, require_integers
 
@@ -140,7 +140,9 @@ class SamplingGrid:
             )
 
     def matches(self, other: "SamplingGrid") -> bool:
-        return self is other or np.array_equal(self.points, other.points)
+        return self is other or (
+            self.points.shape == other.points.shape
+            and not np.count_nonzero(self.points != other.points))
 
 
 class Stencil(NamedTuple):
@@ -304,24 +306,83 @@ class FunctionalSample:
 def _all_finite(values: np.ndarray) -> bool:
     """Whether a nonempty array holds no NaN or infinity: its min and max,
     which NaN propagates to, are finite. No (n, p) mask is formed."""
-    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+    return (math.isfinite(np.minimum.reduce(values, axis=None))
+            and math.isfinite(np.maximum.reduce(values, axis=None)))
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average along the last axis; edge windows shrink.
 
-    The interior columns, whose windows are whole, come from one sliding
-    window view; only the ``window // 2`` columns at each edge loop."""
+    A column is its window's sum divided by the window's size, with the
+    bits of numpy's ``mean`` over a contiguous window: the interior, whose
+    windows are whole, from in-place adds of shifted views of all rows at
+    once (``_window_sums``, numpy's summation order), and each of the
+    ``window // 2`` columns at either edge from ``np.add.reduce`` over its
+    window in the rows made C-ordered (copied if they are not). So the
+    bits do not depend on the input's memory layout. An integer input is
+    averaged as its float copy."""
+    values = np.asarray(values, dtype=float)
     half = window // 2
     p = values.shape[-1]
-    out = np.empty_like(values)
+    out = np.empty(values.shape)
     if p >= window:
-        out[..., half:p - half] = sliding_window_view(
-            values, window, axis=-1).mean(axis=-1)
+        _window_sums(values, window, out[..., half:p - half])
+        out[..., half:p - half] /= window
+    # one call a column, where the shifted views would take one a term
+    rows = np.ascontiguousarray(values)
     for i in chain(range(min(half, p)), range(max(half, p - half), p)):
         j = min(i, half, p - 1 - i)
-        out[..., i] = values[..., i - j:i + j + 1].mean(axis=-1)
+        np.divide(np.add.reduce(rows[..., i - j:i + j + 1], axis=-1),
+                  2 * j + 1, out=out[..., i])
     return out
+
+
+def _window_sums(values: np.ndarray, n: int, out: np.ndarray) -> None:
+    """``out[..., c] = values[..., c] + ... + values[..., c + n - 1]`` for
+    each of its q columns, summed as ``np.add.reduce`` sums n contiguous
+    terms: from zero, one term after another below 8 terms; from 8 to 128
+    terms, 8 interleaved partial sums r_j of the terms j, j + 8, ... (up to
+    the last multiple of 8), combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the remaining terms in order; above 128,
+    the sums of the first n2 terms and of the rest added, n2 being n // 2
+    rounded down to a multiple of 8. Term k of every column is the view
+    ``values[..., k:k + q]``. The zero that numpy starts from is added to
+    the first term: it only turns a -0 sum into +0, as numpy's does."""
+    q = out.shape[-1]
+    if n > 128:
+        n2 = n // 2 - n // 2 % 8
+        _window_sums(values[..., :n2 + q - 1], n2, out)
+        rest = np.empty(out.shape)
+        _window_sums(values[..., n2:], n - n2, rest)
+        out += rest
+        return
+    step = 1 if n < 8 else 8
+    full = n - n % step
+
+    def lane(j: int, dest: np.ndarray) -> np.ndarray:
+        # the terms j, j + step, ... below ``full`` summed in order into
+        # ``dest``, lane 0 from numpy's zero; a lone term is its own view
+        terms = [values[..., k:k + q] for k in range(j, full, step)]
+        if j == 0:
+            np.add(terms[0], 0.0, out=dest)
+        elif len(terms) == 1:
+            return terms[0]
+        else:
+            np.add(terms[0], terms.pop(1), out=dest)
+        for term in terms[1:]:
+            dest += term
+        return dest
+
+    lane(0, out)
+    if step == 8:
+        r = np.empty((3,) + out.shape)
+        out += lane(1, r[0])
+        out += np.add(lane(2, r[0]), lane(3, r[1]), out=r[0])
+        pairs = np.add(lane(4, r[0]), lane(5, r[1]), out=r[0])
+        pairs += np.add(lane(6, r[1]), lane(7, r[2]), out=r[1])
+        out += pairs
+    for k in range(full, n):
+        out += values[..., k:k + q]
 
 
 def differentiate(curve: Curve, order: int) -> Curve:
@@ -395,12 +456,12 @@ def _three_point(f: np.ndarray, stencil: Stencil, out: np.ndarray,
         out[:, 1:-1] /= stencil.spacing
         out[:, [0, -1]] = f[:, left] * a + f[:, mid] * b + f[:, right] * c
         return
-    np.take(f, left, axis=1, out=out, mode="clip")
+    f.take(left, axis=1, out=out, mode="clip")
     out *= a
-    np.take(f, mid, axis=1, out=work, mode="clip")
+    f.take(mid, axis=1, out=work, mode="clip")
     work *= b
     out += work
-    np.take(f, right, axis=1, out=work, mode="clip")
+    f.take(right, axis=1, out=work, mode="clip")
     work *= c
     out += work
 

@@ -109,8 +109,6 @@ def knn_radii(distances, k_min: int, k_max: int) -> np.ndarray:
     Takes distances of shape (..., n) and returns radii of shape
     (..., k_max - k_min + 1): entry k - k_min of a row is the radius of the
     smallest closed ball around that row's query holding k sample curves.
-    ``np.partition`` places the exact k_max-th value, and only the k_max
-    smallest are sorted.
 
     Raises:
         ValidationError: for a count that is not an integer or a NaN distance.
@@ -124,12 +122,7 @@ def knn_radii(distances, k_min: int, k_max: int) -> np.ndarray:
             f"need 1 <= k_min <= k_max <= n with n = {n}, "
             f"got k_min = {k_min}, k_max = {k_max}"
         )
-    if np.isnan(d).any():
-        raise ValidationError("distances must not be NaN")
-    head = np.partition(d, k_max - 1, axis=-1)[..., :k_max]
-    if k_min < k_max:
-        head.sort(axis=-1)
-    return head[..., k_min - 1:].copy()
+    return _smallest(d, k_min, k_max).copy()
 
 
 def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
@@ -150,8 +143,23 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
             f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
             f"got k_min = {k_min}, k_max = {k_max}"
         )
-    hs = knn_radii(d, k_min, k_max).tolist()
+    hs = _smallest(d, k_min, k_max).tolist()
     return BandwidthGrid(tuple(zip(range(k_min, k_max + 1), hs)))
+
+
+def _smallest(d: np.ndarray, k_min: int, k_max: int) -> np.ndarray:
+    """The k_min-th to k_max-th smallest entries of each row of the checked
+    (..., n) distances ``d``, a view of a partitioned copy, else
+    ValidationError for a NaN distance. The partition places the exact
+    k_max-th value, and only the k_max smallest are sorted."""
+    if np.count_nonzero(np.isnan(d)):
+        raise ValidationError("distances must not be NaN")
+    head = d.copy()
+    head.partition(k_max - 1, axis=-1)
+    head = head[..., :k_max]
+    if k_min < k_max:
+        head.sort(axis=-1)
+    return head[..., k_min - 1:]
 
 
 def empirical_sdf(distances, h: float) -> float:
@@ -221,7 +229,7 @@ def _fit_inputs(m: int, n: int, radii, responses):
     h = np.asarray(radii, dtype=float)
     if h.shape != (m,):
         raise ValidationError(f"need {m} radii, one per query")
-    if not (h > 0.0).all():
+    if np.count_nonzero(h > 0.0) < m:
         bad = np.flatnonzero(~(h > 0.0))[0]
         raise ValidationError(f"bandwidth must be positive, got {h[bad]}")
     y = np.asarray(responses, dtype=float)
@@ -235,7 +243,7 @@ def _row_sums(kernel: KernelSpec, h, y, row, d, moments: int):
     listed row by row in sample order, summed in that order."""
     w = eval_kernel_array(kernel, d / h[row])
     totals = np.bincount(row, w, minlength=h.size)
-    if (totals <= 0.0).any():
+    if np.count_nonzero(totals <= 0.0):
         bad = np.flatnonzero(totals <= 0.0)[0]
         raise EmptyNeighborhood(
             f"no positive kernel weight within radius {h[bad]} at query {bad}"
@@ -249,14 +257,13 @@ def _row_sums(kernel: KernelSpec, h, y, row, d, moments: int):
 
 def _dense_fit(distances, responses, kernel: KernelSpec, radii, moments):
     """``_row_sums`` on an (m, n) block's entries within each row's radius,
-    which ``np.flatnonzero`` lists row by row in column order."""
+    which ``np.nonzero`` lists row by row in column order."""
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2:
         raise ValidationError("need (m, n) distances and (m,) radii")
     h, y = _fit_inputs(*d.shape, radii, responses)
-    flat = np.flatnonzero(d <= h[:, None])
-    row, columns = np.divmod(flat, d.shape[1])
-    return _row_sums(kernel, h, y[columns], row, d.ravel()[flat], moments)
+    row, columns = (d <= h[:, None]).nonzero()
+    return _row_sums(kernel, h, y[columns], row, d[row, columns], moments)
 
 
 def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
@@ -264,7 +271,7 @@ def nadaraya_watson_batch(distances, responses, kernel: KernelSpec,
     """Kernel-weighted means of the (n,) responses at m queries at once,
     from an (m, n) block whose row j holds the distances from the n sample
     curves to query j: ``nadaraya_watson_rows`` (arguments, errors) on the
-    block's entries at or below each row's radius, which ``np.flatnonzero``
+    block's entries at or below each row's radius, which ``np.nonzero``
     lists in sample order. Returns the (m,) predictions, kernel totals and
     neighbor counts.
     """
@@ -574,7 +581,7 @@ def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
             "K(1) > 0 (e.g. uniform) for confidence intervals"
         )
     counts = np.asarray(neighbor_counts)
-    if np.any(counts <= 0):
+    if np.count_nonzero(counts <= 0):
         raise DegenerateBall("confidence interval needs F_hat(h) > 0")
     if constants.m1 <= 0.0:
         raise DegenerateConstants(f"m1 = {constants.m1} is not positive")

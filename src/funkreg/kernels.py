@@ -114,10 +114,26 @@ def _polyval(coefficients, u):
 
 
 def eval_kernel_array(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """Vectorized kernel evaluation with hard support truncation."""
+    """Vectorized kernel evaluation with hard support truncation: K(u) on
+    [0, 1], 0 elsewhere and at NaN, in an array of the shape of ``u``.
+
+    Horner's rule runs in place on one buffer from the leading coefficient,
+    w = c_q, then w = w * v + c_j for j = q - 1 .. 0, one product and one
+    sum a step, on v = u clipped to [0, 1]; the entries where v != u (outside
+    the support, or NaN) are then set to 0. These are the bits of
+    ``_polyval`` on the clipped u, whose zero accumulator gives
+    0 * v + c_q = c_q, masked to the support.
+    """
     u = np.asarray(u, dtype=float)
-    inside = (u >= 0.0) & (u <= 1.0)
-    return np.where(inside, _polyval(spec.coefficients, u.clip(0.0, 1.0)), 0.0)
+    clipped = np.minimum(np.maximum(u, 0.0), 1.0)
+    coefficients = spec.coefficients
+    w = np.empty(u.shape)
+    w.fill(coefficients[-1])
+    for c in coefficients[-2::-1]:
+        w *= clipped
+        w += c
+    np.copyto(w, 0.0, where=clipped != u)
+    return w
 
 
 @dataclass(frozen=True)

@@ -442,6 +442,37 @@ class TestNonFiniteValues:
         assert "must lie in [0, 1]" in capsys.readouterr().err
 
 
+def reference_tsv(columns: dict) -> str:
+    """The TSV text of the per-cell writer: ``str`` of each integer cell,
+    ``format(float(cell), ".17g")`` of every other one."""
+    lines = ["\t".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append("\t".join(
+            str(cell) if isinstance(cell, (int, np.integer))
+            else format(float(cell), ".17g") for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestTsvWriter:
+    @pytest.mark.parametrize("n", [0, 1, 13])
+    def test_rows_equal_the_per_cell_text(self, tmp_path, n):
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1e-310,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+        floats = np.resize(np.array(special), n)
+        columns = {
+            "index": range(n),
+            "value": floats,
+            "counts": np.bincount(np.arange(n) % 4, minlength=n)[:n],
+            "ks": tuple(range(2, n + 2)),
+            "hs": [float(x) for x in floats[::-1]],
+            "flags": [int(i % 2 == 0) for i in range(n)],
+            "level": np.full(n, 0.95),
+        }
+        out = tmp_path / "table.tsv"
+        funkreg.cli._write_tsv(out, columns)
+        assert out.read_text() == reference_tsv(columns)
+
+
 class TestConfigValues:
     """A config value must parse as its flag would."""
 

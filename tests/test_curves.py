@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from funkreg import (
     Curve,
@@ -835,6 +836,76 @@ class TestMovingAverage:
         assert np.array_equal(curves._moving_average(values, window), want)
         assert np.array_equal(curves._moving_average(values[0], window),
                               want[0])
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestMovingAverageBits:
+    """The shifted-view sums against numpy's own ``mean`` of each window."""
+
+    WINDOWS = range(3, 42, 2)
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(40, 101)) * 10.0 ** rng.integers(-6, 7, (40, 101))
+        values[3] = -0.0  # a row of negative zeros averages to +0
+        values[4, :50] = -0.0
+        return {
+            "1-D": values[7],
+            "1-row": values[:1],
+            "many-row": values,
+            "sliced": values[1::3, 2:-3],
+            "strided": values[:, ::2],
+        }
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_interior_is_numpys_sliding_mean(self, window):
+        half = window // 2
+        for name, values in self.inputs().items():
+            got = curves._moving_average(values, window)
+            want = sliding_window_view(values, window, axis=-1).mean(axis=-1)
+            assert_same_bits(got[..., half:values.shape[-1] - half], want)
+            edges = np.vstack([reference_moving_average(row, window)
+                               for row in np.atleast_2d(values)])
+            assert_same_bits(np.atleast_2d(got), edges)
+
+    @pytest.mark.parametrize("window", [129, 131, 201, 259, 301])
+    def test_windows_above_128_split_as_numpy_does(self, window):
+        values = np.random.default_rng(13).normal(size=(3, 600))
+        half = window // 2
+        got = curves._moving_average(values, window)
+        want = sliding_window_view(values, window, axis=-1).mean(axis=-1)
+        assert_same_bits(got[:, half:600 - half], want)
+        assert_same_bits(got, np.vstack([reference_moving_average(row, window)
+                                          for row in values]))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_memory_layout_does_not_change_the_bits(self, window):
+        # numpy's own mean sums a Fortran-ordered block in another order
+        # from 9 terms on; the shifted views sum every layout alike
+        values = self.inputs()["many-row"]
+        c = curves._moving_average(np.ascontiguousarray(values), window)
+        f = curves._moving_average(np.asfortranarray(values), window)
+        assert_same_bits(f, c)
+
+    @pytest.mark.parametrize("window", [3, 5, 9, 41])
+    def test_an_integer_input_equals_its_float_copy(self, window):
+        values = np.random.default_rng(14).integers(-9, 10, size=(5, 60))
+        got = curves._moving_average(values, window)
+        assert got.dtype == np.float64
+        assert_same_bits(got, curves._moving_average(values.astype(float),
+                                                     window))
+
+    def test_an_integer_curve_is_not_truncated(self):
+        values = np.array([[0, 1, 0, 1, 0, 1, 0]])
+        spec = SemiMetricSpec(0, 3)
+        got = transform(values, unit_grid(7), spec)
+        assert_same_bits(got, transform(values.astype(float), unit_grid(7), spec))
+        assert 0.0 < got[0, 1] < 1.0
 
 
 class TestTransform:

@@ -4,7 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from funkreg import (
     DomainError,
@@ -16,7 +17,7 @@ from funkreg import (
     constants_by_quadrature,
     tau0_eval,
 )
-from funkreg.kernels import eval_kernel_array
+from funkreg.kernels import _polyval, eval_kernel_array
 
 GAMMAS = (0.5, 1.0, 2.0, 5.0)
 NAMED_KERNELS = {
@@ -57,6 +58,63 @@ class TestEvalKernel:
             d = np.array([above, data.draw(st.floats(min_value=above)), np.inf])
             u = d / h
         assert np.all(eval_kernel_array(NAMED_KERNELS[name], u) == 0.0)
+
+
+def reference_kernel_values(kernel, u):
+    """Kernel values by the formula that in-place Horner replaced: the
+    polynomial from a zero accumulator on the clipped u, masked by a
+    separate support test."""
+    u = np.asarray(u, dtype=float)
+    return np.where((u >= 0) & (u <= 1),
+                    _polyval(kernel.coefficients, u.clip(0, 1)), 0.0)
+
+
+#: Distances over radii at and around the support's ends, beside any float.
+EDGES = [0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2e-308, float(np.nextafter(1, 2)),
+         float(np.nextafter(1, 0)), -1e-300, 1e300, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def polynomial_kernels(draw):
+    """A valid kernel sum_j b_j (1 - u)^j with b_j >= 0 and b_0 + ... > 0,
+    nonincreasing and nonnegative on [0, 1], expanded in powers of u."""
+    weights = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5))
+    assume(sum(weights) > 0.0)
+    c = np.zeros(len(weights))
+    for j, b in enumerate(weights):
+        c[:j + 1] += b * np.polynomial.polynomial.polypow([1.0, -1.0], j)
+    try:
+        return KernelSpec.polynomial(c)
+    except InvalidKernel:  # rounding made it increase somewhere
+        assume(False)
+
+
+class TestEvalKernelBits:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.sampled_from(list(NAMED_KERNELS.values())),
+                     polynomial_kernels()),
+           st.sampled_from([0, 1, 3]).flatmap(lambda dims: hnp.arrays(
+               np.float64, hnp.array_shapes(min_dims=dims, max_dims=dims,
+                                            min_side=0, max_side=5),
+               elements=st.one_of(st.sampled_from(EDGES), st.floats(-0.5, 1.5),
+                                  st.floats(allow_subnormal=True)))))
+    @example(KernelSpec.polynomial((1.0, -0.0, -1.0)), np.array(EDGES))
+    @example(KernelSpec.polynomial((2.0, -1.0, 0.0)), np.array(EDGES))
+    def test_equals_the_masked_polynomial(self, kernel, u):
+        # inf, nan, negatives, values above 1, subnormals, exact 0 and 1,
+        # 0-d and 3-d shapes: the same values, signs of zero included
+        got = eval_kernel_array(kernel, u)
+        want = reference_kernel_values(kernel, u)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.shape == np.shape(u) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("kernel", NAMED_KERNELS.values(), ids=NAMED_KERNELS)
+    def test_python_and_numpy_scalars(self, kernel):
+        for u in (0.25, np.float64(0.25), np.array(0.25), 1, -0.0, np.nan):
+            got = eval_kernel_array(kernel, u)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got == reference_kernel_values(kernel, u)
 
 
 class TestValidateKernel:
