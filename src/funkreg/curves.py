@@ -454,7 +454,15 @@ def _three_point(f: np.ndarray, stencil: Stencil, out: np.ndarray,
     if stencil.spacing is not None:
         np.subtract(f[:, 2:], f[:, :-2], out=out[:, 1:-1])
         out[:, 1:-1] /= stencil.spacing
-        out[:, [0, -1]] = f[:, left] * a + f[:, mid] * b + f[:, right] * c
+        # the two edge columns through strided views: columns (0, 1, 2) and
+        # (p - 3, p - 2, p - 1), one column each at p = 3, where both edges
+        # read the same three
+        p = f.shape[1]
+        if p == 3:
+            f0, f1, f2 = f[:, 0:1], f[:, 1:2], f[:, 2:3]
+        else:
+            f0, f1, f2 = f[:, 0:p - 2:p - 3], f[:, 1:p - 1:p - 3], f[:, 2::p - 3]
+        out[:, ::p - 1] = a * f0 + b * f1 + c * f2
         return
     f.take(left, axis=1, out=out, mode="clip")
     out *= a
@@ -495,12 +503,19 @@ def pairwise_distances(sample: FunctionalSample, query: Curve,
 
     Element i equals ``semi_metric_distance(sample.curves[i], query, spec)``.
     It is the one-row case of ``sample_distances``, so a call transforms
-    only its query once the sample keeps its rows under ``spec``.
+    only its query once the sample keeps its rows under ``spec``. A
+    ``Curve`` is finite and read-only, so its values are read in place,
+    with no copy or second scan.
 
     Raises:
         GridMismatch: if the query is not on the sample grid.
+        GridTooShort: if the grid is too short for the derivative order.
     """
-    return sample_distances(sample, spec, curve_matrix((query,), sample.grid))[0]
+    if not query.grid.matches(sample.grid):
+        raise GridMismatch("curve 0 is on a different grid")
+    cols = _kept_rows(sample, spec)
+    return distance_matrix(transform(query.values[None], sample.grid, spec),
+                           cols, sample.grid.trapezoid_weights())[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -666,12 +681,21 @@ def distance_matrix(rows: np.ndarray, cols: np.ndarray,
     ``cols[k]``. Identical rows give exactly zero. Rows are done in chunks
     whose difference array holds at most ``_CHUNK_ELEMENTS`` floats (or one
     row); each entry is the same sum however the rows are chunked.
+
+    One (rows, cols, p) difference buffer, sized for a chunk, serves every
+    chunk: the chunk's rows are copied in, each repeated along the columns,
+    and ``cols`` subtracted in place, one pass over contiguous memory, with
+    the bits of the broadcast ``rows[:, None, :] - cols``.
     """
-    out = np.empty((rows.shape[0], cols.shape[0]))
+    m = rows.shape[0]
+    out = np.empty((m, cols.shape[0]))
     step = max(1, _CHUNK_ELEMENTS // cols.size)
-    for start in range(0, rows.shape[0], step):
-        out[start:start + step] = _root_weighted_squares(
-            rows[start:start + step, None, :] - cols, weights)
+    diff = np.empty((min(step, m),) + cols.shape)
+    for start in range(0, m, step):
+        chunk = diff[:min(step, m - start)]
+        chunk[...] = rows[start:start + step, None, :]
+        chunk -= cols
+        out[start:start + step] = _root_weighted_squares(chunk, weights)
     return out
 
 

@@ -29,6 +29,7 @@ from .kernels import (
     KernelConstants,
     KernelSpec,
     Tau0Model,
+    _horner,
     compute_constants,
     eval_kernel_array,
 )
@@ -134,6 +135,7 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
     Raises:
         ValidationError: for a count that is not an integer or a NaN distance.
         TooFewPoints: unless 2 <= k_min <= k_max <= n - 1.
+        DegenerateGrid: when the k_min-th smallest distance is not positive.
     """
     require_integers(k_min=k_min, k_max=k_max)
     d = np.asarray(distances, dtype=float).ravel()
@@ -144,7 +146,14 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
             f"got k_min = {k_min}, k_max = {k_max}"
         )
     hs = _smallest(d, k_min, k_max).tolist()
-    return BandwidthGrid(tuple(zip(range(k_min, k_max + 1), hs)))
+    if not hs[0] > 0.0:
+        raise DegenerateGrid("bandwidths must be strictly positive")
+    # checked, sorted radii at increasing counts: the grid BandwidthGrid
+    # would build, without its per-entry checks in Python
+    grid = object.__new__(BandwidthGrid)
+    object.__setattr__(grid, "entries",
+                       tuple(zip(range(k_min, k_max + 1), hs)))
+    return grid
 
 
 def _smallest(d: np.ndarray, k_min: int, k_max: int) -> np.ndarray:
@@ -201,21 +210,24 @@ def nadaraya_watson_rows(rows, responses, kernel: KernelSpec, radii,
                          moments: int = 1
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel-weighted means of the (n,) responses, one per sample curve,
-    at m queries with (m,) positive ``radii``, from rows of distances laid
-    end to end as in ``curves.NeighbourRows`` (``n``, ``offsets``,
-    ``distances``, ``columns``), such as ``curves.query_rows``.
+    at m queries with (m,) positive, finite ``radii``, from rows of
+    distances laid end to end as in ``curves.NeighbourRows`` (``n``,
+    ``offsets``, ``distances``, ``columns``), such as ``curves.query_rows``.
 
     Row j, in any order, must hold every distance from query j at or below
-    ``radii[j]``; entries above it are dropped. The kernel weighs the kept
-    entries only, and each row's sums add its entries one after another in
-    sample order, so a row's fit has the same bits whichever call cut the
-    row, in any batch. Returns the (moments, m) means
+    ``radii[j]``; entries above it are dropped, +inf among them. So every
+    kept entry has 0 <= d <= h < inf. The kernel weighs the kept entries
+    only, and each row's sums add its entries one after another in sample
+    order, so a row's fit has the same bits whichever call cut the row, in
+    any batch. Returns the (moments, m) means
     sum_i K(d_ji / h_j) y_i^p / sum_i K(d_ji / h_j), p = 1 .. moments, and
     the (m,) kernel totals and neighbor counts. Raises ValidationError for
-    mismatched shapes or a radius that is not positive, EmptyNeighborhood
-    naming the first query with no positive weight.
+    mismatched shapes, a radius that is not positive and finite or a
+    distance that is NaN or negative, EmptyNeighborhood naming the first
+    query with no positive weight.
     """
     h, y = _fit_inputs(len(rows.offsets) - 1, rows.n, radii, responses)
+    _check_distances(rows.distances)
     row = np.repeat(np.arange(h.size), np.diff(rows.offsets))
     keep = np.flatnonzero(rows.distances <= h[row])
     # a row lists each sample curve once, so the keys are distinct
@@ -225,23 +237,40 @@ def nadaraya_watson_rows(rows, responses, kernel: KernelSpec, radii,
 
 
 def _fit_inputs(m: int, n: int, radii, responses):
-    """Validated (m,) radii and (n,) responses, else ValidationError."""
+    """Validated (m,) radii, each positive and finite, and (n,) responses,
+    else ValidationError. With the distances nonnegative
+    (``_check_distances``), every entry a fit keeps, d <= h, then has
+    0 <= d <= h < inf."""
     h = np.asarray(radii, dtype=float)
     if h.shape != (m,):
         raise ValidationError(f"need {m} radii, one per query")
-    if np.count_nonzero(h > 0.0) < m:
-        bad = np.flatnonzero(~(h > 0.0))[0]
-        raise ValidationError(f"bandwidth must be positive, got {h[bad]}")
+    ok = np.isfinite(h) & (h > 0.0)
+    if np.count_nonzero(ok) < m:
+        raise ValidationError("bandwidth must be positive and finite, "
+                              f"got {h[np.flatnonzero(~ok)[0]]}")
     y = np.asarray(responses, dtype=float)
     if y.shape != (n,):
         raise ValidationError(f"need (n,) responses, n = {n}")
     return h, y
 
 
+def _check_distances(d: np.ndarray) -> None:
+    """ValidationError unless every distance is nonnegative or +inf: the
+    minimum is NaN at a NaN entry, and negative at a negative one."""
+    if not np.minimum.reduce(d, axis=None, initial=np.inf) >= 0.0:
+        raise ValidationError("distances must be nonnegative, not NaN")
+
+
 def _row_sums(kernel: KernelSpec, h, y, row, d, moments: int):
     """The query-side fit on entries d[e] <= h[row[e]] with responses y[e],
-    listed row by row in sample order, summed in that order."""
-    w = eval_kernel_array(kernel, d / h[row])
+    listed row by row in sample order, summed in that order.
+
+    Every entry must have 0 <= d <= h < inf, so u = d / h lies in [0, 1]
+    exactly (a correctly rounded quotient of d <= h is at most 1), where
+    the kernel is its polynomial: it is evaluated with no clip or mask
+    (``kernels._horner``), with the bits of ``eval_kernel_array``.
+    """
+    w = _horner(kernel, d / h[row])
     totals = np.bincount(row, w, minlength=h.size)
     if np.count_nonzero(totals <= 0.0):
         bad = np.flatnonzero(totals <= 0.0)[0]
@@ -262,6 +291,7 @@ def _dense_fit(distances, responses, kernel: KernelSpec, radii, moments):
     if d.ndim != 2:
         raise ValidationError("need (m, n) distances and (m,) radii")
     h, y = _fit_inputs(*d.shape, radii, responses)
+    _check_distances(d)
     row, columns = (d <= h[:, None]).nonzero()
     return _row_sums(kernel, h, y[columns], row, d[row, columns], moments)
 
@@ -295,21 +325,22 @@ def nadaraya_watson(distances, responses, kernel: KernelSpec,
 
     Args:
         distances: (n,) semi-metric distances from the sample curves to the
-            query.
+            query, each nonnegative or +inf.
         responses: (n,) scalar responses, in the order of the distances.
         kernel: weighting kernel, evaluated at distance / h.
-        h: bandwidth, strictly positive.
+        h: bandwidth, strictly positive and finite.
 
     Raises:
-        ValidationError: unless distances and responses are both (n,).
+        ValidationError: unless distances and responses are both (n,), for
+            an h that is not positive and finite, or for a NaN or negative
+            distance.
         EmptyNeighborhood: when no observation receives positive weight.
     """
     d = _query_row(distances)
     predictions, totals, counts = nadaraya_watson_batch(
         d, responses, kernel, [h])
-    total = float(totals[0])
-    count = int(counts[0])
-    prediction = float(predictions[0])
+    (prediction,), (total,), (count,) = (
+        predictions.tolist(), totals.tolist(), counts.tolist())
     return EstimateResult(
         prediction=prediction,
         g_hat=prediction * total / count,
@@ -551,7 +582,9 @@ def estimate_sigma2(distances, responses, kernel: KernelSpec,
 
     Both conditional expectations are weighted means over one set of kernel
     weights; the difference is clamped at zero (``plugin_variance``).
-    Raises ValidationError unless distances and responses are both (n,).
+    Raises ValidationError unless distances and responses are both (n,),
+    for an h that is not positive and finite, or for a NaN or negative
+    distance.
     """
     means = _dense_fit(_query_row(distances), responses, kernel, [h], 2)[0]
     return float(plugin_variance(means[0], means[1])[0])
@@ -571,6 +604,8 @@ def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
         KernelNotH2Strict: if K(1) = 0 (the limit constants degenerate).
         DegenerateBall: for a neighbor count that is not positive.
         DegenerateConstants: if m1 <= 0.
+        ValidationError: for a level outside (0, 1), or a sigma2_hat that
+            is not nonnegative and finite.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level must lie strictly in (0, 1)")
@@ -585,13 +620,16 @@ def interval_half_widths(sigma2_hat, neighbor_counts, kernel: KernelSpec,
         raise DegenerateBall("confidence interval needs F_hat(h) > 0")
     if constants.m1 <= 0.0:
         raise DegenerateConstants(f"m1 = {constants.m1} is not positive")
+    sigma2 = np.asarray(sigma2_hat, dtype=float)
+    if np.count_nonzero(np.isfinite(sigma2) & (sigma2 >= 0.0)) < sigma2.size:
+        raise ValidationError("sigma2_hat must be nonnegative and finite")
     # statistics (with decimal and fractions) adds about 5 ms to a cold
     # import; only intervals need it
     from statistics import NormalDist
 
     z = NormalDist().inv_cdf((1.0 + float(level)) / 2.0)
     return z * np.sqrt(
-        constants.m2 * np.asarray(sigma2_hat, dtype=float)
+        constants.m2 * sigma2
         / (counts * constants.m1 ** 2)
     )
 
@@ -609,6 +647,8 @@ def confidence_interval(result: EstimateResult, kernel: KernelSpec,
     Raises:
         KernelNotH2Strict: if K(1) = 0 (the limit constants degenerate).
         MissingSigma2: if the result carries no variance plug-in.
+        ValidationError: for a sigma2_hat that is not nonnegative and
+            finite.
     """
     if result.sigma2_hat is None:
         raise MissingSigma2("estimate carries no sigma2_hat plug-in")

@@ -85,10 +85,19 @@ def _checked_lines(fh):
 
 def _loadtxt_sample(path) -> tuple[list[str], np.ndarray] | None:
     """A dataset file's header cells and its body as one float table, when
-    numpy's parser reads the body whole at the header's width; else None."""
+    numpy's parser reads the body whole at the header's width; else None.
+
+    The file is read in universal-newline mode, which numpy parses faster
+    than untranslated line ends, and which gives the same table: numpy
+    reads CR and LF alike, as a line end or as whitespace in a quoted
+    cell. A header cell that spans lines would hold a translated line end,
+    so such a file goes to the ``csv`` parser, which reads line ends as
+    they are written and names the cell as written."""
     try:
-        with open(path, newline="") as fh:
+        with open(path) as fh:
             header = next(filter(None, csv.reader(fh)), [])
+            if any("\n" in cell for cell in header):
+                return None
             lines = _checked_lines(fh)
             # numpy skips empty lines, as csv does, and reads any other
             first = next((line for line in lines if line.strip("\r\n")), None)

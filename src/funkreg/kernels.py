@@ -117,22 +117,32 @@ def eval_kernel_array(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation with hard support truncation: K(u) on
     [0, 1], 0 elsewhere and at NaN, in an array of the shape of ``u``.
 
-    Horner's rule runs in place on one buffer from the leading coefficient,
-    w = c_q, then w = w * v + c_j for j = q - 1 .. 0, one product and one
-    sum a step, on v = u clipped to [0, 1]; the entries where v != u (outside
-    the support, or NaN) are then set to 0. These are the bits of
-    ``_polyval`` on the clipped u, whose zero accumulator gives
-    0 * v + c_q = c_q, masked to the support.
+    ``_horner`` on v = u clipped to [0, 1], then the entries where v != u
+    (outside the support, or NaN) set to 0.
     """
     u = np.asarray(u, dtype=float)
     clipped = np.minimum(np.maximum(u, 0.0), 1.0)
+    w = _horner(spec, clipped)
+    np.copyto(w, 0.0, where=clipped != u)
+    return w
+
+
+def _horner(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
+    """The kernel's polynomial at every entry of the float array ``v``,
+    which the caller holds in [0, 1], with no clip or mask: on such v, the
+    bits of ``eval_kernel_array``.
+
+    Horner's rule runs in place on one buffer from the leading coefficient,
+    w = c_q, then w = w * v + c_j for j = q - 1 .. 0, one product and one
+    sum a step: the bits of ``_polyval``, whose zero accumulator gives
+    0 * v + c_q = c_q.
+    """
     coefficients = spec.coefficients
-    w = np.empty(u.shape)
+    w = np.empty(v.shape)
     w.fill(coefficients[-1])
     for c in coefficients[-2::-1]:
-        w *= clipped
+        w *= v
         w += c
-    np.copyto(w, 0.0, where=clipped != u)
     return w
 
 

@@ -978,6 +978,26 @@ class TestStencil:
         assert np.array_equal(neighbours,
                               np.repeat([[0], [1], [2]], neighbours.shape[1], 1))
 
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_uniform_edges_of_short_grids_in_any_layout(self, p):
+        # the edge columns read through strided views, which at p = 3 are
+        # the same three columns for both edges
+        grid = SamplingGrid(np.arange(p) * 0.25)
+        assert grid.derivative_stencil().spacing is not None
+        wide = np.random.default_rng(p).normal(size=(9, 2 * p))
+        layouts = {"C": np.ascontiguousarray(wide[:5, :p]),
+                   "F": np.asfortranarray(wide[:5, :p]),
+                   "sliced": wide[1::2, ::2]}
+        for name, values in layouts.items():
+            want = values
+            # an order-2 derivative needs 5 points
+            for order in (1, 2) if p >= 5 else (1,):
+                want = np.gradient(want, grid.points, axis=-1, edge_order=2)
+                spec = SemiMetricSpec(order)
+                assert np.array_equal(transform(values, grid, spec), want), name
+                assert np.array_equal(transform(values[2], grid, spec),
+                                      want[2]), name
+
     def test_no_stencil_below_three_points(self):
         with pytest.raises(GridTooShort):
             unit_grid(2).derivative_stencil()
@@ -1006,13 +1026,16 @@ class TestStencil:
 
 
 class TestDistanceMatrix:
-    @pytest.mark.parametrize("budget", [1, 7 * 11 * 3 + 5, 7 * 11 * 4, 1 << 22])
-    def test_chunks_equal_the_unchunked_form(self, monkeypatch, budget):
+    @pytest.mark.parametrize("m, budget", [
+        (10, 1), (10, 7 * 11 * 3 + 5), (10, 7 * 11 * 4), (10, 1 << 22),
+        (1, 1 << 22)])
+    def test_chunks_equal_the_unchunked_form(self, monkeypatch, m, budget):
         # 10 rows against 7 columns on 11 points: chunks of 1, 3 and 4 rows
-        # (the last one short), then all 10 at once; fresh data per budget,
-        # so an unwritten row cannot match by reusing the last case's memory
-        rng = np.random.default_rng(budget)
-        rows, cols = rng.normal(size=(10, 11)), rng.normal(size=(7, 11))
+        # (the last one short), then all 10 at once, and one row, a query's;
+        # fresh data per case, so an unwritten row cannot match by reusing
+        # the last case's memory
+        rng = np.random.default_rng(budget + m)
+        rows, cols = rng.normal(size=(m, 11)), rng.normal(size=(7, 11))
         weights = SamplingGrid(np.cumsum(rng.random(11))).trapezoid_weights()
         monkeypatch.setattr(curves, "_CHUNK_ELEMENTS", budget)
         assert np.array_equal(distance_matrix(rows, cols, weights),

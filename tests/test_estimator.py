@@ -54,10 +54,12 @@ from funkreg.estimator import (
 from funkreg.kernels import eval_kernel_array
 
 from dense_reference import DenseSmoother, neighbours_from_dense
+from test_kernels import polynomial_kernels
 
 UNIFORM = KernelSpec.uniform()
 QUADRATIC = KernelSpec.quadratic()
 Z_975 = 1.959963984540054
+Y3 = np.array([1.0, 2.0, 4.0])
 
 
 class TestKnnBandwidths:
@@ -989,6 +991,128 @@ class TestRowFit:
                 assert (predictions[0], counts[0]) == (7.0, 1)
 
 
+def masked_fit(d, y, kernel, h, moments):
+    """The reference fit of one query: its entries d <= h in sample order,
+    weighed by the clipped and masked ``eval_kernel_array`` on u = d / h,
+    and summed one entry after another; the means of y^1 .. y^moments,
+    the kernel total and the count, or None when the total is not
+    positive."""
+    kept = np.flatnonzero(d <= h)
+    w = eval_kernel_array(kernel, d[kept] / h).tolist()
+    total = 0.0
+    for weight in w:
+        total += weight
+    if not total > 0.0:
+        return None
+    means = []
+    for p in range(1, moments + 1):
+        num = 0.0
+        for weight, value in zip(w, _powers(y[kept], p).tolist()):
+            num += weight * value
+        means.append(num / total)
+    return means, total, kept.size
+
+
+def one_row(d, h):
+    """Query 0's distances ``d`` as ``NeighbourRows`` at radius ``h``, all
+    of them in reverse sample order: the fit drops those above ``h``."""
+    order = np.arange(d.size)[::-1]
+    return NeighbourRows(d.size, np.arange(1), np.array([0, d.size]),
+                         d[order], order, np.array([h]))
+
+
+@st.composite
+def hostile_rows(draw):
+    """One query's distances at a radius from subnormal to the largest
+    double, with ties at 0 and at h, entries past h, and +inf."""
+    h = draw(st.sampled_from([5e-324, 1e-310, 2.0 ** -1022, 1e-5, 0.3, 1.0,
+                              7.5, 1e300, np.finfo(float).max])
+             | st.floats(1e-300, 1e300))
+    fractions = st.sampled_from([0.0, 1.0, 0.5, 1.5, np.inf]) | st.floats(0.0, 2.0)
+    n = draw(st.integers(1, 10))
+    with np.errstate(over="ignore"):
+        d = np.array(draw(st.lists(fractions, min_size=n, max_size=n))) * h
+    d[np.isnan(d)] = np.inf  # 0 * inf is no distance
+    y = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n,
+                               max_size=n)))
+    return d, y, h
+
+
+class TestQuerySideKernel:
+    """The query-side fits evaluate their kernel with no clip or mask on
+    the entries they keep, 0 <= d <= h < inf: every output keeps the bits
+    of the clipped and masked evaluation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_rows(), st.sampled_from(["uniform", "quadratic", "triangle"])
+           | polynomial_kernels())
+    def test_fits_equal_the_masked_evaluation(self, case, kernel):
+        d, y, h = case
+        kernel = SMOOTHER_KERNELS.get(kernel, kernel)
+        want = masked_fit(d, y, kernel, h, 2)
+        if want is None:
+            with pytest.raises(EmptyNeighborhood):
+                nadaraya_watson(d, y, kernel, h)
+            with pytest.raises(EmptyNeighborhood):
+                nadaraya_watson_rows(one_row(d, h), y, kernel, [h])
+            return
+        (first, second), total, count = want
+        means, totals, counts = nadaraya_watson_rows(one_row(d, h), y, kernel,
+                                                     [h], 2)
+        assert (means[0, 0], means[1, 0], totals[0], counts[0]) == (
+            first, second, total, count)
+        predictions, totals, counts = nadaraya_watson_batch(d[None], y, kernel,
+                                                            [h])
+        assert (predictions[0], totals[0], counts[0]) == (first, total, count)
+        result = nadaraya_watson(d, y, kernel, h)
+        assert (result.prediction, result.neighbor_count) == (first, count)
+        assert result.f_hat == total / count
+        variance = second - first * first
+        assert estimate_sigma2(d, y, kernel, h) == (
+            variance if variance > 0.0 else 0.0)
+
+    @pytest.mark.parametrize("fit", ["nadaraya_watson", "estimate_sigma2",
+                                     "batch", "rows"])
+    def test_hostile_distances_and_radii_raise(self, fit):
+        call = {
+            "nadaraya_watson": lambda d, h: nadaraya_watson(d, Y3, QUADRATIC, h),
+            "estimate_sigma2": lambda d, h: estimate_sigma2(d, Y3, QUADRATIC, h),
+            "batch": lambda d, h: nadaraya_watson_batch(d[None], Y3, QUADRATIC,
+                                                        [h]),
+            "rows": lambda d, h: nadaraya_watson_rows(one_row(d, h), Y3,
+                                                      QUADRATIC, [h]),
+        }[fit]
+        good = np.array([0.1, 0.2, 0.3])
+        # a NaN was dropped, and a negative distance counted with weight 0
+        for bad in (np.nan, -0.1, -np.inf):
+            d = good.copy()
+            d[0] = bad
+            with pytest.raises(ValidationError, match="nonnegative, not NaN"):
+                call(d, 0.5)
+        # an infinite radius fitted every point at K(0)
+        for h in (np.nan, np.inf, -np.inf, 0.0, -0.5):
+            with pytest.raises(ValidationError,
+                               match="bandwidth must be positive and finite"):
+                call(good, h)
+        # beyond every radius, +inf is a legal distance, and so is -0.0
+        call(np.array([-0.0, 0.2, np.inf]), 0.5)
+
+    @pytest.mark.parametrize("sigma2", [np.nan, -1.0, -1e-300, np.inf])
+    def test_intervals_reject_a_bad_sigma2(self, sigma2):
+        # it gave (nan, nan), or an interval of infinite width
+        tau0 = Tau0Model.fractal(1.0)
+        with pytest.raises(ValidationError, match="sigma2_hat"):
+            interval_half_widths([1.0, sigma2], [3, 4], UNIFORM, tau0, 0.95)
+        result = dataclasses.replace(
+            nadaraya_watson([0.1, 0.2], [1.0, 2.0], UNIFORM, 0.5),
+            sigma2_hat=sigma2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="sigma2_hat"):
+                confidence_interval(result, UNIFORM, tau0, 0.95)
+
+
+
 class TestKnnRadii:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 30), st.data())
@@ -1010,6 +1134,15 @@ class TestKnnRadii:
         d[7] = 0.0
         grid = knn_bandwidths(d, 2, 20)
         assert grid.hs == tuple(np.sort(d)[1:20])
+        # the grid BandwidthGrid builds, with its checks, entry for entry
+        checked = BandwidthGrid(tuple(zip(range(2, 21), np.sort(d)[1:20])))
+        assert grid == checked
+        assert [tuple(map(type, entry)) for entry in grid.entries] == (
+            [(int, float)] * 19)
+        for k_min in (2, 3):
+            d[:3] = 0.0
+            with pytest.raises(DegenerateGrid, match="strictly positive"):
+                knn_bandwidths(d, k_min, 20)
 
     def test_rejects_k_outside_the_row(self):
         d = np.zeros((2, 4))
