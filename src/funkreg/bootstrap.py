@@ -54,6 +54,7 @@ from .errors import (
     EmptyNeighborhood,
     TooFewPoints,
     ValidationError,
+    require_bandwidths,
     require_integers,
 )
 from .estimator import InsampleSmoother, nadaraya_watson_rows
@@ -235,23 +236,19 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
     n = len(sample)
     spec.check_grid(sample.grid)
     if h is not None:
-        radii = np.full(n, float(h))
-        if not 0.0 < radii[0] < np.inf:
-            raise ValidationError(
-                f"bandwidth must be positive and finite, got {radii[0]}")
-        rows = neighbour_rows(sample, spec, reach=radii)
+        require_bandwidths(h)
+        rows = neighbour_rows(sample, spec, reach=h)
     else:
         require_integers(k=k)
         if k < 1:
             raise ValidationError(f"k must be positive, got {k}")
         if k > n - 1:
             raise ValidationError(f"k = {k} exceeds {n - 1} available distances")
-        # each row up to its point's k-th neighbour, itself counted first
+        # each row up to its point's k-th neighbour, itself counted first:
+        # the row's radius is its (k+1)-th smallest distance
         rows = neighbour_rows(sample, spec, k=k + 1)
     smoother = InsampleSmoother(rows, sample.responses, kernel)
-    if k is not None:
-        radii = smoother.neighbour_radii(k)
-    return (*smoother.fit(radii), radii)
+    return (*smoother.fit(rows.radii), rows.radii)
 
 
 def residuals(sample: FunctionalSample, kernel: KernelSpec,
@@ -366,11 +363,10 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     points, ball = np.unique(near.columns[ball], return_inverse=True)
     reach = np.zeros(points.size)
     np.maximum.at(reach, ball, radii[query, -1])
-    smoother = InsampleSmoother(
-        neighbour_rows(sample, spec, points, k=k_g + 1, reach=reach),
-        y, kernel)
-
-    pilot_radii = smoother.neighbour_radii(k_g)
+    u_rows = neighbour_rows(sample, spec, points, k=k_g + 1, reach=reach)
+    smoother = InsampleSmoother(u_rows, y, kernel)
+    # each row's (k_g+1)-th smallest distance, its point counted first
+    pilot_radii = u_rows.distances[u_rows.offsets[:-1] + k_g]
     if np.any(pilot_radii <= 0.0) or np.any(pilot_radii_q <= 0.0):
         raise DegeneratePilot("pilot kNN radius is zero at some point or query")
     try:

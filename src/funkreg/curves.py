@@ -42,7 +42,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooShort, ValidationError, require_integers
+from .errors import (GridMismatch, GridTooShort, ValidationError,
+                     require_bandwidths, require_integers)
 
 #: Element budget of one distance chunk: ``distance_matrix`` does rows a few
 #: at a time so that their (rows, cols, p) difference array holds this many
@@ -560,8 +561,8 @@ def _check_rule(n: int, k: int | None, h: float | None) -> None:
         require_integers(k=k)
         if not 1 <= k <= n:
             raise ValidationError(f"k must lie in [1, {n}], got {k}")
-    if h is not None and not 0.0 < h < np.inf:
-        raise ValidationError(f"bandwidth must be positive and finite, got {h}")
+    if h is not None:
+        require_bandwidths(h)
 
 
 def _query_and_sample_rows(sample: FunctionalSample, spec: SemiMetricSpec,
@@ -795,7 +796,10 @@ def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
         i, j = np.nonzero(refine)
         del refine
         i += start
-        yield chunk, i, j, _exact_pairs(rows, cols, weights, i, j)
+        # an overflowing distance is a legal +inf
+        with np.errstate(over="ignore"):
+            d = _exact_pairs(rows, cols, weights, i, j)
+        yield chunk, i, j, d
 
 
 def _screened_rows(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,

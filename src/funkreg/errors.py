@@ -29,6 +29,17 @@ def require_integers(**values) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def require_bandwidths(h) -> None:
+    """Raise ValidationError naming the first bandwidth of the scalar or
+    array ``h`` that is not positive and finite (NaN, 0, -0.0 and +-inf
+    included)."""
+    h = np.asarray(h, dtype=float)
+    ok = np.isfinite(h) & (h > 0.0)
+    if np.count_nonzero(ok) < h.size:
+        raise ValidationError("bandwidth must be positive and finite, "
+                              f"got {h.flat[np.flatnonzero(~ok)[0]]}")
+
+
 class NumericError(FunkregError):
     """Computation degenerated on otherwise valid input."""
 

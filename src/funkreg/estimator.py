@@ -23,6 +23,7 @@ from .errors import (
     MissingSigma2,
     TooFewPoints,
     ValidationError,
+    require_bandwidths,
     require_integers,
 )
 from .kernels import (
@@ -112,7 +113,7 @@ def knn_radii(distances, k_min: int, k_max: int) -> np.ndarray:
     smallest closed ball around that row's query holding k sample curves.
 
     Raises:
-        ValidationError: for a count that is not an integer or a NaN distance.
+        ValidationError: for a non-integer count or a NaN or negative distance.
         TooFewPoints: unless 1 <= k_min <= k_max <= n.
     """
     require_integers(k_min=k_min, k_max=k_max)
@@ -133,7 +134,7 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
     consecutive radii. This is the one-row case of ``knn_radii``.
 
     Raises:
-        ValidationError: for a count that is not an integer or a NaN distance.
+        ValidationError: for a non-integer count or a NaN or negative distance.
         TooFewPoints: unless 2 <= k_min <= k_max <= n - 1.
         DegenerateGrid: when the k_min-th smallest distance is not positive.
     """
@@ -157,12 +158,11 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
 
 
 def _smallest(d: np.ndarray, k_min: int, k_max: int) -> np.ndarray:
-    """The k_min-th to k_max-th smallest entries of each row of the checked
-    (..., n) distances ``d``, a view of a partitioned copy, else
-    ValidationError for a NaN distance. The partition places the exact
-    k_max-th value, and only the k_max smallest are sorted."""
-    if np.count_nonzero(np.isnan(d)):
-        raise ValidationError("distances must not be NaN")
+    """The k_min-th to k_max-th smallest entries of each row of the (..., n)
+    distances ``d``, a view of a partitioned copy, once ``_check_distances``
+    passes. The partition places the exact k_max-th value, and only the
+    k_max smallest are sorted."""
+    _check_distances(d)
     head = d.copy()
     head.partition(k_max - 1, axis=-1)
     head = head[..., :k_max]
@@ -177,11 +177,12 @@ def empirical_sdf(distances, h: float) -> float:
     Right-continuous and nondecreasing as a function of h.
 
     Raises:
-        ValidationError: for a NaN radius or distance.
+        ValidationError: for a NaN radius or a NaN or negative distance.
     """
+    if np.isnan(h):
+        raise ValidationError("radius must not be NaN")
     d = np.asarray(distances, dtype=float)
-    if np.isnan(h) or np.isnan(d).any():
-        raise ValidationError("radius and distances must not be NaN")
+    _check_distances(d)
     if d.size == 0:
         return 0.0
     return float(np.count_nonzero(d <= h)) / d.size
@@ -193,7 +194,7 @@ def empirical_tau(distances, h: float, s: float) -> float:
     Raises:
         DomainError: if s is outside [0, 1].
         ValidationError: for a radius that is not finite (at h = inf,
-            h * 0 is NaN) or a NaN distance.
+            h * 0 is NaN), or a distance that is NaN or negative.
         DegenerateBall: if no distance falls within h.
     """
     if not 0.0 <= s <= 1.0:  # written so that NaN fails
@@ -244,10 +245,7 @@ def _fit_inputs(m: int, n: int, radii, responses):
     h = np.asarray(radii, dtype=float)
     if h.shape != (m,):
         raise ValidationError(f"need {m} radii, one per query")
-    ok = np.isfinite(h) & (h > 0.0)
-    if np.count_nonzero(ok) < m:
-        raise ValidationError("bandwidth must be positive and finite, "
-                              f"got {h[np.flatnonzero(~ok)[0]]}")
+    require_bandwidths(h)
     y = np.asarray(responses, dtype=float)
     if y.shape != (n,):
         raise ValidationError(f"need (n,) responses, n = {n}")
@@ -255,8 +253,8 @@ def _fit_inputs(m: int, n: int, radii, responses):
 
 
 def _check_distances(d: np.ndarray) -> None:
-    """ValidationError unless every distance is nonnegative or +inf: the
-    minimum is NaN at a NaN entry, and negative at a negative one."""
+    """ValidationError unless every distance is nonnegative or +inf (-0.0
+    too): the minimum is NaN at a NaN entry, and negative at a negative one."""
     if not np.minimum.reduce(d, axis=None, initial=np.inf) >= 0.0:
         raise ValidationError("distances must be nonnegative, not NaN")
 
@@ -438,37 +436,40 @@ class InsampleSmoother:
         if any(a.size and not (0 <= a.min() and a.max() < n)
                for a in (columns, points)):
             raise ValidationError(f"neighbour points must lie in [0, {n})")
+        _check_distances(d)
         row_of = np.repeat(np.arange(points.size), lengths)
-        if (np.any(lengths < 1) or np.any(d < 0.0)
-                or np.any(d[offsets[:-1]] != 0.0)
-                or np.any((np.diff(d) < 0.0) & (np.diff(row_of) == 0))):
+        if (np.any(lengths < 1) or np.any(d[offsets[:-1]] != 0.0)
+                or np.any((d[1:] < d[:-1]) & (row_of[1:] == row_of[:-1]))):
             raise ValidationError(
-                "each neighbour row must be sorted, nonnegative and start "
-                "with an exact zero"
+                "each neighbour row must be sorted and start with an exact zero"
             )
         self.points = points
         self._offsets = offsets
-        self._sorted = d
         self._held = np.asarray(neighbours.radii, dtype=float)
         # (row, distance) in lexicographic order, as numpy orders complex
-        # numbers, so one search finds every count
-        self._keys = row_of + 1j * d
+        # numbers, so one search finds every count; set part by part, as
+        # row + 1j * d would give nan + inf j at an infinite distance
+        self._keys = row_of.astype(complex)
+        self._keys.imag = d
         # Powers are taken of distances scaled by a power of two (exact) that
-        # brings the largest held one below 1, so no d^p overflows. Below
+        # brings the largest finite one below 1, so no d^p overflows. Below
         # 2^-1023 the power would overflow; 2^1023 already scales such a
         # subnormal largest distance below 1/2.
-        self._unit = np.ldexp(
-            1.0, min(1023, -int(np.frexp(d.max(initial=0.0))[1])))
+        self._unit = np.ldexp(1.0, min(1023, -int(np.frexp(
+            d.max(initial=0.0, where=d < np.inf))[1])))
         unit_sorted = d * self._unit
         y_sorted = y[columns]
-        # (p, c_p, prefix sums of d^p y, prefix sums of d^p) per c_p != 0
+        # (p, c_p, prefix sums of d^p y, prefix sums of d^p) per c_p != 0;
+        # the sums past a row's first +inf entry, never read, may be NaN
         self._terms = []
-        for p, c in enumerate(kernel.coefficients):
-            if c == 0.0:
-                continue
-            powers = _powers(unit_sorted, p)
-            self._terms.append((p, c, _prefix_sums(powers * y_sorted, offsets),
-                                _prefix_sums(powers, offsets)))
+        with np.errstate(invalid="ignore"):
+            for p, c in enumerate(kernel.coefficients):
+                if c == 0.0:
+                    continue
+                powers = _powers(unit_sorted, p)
+                self._terms.append(
+                    (p, c, _prefix_sums(powers * y_sorted, offsets),
+                     _prefix_sums(powers, offsets)))
         # Below this radius h^deg, in scaled units, nears the subnormal range
         # and the prefix sums lose their relative precision.
         deg = self._terms[-1][0] if self._terms else 0
@@ -478,27 +479,6 @@ class InsampleSmoother:
 
     def __len__(self) -> int:
         return self.points.size
-
-    def neighbour_radii(self, k: int) -> np.ndarray:
-        """Each row's k-th smallest distance, its own point excluded.
-
-        Each row's smallest entry is its exact-zero self-distance, so
-        entry k of the sorted row is the k-th smallest distance to the
-        other points, also when other points tie with it at zero.
-
-        Raises:
-            ValidationError: for k < 1, or a row holding k or fewer
-                distances.
-        """
-        if k < 1:
-            raise ValidationError(f"k must be positive, got {k}")
-        lengths = np.diff(self._offsets)
-        if np.any(lengths <= k):
-            available = int(lengths.min()) - 1
-            raise ValidationError(
-                f"k = {k} exceeds {available} available distances"
-            )
-        return self._sorted[self._offsets[:-1] + k]
 
     def fit(self, radii, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Predictions and neighbor counts at one radius per fitted row.
@@ -513,9 +493,10 @@ class InsampleSmoother:
 
         Raises:
             ValidationError: for radii not shaped as ``rows``, or a radius
-                that is not positive, is below ``min_radius`` (about 1e-100
-                of the largest held distance for a cubic kernel, none for
-                the uniform one) or is above its row's held radius.
+                that is not positive and finite, is below ``min_radius``
+                (about 1e-100 of the largest held distance for a cubic
+                kernel, none for the uniform one) or is above its row's held
+                radius.
             EmptyNeighborhood: naming the first point with no positive weight.
         """
         radii = np.asarray(radii, dtype=float)
@@ -525,11 +506,7 @@ class InsampleSmoother:
             raise ValidationError("need one radius per fitted row")
         if rows.size and not (0 <= rows.min() and rows.max() < len(self)):
             raise ValidationError(f"rows must lie in [0, {len(self)})")
-        bad = np.flatnonzero(~(radii > 0.0))
-        if bad.size:
-            raise ValidationError(
-                f"bandwidth must be positive, got {radii[bad[0]]}"
-            )
+        require_bandwidths(radii)
         bad = np.flatnonzero(radii < self.min_radius)
         if bad.size:
             raise ValidationError(
@@ -708,7 +685,8 @@ def estimate_phi_prime(distances, responses, kernel: KernelSpec,
     estimator exists for this quantity.
 
     Raises:
-        ValidationError: for unequal lengths or an h_pilot not in (0, inf).
+        ValidationError: for unequal lengths, an h_pilot not in (0, inf) or
+            a distance that is NaN or negative (``_check_distances``).
         TooFewPoints: with fewer than 10 points inside the pilot ball.
         EmptyNeighborhood: if no in-ball point gets positive weight.
     """
@@ -716,6 +694,7 @@ def estimate_phi_prime(distances, responses, kernel: KernelSpec,
     y = np.asarray(responses, dtype=float)
     if d.shape != y.shape:
         raise ValidationError("distances and responses must have equal length")
+    _check_distances(d)
     if not 0.0 < h_pilot < np.inf:  # written so that NaN fails
         raise ValidationError(f"need 0 < h_pilot < inf, got {h_pilot}")
     inside = d <= h_pilot

@@ -811,6 +811,46 @@ class TestDenseReference:
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(bootstrap_cases(), st.data())
+    def test_radii_off_the_cut_follow_the_dense_rule(self, case, data):
+        # the dense rule: sort the point's full row, drop one leading exact
+        # zero (its own distance or a twin's) and take the k-th entry
+        sample, queries, kernel, spec, config = case
+        n = len(sample)
+        dense = np.sort(sample_distances(sample, spec, sample.values),
+                        axis=1)[:, 1:]
+        k = data.draw(st.integers(1, n - 1))
+        if np.all(dense[:, k - 1] > 0.0):
+            radii = insample_fit(sample, kernel, spec, k=k)[2]
+            assert radii.tobytes() == dense[:, k - 1].tobytes()
+        else:  # a twin at the k-th place
+            with pytest.raises(ValidationError,
+                               match="bandwidth must be positive and finite"):
+                insample_fit(sample, kernel, spec, k=k)
+        pilots = []
+        fit = funkreg.estimator.InsampleSmoother.fit
+
+        def recording_fit(self, radii, rows=None):
+            if rows is None:  # the pilot fit, at every point of U
+                pilots.append((self.points, np.asarray(radii)))
+            return fit(self, radii, rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(funkreg.estimator.InsampleSmoother, "fit",
+                          recording_fit)
+            try:
+                bootstrap_error_curve(sample, queries, kernel, spec, config)
+            except DegeneratePilot:
+                # a zero pilot radius at a point of U or a query stops the
+                # run before the pilot fit
+                assume(pilots)
+            except FunkregError:
+                pass
+        points, radii = pilots[0]
+        want = dense[points, config.pilot_k(n) - 1]
+        assert radii.tobytes() == want.tobytes()
+
     def test_one_transform_of_the_queries_and_the_sample(self, monkeypatch):
         train, test = small_sample(seed=4, n=30)
         calls = []

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +441,57 @@ class TestNonFiniteValues:
         assert run(["constants", "--kernel", "triangle",
                     "--tau0", f"empirical:{path}"]) == 2
         assert "must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def overflowing(simulated, tmp_path):
+    """The 40 simulated training curves with the last 20 scaled by 1e200:
+    every distance from one of those to another curve overflows to +inf."""
+    train = load_sample(simulated[0])
+    values = train.values.copy()
+    values[20:] *= 1e200
+    path = tmp_path / "over.csv"
+    save_sample(FunctionalSample(train.grid, values, train.responses), path)
+    return path
+
+
+class TestOverflowingCurves:
+    """An overflowing distance is a legal +inf, and no RuntimeWarning is
+    printed for it; a kNN radius of +inf is not a bandwidth."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("fit", ["--k", "25"]),
+        ("predict", ["--k", "25"]),
+        ("select", []),
+    ])
+    def test_an_infinite_knn_radius_exits_2_with_one_line(
+            self, overflowing, tmp_path, capsys, command, flags):
+        # fit --k wrote NaN predictions and negative neighbour counts
+        files = (["--data", str(overflowing)] if command == "fit" else
+                 ["--train", str(overflowing), "--test", str(overflowing)])
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run([command, *files, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bandwidth must be positive and finite, got inf\n")
+        assert not out.exists()
+
+    def test_a_global_bandwidth_fits_far_curves_on_themselves(
+            self, overflowing, tmp_path, capsys):
+        out = tmp_path / "fit.tsv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["fit", "--data", str(overflowing), "--h", "1.0",
+                        "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        responses = load_sample(overflowing).responses
+        for i, row in enumerate(rows[20:], start=20):
+            assert float(row[1]) == responses[i]
+            assert (row[2], row[4], row[5]) == ("0", "1", "1")
 
 
 def reference_tsv(columns: dict) -> str:

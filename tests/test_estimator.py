@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 from statistics import NormalDist
 
@@ -35,6 +36,7 @@ from funkreg import (
     nadaraya_watson,
     theoretical_bias_variance,
 )
+from funkreg.bootstrap import insample_fit
 from funkreg.curves import (
     FunctionalSample,
     NeighbourRows,
@@ -245,10 +247,8 @@ class TestInsampleSmoother:
         kernel = SMOOTHER_KERNELS[kernel_name]
         smoother = InsampleSmoother(neighbours_from_dense(d), y, kernel)
         if mode == "knn":
-            radii = smoother.neighbour_radii(k)[:, None]
-            # the old rule: sort, drop one leading exact zero, take the k-th
-            expected = [np.sort(row)[1:][k - 1] for row in d]
-            np.testing.assert_array_equal(radii[:, 0], expected)
+            # the dense rule: sort, drop one leading exact zero, take the k-th
+            radii = np.sort(d, axis=1)[:, k][:, None]
             if np.any(radii <= 0.0):  # duplicate curves at k
                 with pytest.raises(ValidationError):
                     smoother.fit(radii[:, 0])
@@ -316,9 +316,7 @@ class TestInsampleSmoother:
         with pytest.raises(InvalidKernel):
             InsampleSmoother(rows, y, KernelSpec.polynomial((0.0, 1.0)))
         smoother = InsampleSmoother(rows, y, UNIFORM)
-        with pytest.raises(ValidationError):
-            smoother.neighbour_radii(2)
-        with pytest.raises(ValidationError, match="must be positive"):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
             smoother.fit(np.zeros(2))
         with pytest.raises(ValidationError, match="must lie in"):
             smoother.fit(np.ones(1), rows=[2])
@@ -421,6 +419,33 @@ class TestCutRows:
             expected[r] = row.searchsorted(radii[r], side="right")
         np.testing.assert_array_equal(counts, expected)
 
+    @settings(max_examples=100, deadline=None)
+    @given(cut_row_cases(), st.sampled_from(sorted(SMOOTHER_KERNELS)),
+           st.data())
+    def test_infinite_entries_are_never_read(self, case, kernel_name, data):
+        # distances between curves whose differences overflow are +inf: rows
+        # holding them, with held radius inf, fit at finite radii with the
+        # bits of the same rows without them, and with no RuntimeWarning
+        d, y, _, rows, radii = case
+        n = len(d)
+        far = np.array(data.draw(st.lists(st.booleans(), min_size=n * n,
+                                          max_size=n * n))).reshape(n, n)
+        np.fill_diagonal(far, False)
+        d = np.where(far, np.inf, d)
+        kernel = SMOOTHER_KERNELS[kernel_name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            held = InsampleSmoother(neighbours_from_dense(d), y, kernel)
+            finite = InsampleSmoother(
+                neighbours_from_dense(d, np.full(n, np.finfo(float).max)),
+                y, kernel)
+            assert held._unit == finite._unit
+            assume(np.all(radii > 0.0) and np.all(radii >= held.min_radius))
+            preds, counts = fit_grid(held, radii, rows)
+        want, want_counts = fit_grid(finite, radii, rows)
+        assert preds.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(counts, want_counts)
+
     def test_a_radius_beyond_the_held_one_is_rejected(self):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
         smoother = InsampleSmoother(neighbours_from_dense(d, [1.0, 3.0, 3.0]),
@@ -428,9 +453,6 @@ class TestCutRows:
         smoother.fit(np.array([1.0, 2.5]), rows=[0, 1])
         with pytest.raises(ValidationError, match="above its held radius"):
             smoother.fit(np.array([1.5]), rows=[0])
-        with pytest.raises(ValidationError, match="available distances"):
-            smoother.neighbour_radii(2)  # row 0 holds two distances
-        assert smoother.neighbour_radii(1).tolist() == [1.0, 1.0, 1.5]
 
     def test_unit_and_min_radius_follow_the_largest_held_distance(self):
         d = np.array([[0.0, 0.75, 3.0], [0.75, 0.0, 2.0], [3.0, 2.0, 0.0]])
@@ -1111,6 +1133,75 @@ class TestQuerySideKernel:
             with pytest.raises(ValidationError, match="sigma2_hat"):
                 confidence_interval(result, UNIFORM, tau0, 0.95)
 
+
+
+HOSTILE_DISTANCE_CALLS = {
+    "knn_radii": lambda d: knn_radii(d, 1, 2),
+    "knn_bandwidths": lambda d: knn_bandwidths(d, 2, 3),
+    "empirical_sdf": lambda d: empirical_sdf(d, 0.25),
+    "empirical_tau": lambda d: empirical_tau(d, 0.25, 0.5),
+    "estimate_phi_prime": lambda d: estimate_phi_prime(
+        d, np.arange(float(d.size)), UNIFORM, 0.5),
+    # the entry is the distance between two points, held in both rows
+    "InsampleSmoother": lambda d: InsampleSmoother(
+        NeighbourRows(2, np.arange(2), np.array([0, 2, 4]),
+                      np.array([0.0, d[0], 0.0, d[0]]), np.array([0, 1, 1, 0]),
+                      np.full(2, np.inf)),
+        [1.0, 2.0], UNIFORM).fit(np.ones(2)),
+}
+
+
+class TestOneDistanceRule:
+    """Every call that takes distances holds them to one rule
+    (``estimator._check_distances``): nonnegative or +inf."""
+
+    @pytest.mark.parametrize("call", sorted(HOSTILE_DISTANCE_CALLS))
+    def test_nan_negative_and_minus_inf_raise(self, call):
+        # a negative entry counted inside every ball (empirical_sdf 0.667
+        # on [-1, 0.2, 0.3] at 0.25) or came back as a radius, and the
+        # smoother took a row [0, nan]
+        row = np.linspace(0.05, 0.3, 12)
+        for bad in (np.nan, -0.5, -1e-300, -np.inf):
+            with pytest.raises(ValidationError, match="nonnegative, not NaN"):
+                HOSTILE_DISTANCE_CALLS[call](np.append(bad, row))
+        for good in (np.inf, -0.0):
+            HOSTILE_DISTANCE_CALLS[call](np.append(good, row))
+
+
+def bandwidth_rule_sites():
+    """The four calls that take a bandwidth, each as a function of one
+    bandwidth h on a sample of six curves."""
+    rng = np.random.default_rng(5)
+    sample = FunctionalSample(SamplingGrid(np.linspace(0.0, 1.0, 9)),
+                              rng.normal(size=(6, 9)), rng.normal(size=6))
+    spec = SemiMetricSpec(0, None)
+    d = sample_distances(sample, spec, sample.values)
+    smoother = InsampleSmoother(neighbours_from_dense(d), sample.responses,
+                                UNIFORM)
+    return {
+        "query_rows": lambda h: query_rows(sample, spec, sample.values, h=h),
+        "nadaraya_watson": lambda h: nadaraya_watson(d[0], sample.responses,
+                                                     UNIFORM, h),
+        "insample_fit": lambda h: insample_fit(sample, UNIFORM, spec, h=h),
+        "InsampleSmoother.fit": lambda h: smoother.fit(np.full(6, h)),
+    }
+
+
+class TestOneBandwidthRule:
+    """Every call that takes a bandwidth holds it to one rule
+    (``errors.require_bandwidths``): positive and finite."""
+
+    @pytest.mark.parametrize("site", ["query_rows", "nadaraya_watson",
+                                      "insample_fit", "InsampleSmoother.fit"])
+    def test_one_message_for_every_bad_bandwidth(self, site):
+        call = bandwidth_rule_sites()[site]
+        # the smoother took h = inf
+        for h in (np.nan, np.inf, -np.inf, 0.0, -0.0, -0.5, -5e-324):
+            text = f"bandwidth must be positive and finite, got {h}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+                call(h)
+        for h in (5e-324, np.finfo(float).max):
+            call(h)
 
 
 class TestKnnRadii:
