@@ -208,6 +208,13 @@ def _argmin_entry(per_bandwidth) -> tuple[int, float]:
     return best[0], best[1]
 
 
+def _column_means(a: np.ndarray) -> list[float]:
+    """Each column's mean with the bits of ``a[:, j].mean()``: one pairwise
+    sum per row of the C-contiguous transpose. ``a.mean(axis=0)`` adds the
+    rows in order, which rounds differently."""
+    return np.ascontiguousarray(a.T).mean(axis=1).tolist()
+
+
 def select_bandwidth(result: WildBootstrapResult) -> tuple[int, float]:
     """Entry of the error curve with minimal error; ties -> smallest h."""
     return _argmin_entry(result.per_bandwidth)
@@ -429,10 +436,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
             f"h = {radii[j, 0]}"
         )
 
-    per_bandwidth = tuple(
-        (k, float(radii[:, ki].mean()), float(errors[:, ki].mean()))
-        for ki, k in enumerate(ks)
-    )
+    per_bandwidth = tuple(zip(ks, _column_means(radii), _column_means(errors)))
     selected_k, selected_h = _argmin_entry(per_bandwidth)
     return WildBootstrapResult(
         per_bandwidth=per_bandwidth,

@@ -50,25 +50,6 @@ from .simulation import (
     mc_normality,
 )
 
-_KNOWN_CONFIG_KEYS = {
-    "kernel": str,
-    "tau0": str,
-    "deriv_order": int,
-    "presmooth_window": int,
-    "k": int,
-    "h": float,
-    "k_min": int,
-    "k_max": int,
-    "n_boot": int,
-    "pilot": str,
-    "seed": int,
-    "split": str,
-    "split_seed": int,
-    "out_dir": str,
-    "level": float,
-}
-
-
 def parse_kernel(text: str) -> KernelSpec:
     t = text.strip().lower()
     if t == "uniform":
@@ -139,7 +120,10 @@ def parse_split(text: str) -> tuple[int, int]:
         raise ValidationError(f"split must be two integers, got {text!r}") from None
 
 
-def _load_config(path) -> dict:
+def _load_config(path, parser) -> dict:
+    """The config file's values. A key is the dest of some command's flag
+    in ``parser``, and its value is typed as that flag (``str`` where the
+    flag declares no type)."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -148,13 +132,18 @@ def _load_config(path) -> dict:
         raise ParseError(f"config {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config {path} must be a JSON object")
+    (commands,) = parser._subparsers._group_actions
+    kinds = {action.dest: action.type or str
+             for command in commands.choices.values()
+             for action in command._actions
+             if action.option_strings and action.dest not in ("help", "config")}
     typed = {}
     for key, value in data.items():
-        if key not in _KNOWN_CONFIG_KEYS:
+        if key not in kinds:
             raise ValidationError(f"config {path}: unknown key {key!r}")
         if value is None:
             continue
-        kind = _KNOWN_CONFIG_KEYS[key]
+        kind = kinds[key]
         try:
             # a number must be one as its flag would parse it: no booleans,
             # and no fraction for an integer key
@@ -177,17 +166,20 @@ def _required(value, flag: str):
     return value
 
 
-def _from_flags(config_class, args):
-    """A config dataclass built from the flags named after its fields."""
-    return config_class(**{field.name: getattr(args, field.name)
-                           for field in fields(config_class)})
+def _from_flags(config_class, args, **values):
+    """A config dataclass built from the flags named after its fields and
+    from ``values``. Only values that a flag or the file gave are passed, so
+    the dataclass's default fills every other field."""
+    given = {field.name: getattr(args, field.name, None)
+             for field in fields(config_class)}
+    given.update(values)
+    return config_class(**{name: value for name, value in given.items()
+                           if value is not None})
 
 
 def _semi_metric(args) -> SemiMetricSpec:
-    return SemiMetricSpec(
-        derivative_order=args.deriv_order,
-        presmoothing_window=args.presmooth_window,
-    )
+    return _from_flags(SemiMetricSpec, args, derivative_order=args.deriv_order,
+                       presmoothing_window=args.presmooth_window)
 
 
 def _write(out, text: str) -> None:
@@ -336,14 +328,12 @@ def _cmd_select(args) -> int:
     train, queries = _train_and_queries(args)
     kernel = parse_kernel(args.kernel)
     spec = _semi_metric(args)
-    config = BootstrapConfig(
+    config = _from_flags(
+        BootstrapConfig, args,
         n_replications=args.n_boot,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        seed=args.seed,
-        pilot=parse_pilot(args.pilot),
-        evaluation="test_set" if args.pointwise is None else "pointwise",
-        query_index=args.pointwise or 0,
+        pilot=None if args.pilot is None else parse_pilot(args.pilot),
+        evaluation=None if args.pointwise is None else "pointwise",
+        query_index=args.pointwise,
     )
     result = bootstrap_error_curve(train, queries.curves, kernel, spec, config)
     ks, hs, errors = zip(*result.per_bandwidth)
@@ -360,7 +350,8 @@ def _cmd_select(args) -> int:
 def _scalar_experiment(args, experiment):
     """The scalar design of the flags and the report of `experiment` on it."""
     kernel = parse_kernel(args.kernel)
-    config = _from_flags(ScalarDesignConfig, args)
+    config = _from_flags(ScalarDesignConfig, args, n=_required(args.n, "--n"),
+                         h=_required(args.h, "--h"))
     return config, experiment(config, kernel)
 
 
@@ -407,10 +398,10 @@ def _add_common(parser, kernel: str, *, pair=False, bandwidth=False):
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--kernel", default=kernel,
                         help="uniform|quadratic|triangle|poly:c0,c1,...")
-    parser.add_argument("--deriv-order", dest="deriv_order", type=int, default=0,
+    parser.add_argument("--deriv-order", dest="deriv_order", type=int,
                         choices=[0, 1, 2], help="semi-metric derivative order")
     parser.add_argument("--presmooth-window", dest="presmooth_window", type=int,
-                        help="odd moving-average window (default: none)")
+                        help="odd moving-average window")
     parser.add_argument("--data", help="curve CSV (response in final column)")
     parser.add_argument("--response-file", dest="response_file",
                         help="companion response file (one value per line)")
@@ -430,8 +421,9 @@ def _add_common(parser, kernel: str, *, pair=False, bandwidth=False):
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The funkreg parser; values of a loaded config file become the
     defaults of every subcommand, so a flag overrides the file and the file
-    overrides a flag's declared default. A key that a subcommand has no
-    flag for is ignored there."""
+    overrides the default. A flag that fills a field of a library config
+    declares no default of its own: that field's default applies. A key
+    that a subcommand has no flag for is ignored there."""
     parser = argparse.ArgumentParser(
         prog="funkreg",
         description="Kernel regression for curve-valued predictors",
@@ -444,11 +436,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("simulate", help="generate a curve-valued sample")
-    p.add_argument("--n-train", type=int, default=100)
-    p.add_argument("--n-test", type=int, default=50)
-    p.add_argument("--grid-size", type=int, default=101)
-    p.add_argument("--noise-variance", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--grid-size", type=int)
+    p.add_argument("--noise-variance", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", dest="out_dir",
                    help="output directory (default: $FUNKREG_OUT_DIR or .)")
     p.set_defaults(func=_cmd_simulate)
@@ -471,12 +463,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="wild-bootstrap bandwidth selection")
     _add_common(p, "quadratic", pair=True)
-    p.add_argument("--k-min", dest="k_min", type=int, default=2)
-    p.add_argument("--k-max", dest="k_max", type=int, default=32)
-    p.add_argument("--n-boot", dest="n_boot", type=int, default=100)
-    p.add_argument("--pilot", default="mult:2",
-                   help="mult:C or fixed:K (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k-min", dest="k_min", type=int)
+    p.add_argument("--k-max", dest="k_max", type=int)
+    p.add_argument("--n-boot", dest="n_boot", type=int)
+    p.add_argument("--pilot", help="mult:C or fixed:K")
+    p.add_argument("--seed", type=int)
     p.add_argument("--pointwise", type=int,
                    help="select at a single query index instead of averaging")
     p.set_defaults(func=_cmd_select)
@@ -484,13 +475,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     for name, func in (("mc-bias-var", _cmd_mc_bias_var),
                        ("mc-normality", _cmd_mc_normality)):
         p = sub.add_parser(name, help=f"scalar Monte Carlo ({name})")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--h", type=float, required=True)
-        p.add_argument("--chi", type=float, default=0.0)
-        p.add_argument("--slope", type=float, default=1.0)
-        p.add_argument("--noise-sd", dest="noise_sd", type=float, default=0.5)
-        p.add_argument("--reps", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--n", type=int)
+        p.add_argument("--h", type=float)
+        p.add_argument("--chi", type=float)
+        p.add_argument("--slope", type=float)
+        p.add_argument("--noise-sd", dest="noise_sd", type=float)
+        p.add_argument("--reps", type=int)
+        p.add_argument("--seed", type=int)
         p.add_argument("--kernel", default="uniform")
         p.add_argument("--out", help="output file (default: stdout)")
         p.set_defaults(func=func)
@@ -503,9 +494,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
         if args.config:
-            args = build_parser(_load_config(args.config)).parse_args(argv)
+            args = build_parser(_load_config(args.config, parser)).parse_args(argv)
         return args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -291,6 +291,35 @@ class TestBootstrapErrorCurve:
         r2 = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1, config)
         assert r1 == r2
 
+    def test_per_bandwidth_holds_the_column_means(self, monkeypatch):
+        # each (k, h, error) triple averages the queries' column of the
+        # radii and of the errors, as a[:, j].mean() sums it
+        seen = []
+
+        def spy(a):
+            seen.append(a.copy())
+            return column_means(a)
+
+        column_means = funkreg.bootstrap._column_means
+        monkeypatch.setattr(funkreg.bootstrap, "_column_means", spy)
+        train, test = small_sample(seed=5)
+        config = BootstrapConfig(n_replications=15, k_min=2, k_max=9, seed=7)
+        result = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                       config)
+        radii, errors = seen
+        assert result.per_bandwidth == tuple(
+            (k, float(radii[:, j].mean()), float(errors[:, j].mean()))
+            for j, k in enumerate(range(2, 10)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (50, 31), (129, 4),
+                                       (200, 5)])
+    def test_column_means_are_the_bits_of_each_column(self, shape):
+        rng = np.random.default_rng(shape[0])
+        a = rng.lognormal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+        a[rng.random(shape) < 0.05] = np.inf
+        want = [float(a[:, j].mean()) for j in range(shape[1])]
+        assert funkreg.bootstrap._column_means(a) == want
+
     def test_different_seeds_differ(self):
         train, test = small_sample(seed=4)
         c1 = BootstrapConfig(n_replications=20, k_min=2, k_max=8, seed=1)

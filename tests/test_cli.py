@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,14 @@ from funkreg import (
     FunctionalSample,
     KernelSpec,
     SamplingGrid,
+    ScalarDesignConfig,
     SemiMetricSpec,
     Tau0Model,
     compute_constants,
     load_sample,
     save_sample,
 )
-from funkreg.cli import _KNOWN_CONFIG_KEYS, main
+from funkreg.cli import build_parser, main
 from funkreg.curves import distance_matrix, transform
 from funkreg.kernels import eval_kernel_array
 
@@ -371,25 +373,173 @@ class TestSelectCommand:
             assert by_config.read_bytes() == by_flags.read_bytes()
 
 
-class TestConfigTable:
-    """The config keys and the flags must not drift apart."""
+def command_flags():
+    """(command, flag action) for every flag of every command, but
+    ``--help`` and ``--config``."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    return [(name, action) for name, parser in commands.items()
+            for action in parser._actions
+            if action.option_strings and action.dest not in ("help", "config")]
 
-    def flags(self):
-        from funkreg.cli import build_parser
 
-        commands = build_parser()._subparsers._group_actions[0].choices
-        return [(name, action) for name, parser in commands.items()
-                for action in parser._actions]
+#: Fields of the library's configs that a flag fills: the field's own
+#: default applies when no flag or config file gives a value.
+CONFIG_BACKED = {
+    "deriv_order", "presmooth_window",  # SemiMetricSpec
+    "k_min", "k_max", "n_boot", "pilot", "seed", "pointwise",  # BootstrapConfig
+    "n_train", "n_test", "grid_size", "noise_variance",  # SimulationConfig
+    "n", "h", "chi", "slope", "noise_sd", "reps",  # ScalarDesignConfig
+}
 
-    @pytest.mark.parametrize("key", sorted(_KNOWN_CONFIG_KEYS))
-    def test_every_key_is_a_flag_of_its_type(self, key):
-        kind = _KNOWN_CONFIG_KEYS[key]
-        actions = [(name, action) for name, action in self.flags()
-                   if action.dest == key and action.option_strings]
-        assert actions, f"config key {key!r} is no command's flag"
-        for name, action in actions:
-            value = (action.type or str)("3")
-            assert type(value) is kind, f"{name} {action.option_strings[0]}"
+
+@pytest.fixture()
+def inputs(simulated, tmp_path):
+    """The simulated pair, and its training curves without their response
+    column beside a companion response file."""
+    train, test = simulated
+    lines = train.read_text().splitlines()
+    curves, responses = tmp_path / "curves.csv", tmp_path / "responses.txt"
+    curves.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    responses.write_text("".join(line.rsplit(",", 1)[1] + "\n"
+                                 for line in lines[1:]))
+    return {"train": str(train), "test": str(test), "curves": str(curves),
+            "responses": str(responses)}
+
+
+class TestConfigKeys:
+    """A config file may set any flag: each key is some command's flag dest,
+    typed as that flag; its value gives what the flag gives."""
+
+    #: Per command, runs whose values together set every flag it has.
+    RUNS = {
+        "constants": [{"kernel": "triangle", "tau0": "fractal:2"}],
+        "simulate": [{"n_train": 12, "n_test": 5, "grid_size": 21,
+                      "noise_variance": 1.5, "seed": 4, "out_dir": "sim"}],
+        "fit": [
+            {"data": "train", "kernel": "uniform", "deriv_order": 1,
+             "presmooth_window": 3, "k": 5, "out": "out.tsv"},
+            {"data": "curves", "response_file": "responses", "h": 2.0,
+             "out": "out.tsv"},
+        ],
+        "predict": [
+            {"train": "train", "test": "test", "kernel": "triangle",
+             "deriv_order": 2, "presmooth_window": 5, "k": 6, "out": "out.tsv"},
+            {"data": "curves", "response_file": "responses", "split": "30:10",
+             "split_seed": 3, "h": 3.0, "out": "out.tsv"},
+        ],
+        "ci": [
+            {"train": "train", "test": "test", "kernel": "uniform",
+             "deriv_order": 1, "presmooth_window": 3, "k": 6,
+             "tau0": "fractal:2", "level": 0.9, "out": "out.tsv"},
+            {"data": "curves", "response_file": "responses", "split": "30:10",
+             "split_seed": 1, "h": 3.0, "out": "out.tsv"},
+        ],
+        "select": [
+            {"train": "train", "test": "test", "kernel": "uniform",
+             "deriv_order": 1, "presmooth_window": 3, "k_min": 3, "k_max": 8,
+             "n_boot": 10, "pilot": "fixed:12", "seed": 5, "pointwise": 2,
+             "out": "out.tsv"},
+            {"data": "curves", "response_file": "responses", "split": "30:10",
+             "split_seed": 2, "k_max": 6, "n_boot": 5, "pilot": "mult:1.5"},
+        ],
+        **{command: [{"n": 100, "h": 0.2, "chi": 0.5, "slope": 2.0,
+                      "noise_sd": 0.3, "reps": 20, "seed": 4,
+                      "kernel": "triangle", "out": "out.json"}]
+           for command in ("mc-bias-var", "mc-normality")},
+    }
+
+    CASES = [(command, i, key) for command, runs in RUNS.items()
+             for i, values in enumerate(runs) for key in values]
+
+    def outputs(self, tmp_path, monkeypatch, capsys, command, values, key,
+                inputs):
+        """Exit code, stdout and written files of `command` with every value
+        as a flag, but `key`, which comes from a config file (key None:
+        none does)."""
+        values = {name: inputs.get(value, value) if isinstance(value, str)
+                  else value for name, value in values.items()}
+        run_dir = tmp_path / f"run-{key}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        argv = [command]
+        for name, value in values.items():
+            if name != key:
+                argv += ["--" + name.replace("_", "-"), str(value)]
+        if key is not None:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: values[key]}))
+            argv += ["--config", str(config)]
+        capsys.readouterr()
+        code = run(argv)
+        files = {str(path.relative_to(run_dir)): path.read_bytes()
+                 for path in sorted(run_dir.rglob("*")) if path.is_file()}
+        return code, capsys.readouterr().out, files
+
+    @pytest.mark.parametrize("command, i, key", CASES,
+                             ids=[f"{c}-{i}-{k}" for c, i, k in CASES])
+    def test_a_key_gives_what_its_flag_gives(self, tmp_path, monkeypatch,
+                                             capsys, inputs, command, i, key):
+        values = self.RUNS[command][i]
+        by_flags = self.outputs(tmp_path, monkeypatch, capsys, command, values,
+                                None, inputs)
+        assert by_flags[0] == 0 and (by_flags[1] or by_flags[2])
+        assert self.outputs(tmp_path, monkeypatch, capsys, command, values,
+                            key, inputs) == by_flags
+
+    def test_the_runs_set_every_flag_of_every_command(self):
+        dests = {}
+        for command, action in command_flags():
+            dests.setdefault(command, set()).add(action.dest)
+        assert {command: set().union(*runs)
+                for command, runs in self.RUNS.items()} == dests
+
+    def test_one_type_per_key(self):
+        # the file's values are typed by the flag of their dest
+        kinds = {}
+        for command, action in command_flags():
+            kinds.setdefault(action.dest, set()).add(action.type or str)
+        assert {key: kind for key, kind in kinds.items() if len(kind) > 1} == {}
+
+    def test_config_backed_flags_declare_no_default(self):
+        # the library config's field default is the only one
+        flags = command_flags()
+        assert CONFIG_BACKED <= {action.dest for _, action in flags}
+        for command, action in flags:
+            assert not action.required, f"{command} {action.option_strings}"
+            if action.dest in CONFIG_BACKED:
+                assert action.default is None, (
+                    f"{command} {action.option_strings}")
+
+    @pytest.mark.parametrize("key", ["bandwidth", "help", "config", "func",
+                                     "command"])
+    def test_a_key_that_is_no_flag_dest_exits_2(self, simulated, tmp_path,
+                                                capsys, key):
+        train, test = simulated
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: 3}))
+        assert run(["predict", "--train", str(train), "--test", str(test),
+                    "--k", "3", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {config}: unknown key {key!r}\n")
+
+    @pytest.mark.parametrize("command", ["mc-bias-var", "mc-normality"])
+    @pytest.mark.parametrize("flag, given", [("--n", ["--h", "0.2"]),
+                                             ("--h", ["--n", "100"])])
+    def test_missing_n_or_h_exits_2(self, capsys, command, flag, given):
+        assert run([command, *given, "--reps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: missing required option {flag}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["mc-bias-var", "mc-normality"])
+    def test_a_config_supplies_n_and_h(self, tmp_path, capsys, command):
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps({"n": 100, "h": 0.2, "reps": 5}))
+        assert run([command, "--config", str(config)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # every other field of the design is the library's default
+        design = asdict(ScalarDesignConfig(n=100, h=0.2, reps=5))
+        assert {key: payload[key] for key in design} == design
 
 
 class TestNonFiniteValues:
