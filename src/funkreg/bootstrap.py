@@ -8,9 +8,10 @@ against the pilot value at the query. The bandwidth minimizing the average
 over replications (and, optionally, over a test set of queries) is selected.
 
 Randomness follows the stream policy of ``simulation``: replication b of a
-run seeded with s draws its uniforms from the stream (s, b), indexed by each
-point's key (its original sample index by default). Results are therefore
-bit-stable and independent of evaluation order.
+run seeded with s draws its uniforms from the stream (s, b), and each point
+reads the draw at the rank of its key among the n keys (its sample index by
+default), so a stream is drawn no further than n whatever the keys. Results
+are therefore bit-stable and independent of evaluation order.
 
 Cost: at query j only the points of its k_max-ball
 S_j = {i : d(query j, X_i) <= h_{j, k_max}} get a positive weight at any
@@ -59,7 +60,7 @@ from .errors import (
 )
 from .estimator import InsampleSmoother, nadaraya_watson_rows
 from .kernels import KernelSpec, eval_kernel_array
-from .simulation import check_seed, replication_uniforms
+from .simulation import check_seed, replication_streams
 
 _SQRT5 = math.sqrt(5.0)
 #: Multipliers of the two-point golden-section law and their probabilities.
@@ -267,22 +268,27 @@ def residuals(sample: FunctionalSample, kernel: KernelSpec,
 
 
 def _multiplier_matrix(seed: int, n_replications: int,
-                       keys: np.ndarray) -> np.ndarray:
+                       positions: np.ndarray) -> np.ndarray:
     """Wild multipliers, shape (n_replications, n_points).
 
-    Row b comes from replication b's stream; each point reads the draw at
-    the position of its key, so a permuted sample with matching keys
-    receives the same multipliers.
+    Row b comes from replication b's stream, drawn up to the largest
+    position; each point reads the draw at its position, so a permuted
+    sample with matching positions receives the same multipliers.
     """
-    u = replication_uniforms(seed, n_replications, keys)
+    top = int(positions.max()) + 1
+    u = np.empty((n_replications, positions.size))
+    for b, gen in enumerate(replication_streams(seed, n_replications)):
+        u[b] = gen.random(top)[positions]
     return np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH)
 
 
 def _point_keys(point_keys, n: int) -> np.ndarray:
-    """Validated RNG keys: n distinct nonnegative integers.
+    """Each point's stream position: the rank of its RNG key among the n
+    keys, which must be distinct nonnegative integers.
 
     Two points sharing a key would share their multipliers, so the wild
-    draws would be correlated; a fractional key would be truncated.
+    draws would be correlated; a fractional key would be truncated. The
+    keys 0..n-1, and any permutation of them, are their own ranks.
     """
     if point_keys is None:
         return np.arange(n)
@@ -297,9 +303,10 @@ def _point_keys(point_keys, n: int) -> np.ndarray:
         keys = keys.astype(np.int64)
     if keys.min() < 0:
         raise ValidationError("point_keys must be nonnegative")
-    if np.unique(keys).size != n:
+    distinct, ranks = np.unique(keys, return_inverse=True)
+    if distinct.size != n:
         raise ValidationError("point_keys must be distinct")
-    return keys
+    return ranks
 
 
 def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
@@ -318,8 +325,11 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
 
     Args:
         point_keys: per-point RNG keys, distinct nonnegative integers
-            (defaults to 0..n-1); pass original indices to make results
-            invariant to permuting the sample.
+            (defaults to 0..n-1). Each point reads every replication's
+            stream at its key's rank among the n keys, so only the order
+            of the keys counts: pass original indices to make results
+            invariant to permuting the sample. Dropping or adding a point
+            moves the draws of the points whose keys rank above it.
 
     Raises:
         GridMismatch: if a query is not on the sample grid.
@@ -341,7 +351,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     if not active:
         raise ValidationError("query set must be nonempty")
 
-    keys = _point_keys(point_keys, n)
+    ranks = _point_keys(point_keys, n)
 
     query_values = curve_matrix(active, sample.grid)
     spec.check_grid(sample.grid)
@@ -387,7 +397,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     # Everything a support gathers is indexed by the rows of U, row r
     # being point points[r]; ball j starts at ball_start[j] in ``ball``.
     multipliers = np.ascontiguousarray(
-        _multiplier_matrix(config.seed, config.n_replications, keys[points]).T
+        _multiplier_matrix(config.seed, config.n_replications, ranks[points]).T
     )
     y_u = y[points]
     support_sizes = np.bincount(query, minlength=len(active))

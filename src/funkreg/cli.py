@@ -309,9 +309,13 @@ def _cmd_ci(args) -> int:
     tau0 = parse_tau0(args.tau0)
     # the interval's own checks of level and kernel, before any distance
     interval_half_widths(np.empty(0), np.empty(0), kernel, tau0, args.level)
-    means, columns = _query_fit(args, train, queries, kernel, spec, moments=2)
-    preds, counts = columns["prediction"], columns["neighbors"]
-    sigma2 = plugin_variance(preds, means[1])
+    # responses near the float limit overflow the moments, to a variance
+    # of inf or NaN that interval_half_widths refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, columns = _query_fit(args, train, queries, kernel, spec,
+                                    moments=2)
+        preds, counts = columns["prediction"], columns["neighbors"]
+        sigma2 = plugin_variance(preds, means[1])
     half = interval_half_widths(sigma2, counts, kernel, tau0, args.level)
     _write_tsv(args.out, {
         **columns,

@@ -268,7 +268,7 @@ def _row_sums(kernel: KernelSpec, h, y, row, d, moments: int):
     the kernel is its polynomial: it is evaluated with no clip or mask
     (``kernels._horner``), with the bits of ``eval_kernel_array``.
     """
-    w = _horner(kernel, d / h[row])
+    w = _horner(kernel.coefficients, d / h[row])
     totals = np.bincount(row, w, minlength=h.size)
     if np.count_nonzero(totals <= 0.0):
         bad = np.flatnonzero(totals <= 0.0)[0]
@@ -548,9 +548,11 @@ class InsampleSmoother:
 
 def plugin_variance(first, second):
     """E(Y^2 | ball) - E(Y | ball)^2 from the two kernel estimates, clamped
-    at zero since the difference can round negative in finite samples."""
+    at zero since the difference can round negative in finite samples.
+    Only a negative difference is clamped: a NaN, from moments that both
+    overflowed, stays NaN for the interval's check to refuse."""
     diff = np.asarray(second) - np.asarray(first) * first
-    return np.where(diff > 0.0, diff, 0.0)
+    return np.where(diff <= 0.0, 0.0, diff)
 
 
 def estimate_sigma2(distances, responses, kernel: KernelSpec,
@@ -558,10 +560,10 @@ def estimate_sigma2(distances, responses, kernel: KernelSpec,
     """Plug-in conditional variance: E(Y^2 | ball) - E(Y | ball)^2.
 
     Both conditional expectations are weighted means over one set of kernel
-    weights; the difference is clamped at zero (``plugin_variance``).
-    Raises ValidationError unless distances and responses are both (n,),
-    for an h that is not positive and finite, or for a NaN or negative
-    distance.
+    weights; the difference is clamped at zero (``plugin_variance``), and
+    is NaN when both overflow. Raises ValidationError unless distances and
+    responses are both (n,), for an h that is not positive and finite, or
+    for a NaN or negative distance.
     """
     means = _dense_fit(_query_row(distances), responses, kernel, [h], 2)[0]
     return float(plugin_variance(means[0], means[1])[0])

@@ -57,12 +57,12 @@ class KernelSpec:
                 raise InvalidKernel(
                     f"kernel {self.family} has a non-finite coefficient {c}")
         u = np.linspace(0.0, 1.0, _CHECK_GRID_SIZE)
-        values = _polyval(self.coefficients, u)
+        values = _horner(self.coefficients, u)
         # Kernel weights are scale-free, so the tolerance scales with K.
         tol = _NEGATIVITY_TOL * np.max(np.abs(values))
         if not np.all(values >= -tol):
             raise InvalidKernel(f"kernel {self.family} is negative on [0, 1]")
-        deriv = _polyval(self.derivative_coefficients(), u[:-1])
+        deriv = _horner(self.derivative_coefficients(), u[:-1])
         if not np.all(deriv <= tol):
             raise InvalidKernel(f"kernel {self.family} is increasing on [0, 1)")
         if self.k_at_zero <= 0.0:
@@ -105,14 +105,6 @@ class KernelSpec:
         return tuple(np.convolve(c, c))
 
 
-def _polyval(coefficients, u):
-    """Horner evaluation; accepts scalars or arrays."""
-    acc = np.zeros(np.shape(u))
-    for c in reversed(coefficients):
-        acc = acc * u + c
-    return acc
-
-
 def eval_kernel_array(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation with hard support truncation: K(u) on
     [0, 1], 0 elsewhere and at NaN, in an array of the shape of ``u``.
@@ -122,24 +114,25 @@ def eval_kernel_array(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     clipped = np.minimum(np.maximum(u, 0.0), 1.0)
-    w = _horner(spec, clipped)
+    w = _horner(spec.coefficients, clipped)
     np.copyto(w, 0.0, where=clipped != u)
     return w
 
 
-def _horner(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
-    """The kernel's polynomial at every entry of the float array ``v``,
-    which the caller holds in [0, 1], with no clip or mask: on such v, the
-    bits of ``eval_kernel_array``.
+def _horner(coefficients, v) -> np.ndarray:
+    """The polynomial with ascending ``coefficients`` at every entry of
+    ``v``, a float array or a Python float, with no clip or mask: on v in
+    [0, 1], the kernel's bits of ``eval_kernel_array``.
 
-    Horner's rule runs in place on one buffer from the leading coefficient,
-    w = c_q, then w = w * v + c_j for j = q - 1 .. 0, one product and one
-    sum a step: the bits of ``_polyval``, whose zero accumulator gives
-    0 * v + c_q = c_q.
+    Horner's rule runs from the leading coefficient, w = c_q, then
+    w = w * v + c_j for j = q - 1 .. 0, one product and one sum a step: in
+    place on one buffer for an array, on a numpy float for a Python float
+    (a 0-d buffer would make each step several times slower).
     """
-    coefficients = spec.coefficients
-    w = np.empty(v.shape)
+    w = np.empty(np.shape(v))
     w.fill(coefficients[-1])
+    if type(v) is float:
+        w = w[()]
     for c in coefficients[-2::-1]:
         w *= v
         w += c
@@ -322,7 +315,7 @@ def constants_by_quadrature(spec: KernelSpec, tau0: Tau0Model,
     k1 = spec.k_at_one
 
     def integrand(coeffs):
-        return lambda s: float(_polyval(coeffs, s)) * tau0_eval(tau0, s)
+        return lambda s: float(_horner(coeffs, s)) * tau0_eval(tau0, s)
 
     i0, i1, i2 = (_adaptive_simpson(integrand(coeffs), 0.0, 1.0, tol)
                   for coeffs in _integrand_coefficients(spec))

@@ -54,10 +54,6 @@ _MIN_NORMALITY_REPS = 30
 #: and the block's distance temporaries stay in the cache of the share's
 #: core.
 _BLOCK_ELEMENTS = 1 << 14
-#: Widest gap between two sorted positions that ``replication_uniforms``
-#: draws through; a wider one starts a new run, whose stream reset and
-#: advance cost about as much as drawing a few thousand values.
-_RUN_GAP = 256
 
 
 @dataclass(frozen=True)
@@ -220,48 +216,6 @@ def replication_streams(seed: int, count: int,
         state["state"]["key"] = np.array([seed, b], dtype=np.uint64)
         bit_generator.state = state
         yield gen
-
-
-def replication_uniforms(seed: int, count: int, positions) -> np.ndarray:
-    """Uniform draws at nonnegative integer stream positions, shape (count, m).
-
-    Entry (b, i) is draw ``positions[i]`` of stream (seed, b): the bits of
-    ``Generator(Philox(key=[seed, b])).random(p)[positions[i]]`` for any p
-    beyond it. Only the positions are drawn, not every draw before them:
-    the sorted positions are cut into runs at gaps wider than
-    ``_RUN_GAP``, and each run resets the stream, skips whole Philox
-    blocks of four draws (``advance``) and draws through to its last
-    position, so memory is bounded whatever the positions.
-
-    Raises:
-        ValidationError: naming the first position that is negative or not
-            an integer (a float array holds no integers).
-    """
-    positions = np.asarray(positions)
-    if positions.size == 0:
-        return np.empty((count, 0))
-    if positions.dtype.kind not in "iu" or (positions < 0).any():
-        bad = next(p for p in positions.tolist() if not is_integer(p) or p < 0)
-        raise ValidationError(
-            f"stream positions must be nonnegative integers, got {bad!r}"
-        )
-    order = np.argsort(positions, kind="stable")
-    ordered = positions[order]
-    cuts = (np.flatnonzero(np.diff(ordered) > _RUN_GAP) + 1).tolist()
-    runs = [(int(ordered[lo]), order[lo:hi], ordered[lo:hi] - ordered[lo])
-            for lo, hi in zip([0, *cuts], [*cuts, ordered.size])]
-    out = np.empty((count, positions.size))
-    for b, gen in enumerate(replication_streams(seed, count)):
-        bit_generator = gen.bit_generator
-        stream_start = bit_generator.state if len(runs) > 1 else None
-        for i, (first, columns, offsets) in enumerate(runs):
-            if i:
-                bit_generator.state = stream_start
-            if first >= 4:
-                bit_generator.advance(first // 4)
-            skip = first % 4
-            out[b, columns] = gen.random(skip + int(offsets[-1]) + 1)[skip + offsets]
-    return out
 
 
 def _worker_count() -> int:

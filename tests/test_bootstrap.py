@@ -744,6 +744,39 @@ class TestBootstrapErrorCurve:
                                       config, point_keys=keys[perm])
         assert_same_error_curve(moved, result.per_bandwidth, result.selected_k)
 
+    @pytest.mark.parametrize("keys", [
+        np.arange(20) * 10**11,
+        np.r_[2**63 - 1, np.arange(19) * 10**17 + 3],
+    ], ids=["spaced", "up_to_2_63"])
+    def test_keys_index_the_streams_by_rank(self, keys):
+        train, test = small_sample(seed=3, n=20)
+        config = BootstrapConfig(n_replications=5, k_min=2, k_max=5, seed=1)
+        keys = np.random.default_rng(4).permutation(keys)
+        ranks = np.argsort(np.argsort(keys))
+        by_key = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                       config, point_keys=keys)
+        by_rank = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                        config, point_keys=ranks)
+        assert by_key.per_bandwidth == by_rank.per_bandwidth
+        assert by_key == by_rank
+
+    def test_huge_keys_in_bounded_memory(self):
+        # drawing a stream up to a key of 10^12 would take 8 TB
+        train, test = small_sample(seed=3, n=20)
+        config = BootstrapConfig(n_replications=5, k_min=2, k_max=5, seed=1)
+        want = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                     config)
+        keys = np.arange(1, 21) * (10**12 // 20)
+        tracemalloc.start()
+        try:
+            got = bootstrap_error_curve(train, test.curves, QUADRATIC, DERIV1,
+                                        config, point_keys=keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got == want
+
     def test_empirical_atom_frequency(self):
         m = _multiplier_matrix(2024, 100, np.arange(10000))
         freq = float(np.mean(m == MULTIPLIER_LOW))

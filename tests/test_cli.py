@@ -644,6 +644,44 @@ class TestOverflowingCurves:
             assert (row[2], row[4], row[5]) == ("0", "1", "1")
 
 
+class TestOverflowingResponses:
+    """Responses scaled by 1e200: the second moment overflows, and so does
+    the first moment's square, so the plug-in variance is NaN."""
+
+    @pytest.fixture()
+    def scaled(self, simulated, tmp_path):
+        paths = []
+        for path in simulated:
+            sample = load_sample(path)
+            paths.append(tmp_path / f"scaled_{path.name}")
+            save_sample(FunctionalSample(sample.grid, sample.values,
+                                         sample.responses * 1e200), paths[-1])
+        return paths
+
+    def test_ci_exits_2_with_one_line(self, scaled, tmp_path, capsys):
+        # ci wrote sigma2_hat 0 and lower == upper == prediction
+        out = tmp_path / "ci.tsv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["ci", "--train", str(scaled[0]), "--test",
+                        str(scaled[1]), "--k", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: sigma2_hat must be nonnegative and finite\n")
+        assert not out.exists()
+
+    def test_predict_fits_them(self, scaled, tmp_path, capsys):
+        out = tmp_path / "predict.tsv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["predict", "--train", str(scaled[0]), "--test",
+                        str(scaled[1]), "--k", "10", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        predictions = np.loadtxt(out, delimiter="\t", skiprows=1, usecols=1)
+        assert np.all(np.isfinite(predictions))
+
+
 def reference_tsv(columns: dict) -> str:
     """The TSV text of the per-cell writer: ``str`` of each integer cell,
     ``format(float(cell), ".17g")`` of every other one."""

@@ -585,6 +585,14 @@ class TestEstimateSigma2:
         )
         assert value >= 0.0
 
+    def test_overflowing_moments_give_nan_not_zero(self):
+        # both moments overflow to inf, and their inf - inf was clamped to
+        # a variance of 0: an interval of width 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = estimate_sigma2([0.1, 0.2, 0.3, 0.4],
+                                    [1e200, 2e200, 3e200, 4e200], UNIFORM, 0.5)
+        assert np.isnan(value)
+
 
 class TestConfidenceInterval:
     def _result(self, sigma2=1.0, count=100, prediction=0.0):

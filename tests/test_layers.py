@@ -11,7 +11,8 @@ Neither the command line nor the bootstrap fits a dense (m, n) query block:
 they fit each query's cut rows (``query_rows``, ``nadaraya_watson_rows``),
 so they name neither ``knn_radii`` nor ``nadaraya_watson_batch``.
 Derivatives come from a grid's kept stencil, so no module names numpy's
-``gradient``.
+``gradient``. A stream is drawn from its start, not stepped through by
+its block layout, so no module names ``advance``.
 A module names a thing when it imports, defines or refers to it, as a bare
 name or as an attribute.
 """
@@ -38,7 +39,7 @@ FORBIDDEN = {
     "bootstrap": {"knn_radii", "nadaraya_watson_batch"},
 }
 #: names no module may use
-NOWHERE = {"gradient"}
+NOWHERE = {"gradient", "advance"}
 
 
 def names(tree: ast.AST) -> set[str]:

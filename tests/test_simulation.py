@@ -38,7 +38,6 @@ from funkreg.simulation import (
     _scalar_fits,
     check_seed,
     replication_streams,
-    replication_uniforms,
 )
 
 UNIFORM = KernelSpec.uniform()
@@ -559,66 +558,6 @@ class TestReplicationStreams:
             ScalarDesignConfig(n=10, h=0.1, seed=seed)
         with pytest.raises(ValidationError, match="seed"):
             SimulationConfig(seed=seed)
-
-
-def philox_draw(seed, b, position):
-    """Draw `position` of stream (seed, b) read straight off the Philox
-    counter: block position // 4, 64-bit word position % 4, top 53 bits."""
-    block = np.random.Philox(key=np.array([seed, b], dtype=np.uint64),
-                             counter=[position // 4, 0, 0, 0])
-    return float(block.random_raw(4)[position % 4] >> np.uint64(11)) * 2.0**-53
-
-
-class TestReplicationUniforms:
-    """Draws at stream positions, drawn run by run instead of in full."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(positions=st.lists(st.integers(0, 3000), min_size=1, max_size=40),
-           seed=st.sampled_from([0, 7, 2**64 - 1]))
-    def test_equals_the_full_draw(self, positions, seed):
-        # gaps on both sides of the run cut, repeated and unsorted positions
-        positions = np.array(positions)
-        want = [np.random.Generator(np.random.Philox(
-                    key=np.array([seed, b], dtype=np.uint64)))
-                .random(positions.max() + 1)[positions] for b in range(3)]
-        np.testing.assert_array_equal(
-            replication_uniforms(seed, 3, positions), want)
-
-    @pytest.mark.parametrize("gap", [simulation._RUN_GAP, simulation._RUN_GAP + 1])
-    def test_runs_cut_at_the_gap(self, gap):
-        positions = np.array([5, 5 + gap, 6 + 2 * gap])
-        want = [philox_draw(4, 1, int(k)) for k in positions]
-        np.testing.assert_array_equal(
-            replication_uniforms(4, 2, positions)[1], want)
-
-    def test_no_positions_draw_nothing(self):
-        for positions in ([], np.array([], dtype=np.int64)):
-            got = replication_uniforms(3, 4, positions)
-            assert got.shape == (4, 0) and got.dtype == float
-
-    @pytest.mark.parametrize("positions, named", [
-        ([-3], "-3"), ([4, -1, -2], "-1"), (np.array([2, -7]), "-7"),
-        ([0.5], "0.5"), ([2.0], "2.0"), ([True], "True"),
-    ])
-    def test_negative_or_fractional_positions_raise(self, positions, named):
-        with pytest.raises(ValidationError,
-                           match=f"nonnegative integers, got {named}$"):
-            replication_uniforms(1, 1, positions)
-
-    def test_huge_positions_in_bounded_memory(self):
-        # drawing every value before 10^12 would take 8 TB
-        import tracemalloc
-
-        positions = np.array([10**12, 0, 10**9 + 3])
-        tracemalloc.start()
-        try:
-            got = replication_uniforms(9, 5, positions)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        want = [[philox_draw(9, b, int(k)) for k in positions] for b in range(5)]
-        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("build", [
