@@ -43,6 +43,7 @@ from funkreg.bootstrap import (
     P_LOW,
     _argmin_entry,
     _multiplier_matrix,
+    _point_keys,
     insample_fit,
 )
 from funkreg.curves import (
@@ -781,6 +782,55 @@ class TestBootstrapErrorCurve:
         m = _multiplier_matrix(2024, 100, np.arange(10000))
         freq = float(np.mean(m == MULTIPLIER_LOW))
         assert freq == pytest.approx(P_LOW, abs=0.002)
+
+    def test_multipliers_read_the_philox_counter(self):
+        # positions on both sides of a four-draw block boundary
+        positions = np.array([7, 0, 4, 3, 9, 8, 1])
+        u = np.array([[philox_draw(6, b, int(p)) for p in positions]
+                      for b in range(3)])
+        np.testing.assert_array_equal(
+            _multiplier_matrix(6, 3, positions),
+            np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH))
+
+
+def philox_draw(seed, b, position):
+    """Draw `position` of stream (seed, b) read straight off the Philox
+    counter: block position // 4, 64-bit word position % 4, top 53 bits."""
+    block = np.random.Philox(key=np.array([seed, b], dtype=np.uint64),
+                             counter=[position // 4, 0, 0, 0])
+    return float(block.random_raw(4)[position % 4] >> np.uint64(11)) * 2.0**-53
+
+
+class TestPointKeys:
+    """Each point's stream position is its key's rank among the n keys."""
+
+    def test_no_keys_are_the_indices(self):
+        np.testing.assert_array_equal(_point_keys(None, 6), np.arange(6))
+
+    @pytest.mark.parametrize("keys, ranks", [
+        (np.random.default_rng(8).permutation(7), None),
+        ([10**12, 0, 10**9 + 3], [2, 0, 1]),
+        ([4.0, 2.0, 9.0], [1, 0, 2]),
+        ([2**63 - 1, 5, 7], [2, 0, 1]),
+        (np.array([2**64 - 1, 0, 2**63], dtype=np.uint64), [2, 0, 1]),
+    ], ids=["permutation", "spaced", "whole_floats", "int64_max",
+            "uint64_above_2_63"])
+    def test_ranks(self, keys, ranks):
+        # a permutation of 0..n-1 is its own ranks
+        want = keys if ranks is None else ranks
+        np.testing.assert_array_equal(_point_keys(keys, len(keys)), want)
+
+    @pytest.mark.parametrize("keys, message", [
+        ([3, -1, 2], "must be nonnegative"),
+        ([0.0, np.nan, 2.0], "must be integers"),
+        ([0.0, np.inf, 2.0], "must be integers"),
+        ([0.0, 2.0**63, 1.0], "must be integers"),
+        (np.array([True, False, True]), "must hold 3 integer keys"),
+        (np.arange(3).reshape(3, 1), "must hold 3 integer keys"),
+    ], ids=["negative", "nan", "inf", "float_2_63", "bool", "column"])
+    def test_bad_keys_raise(self, keys, message):
+        with pytest.raises(ValidationError, match=f"point_keys {message}"):
+            _point_keys(keys, 3)
 
 
 @st.composite
