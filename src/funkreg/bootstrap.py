@@ -237,12 +237,14 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
         (predictions, neighbor counts, radii), one entry per point.
 
     Raises:
+        ValidationError: unless exactly one of h and k is given, for an h
+            that is not positive and finite, or a k outside [1, n - 1].
+        GridTooShort: if the grid is too short for the derivative order.
         EmptyNeighborhood: naming the first point with no positive weight.
     """
     if (h is None) == (k is None):
         raise ValidationError("give exactly one of h or k")
     n = len(sample)
-    spec.check_grid(sample.grid)
     if h is not None:
         require_bandwidths(h)
         rows = neighbour_rows(sample, spec, reach=h)
@@ -333,6 +335,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
 
     Raises:
         GridMismatch: if a query is not on the sample grid.
+        GridTooShort: if the grid is too short for the derivative order.
         DegeneratePilot: when the pilot fit fails at some point or query.
         EmptyNeighborhood: when every candidate is dropped (its error is
             ``inf``, see ``WildBootstrapResult``), naming the lowest query
@@ -354,7 +357,6 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     ranks = _point_keys(point_keys, n)
 
     query_values = curve_matrix(active, sample.grid)
-    spec.check_grid(sample.grid)
     k_g = config.pilot_k(n)
     ks = range(config.k_min, config.k_max + 1)
     n_k = config.k_max - config.k_min + 1

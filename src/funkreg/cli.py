@@ -227,18 +227,6 @@ def _train_and_queries(args) -> tuple[FunctionalSample, FunctionalSample]:
                         args.split_seed)
 
 
-def _bandwidth_rule(args, k_max: int) -> tuple[int | None, float | None]:
-    """The (k, h) options: exactly one of them given, an h positive and
-    finite, a k in [1, k_max]."""
-    if (args.k is None) == (args.h is None):
-        raise ValidationError("give exactly one of --k or --h")
-    if args.h is not None and not 0 < args.h < np.inf:
-        raise ValidationError("--h must be positive and finite")
-    if args.k is not None and not 1 <= args.k <= k_max:
-        raise ValidationError(f"--k must lie in [1, {k_max}]")
-    return args.k, args.h
-
-
 def _cmd_constants(args) -> int:
     kernel = parse_kernel(_required(args.kernel, "--kernel"))
     tau0 = parse_tau0(_required(args.tau0, "--tau0"))
@@ -263,8 +251,8 @@ def _cmd_fit(args) -> int:
     kernel = parse_kernel(args.kernel)
     spec = _semi_metric(args)
     n = len(sample)
-    k, h = _bandwidth_rule(args, n - 1)
-    preds, counts, radii = insample_fit(sample, kernel, spec, h=h, k=k)
+    preds, counts, radii = insample_fit(sample, kernel, spec, h=args.h,
+                                        k=args.k)
     _write_tsv(args.out, {
         "index": range(n),
         "prediction": preds,
@@ -280,9 +268,7 @@ def _query_fit(args, train: FunctionalSample, queries: FunctionalSample,
                kernel: KernelSpec, spec: SemiMetricSpec, moments: int = 1):
     """The leading columns of predict and ci, and the (moments, m) means of
     the responses' powers: the batched fit on each query's cut row."""
-    spec.check_grid(train.grid)
-    k, h = _bandwidth_rule(args, len(train))
-    rows = query_rows(train, spec, queries.values, k=k, h=h)
+    rows = query_rows(train, spec, queries.values, k=args.k, h=args.h)
     means, _, counts = nadaraya_watson_rows(rows, train.responses, kernel,
                                             rows.radii, moments)
     return means, {

@@ -54,10 +54,10 @@ class BandwidthGrid:
         hs = [h for _, h in entries]
         if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
             raise ValidationError("neighbor counts must be strictly increasing")
-        if not all(h > 0 for h in hs):  # written so that NaN fails
-            if any(h != h for h in hs):
-                raise ValidationError("bandwidths must not be NaN")
+        # a zero or negative radius degenerates; NaN and +-inf break the rule
+        if any(-np.inf < h <= 0.0 for h in hs):
             raise DegenerateGrid("bandwidths must be strictly positive")
+        require_bandwidths(hs)
         if any(h2 < h1 for h1, h2 in zip(hs, hs[1:])):
             raise ValidationError("bandwidths must be nondecreasing in k")
         object.__setattr__(self, "entries", entries)
@@ -134,9 +134,11 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
     consecutive radii. This is the one-row case of ``knn_radii``.
 
     Raises:
-        ValidationError: for a non-integer count or a NaN or negative distance.
+        ValidationError: for a non-integer count, a NaN or negative
+            distance, or a k_max-th smallest distance of +inf (the
+            bandwidth rule, ``errors.require_bandwidths``).
         TooFewPoints: unless 2 <= k_min <= k_max <= n - 1.
-        DegenerateGrid: when the k_min-th smallest distance is not positive.
+        DegenerateGrid: when the k_min-th smallest distance is zero.
     """
     require_integers(k_min=k_min, k_max=k_max)
     d = np.asarray(distances, dtype=float).ravel()
@@ -147,8 +149,12 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
             f"got k_min = {k_min}, k_max = {k_max}"
         )
     hs = _smallest(d, k_min, k_max).tolist()
-    if not hs[0] > 0.0:
+    # the radii are sorted, each nonnegative or +inf (``_check_distances``):
+    # a zero comes first and a +inf, which the bandwidth rule rejects, last
+    if hs[0] == 0.0:
         raise DegenerateGrid("bandwidths must be strictly positive")
+    if hs[-1] == np.inf:
+        require_bandwidths(hs[-1])
     # checked, sorted radii at increasing counts: the grid BandwidthGrid
     # would build, without its per-entry checks in Python
     grid = object.__new__(BandwidthGrid)
@@ -624,15 +630,12 @@ def confidence_interval(result: EstimateResult, kernel: KernelSpec,
     honest only in the undersmoothing regime where h * sqrt(n F(h)) -> 0.
 
     Raises:
-        KernelNotH2Strict: if K(1) = 0 (the limit constants degenerate).
         MissingSigma2: if the result carries no variance plug-in.
-        ValidationError: for a sigma2_hat that is not nonnegative and
-            finite.
+        KernelNotH2Strict, DegenerateBall, DegenerateConstants,
+            ValidationError: as ``interval_half_widths``.
     """
     if result.sigma2_hat is None:
         raise MissingSigma2("estimate carries no sigma2_hat plug-in")
-    if result.f_hat_empirical <= 0.0:
-        raise DegenerateBall("confidence interval needs F_hat(h) > 0")
     half = float(interval_half_widths(
         result.sigma2_hat, result.neighbor_count, kernel, tau0, level
     ))
@@ -657,10 +660,10 @@ def theoretical_bias_variance(phi_prime: float, sigma2: float, h: float,
     # each check written so that NaN fails
     if not 0.0 <= sigma2 < np.inf:
         raise ValidationError("sigma2 must be nonnegative and finite")
+    require_bandwidths(h)
     require_integers(n=n)
-    if not (0.0 < h < np.inf and n > 0 and 0.0 < f_of_h <= 1.0):
-        raise ValidationError(
-            "need finite h > 0, n > 0, and f_of_h in (0, 1]")
+    if not (n > 0 and 0.0 < f_of_h <= 1.0):
+        raise ValidationError("need n > 0 and f_of_h in (0, 1]")
     if not np.isfinite(phi_prime):
         raise ValidationError("phi_prime must be finite")
     b_n = phi_prime * (constants.m0 / constants.m1) * h
@@ -687,8 +690,9 @@ def estimate_phi_prime(distances, responses, kernel: KernelSpec,
     estimator exists for this quantity.
 
     Raises:
-        ValidationError: for unequal lengths, an h_pilot not in (0, inf) or
-            a distance that is NaN or negative (``_check_distances``).
+        ValidationError: for unequal lengths, a distance that is NaN or
+            negative (``_check_distances``) or an h_pilot that is not
+            positive and finite.
         TooFewPoints: with fewer than 10 points inside the pilot ball.
         EmptyNeighborhood: if no in-ball point gets positive weight.
     """
@@ -697,8 +701,7 @@ def estimate_phi_prime(distances, responses, kernel: KernelSpec,
     if d.shape != y.shape:
         raise ValidationError("distances and responses must have equal length")
     _check_distances(d)
-    if not 0.0 < h_pilot < np.inf:  # written so that NaN fails
-        raise ValidationError(f"need 0 < h_pilot < inf, got {h_pilot}")
+    require_bandwidths(h_pilot)
     inside = d <= h_pilot
     if int(np.count_nonzero(inside)) < 10:
         raise TooFewPoints(

@@ -35,6 +35,7 @@ from .errors import (
     GridTooShort,
     ValidationError,
     is_integer,
+    require_bandwidths,
     require_integers,
 )
 from .estimator import (
@@ -95,8 +96,9 @@ class ScalarDesignConfig:
         require_integers(n=self.n, reps=self.reps)
         if not 0.0 <= self.chi <= 1.0:
             raise ValidationError("chi must lie in the design support [0, 1]")
-        if self.n < 1 or self.reps < 1 or not 0.0 < self.h < math.inf:
-            raise ValidationError("need n >= 1, reps >= 1, finite h > 0")
+        if self.n < 1 or self.reps < 1:
+            raise ValidationError("need n >= 1, reps >= 1")
+        require_bandwidths(self.h)
         if not math.isfinite(self.slope):
             raise ValidationError("slope must be finite")
         if not 0.0 <= self.noise_sd < math.inf:

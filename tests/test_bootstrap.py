@@ -707,17 +707,21 @@ class TestBootstrapErrorCurve:
     @pytest.mark.parametrize("seed", [5, 2**63 + 5])
     @pytest.mark.parametrize("permuted", [False, True])
     def test_multipliers_are_per_replication_philox_draws(self, seed, permuted):
+        # each multiplier is the unit residual's draw, at the same Philox
+        # uniform, from the law whose moments criterion 2 checks
+        law = WildResidualLaw.from_residual(1.0)
         keys = np.arange(165)
         if permuted:
             keys = np.random.default_rng(1).permutation(165)
-        expected = np.empty((100, 165))
+        got = _multiplier_matrix(seed, 100, keys)
+        assert got.shape == (100, 165)
         for b in range(100):
             gen = np.random.Generator(
                 np.random.Philox(key=np.array([seed, b], dtype=np.uint64))
             )
             u = gen.random(165)[keys]
-            expected[b] = np.where(u < P_LOW, MULTIPLIER_LOW, MULTIPLIER_HIGH)
-        np.testing.assert_array_equal(_multiplier_matrix(seed, 100, keys), expected)
+            assert got[b].tolist() == [draw_wild_residual(law, x)
+                                       for x in u.tolist()]
 
     def test_multipliers_at_sparse_keys_are_the_full_draw(self):
         # the uniforms were drawn up to the largest key: 8 MB a replication

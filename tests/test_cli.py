@@ -13,6 +13,7 @@ import pytest
 
 import funkreg.bootstrap
 import funkreg.cli
+import funkreg.curves
 from funkreg import (
     FunctionalSample,
     KernelSpec,
@@ -170,7 +171,8 @@ class TestFitPredictCi:
         # in-sample radii exclude the point itself, so k = n is one too many
         train, _ = simulated
         assert run(["fit", "--data", str(train), "--k", "40"]) == 2
-        assert "--k must lie in [1, 39]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: k = 40 exceeds 39 available distances\n")
 
     def test_response_file_is_rejected_with_train_and_test(
             self, simulated, tmp_path, capsys):
@@ -195,14 +197,16 @@ class TestFitPredictCi:
         for name in ("query_rows", "neighbour_rows"):
             monkeypatch.setattr(funkreg.bootstrap, name, no_distances)
         for flags, message in [
-            (["--h", "0"], "--h must be positive"),
-            (["--h", "-1"], "--h must be positive"),
-            (["--h", "nan"], "--h must be positive"),
-            (["--h", "inf"], "--h must be positive and finite"),
-            (["--k", "0"], "--k must lie in [1, 39]"),
+            (["--h", "0"], "bandwidth must be positive and finite, got 0.0"),
+            (["--h", "-1"], "bandwidth must be positive and finite, got -1.0"),
+            (["--h", "nan"], "bandwidth must be positive and finite, got nan"),
+            (["--h", "inf"], "bandwidth must be positive and finite, got inf"),
+            (["--k", "0"], "k must be positive, got 0"),
+            (["--k", "3", "--h", "1"], "give exactly one of h or k"),
+            ([], "give exactly one of h or k"),
         ]:
             assert run(["fit", "--data", str(train)] + flags) == 2
-            assert message in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_ci_with_an_empirical_tau0(self, simulated, tmp_path):
         train, test = simulated
@@ -1005,16 +1009,18 @@ class TestBatchedPredictCi:
         train, test = simulated
         base = ["predict", "--train", str(train), "--test", str(test)]
         assert run(base + ["--k", "41"]) == 2
-        assert "--k must lie in [1, 40]" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: k must lie in [1, 40], got 41\n"
         assert run(base + ["--h", "0"]) == 2
-        assert "--h must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: bandwidth must be positive and finite, got 0.0\n")
         for command in ("fit", "predict", "ci"):
             flags = (["--data", str(train)] if command == "fit"
                      else ["--train", str(train), "--test", str(test)])
             assert run([command, *flags, "--h", "inf"]) == 2
-            assert "--h must be positive and finite" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                "error: bandwidth must be positive and finite, got inf\n")
         assert run(base + ["--k", "3", "--h", "1"]) == 2
-        assert "give exactly one of --k or --h" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: give exactly one of h or k\n"
 
     @pytest.mark.parametrize("command", ["predict", "ci"])
     def test_bandwidth_is_checked_before_any_distance(
@@ -1024,26 +1030,32 @@ class TestBatchedPredictCi:
         def no_distances(*args, **kwargs):
             raise AssertionError("distances computed before the checks")
 
-        monkeypatch.setattr(funkreg.cli, "query_rows", no_distances)
+        # query_rows checks the rule, then transforms, then screens
+        monkeypatch.setattr(funkreg.curves, "_screened_rows", no_distances)
         base = [command, "--train", str(train), "--test", str(test)]
         for flags, message in [
-            (["--k", "41"], "--k must lie in [1, 40]"),
-            (["--k", "0"], "--k must lie in [1, 40]"),
-            (["--h", "0"], "--h must be positive"),
-            (["--h", "-1"], "--h must be positive"),
-            (["--h", "nan"], "--h must be positive"),
-            (["--h", "inf"], "--h must be positive and finite"),
-            (["--k", "3", "--h", "1"], "give exactly one of --k or --h"),
+            (["--k", "41"], "k must lie in [1, 40], got 41"),
+            (["--k", "0"], "k must lie in [1, 40], got 0"),
+            (["--h", "0"], "bandwidth must be positive and finite, got 0.0"),
+            (["--h", "-1"], "bandwidth must be positive and finite, got -1.0"),
+            (["--h", "nan"], "bandwidth must be positive and finite, got nan"),
+            (["--h", "inf"], "bandwidth must be positive and finite, got inf"),
+            (["--k", "3", "--h", "1"], "give exactly one of h or k"),
+            ([], "give exactly one of h or k"),
         ]:
             assert run(base + flags) == 2
-            assert message in capsys.readouterr().err
-        # a grid too short for the derivative is still reported first
+            assert capsys.readouterr().err == f"error: {message}\n"
+        # a grid too short for the derivative is reported before any
+        # distance too, after the bandwidth rule
         short = tmp_path / "short.csv"
         save_sample(FunctionalSample(SamplingGrid(np.linspace(0, 1, 4)),
                                      np.zeros((3, 4)), np.zeros(3)), short)
-        assert run([command, "--train", str(short), "--test", str(short),
-                    "--deriv-order", "2", "--k", "0"]) == 2
-        assert "order-2 derivative needs >= 5 grid points" in capsys.readouterr().err
+        files = ["--train", str(short), "--test", str(short)]
+        assert run([command, *files, "--deriv-order", "2", "--k", "0"]) == 2
+        assert capsys.readouterr().err == "error: k must lie in [1, 3], got 0\n"
+        assert run([command, *files, "--deriv-order", "2", "--k", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: order-2 derivative needs >= 5 grid points, got 4\n")
 
     def test_interval_inputs_are_checked_before_any_distance(
             self, simulated, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from funkreg import (
     KernelNotH2Strict,
     KernelSpec,
     MissingSigma2,
+    ScalarDesignConfig,
     Tau0Model,
     TooFewPoints,
     ValidationError,
@@ -99,7 +100,8 @@ class TestKnnBandwidths:
     def test_grid_rejects_nan_bandwidths(self):
         for entries in (((2, np.nan), (3, np.nan)), ((2, 0.1), (3, np.nan)),
                         ((2, np.nan), (3, 0.1))):
-            with pytest.raises(ValidationError, match="NaN"):
+            with pytest.raises(ValidationError,
+                               match="^bandwidth must be positive and finite, got nan$"):
                 BandwidthGrid(entries)
         for entries in (((2, 0.0), (3, 0.1)), ((2, -1.0),)):
             with pytest.raises(DegenerateGrid, match="strictly positive"):
@@ -675,9 +677,9 @@ class TestTheoreticalBiasVariance:
     @pytest.mark.parametrize("phi_prime, sigma2, h, f_of_h, message", [
         (1.0, -1.0, 0.1, 0.5, "sigma2 must be nonnegative"),
         (1.0, math.nan, 0.1, 0.5, "sigma2 must be nonnegative"),
-        (1.0, 1.0, 0.0, 0.5, "finite h > 0"),
-        (1.0, 1.0, math.nan, 0.5, "finite h > 0"),
-        (1.0, 1.0, math.inf, 0.5, "finite h > 0"),
+        (1.0, 1.0, 0.0, 0.5, "bandwidth must be positive and finite"),
+        (1.0, 1.0, math.nan, 0.5, "bandwidth must be positive and finite"),
+        (1.0, 1.0, math.inf, 0.5, "bandwidth must be positive and finite"),
         (1.0, 1.0, 0.1, math.nan, "f_of_h in"),
         (math.nan, 1.0, 0.1, 0.5, "phi_prime must be finite"),
         (math.inf, 1.0, 0.1, 0.5, "phi_prime must be finite"),
@@ -733,7 +735,8 @@ class TestEstimatePhiPrime:
         # 0 raised EmptyNeighborhood, a numeric failure, and NaN
         # TooFewPoints "within nan"
         d = np.linspace(0.0, 0.29, 25)
-        with pytest.raises(ValidationError, match="h_pilot"):
+        with pytest.raises(ValidationError,
+                           match="bandwidth must be positive and finite"):
             estimate_phi_prime(d, d, UNIFORM, h_pilot)
 
     def test_weighted_variant_also_exact(self):
@@ -1177,8 +1180,8 @@ class TestOneDistanceRule:
 
 
 def bandwidth_rule_sites():
-    """The four calls that take a bandwidth, each as a function of one
-    bandwidth h on a sample of six curves."""
+    """The calls that take a bandwidth, each as a function of one
+    bandwidth h; the library's on a sample of six curves."""
     rng = np.random.default_rng(5)
     sample = FunctionalSample(SamplingGrid(np.linspace(0.0, 1.0, 9)),
                               rng.normal(size=(6, 9)), rng.normal(size=6))
@@ -1192,19 +1195,42 @@ def bandwidth_rule_sites():
                                                      UNIFORM, h),
         "insample_fit": lambda h: insample_fit(sample, UNIFORM, spec, h=h),
         "InsampleSmoother.fit": lambda h: smoother.fit(np.full(6, h)),
+        "estimate_phi_prime": lambda h: estimate_phi_prime(
+            np.zeros(12), np.arange(12.0), UNIFORM, h),
+        "theoretical_bias_variance": lambda h: theoretical_bias_variance(
+            1.0, 1.0, h, 10, 0.5, KernelConstants(0.5, 1.0, 1.0)),
+        "ScalarDesignConfig": lambda h: ScalarDesignConfig(n=10, h=h),
+        # a kNN radius is the bandwidth: the 3rd smallest of the row
+        "knn_bandwidths": lambda h: knn_bandwidths(
+            np.array([0.0, h, h, 1.0]), 2, 3),
+        "BandwidthGrid": lambda h: BandwidthGrid(((2, h),)),
     }
+
+
+#: The bad bandwidths each site holds to the rule. A site that takes h
+#: itself gets NaN, +-inf, zeros and negative values. Where h is a kNN
+#: radius, a zero or negative one is a DegenerateGrid (see TestKnnRadii and
+#: test_grid_rejects_nan_bandwidths), and knn_bandwidths' radii are
+#: distances, whose NaN and -inf the distance rule rejects first
+#: (TestOneDistanceRule): +inf is the one bad radius that reaches its rule.
+BAD_BANDWIDTHS = {
+    "knn_bandwidths": (np.inf,),
+    "BandwidthGrid": (np.nan, np.inf, -np.inf),
+}
 
 
 class TestOneBandwidthRule:
     """Every call that takes a bandwidth holds it to one rule
     (``errors.require_bandwidths``): positive and finite."""
 
-    @pytest.mark.parametrize("site", ["query_rows", "nadaraya_watson",
-                                      "insample_fit", "InsampleSmoother.fit"])
+    @pytest.mark.parametrize("site", sorted(bandwidth_rule_sites()))
     def test_one_message_for_every_bad_bandwidth(self, site):
         call = bandwidth_rule_sites()[site]
-        # the smoother took h = inf
-        for h in (np.nan, np.inf, -np.inf, 0.0, -0.0, -0.5, -5e-324):
+        # the smoother took h = inf, and knn_bandwidths and BandwidthGrid
+        # handed it out
+        bad = BAD_BANDWIDTHS.get(
+            site, (np.nan, np.inf, -np.inf, 0.0, -0.0, -0.5, -5e-324))
+        for h in bad:
             text = f"bandwidth must be positive and finite, got {h}"
             with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
                 call(h)
@@ -1242,6 +1268,23 @@ class TestKnnRadii:
             d[:3] = 0.0
             with pytest.raises(DegenerateGrid, match="strictly positive"):
                 knn_bandwidths(d, k_min, 20)
+
+    def test_overflowing_distances_give_no_infinite_radius(self):
+        # curves whose differences overflow lie +inf apart, and the grid
+        # handed out that radius, ((2, d[1]), (3, inf)), which every fit
+        # then rejected
+        values = np.random.default_rng(3).normal(size=(4, 9))
+        values[2:] *= 1e200
+        sample = FunctionalSample(SamplingGrid(np.linspace(0.0, 1.0, 9)),
+                                  values, np.zeros(4))
+        with np.errstate(over="ignore"):
+            d = sample_distances(sample, SemiMetricSpec(0, None),
+                                 values[:1])[0]
+        assert d[0] == 0.0 and 0.0 < d[1] < np.inf and np.isinf(d[2:]).all()
+        assert knn_bandwidths(d, 2, 2).entries == ((2, d[1]),)
+        with pytest.raises(ValidationError, match=(
+                "^bandwidth must be positive and finite, got inf$")):
+            knn_bandwidths(d, 2, 3)
 
     def test_rejects_k_outside_the_row(self):
         d = np.zeros((2, 4))

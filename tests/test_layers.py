@@ -4,7 +4,10 @@ The semi-metric recipe (transform, trapezoid weights, distance_matrix) is
 run only by ``curves``, and only ``curves`` reads or fills the transformed
 rows a sample keeps (``_transformed``); every other module asks ``curves``
 for distances, with the sample and the spec (``sample_distances``,
-``neighbour_rows``).
+``neighbour_rows``). The grid-length rule of a semi-metric
+(``SemiMetricSpec.check_grid``) runs in ``curves.transform`` alone, which
+every distance call reaches before any distance work, so no other module
+names ``check_grid``.
 The replication streams are built only by ``simulation``. The command line
 gets in-sample fits from ``bootstrap.insample_fit``, not from the smoother.
 Neither the command line nor the bootstrap fits a dense (m, n) query block:
@@ -31,6 +34,7 @@ OWNERS = {
     "trapezoid_weights": "curves",
     "distance_matrix": "curves",
     "_transformed": "curves",
+    "check_grid": "curves",
     "Philox": "simulation",
 }
 #: module -> names it must not use
