@@ -53,9 +53,9 @@ from .errors import (
     DegeneratePilot,
     EmptyGrid,
     EmptyNeighborhood,
-    TooFewPoints,
     ValidationError,
     require_bandwidths,
+    require_counts,
     require_integers,
 )
 from .estimator import InsampleSmoother, nadaraya_watson_rows
@@ -144,19 +144,15 @@ class BootstrapConfig:
     query_index: int = 0
 
     def __post_init__(self):
-        require_integers(n_replications=self.n_replications, k_min=self.k_min,
-                         k_max=self.k_max, query_index=self.query_index)
-        if self.n_replications < 1:
-            raise ValidationError("n_replications must be >= 1")
-        if not (2 <= self.k_min <= self.k_max):
-            raise ValidationError("need 2 <= k_min <= k_max")
+        require_counts(1, n_replications=self.n_replications)
+        require_counts(2, k_min=self.k_min)
+        require_counts(self.k_min, k_max=self.k_max)
+        require_integers(query_index=self.query_index)
         check_seed(self.seed)
         if self.evaluation not in ("test_set", "pointwise"):
             raise ValidationError("evaluation must be 'test_set' or 'pointwise'")
         if isinstance(self.pilot, FixedPilot):
-            require_integers(k_g=self.pilot.k_g)
-            if self.pilot.k_g < 2:
-                raise ValidationError("fixed pilot needs k_g >= 2")
+            require_counts(2, k_g=self.pilot.k_g)
         elif isinstance(self.pilot, MultiplierPilot):
             # written so that NaN fails: it compares false with everything
             if not 1.0 < self.pilot.c < math.inf:
@@ -170,10 +166,7 @@ class BootstrapConfig:
         else:
             # capped before rounding, so a huge finite c cannot overflow
             k_g = int(round(min(self.pilot.c * self.k_max, n - 1)))
-        if not (2 <= k_g <= n - 1):
-            raise ValidationError(
-                f"pilot neighbor count {k_g} outside [2, {n - 1}]"
-            )
+        require_counts(2, n - 1, k_g=k_g)
         return k_g
 
 
@@ -237,8 +230,9 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
         (predictions, neighbor counts, radii), one entry per point.
 
     Raises:
-        ValidationError: unless exactly one of h and k is given, for an h
-            that is not positive and finite, or a k outside [1, n - 1].
+        ValidationError: unless exactly one of h and k is given, or for an
+            h that is not positive and finite.
+        TooFewPoints: for a k outside [1, n - 1] (``require_counts``).
         GridTooShort: if the grid is too short for the derivative order.
         EmptyNeighborhood: naming the first point with no positive weight.
     """
@@ -249,11 +243,7 @@ def insample_fit(sample: FunctionalSample, kernel: KernelSpec,
         require_bandwidths(h)
         rows = neighbour_rows(sample, spec, reach=h)
     else:
-        require_integers(k=k)
-        if k < 1:
-            raise ValidationError(f"k must be positive, got {k}")
-        if k > n - 1:
-            raise ValidationError(f"k = {k} exceeds {n - 1} available distances")
+        require_counts(1, n - 1, k=k)
         # each row up to its point's k-th neighbour, itself counted first:
         # the row's radius is its (k+1)-th smallest distance
         rows = neighbour_rows(sample, spec, k=k + 1)
@@ -336,6 +326,8 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     Raises:
         GridMismatch: if a query is not on the sample grid.
         GridTooShort: if the grid is too short for the derivative order.
+        TooFewPoints: for a pilot k_g or a k_max above n - 1
+            (``require_counts``).
         DegeneratePilot: when the pilot fit fails at some point or query.
         EmptyNeighborhood: when every candidate is dropped (its error is
             ``inf``, see ``WildBootstrapResult``), naming the lowest query
@@ -360,11 +352,7 @@ def bootstrap_error_curve(sample: FunctionalSample, queries: Sequence[Curve],
     k_g = config.pilot_k(n)
     ks = range(config.k_min, config.k_max + 1)
     n_k = config.k_max - config.k_min + 1
-    if config.k_max > n - 1:
-        raise TooFewPoints(
-            f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
-            f"got k_min = {config.k_min}, k_max = {config.k_max}"
-        )
+    require_counts(config.k_min, n - 1, k_max=config.k_max)
     # each query's sorted distances up to its largest radius in use
     near = query_rows(sample, spec, query_values, k=max(k_g, config.k_max))
     first = near.offsets[:-1]

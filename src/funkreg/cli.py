@@ -120,10 +120,12 @@ def parse_split(text: str) -> tuple[int, int]:
         raise ValidationError(f"split must be two integers, got {text!r}") from None
 
 
-def _load_config(path, parser) -> dict:
-    """The config file's values. A key is the dest of some command's flag
-    in ``parser``, and its value is typed as that flag (``str`` where the
-    flag declares no type)."""
+def _apply_config(path, parser) -> None:
+    """Make the config file's values the defaults of every command of
+    ``parser``, so a flag overrides the file and the file overrides the
+    default. A key is the dest of some command's flag, and its value is
+    typed as that flag (``str`` where the flag declares no type); a command
+    with no flag for a key ignores it."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -156,7 +158,8 @@ def _load_config(path, parser) -> dict:
             raise ValidationError(
                 f"config {path}: key {key!r} has invalid value {value!r}"
             ) from None
-    return typed
+    for command in commands.choices.values():
+        command.set_defaults(**typed)
 
 
 def _required(value, flag: str):
@@ -408,12 +411,9 @@ def _add_common(parser, kernel: str, *, pair=False, bandwidth=False):
         parser.add_argument("--h", type=float, help="fixed bandwidth radius")
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The funkreg parser; values of a loaded config file become the
-    defaults of every subcommand, so a flag overrides the file and the file
-    overrides the default. A flag that fills a field of a library config
-    declares no default of its own: that field's default applies. A key
-    that a subcommand has no flag for is ignored there."""
+def build_parser() -> argparse.ArgumentParser:
+    """The funkreg parser. A flag that fills a field of a library config
+    declares no default of its own: that field's default applies."""
     parser = argparse.ArgumentParser(
         prog="funkreg",
         description="Kernel regression for curve-valued predictors",
@@ -478,7 +478,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.set_defaults(**(config or {}))
     return parser
 
 
@@ -487,7 +486,8 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         if args.config:
-            args = build_parser(_load_config(args.config, parser)).parse_args(argv)
+            _apply_config(args.config, parser)
+            args = parser.parse_args(argv)
         return args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (GridMismatch, GridTooShort, ValidationError,
-                     require_bandwidths, require_integers)
+                     require_bandwidths, require_counts, require_integers)
 
 #: Element budget of one distance chunk: ``distance_matrix`` does rows a few
 #: at a time so that their (rows, cols, p) difference array holds this many
@@ -556,15 +556,6 @@ def _kept_rows(sample: FunctionalSample, spec: SemiMetricSpec) -> np.ndarray:
     return rows
 
 
-def _check_rule(n: int, k: int | None, h: float | None) -> None:
-    if k is not None:
-        require_integers(k=k)
-        if not 1 <= k <= n:
-            raise ValidationError(f"k must lie in [1, {n}], got {k}")
-    if h is not None:
-        require_bandwidths(h)
-
-
 def _query_and_sample_rows(sample: FunctionalSample, spec: SemiMetricSpec,
                            queries) -> tuple[np.ndarray, np.ndarray]:
     """An (m, p) query matrix, all finite, and the sample's rows, transformed."""
@@ -608,12 +599,16 @@ def query_rows(sample: FunctionalSample, spec: SemiMetricSpec, queries, *,
     Raises:
         GridMismatch: if the query rows do not have one value per grid point.
         GridTooShort: if the grid is too short for the derivative order.
-        ValidationError: unless given either a ``k`` in [1, n] or a
-            positive, finite ``h``, or for a query row that is not finite.
+        ValidationError: unless given exactly one of ``k`` and a positive,
+            finite ``h``, or for a query row that is not finite.
+        TooFewPoints: for a ``k`` outside [1, n] (``require_counts``).
     """
     if (k is None) == (h is None):
         raise ValidationError("give exactly one of h or k")
-    _check_rule(len(sample), k, h)
+    if k is None:
+        require_bandwidths(h)
+    else:
+        require_counts(1, len(sample), k=k)
     rows, cols = _query_and_sample_rows(sample, spec, queries)
     reach = np.full(len(rows), 0.0 if h is None else float(h))
     return NeighbourRows(len(sample), np.arange(len(rows)), *_screened_rows(
@@ -640,9 +635,10 @@ def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
 
     Raises:
         GridTooShort: if the grid is too short for the derivative order.
-        ValidationError: without k and reach, for a k outside [1, n], a
-            negative or NaN reach, reaches that are not one per point or a
-            point outside the sample.
+        ValidationError: without k and reach, for a negative or NaN
+            reach, reaches that are not one per point or a point outside
+            the sample.
+        TooFewPoints: for a k outside [1, n] (``require_counts``).
     """
     cols = _kept_rows(sample, spec)
     n = len(sample)
@@ -653,7 +649,8 @@ def neighbour_rows(sample: FunctionalSample, spec: SemiMetricSpec,
         raise ValidationError(f"points must be indices in [0, {n})")
     if k is None and reach is None:
         raise ValidationError("give k, reach or both")
-    _check_rule(n, k, None)
+    if k is not None:
+        require_counts(1, n, k=k)
     reach = np.asarray(0.0 if reach is None else reach, dtype=float)
     if reach.ndim and reach.shape != points.shape:
         raise ValidationError(f"need one reach, or one per point ({points.size})")
@@ -669,9 +666,12 @@ def _root_weighted_squares(diff: np.ndarray,
     """sqrt(sum_j weights_j diff_j^2) along the last axis, squaring ``diff``
     in place: the one exact reduction. ``distance_matrix`` applies it to an
     outer (rows, cols, p) block and the screen to gathered (pairs, p)
-    differences; an entry gets the same bits either way."""
-    np.square(diff, out=diff)
-    return np.sqrt(np.einsum("...j,j->...", diff, weights))
+    differences; an entry gets the same bits either way. A difference
+    whose square or sum overflows gives a distance of +inf, a legal one,
+    without a warning."""
+    with np.errstate(over="ignore"):
+        np.square(diff, out=diff)
+        return np.sqrt(np.einsum("...j,j->...", diff, weights))
 
 
 def distance_matrix(rows: np.ndarray, cols: np.ndarray,
@@ -796,10 +796,7 @@ def _screen(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
         i, j = np.nonzero(refine)
         del refine
         i += start
-        # an overflowing distance is a legal +inf
-        with np.errstate(over="ignore"):
-            d = _exact_pairs(rows, cols, weights, i, j)
-        yield chunk, i, j, d
+        yield chunk, i, j, _exact_pairs(rows, cols, weights, i, j)
 
 
 def _screened_rows(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,

@@ -29,6 +29,21 @@ def require_integers(**values) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def require_counts(low: int, high: int | None = None, **counts) -> None:
+    """The count rule. Raise, naming the first of the keyword counts that
+    breaks it, ValidationError if it is not an integer (``require_integers``)
+    and TooFewPoints if it lies outside [low, high], or below low when high
+    is None. An order between two counts is a second call whose bound is
+    the first count."""
+    for name, value in counts.items():
+        if not is_integer(value):
+            require_integers(**{name: value})
+        if high is None and value < low:
+            raise TooFewPoints(f"{name} must be at least {low}, got {value}")
+        if high is not None and not low <= value <= high:
+            raise TooFewPoints(f"{name} must lie in [{low}, {high}], got {value}")
+
+
 def require_bandwidths(h) -> None:
     """Raise ValidationError naming the first bandwidth of the scalar or
     array ``h`` that is not positive and finite (NaN, 0, -0.0 and +-inf
@@ -67,7 +82,8 @@ class DomainError(ValidationError):
 # -- estimator --------------------------------------------------------------
 
 class TooFewPoints(ValidationError):
-    """Not enough observations for the requested computation."""
+    """A count outside its range (``require_counts``), or not enough
+    observations for the requested computation."""
 
 
 class EmptyNeighborhood(NumericError):

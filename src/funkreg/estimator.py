@@ -24,7 +24,7 @@ from .errors import (
     TooFewPoints,
     ValidationError,
     require_bandwidths,
-    require_integers,
+    require_counts,
 )
 from .kernels import (
     KernelConstants,
@@ -114,16 +114,12 @@ def knn_radii(distances, k_min: int, k_max: int) -> np.ndarray:
 
     Raises:
         ValidationError: for a non-integer count or a NaN or negative distance.
-        TooFewPoints: unless 1 <= k_min <= k_max <= n.
+        TooFewPoints: unless 1 <= k_min <= k_max <= n (``require_counts``).
     """
-    require_integers(k_min=k_min, k_max=k_max)
     d = np.asarray(distances, dtype=float)
     n = d.shape[-1]
-    if not 1 <= k_min <= k_max <= n:
-        raise TooFewPoints(
-            f"need 1 <= k_min <= k_max <= n with n = {n}, "
-            f"got k_min = {k_min}, k_max = {k_max}"
-        )
+    require_counts(1, n, k_min=k_min)
+    require_counts(k_min, n, k_max=k_max)
     return _smallest(d, k_min, k_max).copy()
 
 
@@ -137,17 +133,14 @@ def knn_bandwidths(distances, k_min: int, k_max: int) -> BandwidthGrid:
         ValidationError: for a non-integer count, a NaN or negative
             distance, or a k_max-th smallest distance of +inf (the
             bandwidth rule, ``errors.require_bandwidths``).
-        TooFewPoints: unless 2 <= k_min <= k_max <= n - 1.
+        TooFewPoints: unless 2 <= k_min <= k_max <= n - 1
+            (``require_counts``).
         DegenerateGrid: when the k_min-th smallest distance is zero.
     """
-    require_integers(k_min=k_min, k_max=k_max)
     d = np.asarray(distances, dtype=float).ravel()
     n = d.size
-    if not (2 <= k_min <= k_max <= n - 1):
-        raise TooFewPoints(
-            f"need 2 <= k_min <= k_max <= n - 1 with n = {n}, "
-            f"got k_min = {k_min}, k_max = {k_max}"
-        )
+    require_counts(2, n - 1, k_min=k_min)
+    require_counts(k_min, n - 1, k_max=k_max)
     hs = _smallest(d, k_min, k_max).tolist()
     # the radii are sorted, each nonnegative or +inf (``_check_distances``):
     # a zero comes first and a +inf, which the bandwidth rule rejects, last
@@ -652,8 +645,9 @@ def theoretical_bias_variance(phi_prime: float, sigma2: float, h: float,
         DegenerateConstants: when m1 <= 0.
         ValidationError: for a sigma2 that is not nonnegative and finite,
             an h that is not positive and finite, an n that is not an
-            integer or is below 1, f_of_h outside (0, 1] or a non-finite
-            phi_prime (NaN included).
+            integer, f_of_h outside (0, 1] or a non-finite phi_prime (NaN
+            included).
+        TooFewPoints: for an n below 1 (``require_counts``).
     """
     if constants.m1 <= 0.0:
         raise DegenerateConstants(f"m1 = {constants.m1} is not positive")
@@ -661,9 +655,9 @@ def theoretical_bias_variance(phi_prime: float, sigma2: float, h: float,
     if not 0.0 <= sigma2 < np.inf:
         raise ValidationError("sigma2 must be nonnegative and finite")
     require_bandwidths(h)
-    require_integers(n=n)
-    if not (n > 0 and 0.0 < f_of_h <= 1.0):
-        raise ValidationError("need n > 0 and f_of_h in (0, 1]")
+    require_counts(1, n=n)
+    if not 0.0 < f_of_h <= 1.0:
+        raise ValidationError(f"f_of_h must lie in (0, 1], got {f_of_h}")
     if not np.isfinite(phi_prime):
         raise ValidationError("phi_prime must be finite")
     b_n = phi_prime * (constants.m0 / constants.m1) * h

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     RaggedRows,
     ValidationError,
-    require_integers,
+    require_counts,
 )
 from .simulation import check_seed
 
@@ -232,16 +232,14 @@ def split_sample(sample: FunctionalSample, n_train: int, n_test: int,
     """Seed-deterministic train/test split by permuting sample indices.
 
     Raises:
-        ValidationError: on a seed ``check_seed`` rejects, or an impossible
-            split.
+        ValidationError: on a seed ``check_seed`` rejects.
+        TooFewPoints: unless n_train lies in [1, n - 1] and n_test in
+            [1, n - n_train] (``require_counts``).
     """
     seed = check_seed(seed)
-    require_integers(n_train=n_train, n_test=n_test)
     n = len(sample)
-    if n_train < 1 or n_test < 1 or n_train + n_test > n:
-        raise ValidationError(
-            f"split {n_train}:{n_test} impossible for a sample of size {n}"
-        )
+    require_counts(1, n - 1, n_train=n_train)
+    require_counts(1, n - n_train, n_test=n_test)
     order = np.random.default_rng(seed).permutation(n)
     take = lambda idx: FunctionalSample(
         sample.grid, sample.values[idx], sample.responses[idx]

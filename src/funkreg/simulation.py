@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
     is_integer,
     require_bandwidths,
-    require_integers,
+    require_counts,
 )
 from .estimator import (
     BiasVarianceReport,
@@ -68,12 +68,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(n_train=self.n_train, n_test=self.n_test,
-                         grid_size=self.grid_size)
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValidationError("sample sizes must be positive")
-        if self.grid_size < 5:
-            raise ValidationError("grid_size must be at least 5")
+        require_counts(1, n_train=self.n_train, n_test=self.n_test)
+        require_counts(5, grid_size=self.grid_size)
         # written so that NaN fails: it compares false with everything
         if not 0 <= self.noise_variance < math.inf:
             raise ValidationError("noise_variance must be finite and nonnegative")
@@ -93,11 +89,9 @@ class ScalarDesignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(n=self.n, reps=self.reps)
+        require_counts(1, n=self.n, reps=self.reps)
         if not 0.0 <= self.chi <= 1.0:
             raise ValidationError("chi must lie in the design support [0, 1]")
-        if self.n < 1 or self.reps < 1:
-            raise ValidationError("need n >= 1, reps >= 1")
         require_bandwidths(self.h)
         if not math.isfinite(self.slope):
             raise ValidationError("slope must be finite")
@@ -466,9 +460,9 @@ class NonsmoothFamily:
     def bandwidth_at_rate(self, n: int, a: float = 1.75) -> float:
         """Bandwidth a / (log n)**(1/beta) for an integer n >= 2 and a finite
         a > 0, the slow rate that keeps n F(h) growing for this family."""
-        require_integers(n=n)
-        if n < 2 or not 0 < a < np.inf:  # written so that NaN fails
-            raise ValidationError(f"need n >= 2 and finite a > 0, got {n} and {a}")
+        require_counts(2, n=n)
+        if not 0 < a < np.inf:  # written so that NaN fails
+            raise ValidationError(f"a must be finite and positive, got {a}")
         return a / math.log(n) ** (1.0 / self.beta)
 
     def _unnormalized(self, s: np.ndarray) -> np.ndarray:
@@ -515,11 +509,10 @@ def mc_tau_convergence(family: FractalFamily | NonsmoothFamily, n: int,
 
     Raises:
         ValidationError: for a non-integer n or a seed ``check_seed`` rejects.
+        TooFewPoints: for an n below 1000 (``require_counts``).
         DegenerateBall: if no draw falls within h.
     """
-    require_integers(n=n)
-    if n < _MIN_TAU_SAMPLE:
-        raise ValidationError(f"tau convergence check needs n >= {_MIN_TAU_SAMPLE}")
+    require_counts(_MIN_TAU_SAMPLE, n=n)
     s_grid = np.asarray(s_grid, dtype=float)
     # written so that NaN fails
     if s_grid.size == 0 or not np.all((s_grid >= 0) & (s_grid <= 1)):

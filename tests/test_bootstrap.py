@@ -657,7 +657,7 @@ class TestBootstrapErrorCurve:
         grid, sample = self.constant_curves(np.arange(10))
         config = BootstrapConfig(n_replications=3, k_min=2, k_max=10,
                                  pilot=FixedPilot(3))
-        with pytest.raises(TooFewPoints, match="k_max <= n - 1 with n = 10"):
+        with pytest.raises(TooFewPoints, match=r"^k_max must lie in \[2, 9\], got 10$"):
             bootstrap_error_curve(sample, [Curve(grid, np.full(11, 4.5))],
                                   QUADRATIC, DERIV0, config)
 
@@ -673,7 +673,7 @@ class TestBootstrapErrorCurve:
 
         for name in ("query_rows", "neighbour_rows"):
             monkeypatch.setattr(funkreg.bootstrap, name, no_distances)
-        with pytest.raises(TooFewPoints, match="k_max <= n - 1 with n = 10"):
+        with pytest.raises(TooFewPoints, match=r"^k_max must lie in \[2, 9\], got 10$"):
             bootstrap_error_curve(sample, [Curve(grid, np.zeros(11))],
                                   QUADRATIC, DERIV0, config)
 

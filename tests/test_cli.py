@@ -110,7 +110,9 @@ class TestSimulateCommand:
         # --n-test 0 failed later, as a sample of no curves
         out = tmp_path / "sim"
         assert run(["simulate", size, "0", "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == "error: sample sizes must be positive\n"
+        name = size[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: {name} must be at least 1, got 0\n")
         assert not out.exists()
 
 
@@ -172,7 +174,7 @@ class TestFitPredictCi:
         train, _ = simulated
         assert run(["fit", "--data", str(train), "--k", "40"]) == 2
         assert capsys.readouterr().err == (
-            "error: k = 40 exceeds 39 available distances\n")
+            "error: k must lie in [1, 39], got 40\n")
 
     def test_response_file_is_rejected_with_train_and_test(
             self, simulated, tmp_path, capsys):
@@ -201,7 +203,7 @@ class TestFitPredictCi:
             (["--h", "-1"], "bandwidth must be positive and finite, got -1.0"),
             (["--h", "nan"], "bandwidth must be positive and finite, got nan"),
             (["--h", "inf"], "bandwidth must be positive and finite, got inf"),
-            (["--k", "0"], "k must be positive, got 0"),
+            (["--k", "0"], "k must lie in [1, 39], got 0"),
             (["--k", "3", "--h", "1"], "give exactly one of h or k"),
             ([], "give exactly one of h or k"),
         ]:
@@ -534,6 +536,23 @@ class TestConfigKeys:
         captured = capsys.readouterr()
         assert captured.err == f"error: missing required option {flag}\n"
         assert captured.out == ""
+
+    def test_a_config_run_builds_the_parser_once(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the file's values become defaults of the parser already built
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return build_parser(*args)
+
+        monkeypatch.setattr(funkreg.cli, "build_parser", counted)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"tau0": "fractal:1"}))
+        assert run(["constants", "--kernel", "uniform",
+                    "--config", str(config)]) == 0
+        assert capsys.readouterr().out == "0.5 1 1\n"
+        assert builds == [()]
 
     @pytest.mark.parametrize("command", ["mc-bias-var", "mc-normality"])
     def test_a_config_supplies_n_and_h(self, tmp_path, capsys, command):

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -615,6 +616,23 @@ class TestScreenedDistances:
             assert_cut_rows(full, query_rows(sample, spec, values[10:], k=k),
                             np.arange(1), np.sort(full, axis=1)[:, k - 1])
 
+    def test_overflowing_differences_give_inf_without_a_warning(self):
+        # two curves at 1e200: their squared differences to the others
+        # overflow, and each dense call gives +inf there, with every
+        # warning an error
+        values = np.random.default_rng(3).normal(size=(4, 9))
+        values[2:] *= 1e200
+        sample = FunctionalSample(unit_grid(9), values, np.zeros(4))
+        spec = SemiMetricSpec(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = sample_distances(sample, spec, values[:1])[0]
+            row = pairwise_distances(sample, sample.curves[0], spec)
+            pair = semi_metric_distance(sample.curves[0], sample.curves[2],
+                                        spec)
+        assert np.isinf(block[2:]).all() and np.isfinite(block[:2]).all()
+        assert np.array_equal(row, block) and pair == block[2] == np.inf
+
     def test_chunks_that_need_most_entries_keep_their_bits(self, monkeypatch):
         # one row a chunk. At h = 1.4 the query at the centre has all the
         # curves inside its ball and the half-scale one 96%, so the screen
@@ -817,8 +835,7 @@ class TestRowOrder:
         cols[3] = cols[1]
         rows = np.vstack([cols[:3], np.zeros((2, 9))])
         i, j = np.nonzero(rng.random((5, 6)) < 0.7)
-        with np.errstate(over="ignore"):
-            d = curves._exact_pairs(rows, cols, np.ones(9), i, j)
+        d = curves._exact_pairs(rows, cols, np.ones(9), i, j)
         assert np.isinf(d).any() and np.isfinite(d).any()
         self.assert_lexsort_order(i, d, 5)
 

@@ -15,7 +15,9 @@ they fit each query's cut rows (``query_rows``, ``nadaraya_watson_rows``),
 so they name neither ``knn_radii`` nor ``nadaraya_watson_batch``.
 Derivatives come from a grid's kept stencil, so no module names numpy's
 ``gradient``. A stream is drawn from its start, not stepped through by
-its block layout, so no module names ``advance``.
+its block layout, so no module names ``advance``. A count is held to one
+rule, ``errors.require_counts``, so no module keeps a range check of its
+own such as the deleted ``_check_rule``.
 A module names a thing when it imports, defines or refers to it, as a bare
 name or as an attribute.
 """
@@ -43,7 +45,7 @@ FORBIDDEN = {
     "bootstrap": {"knn_radii", "nadaraya_watson_batch"},
 }
 #: names no module may use
-NOWHERE = {"gradient", "advance"}
+NOWHERE = {"gradient", "advance", "_check_rule"}
 
 
 def names(tree: ast.AST) -> set[str]:

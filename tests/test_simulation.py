@@ -585,7 +585,8 @@ def test_counts_must_be_integers(build):
 
 @pytest.mark.parametrize("sizes", [{"n_train": 0}, {"n_test": 0}])
 def test_sample_sizes_must_be_positive(sizes):
-    with pytest.raises(ValidationError, match="sample sizes must be positive"):
+    (name,) = sizes
+    with pytest.raises(ValidationError, match=f"^{name} must be at least 1, got 0$"):
         SimulationConfig(**sizes)
 
 
